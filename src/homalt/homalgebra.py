@@ -15,10 +15,14 @@ is how generic (indeterminate-coordinate) elements are represented.
 The Hom-associator is ``(x, y, z) = (xy) alpha(z) - alpha(x) (yz)``; an
 algebra is right Hom-alternative when ``(x, y, y) = 0`` and left
 Hom-alternative when ``(x, x, y) = 0``.  Hom-powers follow
-``x^n = x^(n-1) * alpha^(n-2)(x)``.  Structural checks below scan all basis
-tuples of the (multi)linearized forms, which is complete over a field of
-characteristic zero; they report the first failing tuple in lexicographic
-order along with the nonzero element witnessing the failure.
+``x^n = x^(n-1) * alpha^(n-2)(x)``.  Structural checks below evaluate the
+(multi)linearized forms on basis tuples, which is complete over a field of
+characteristic zero.  They scan the sparse tables (``mu`` indexed by left
+factor, the twisting map's rows) rather than building elements, skip tuples
+that a symmetry of the form makes redundant, and report the first failing
+tuple in lexicographic order along with the nonzero element witnessing the
+failure.  :func:`replay_structural_witness` recomputes that element
+independently, through ``mul``, ``twist_apply`` and ``hom_associator``.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .scalars import (
 SparseRow = tuple[tuple[int, Scalar], ...]
 MuTable = dict[tuple[int, int], SparseRow]
 RowTable = dict[int, SparseRow]
+ByLeft = dict[int, dict[int, SparseRow]]  # mu indexed by left factor
 RowsLike = Union[Mapping[int, Iterable[tuple[int, Scalar]]], Sequence[Sequence[Scalar]]]
 
 HOLDS = "holds"
@@ -163,14 +168,19 @@ def apply_rows(rows: RowTable, x: Element) -> Element:
     return Element(tuple(acc))
 
 
+def _add_image(acc: dict[int, Scalar], rows: RowTable, u: SparseRow) -> None:
+    """``acc += f(u)`` for the linear map with sparse rows ``rows``."""
+    for a, ua in u:
+        for k, c in rows.get(a, ()):
+            acc[k] = acc.get(k, 0) + ua * c
+
+
 def compose_rows(dim: int, first: RowTable, then: RowTable) -> RowTable:
     """Row table of ``x -> then(first(x))``."""
     out: dict[int, dict[int, Scalar]] = {}
     for i, row in first.items():
         acc: dict[int, Scalar] = {}
-        for k, c in row:
-            for j, d in then.get(k, ()):
-                acc[j] = acc.get(j, 0) + c * d
+        _add_image(acc, then, row)
         if acc:
             out[i] = acc
     return normalize_rows(dim, {i: tuple(r.items()) for i, r in out.items()})
@@ -382,50 +392,67 @@ class CheckReport:
 # -- structural checks -------------------------------------------------------
 
 
+def _by_left(mu: MuTable) -> ByLeft:
+    """``mu`` indexed by left factor: ``out[i][j]`` is the row of ``e_i e_j``."""
+    out: ByLeft = {}
+    for (i, j), row in mu.items():
+        out.setdefault(i, {})[j] = row
+    return out
+
+
+def _add_product(
+    acc: dict[int, Scalar], by_left: ByLeft, u: SparseRow, v: SparseRow, negate: bool = False
+) -> None:
+    """``acc += u v`` (or ``-= u v``) for sparse vectors ``u`` and ``v``."""
+    for a, ua in u:
+        right = by_left.get(a)
+        if right is None:
+            continue
+        for b, vb in v:
+            row = right.get(b)
+            if row is None:
+                continue
+            base = -(ua * vb) if negate else ua * vb
+            for k, c in row:
+                acc[k] = acc.get(k, 0) + base * c
+
+
+def _add_associator(
+    acc: dict[int, Scalar], A: HomAlgebra, by_left: ByLeft, i: int, j: int, k: int
+) -> None:
+    """``acc += (e_i, e_j, e_k) = (e_i e_j) alpha(e_k) - alpha(e_i) (e_j e_k)``."""
+    _add_product(acc, by_left, A.mu.get((i, j), ()), A.alpha.get(k, ()))
+    _add_product(acc, by_left, A.alpha.get(i, ()), A.mu.get((j, k), ()), negate=True)
+
+
+def _first_failure(
+    check_id: str,
+    dim: int,
+    values: Iterable[tuple[tuple[int, ...], dict[int, Scalar]]],
+) -> CheckReport:
+    """Report on the first basis tuple whose sparse value is nonzero."""
+    for tup, value in values:
+        if any(c != 0 for c in value.values()):
+            element = Element(tuple(value.get(k, 0) for k in range(dim)))
+            return CheckReport(
+                check_id, FAILS, "basis", witness=Witness(element=element, basis=tup)
+            )
+    return CheckReport(check_id, HOLDS, "basis")
+
+
 def is_multiplicative(A: HomAlgebra) -> CheckReport:
     """Does the twisting map preserve products on all basis pairs?"""
-    basis = A.basis()
-    for i in range(A.dim):
-        for j in range(A.dim):
-            diff = A.twist_apply(A.mul(basis[i], basis[j])) - A.mul(
-                A.twist_apply(basis[i]), A.twist_apply(basis[j])
-            )
-            if not diff.is_zero():
-                return CheckReport(
-                    "multiplicative", FAILS, "basis",
-                    witness=Witness(element=diff, basis=(i, j)),
-                )
-    return CheckReport("multiplicative", HOLDS, "basis")
+    by_left = _by_left(A.mu)
 
+    def values():
+        for i in range(A.dim):
+            for j in range(A.dim):
+                acc: dict[int, Scalar] = {}
+                _add_image(acc, A.alpha, A.mu.get((i, j), ()))
+                _add_product(acc, by_left, A.alpha.get(i, ()), A.alpha.get(j, ()), negate=True)
+                yield (i, j), acc
 
-def _alternativity_witness(A: HomAlgebra, triple: tuple[int, int, int], side: str) -> Element:
-    """Recompute the element reported for a failing (left/right) triple."""
-    i, j, k = triple
-    basis = A.basis()
-    if side == "right":
-        if j == k:
-            return A.hom_associator(basis[i], basis[j], basis[j])
-        return A.hom_associator(basis[i], basis[j], basis[k]) + A.hom_associator(
-            basis[i], basis[k], basis[j]
-        )
-    if i == j:
-        return A.hom_associator(basis[i], basis[i], basis[k])
-    return A.hom_associator(basis[i], basis[j], basis[k]) + A.hom_associator(
-        basis[j], basis[i], basis[k]
-    )
-
-
-def _alternativity_check(A: HomAlgebra, side: str, check_id: str) -> CheckReport:
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                value = _alternativity_witness(A, (i, j, k), side)
-                if not value.is_zero():
-                    return CheckReport(
-                        check_id, FAILS, "basis",
-                        witness=Witness(element=value, basis=(i, j, k)),
-                    )
-    return CheckReport(check_id, HOLDS, "basis")
+    return _first_failure("multiplicative", A.dim, values())
 
 
 def is_right_hom_alternative(A: HomAlgebra) -> CheckReport:
@@ -434,14 +461,44 @@ def is_right_hom_alternative(A: HomAlgebra) -> CheckReport:
     Over characteristic zero the linearized form ``(x,y,z) + (x,z,y)``
     vanishing on every basis triple is equivalent to the quadratic identity;
     for a failing triple with repeated last slots the plain Hom-associator is
-    reported, otherwise the linearized sum.
+    reported, otherwise the linearized sum.  The form is symmetric in its
+    last two slots, so the first failing triple has ``j <= k`` and only
+    those triples are scanned.
     """
-    return _alternativity_check(A, "right", "right-alt")
+    by_left = _by_left(A.mu)
+
+    def values():
+        for i in range(A.dim):
+            for j in range(A.dim):
+                for k in range(j, A.dim):
+                    acc: dict[int, Scalar] = {}
+                    _add_associator(acc, A, by_left, i, j, k)
+                    if k != j:
+                        _add_associator(acc, A, by_left, i, k, j)
+                    yield (i, j, k), acc
+
+    return _first_failure("right-alt", A.dim, values())
 
 
 def is_left_hom_alternative(A: HomAlgebra) -> CheckReport:
-    """Check ``(x, x, y) = 0`` via its linearization on all basis triples."""
-    return _alternativity_check(A, "left", "left-alt")
+    """Check ``(x, x, y) = 0`` via its linearization on all basis triples.
+
+    The linearized form ``(x,y,z) + (y,x,z)`` is symmetric in its first two
+    slots, so only triples with ``i <= j`` are scanned.
+    """
+    by_left = _by_left(A.mu)
+
+    def values():
+        for i in range(A.dim):
+            for j in range(i, A.dim):
+                for k in range(A.dim):
+                    acc: dict[int, Scalar] = {}
+                    _add_associator(acc, A, by_left, i, j, k)
+                    if i != j:
+                        _add_associator(acc, A, by_left, j, i, k)
+                    yield (i, j, k), acc
+
+    return _first_failure("left-alt", A.dim, values())
 
 
 def is_weak_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
@@ -449,17 +506,17 @@ def is_weak_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
     if A.dim != B.dim:
         raise ValueError("dimension mismatch between algebras")
     rows = normalize_rows(A.dim, f)
-    basis = A.basis()
-    images = [apply_rows(rows, e) for e in basis]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            diff = apply_rows(rows, A.mul(basis[i], basis[j])) - B.mul(images[i], images[j])
-            if not diff.is_zero():
-                return CheckReport(
-                    "weak-morphism", FAILS, "basis",
-                    witness=Witness(element=diff, basis=(i, j)),
-                )
-    return CheckReport("weak-morphism", HOLDS, "basis")
+    b_left = _by_left(B.mu)
+
+    def values():
+        for i in range(A.dim):
+            for j in range(A.dim):
+                acc: dict[int, Scalar] = {}
+                _add_image(acc, rows, A.mu.get((i, j), ()))
+                _add_product(acc, b_left, rows.get(i, ()), rows.get(j, ()), negate=True)
+                yield (i, j), acc
+
+    return _first_failure("weak-morphism", A.dim, values())
 
 
 def is_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
@@ -477,6 +534,24 @@ def is_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
                 witness=Witness(element=diff, basis=(i,)),
             )
     return CheckReport("morphism", HOLDS, "basis")
+
+
+def _alternativity_witness(A: HomAlgebra, triple: tuple[int, int, int], side: str) -> Element:
+    """Recompute the element reported for a failing (left/right) triple
+    through Element operations, independently of the scan."""
+    i, j, k = triple
+    basis = A.basis()
+    if side == "right":
+        if j == k:
+            return A.hom_associator(basis[i], basis[j], basis[j])
+        return A.hom_associator(basis[i], basis[j], basis[k]) + A.hom_associator(
+            basis[i], basis[k], basis[j]
+        )
+    if i == j:
+        return A.hom_associator(basis[i], basis[i], basis[k])
+    return A.hom_associator(basis[i], basis[j], basis[k]) + A.hom_associator(
+        basis[j], basis[i], basis[k]
+    )
 
 
 def replay_structural_witness(
@@ -530,9 +605,7 @@ def yau_twist(A: HomAlgebra, beta: RowsLike, check: bool = True) -> HomAlgebra:
     new_mu: MuTable = {}
     for (i, j), row in A.mu.items():
         acc: dict[int, Scalar] = {}
-        for k, c in row:
-            for t, d in rows.get(k, ()):
-                acc[t] = acc.get(t, 0) + c * d
+        _add_image(acc, rows, row)
         packed = tuple((t, v) for t, v in sorted(acc.items()) if v != 0)
         if packed:
             new_mu[(i, j)] = packed

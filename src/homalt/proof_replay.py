@@ -419,14 +419,9 @@ def _first_mismatch(
 ) -> tuple[int, Side] | None:
     """Index and difference of the first unequal pair, if any."""
     for idx, (lhs, rhs) in enumerate(pairs):
-        if isinstance(lhs, Element):
-            diff = lhs - rhs
-            if not diff.is_zero():
-                return idx, diff
-        else:
-            diff = lhs - rhs
-            if not diff.is_zero():
-                return idx, diff
+        diff = lhs - rhs
+        if not diff.is_zero():
+            return idx, diff
     return None
 
 
@@ -560,18 +555,20 @@ def _check_preconditions(
     known: dict[str, CheckReport] | None = None,
 ) -> None:
     known = known if known is not None else {}
+
+    def require(key: str, requirement: str, scan: Callable[[], CheckReport]) -> None:
+        report = known.get(key)
+        if report is None:
+            report = known[key] = scan()
+        if not report.passed():
+            raise PreconditionError(inst.tag, requirement, report)
+
     if inst.needs_multiplicative:
-        report = known.setdefault("multiplicative", is_multiplicative(A))
-        if not report.passed():
-            raise PreconditionError(inst.tag, "multiplicative", report)
+        require("multiplicative", "multiplicative", lambda: is_multiplicative(A))
     if inst.needs_right_alternative:
-        report = known.setdefault("right-alt", is_right_hom_alternative(A))
-        if not report.passed():
-            raise PreconditionError(inst.tag, "right Hom-alternative", report)
+        require("right-alt", "right Hom-alternative", lambda: is_right_hom_alternative(A))
     if inst.tag == "beta2":
-        report = known.setdefault("weak-morphism", is_weak_morphism(A, A, beta))
-        if not report.passed():
-            raise PreconditionError(inst.tag, "twisted by a weak morphism", report)
+        require("weak-morphism", "twisted by a weak morphism", lambda: is_weak_morphism(A, A, beta))
 
 
 def _resolve_beta(A: HomAlgebra, beta: RowsLike | None) -> RowTable:

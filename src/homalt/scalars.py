@@ -31,6 +31,8 @@ UNIT_MONO: Mono = ()
 
 def _norm_rational(value: Rational) -> Rational:
     """Collapse integral Fractions to int."""
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
     return value
@@ -199,6 +201,8 @@ def _wrap(terms: Mapping[Mono, Rational]) -> Scalar:
 
 
 def normalize(s: Scalar) -> Scalar:
+    if type(s) is int:
+        return s
     if isinstance(s, Poly):
         return _wrap(s.terms)
     return _norm_rational(s)

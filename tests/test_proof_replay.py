@@ -1,11 +1,14 @@
 """Identity registry and verification strategies."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+import homalt.proof_replay
 from homalt.homalgebra import HomAlgebra, generic_element, identity_rows
-from homalt.catalog import FamilyParams, mikheev_morphism
+from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
 from homalt.operators import alpha_op, apply, compose, op_sup, right_mul_op
 from homalt.proof_replay import (
     PreconditionError,
@@ -141,6 +144,40 @@ def test_verify_all_records_precondition_errors(plain_twisted):
     assert by_tag["eq1"].error is not None
     assert "right Hom-alternative" in by_tag["eq1"].error
     assert by_tag["beta2"].passed()
+
+
+SCAN_NAMES = ("is_multiplicative", "is_right_hom_alternative", "is_weak_morphism")
+
+
+def _count_scans(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+    for name in SCAN_NAMES:
+        scan = getattr(homalt.proof_replay, name)
+
+        def counted(*args, _scan=scan, _name=name, **kwargs):
+            calls[_name] += 1
+            return _scan(*args, **kwargs)
+
+        monkeypatch.setattr(homalt.proof_replay, name, counted)
+    return calls
+
+
+def test_verify_all_scans_each_precondition_once(monkeypatch, fam23):
+    calls = _count_scans(monkeypatch)
+    results = verify_all(fam23, strategy="random", seed=3, points=1)
+    assert all(r.passed() for r in results)
+    assert calls == Counter({name: 1 for name in SCAN_NAMES})
+
+
+def test_verify_all_scans_each_failed_precondition_once(monkeypatch):
+    # The identity-twist algebra on the product of A(p, q): multiplicative,
+    # not right Hom-alternative, so most entries stop at the cached failure.
+    fam = mikheev_family(FamilyParams.rational(Fraction(2, 3), Fraction(-5, 2)))
+    broken = HomAlgebra(13, dict(fam.mu), identity_rows(13))
+    calls = _count_scans(monkeypatch)
+    results = verify_all(broken, strategy="generic")
+    assert sum(r.error is not None for r in results) == 22
+    assert calls == Counter({name: 1 for name in SCAN_NAMES})
 
 
 def test_beta2_with_explicit_morphism(mikheev):

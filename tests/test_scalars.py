@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from homalt.scalars import (
     Poly,
+    _norm_rational,
     decode_scalar,
     degree,
     encode_scalar,
@@ -89,6 +90,37 @@ def test_constant_poly_collapses_to_rational():
 def test_integral_fractions_collapse_to_int():
     assert normalize(Fraction(6, 3)) == 2
     assert isinstance(normalize(Fraction(6, 3)), int)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (7, 7),
+    (-3, -3),
+    (True, True),
+    (False, False),
+    (Fraction(6, 3), 2),
+    (Fraction(-1, 3), Fraction(-1, 3)),
+    (Poly({(): 5}), 5),
+    (Poly({(): Fraction(1, 2)}), Fraction(1, 2)),
+    (Poly({}), 0),
+    (lam * xi, lam * xi),
+])
+def test_normalize_by_input_type(value, expected):
+    out = normalize(value)
+    assert out == expected
+    assert type(out) is type(expected)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (7, 7),
+    (True, True),
+    (False, False),
+    (Fraction(6, 3), 2),
+    (Fraction(5, 3), Fraction(5, 3)),
+])
+def test_norm_rational_by_input_type(value, expected):
+    out = _norm_rational(value)
+    assert out == expected
+    assert type(out) is type(expected)
 
 
 def test_power():
