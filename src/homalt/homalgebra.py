@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .scalars import (
     Poly,
@@ -47,6 +47,7 @@ SparseRow = tuple[tuple[int, Scalar], ...]
 MuTable = dict[tuple[int, int], SparseRow]
 RowTable = dict[int, SparseRow]
 ByLeft = dict[int, dict[int, SparseRow]]  # mu indexed by left factor
+K = TypeVar("K")  # a basis index, or a basis pair in ``mu``
 RowsLike = Union[Mapping[int, Iterable[tuple[int, Scalar]]], Sequence[Sequence[Scalar]]]
 
 HOLDS = "holds"
@@ -175,19 +176,23 @@ def _add_image(acc: dict[int, Scalar], rows: RowTable, u: SparseRow) -> None:
             acc[k] = acc.get(k, 0) + ua * c
 
 
+def _image(rows: RowTable, u: SparseRow) -> SparseRow:
+    """``f(u)`` for the linear map with sparse rows ``rows``, unnormalized."""
+    acc: dict[int, Scalar] = {}
+    _add_image(acc, rows, u)
+    return tuple(acc.items())
+
+
 def compose_rows(dim: int, first: RowTable, then: RowTable) -> RowTable:
     """Row table of ``x -> then(first(x))``."""
-    out: dict[int, dict[int, Scalar]] = {}
-    for i, row in first.items():
-        acc: dict[int, Scalar] = {}
-        _add_image(acc, then, row)
-        if acc:
-            out[i] = acc
-    return normalize_rows(dim, {i: tuple(r.items()) for i, r in out.items()})
+    return normalize_rows(dim, {i: _image(then, row) for i, row in first.items()})
 
 
-def substitute_rows(rows: RowTable, assignment: Mapping[str, Rational]) -> RowTable:
-    out: RowTable = {}
+def substitute_rows(
+    rows: Mapping[K, SparseRow], assignment: Mapping[str, Rational]
+) -> dict[K, SparseRow]:
+    """Instantiate parameters in a sparse table (twist rows or products)."""
+    out: dict[K, SparseRow] = {}
     for i, row in rows.items():
         packed = tuple((k, substitute(c, assignment)) for k, c in row)
         packed = tuple((k, c) for k, c in packed if c != 0)
@@ -293,10 +298,8 @@ class HomAlgebra:
         if n < 1:
             raise ValueError("Hom-power exponent must be at least 1")
         power = x
-        for m in range(2, n + 1):
-            if power.is_zero():
-                return self.zero()
-            power = self.mul(power, self.shift(x, m - 2))
+        for _, power in _hom_powers(self, x, n):
+            pass
         return power
 
     def with_params(self, extra: Iterable[str]) -> "HomAlgebra":
@@ -602,15 +605,8 @@ def yau_twist(A: HomAlgebra, beta: RowsLike, check: bool = True) -> HomAlgebra:
         if not report.passed():
             pair = report.witness.basis if report.witness else None
             raise ValueError(f"twisting map is not a weak morphism (first failing pair {pair})")
-    new_mu: MuTable = {}
-    for (i, j), row in A.mu.items():
-        acc: dict[int, Scalar] = {}
-        _add_image(acc, rows, row)
-        packed = tuple((t, v) for t, v in sorted(acc.items()) if v != 0)
-        if packed:
-            new_mu[(i, j)] = packed
-    new_alpha = compose_rows(A.dim, A.alpha, rows)
-    return HomAlgebra(A.dim, new_mu, new_alpha, A.params)
+    new_mu = {key: _image(rows, row) for key, row in A.mu.items()}
+    return HomAlgebra(A.dim, new_mu, compose_rows(A.dim, A.alpha, rows), A.params)
 
 
 def generic_element(A: HomAlgebra, prefix: str) -> tuple[HomAlgebra, Element]:
@@ -632,12 +628,7 @@ def substitute_params(A: HomAlgebra, assignment: Mapping[str, Rational]) -> HomA
     unknown = set(assignment) - set(A.params)
     if unknown:
         raise ValueError(f"unknown parameters: {sorted(unknown)}")
-    mu: MuTable = {}
-    for key, row in A.mu.items():
-        packed = tuple((k, substitute(c, assignment)) for k, c in row)
-        packed = tuple((k, c) for k, c in packed if c != 0)
-        if packed:
-            mu[key] = packed
+    mu = substitute_rows(A.mu, assignment)
     alpha = substitute_rows(A.alpha, assignment)
     params = tuple(p for p in A.params if p not in assignment)
     return HomAlgebra(A.dim, mu, alpha, params)
@@ -646,15 +637,26 @@ def substitute_params(A: HomAlgebra, assignment: Mapping[str, Rational]) -> HomA
 # -- pointwise utilities -------------------------------------------------------
 
 
+def _hom_powers(A: HomAlgebra, x: Element, n: int) -> Iterator[tuple[int, Element]]:
+    """``(m, x^m)`` for ``m = 2 .. n``, ending after the first zero power;
+    ``alpha^(m-2)(x)`` is carried along, so alpha is applied ``n - 2`` times."""
+    power, shifted = x, x
+    for m in range(2, n + 1):
+        if m > 2:
+            shifted = A.twist_apply(shifted)
+        power = A.mul(power, shifted)
+        yield m, power
+        if power.is_zero():
+            return
+
+
 def is_hom_nilpotent(A: HomAlgebra, x: Element, nmax: int) -> int | None:
     """Least ``2 <= n <= nmax`` with ``x^n = 0`` for nonzero x, else None."""
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
     if x.is_zero():
         return None
-    power = x
-    for n in range(2, nmax + 1):
-        power = A.mul(power, A.shift(x, n - 2))
+    for n, power in _hom_powers(A, x, nmax):
         if power.is_zero():
             return n
     return None

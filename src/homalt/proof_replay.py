@@ -13,7 +13,9 @@ Three strategies are offered:
 * ``generic``  -- evaluate with fully indeterminate coordinates; complete.
 * ``subset``   -- fully generic coordinates restricted to every support
   tuple of size at most ``subset_max`` per argument slot; complete for
-  elements of small support.
+  elements of small support.  Every combo is decided from the one generic
+  difference: it fails exactly when it contains the per-slot support of
+  some monomial of that difference, so the identity is evaluated once.
 * ``random``   -- exact evaluation at uniformly drawn integer points in
   [-10^6, 10^6] (parameters of symbolic algebras are drawn too); a pass is
   reported as ``random-pass`` with the seed, point count, and a conservative
@@ -425,54 +427,49 @@ def _first_mismatch(
     return None
 
 
-def _probe_side(diff: Side) -> tuple[Element, int | None]:
-    """Nonzero element extracted from a difference (row probe for operators)."""
+def _probe_side(diff: Side, probe: int | None = None) -> tuple[Element, int | None]:
+    """Nonzero element extracted from a difference: the element itself, or
+    for an operator its row ``probe`` (by default the first nonzero row)."""
     if isinstance(diff, Element):
         return diff, None
-    probe = min(diff.rows)
+    if probe is None:
+        probe = min(diff.rows)
     coords: list = [0] * diff.dim
-    for k, c in diff.rows[probe]:
+    for k, c in diff.rows.get(probe, ()):
         coords[k] = c
     return Element(tuple(coords)), probe
 
 
-def _find_point(
-    A: HomAlgebra,
-    inst: IdentityInstance,
-    beta: RowTable,
-    variables: Sequence[str],
-    seed: int = 0,
-) -> tuple[dict[str, Rational], Element, int | None, int]:
+def _evaluate_at(A, inst, beta, point: dict[str, Rational]) -> list[tuple[Side, Side]]:
+    """The identity's pairs at a point that instantiates the parameters and
+    the argument coordinates ``<name>_<i>`` (missing coordinates are 0)."""
+    A_pt = substitute_params(A, {p: point[p] for p in A.params if p in point})
+    beta_pt = substitute_rows(beta, point) if beta else beta
+    xs = [Element(tuple(point.get(f"{v}_{i + 1}", 0) for i in range(A.dim)))
+          for v in inst.var_names]
+    return inst.evaluate(A_pt, xs, beta_pt)
+
+
+def _witness_at(A, inst, beta, point: dict[str, Rational]) -> Witness | None:
+    """The witness at ``point`` if the identity fails there."""
+    hit = _first_mismatch(_evaluate_at(A, inst, beta, point))
+    if hit is None:
+        return None
+    idx, diff = hit
+    element, probe = _probe_side(diff)
+    return Witness(element=element, point=point, probe=probe, pair_index=idx)
+
+
+def _find_witness(A, inst, beta, variables: Sequence[str], seed: int = 0) -> Witness:
     """Hunt a concrete integer point where a symbolically failing identity
-    still fails; returns (point, difference element, probe, pair index)."""
+    still fails."""
     rng = random.Random(seed)
     for attempt in range(1000):
         bound = 3 + attempt // 50
-        point = {v: rng.randint(-bound, bound) for v in variables}
-        A_pt = substitute_params(A, {p: point[p] for p in A.params})
-        beta_pt = substitute_rows(beta, point) if beta else beta
-        xs = [
-            Element(tuple(point.get(f"{name}_{i + 1}", 0) for i in range(A.dim)))
-            for name in inst.var_names
-        ]
-        hit = _first_mismatch(inst.evaluate(A_pt, xs, beta_pt))
-        if hit is not None:
-            idx, diff = hit
-            element, probe = _probe_side(diff)
-            return point, element, probe, idx
+        witness = _witness_at(A, inst, beta, {v: rng.randint(-bound, bound) for v in variables})
+        if witness is not None:
+            return witness
     raise RuntimeError("could not locate a concrete failing point")
-
-
-def _support_generics(
-    A: HomAlgebra, prefixes: Sequence[str], supports: Sequence[tuple[int, ...]]
-) -> list[Element]:
-    out = []
-    for prefix, support in zip(prefixes, supports):
-        coords: list = [0] * A.dim
-        for i in support:
-            coords[i] = Poly.variable(f"{prefix}_{i + 1}")
-        out.append(Element(tuple(coords)))
-    return out
 
 
 def _support_tuples(dim: int, max_size: int) -> list[tuple[int, ...]]:
@@ -482,80 +479,87 @@ def _support_tuples(dim: int, max_size: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _verify_generic(A, inst, beta) -> CheckReport:
+def _generic_pairs(A, inst, beta) -> tuple[HomAlgebra, list[tuple[Side, Side]]]:
+    """The identity's pairs on arguments with indeterminate coordinates
+    ``<name>_<i>``, and the algebra extended by those indeterminates."""
     extended = A
     xs = []
     for name in inst.var_names:
         extended, x = generic_element(extended, name)
         xs.append(x)
-    hit = _first_mismatch(inst.evaluate(extended, xs, beta))
-    if hit is None:
+    return extended, inst.evaluate(extended, xs, beta)
+
+
+def _support_patterns(A, inst, pairs) -> set[tuple[frozenset[int], ...]]:
+    """Per-slot coordinate supports of the monomials of the differences: slot
+    ``s`` holds each ``i`` with ``<var_names[s]>_<i + 1>`` in the monomial."""
+    slot_of = {f"{v}_{i + 1}": (s, i) for s, v in enumerate(inst.var_names) for i in range(A.dim)}
+    patterns = set()
+    for lhs, rhs in pairs:
+        diff = lhs - rhs
+        coeffs = (diff.coords if isinstance(diff, Element)
+                  else [c for row in diff.rows.values() for _, c in row])
+        for c in coeffs:
+            for m in c.terms if isinstance(c, Poly) else ([()] if c != 0 else []):
+                slots: list[set[int]] = [set() for _ in inst.var_names]
+                for s, i in (slot_of[var] for var, _ in m if var in slot_of):
+                    slots[s].add(i)
+                patterns.add(tuple(map(frozenset, slots)))
+    return patterns
+
+
+def _verify_generic(A, inst, beta) -> CheckReport:
+    extended, pairs = _generic_pairs(A, inst, beta)
+    if _first_mismatch(pairs) is None:
         return CheckReport(inst.tag, HOLDS, "generic")
-    variables = list(extended.params)
-    point, element, probe, pair = _find_point(extended, inst, beta, variables)
-    return CheckReport(
-        inst.tag, FAILS, "generic",
-        witness=Witness(element=element, point=point, probe=probe, pair_index=pair),
-    )
+    witness = _find_witness(extended, inst, beta, list(extended.params))
+    return CheckReport(inst.tag, FAILS, "generic", witness=witness)
 
 
 def _verify_subset(A, inst, beta, subset_max: int) -> CheckReport:
+    """Sweep the support combos as a view of the one generic evaluation.
+
+    Evaluators are polynomial in the coordinates, so a combo's difference is
+    the generic one with the coordinates outside the combo set to 0: it is
+    nonzero exactly when the combo contains, slot by slot, the support of a
+    monomial.  The cost is one generic evaluation even when the first combo
+    fails, which on dense structure constants is far more than evaluating
+    that combo alone.
+    """
+    _, pairs = _generic_pairs(A, inst, beta)
+    patterns = [p for p in _support_patterns(A, inst, pairs) if max(map(len, p)) <= subset_max]
     supports = _support_tuples(A.dim, subset_max)
+    as_set = {support: frozenset(support) for support in supports}
     checked = 0
     for combo in itertools.product(supports, repeat=inst.arity):
         checked += 1
-        xs = _support_generics(A, inst.var_names, combo)
-        hit = _first_mismatch(inst.evaluate(A, xs, beta))
-        if hit is not None:
+        if any(all(need <= as_set[t] for need, t in zip(p, combo)) for p in patterns):
             variables = list(A.params) + [
-                f"{prefix}_{i + 1}"
-                for prefix, support in zip(inst.var_names, combo)
-                for i in support
+                f"{v}_{i + 1}" for v, support in zip(inst.var_names, combo) for i in support
             ]
-            point, element, probe, pair = _find_point(A, inst, beta, variables)
-            return CheckReport(
-                inst.tag, FAILS, "subset", points=checked,
-                witness=Witness(element=element, point=point, probe=probe, pair_index=pair),
-            )
+            witness = _find_witness(A, inst, beta, variables)
+            return CheckReport(inst.tag, FAILS, "subset", points=checked, witness=witness)
     return CheckReport(inst.tag, HOLDS, "subset", points=checked)
 
 
 def _verify_random(A, inst, beta, seed: int, points: int) -> CheckReport:
     rng = random.Random(seed)
-    bound = inst.degree_bound(A)
+    sample = {"points": points, "seed": seed, "degree_bound": inst.degree_bound(A)}
+    names = list(A.params) + [f"{v}_{i + 1}" for v in inst.var_names for i in range(A.dim)]
     for _ in range(points):
-        point: dict[str, Rational] = {}
-        for p in A.params:
-            point[p] = rng.randint(-RANDOM_BOUND, RANDOM_BOUND)
-        xs = []
-        for name in inst.var_names:
-            coords = []
-            for i in range(A.dim):
-                value = rng.randint(-RANDOM_BOUND, RANDOM_BOUND)
-                point[f"{name}_{i + 1}"] = value
-                coords.append(value)
-            xs.append(Element(tuple(coords)))
-        A_pt = substitute_params(A, {p: point[p] for p in A.params})
-        beta_pt = substitute_rows(beta, point) if beta else beta
-        hit = _first_mismatch(inst.evaluate(A_pt, xs, beta_pt))
-        if hit is not None:
-            idx, diff = hit
-            element, probe = _probe_side(diff)
-            return CheckReport(
-                inst.tag, FAILS, "random", points=points, seed=seed, degree_bound=bound,
-                witness=Witness(element=element, point=point, probe=probe, pair_index=idx),
-            )
-    return CheckReport(inst.tag, RANDOM_PASS, "random", points=points, seed=seed, degree_bound=bound)
+        point = {name: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for name in names}
+        witness = _witness_at(A, inst, beta, point)
+        if witness is not None:
+            return CheckReport(inst.tag, FAILS, "random", witness=witness, **sample)
+    return CheckReport(inst.tag, RANDOM_PASS, "random", **sample)
 
 
 def _check_preconditions(
     A: HomAlgebra,
     inst: IdentityInstance,
     beta: RowTable,
-    known: dict[str, CheckReport] | None = None,
+    known: dict[str, CheckReport],
 ) -> None:
-    known = known if known is not None else {}
-
     def require(key: str, requirement: str, scan: Callable[[], CheckReport]) -> None:
         report = known.get(key)
         if report is None:
@@ -587,18 +591,23 @@ def verify(
     beta: RowsLike | None = None,
     subset_max: int = 3,
     skip_preconditions: bool = False,
-    _known: dict[str, CheckReport] | None = None,
 ) -> CheckReport:
     """Verify one registry identity on an algebra.
 
     ``beta`` (sparse rows or a dense matrix) is only consulted by the
     ``beta2`` entry and defaults to the algebra's own twisting map.
-    Precondition violations raise :class:`PreconditionError`.
+    Precondition violations raise :class:`PreconditionError`; a subset cap
+    or a random point count below 1, which would check nothing, raises
+    ValueError.
     """
+    if strategy == "subset" and subset_max < 1:
+        raise ValueError(f"subset_max must be at least 1, got {subset_max}")
+    if strategy == "random" and points < 1:
+        raise ValueError(f"points must be at least 1, got {points}")
     inst = get_identity(tag)
     beta_rows = _resolve_beta(A, beta)
     if not skip_preconditions:
-        _check_preconditions(A, inst, beta_rows, _known)
+        _check_preconditions(A, inst, beta_rows, {})
     if strategy == "generic":
         return _verify_generic(A, inst, beta_rows)
     if strategy == "subset":
@@ -668,24 +677,10 @@ def replay_identity_witness(
     if report.witness is None or report.witness.point is None:
         raise ValueError("report carries no point witness")
     inst = get_identity(report.check)
-    point = report.witness.point
-    beta_rows = _resolve_beta(A, beta)
-    A_pt = substitute_params(A, {p: point[p] for p in A.params if p in point})
-    beta_pt = substitute_rows(beta_rows, point) if beta_rows else beta_rows
-    xs = [
-        Element(tuple(point.get(f"{name}_{i + 1}", 0) for i in range(A.dim)))
-        for name in inst.var_names
+    lhs, rhs = _evaluate_at(A, inst, _resolve_beta(A, beta), report.witness.point)[
+        report.witness.pair_index or 0
     ]
-    pairs = inst.evaluate(A_pt, xs, beta_pt)
-    idx = report.witness.pair_index or 0
-    lhs, rhs = pairs[idx]
     diff = lhs - rhs
-    if isinstance(diff, Element):
-        return diff
-    probe = report.witness.probe
-    if probe is None:
+    if not isinstance(diff, Element) and report.witness.probe is None:
         raise ValueError("operator witness without probe index")
-    coords: list = [0] * diff.dim
-    for k, c in diff.rows.get(probe, ()):
-        coords[k] = c
-    return Element(tuple(coords))
+    return _probe_side(diff, report.witness.probe)[0]

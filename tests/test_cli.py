@@ -1,11 +1,13 @@
 """Command-line interface: flag grammar, exit codes, deterministic reports."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from homalt.algfile import parse_algebra, serialize_algebra, serialize_morphism
-from homalt.catalog import FamilyParams, mikheev_morphism
+from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
+from homalt.homalgebra import HomAlgebra, identity_rows
 from homalt.cli import run
 
 
@@ -23,6 +25,10 @@ def files(tmp_path_factory, mikheev, fam_sym, fam23, plain_twisted):
     paths["fam_sym"].write_text(serialize_algebra(fam_sym))
     paths["fam23"].write_text(serialize_algebra(fam23))
     paths["broken"].write_text(serialize_algebra(plain_twisted))
+    # The identity-twist algebra of A(2/3, -5/2): xyy fails on it.
+    fam = mikheev_family(FamilyParams.rational(Fraction(2, 3), Fraction(-5, 2)))
+    paths["refute"] = root / "refute.alg"
+    paths["refute"].write_text(serialize_algebra(HomAlgebra(13, dict(fam.mu), identity_rows(13))))
     paths["beta"].write_text(
         serialize_morphism(mikheev_morphism(FamilyParams.symbolic()), 13, ("lambda", "xi")))
     return {k: str(v) for k, v in paths.items()}
@@ -76,6 +82,26 @@ def test_check_precondition_violation_is_exit_2(files, capsys):
                 "--strategy", "random", "--points", "2", "--seed", "0"])
     assert code == 2
     assert "not right Hom-alternative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "lemmas"])
+@pytest.mark.parametrize("flags", [
+    ["--strategy", "subset", "--subset-max", "0"],
+    ["--strategy", "subset", "--subset-max", "-1"],
+    ["--strategy", "random", "--seed", "1", "--points", "0"],
+    ["--strategy", "random", "--seed", "1", "--points", "-3"],
+])
+def test_sweeps_that_check_nothing_exit_2(files, capsys, command, flags):
+    # xyy fails on this algebra; a sweep of no combos or no points must not
+    # report it as holding.
+    argv = [command, "--algebra", files["refute"], *flags, "--format", "json"]
+    if command == "check":
+        argv[1:1] = ["--identity", "xyy"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_check_unknown_identity(files, capsys):

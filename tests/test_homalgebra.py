@@ -314,6 +314,44 @@ def test_hom_nilpotent_index(mikheev, fam23):
         is_hom_nilpotent(mikheev, e[0], 1)
 
 
+def _reference_hom_power(A, x, n):
+    """``x^n = x^(n-1) * alpha^(n-2)(x)``, straight from the definition."""
+    return x if n == 1 else A.mul(_reference_hom_power(A, x, n - 1), A.shift(x, n - 2))
+
+
+def test_hom_powers_match_the_definition(mikheev, fam23):
+    e = mikheev.basis()
+    f = fam23.basis()
+    cases = [(mikheev, e[6] - e[7]), (mikheev, e[0] + e[1]), (mikheev, mikheev.zero()),
+             (fam23, fam23.hom_associator(f[0], f[0], f[1])), (fam23, f[0] + f[2])]
+    for A, x in cases:
+        for n in range(1, 8):
+            assert A.hom_power(x, n) == _reference_hom_power(A, x, n)
+        index = next((n for n in range(2, 8) if _reference_hom_power(A, x, n).is_zero()), None)
+        assert is_hom_nilpotent(A, x, 7) == (None if x.is_zero() else index)
+
+
+def test_hom_powers_twist_linearly_often(monkeypatch):
+    # e e = e with the identity twist: no power vanishes, so both loops run
+    # to the end.  Rebuilding alpha^(m-2)(x) at every step took n^2/2 twists.
+    A = HomAlgebra(1, {(0, 0): ((0, 1),)}, identity_rows(1))
+    calls = []
+    twist = HomAlgebra.twist_apply
+
+    def counting(self, x):
+        calls.append(1)
+        return twist(self, x)
+
+    monkeypatch.setattr(HomAlgebra, "twist_apply", counting)
+    x = A.basis_element(0)
+    n = 200
+    assert A.hom_power(x, n) == x
+    assert len(calls) <= n
+    calls.clear()
+    assert is_hom_nilpotent(A, x, n) is None
+    assert len(calls) <= n
+
+
 def test_idempotent_is_not_nilpotent(upper_triangular):
     A = upper_triangular
     assert is_hom_nilpotent(A, A.basis_element(0), 8) is None

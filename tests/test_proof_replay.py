@@ -75,6 +75,23 @@ def test_unknown_strategy_rejected(mikheev):
         verify(mikheev, "xyy", strategy="dense")
 
 
+@pytest.mark.parametrize("strategy, options", [
+    ("subset", {"subset_max": 0}),
+    ("subset", {"subset_max": -1}),
+    ("random", {"points": 0}),
+    ("random", {"points": -3}),
+])
+def test_sweeps_that_check_nothing_are_rejected(strategy, options):
+    # xyy fails on the identity-twist algebra of A(2/3, -5/2); an empty
+    # sweep must raise rather than report it as holding.
+    fam = mikheev_family(FamilyParams.rational(Fraction(2, 3), Fraction(-5, 2)))
+    broken = HomAlgebra(13, dict(fam.mu), identity_rows(13))
+    with pytest.raises(ValueError, match="at least 1"):
+        verify(broken, "xyy", strategy, **options)
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_all(broken, strategy, **options)
+
+
 def test_prop_evaluator_at_zero(mikheev):
     inst = get_identity("prop")
     zero = mikheev.zero()
