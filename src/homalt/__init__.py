@@ -1,100 +1,54 @@
-"""Exact verifier for identities in right Hom-alternative algebras."""
+"""Exact verifier for identities in right Hom-alternative algebras.
 
-from .scalars import Poly, Rational, Scalar, scalar_str
-from .homalgebra import (
-    CheckReport,
-    Element,
-    HomAlgebra,
-    Witness,
-    basis_left_zero_divisors,
-    element_str,
-    generic_element,
-    is_hom_nilpotent,
-    is_left_hom_alternative,
-    is_morphism,
-    is_multiplicative,
-    is_right_hom_alternative,
-    is_weak_morphism,
-    substitute_params,
-    yau_twist,
-)
-from .operators import RightOp, alpha_op, apply, compose, op_sub, op_sup, right_mul_op, zero_op
-from .catalog import (
-    FamilyParams,
-    family_nonisomorphism_condition,
-    mikheev_algebra,
-    mikheev_family,
-    mikheev_morphism,
-    spectrum_certificate,
-)
-from .proof_replay import (
-    BatchResult,
-    IdentityInstance,
-    PreconditionError,
-    registry,
-    smallest_alpha_exponent,
-    verify,
-    verify_all,
-)
-from .algfile import (
-    AlgebraFormatError,
-    parse_algebra,
-    parse_document,
-    parse_element_expr,
-    parse_morphism,
-    serialize_algebra,
-    serialize_morphism,
-)
+The public names below load on first use: ``import homalt`` imports no
+submodule, and ``homalt.verify`` or ``from homalt import verify`` imports
+the module that defines it (PEP 562).  So ``python -m homalt.cli`` loads
+only the modules a command runs.
+"""
+
+import importlib
+
+# Public names by the submodule that defines them.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "scalars": ("Poly", "Rational", "Scalar", "scalar_str"),
+    "homalgebra": (
+        "CheckReport", "Element", "HomAlgebra", "Witness", "basis_left_zero_divisors",
+        "element_str", "generic_element", "is_hom_nilpotent", "is_left_hom_alternative",
+        "is_morphism", "is_multiplicative", "is_right_hom_alternative", "is_weak_morphism",
+        "substitute_params", "yau_twist",
+    ),
+    "operators": (
+        "RightOp", "alpha_op", "apply", "compose", "op_sub", "op_sup", "right_mul_op", "zero_op",
+    ),
+    "catalog": (
+        "FamilyParams", "family_nonisomorphism_condition", "mikheev_algebra", "mikheev_family",
+        "mikheev_morphism", "spectrum_certificate",
+    ),
+    "proof_replay": (
+        "BatchResult", "IdentityInstance", "PreconditionError", "registry",
+        "smallest_alpha_exponent", "verify", "verify_all",
+    ),
+    "algfile": (
+        "AlgebraFormatError", "parse_algebra", "parse_document", "parse_element_expr",
+        "parse_morphism", "serialize_algebra", "serialize_morphism",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraFormatError",
-    "BatchResult",
-    "CheckReport",
-    "Element",
-    "FamilyParams",
-    "HomAlgebra",
-    "IdentityInstance",
-    "Poly",
-    "PreconditionError",
-    "Rational",
-    "RightOp",
-    "Scalar",
-    "Witness",
-    "alpha_op",
-    "apply",
-    "basis_left_zero_divisors",
-    "compose",
-    "element_str",
-    "family_nonisomorphism_condition",
-    "generic_element",
-    "is_hom_nilpotent",
-    "is_left_hom_alternative",
-    "is_morphism",
-    "is_multiplicative",
-    "is_right_hom_alternative",
-    "is_weak_morphism",
-    "mikheev_algebra",
-    "mikheev_family",
-    "mikheev_morphism",
-    "op_sub",
-    "op_sup",
-    "parse_algebra",
-    "parse_document",
-    "parse_element_expr",
-    "parse_morphism",
-    "registry",
-    "right_mul_op",
-    "scalar_str",
-    "serialize_algebra",
-    "serialize_morphism",
-    "smallest_alpha_exponent",
-    "spectrum_certificate",
-    "substitute_params",
-    "verify",
-    "verify_all",
-    "yau_twist",
-    "zero_op",
-    "__version__",
-]
+__all__ = sorted(_SOURCE) + ["__version__"]
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SOURCE) | set(_EXPORTS))

@@ -13,10 +13,9 @@ choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .homalgebra import HomAlgebra, MuTable, RowTable, yau_twist
+from .homalgebra import HomAlgebra, MuTable, RowTable, _Record, yau_twist
 from .scalars import Poly, Rational, Scalar
 
 # Nonzero basis products, 1-based: (i, j) -> coordinates of e_i e_j.
@@ -69,8 +68,7 @@ _EIGEN_EXPONENTS: tuple[tuple[int, int], ...] = (
 DIM = 13
 
 
-@dataclass
-class FamilyParams:
+class FamilyParams(_Record):
     """Parameter pair for the twisted family.
 
     ``validity`` records whether the family's distinguishing conditions
@@ -79,14 +77,14 @@ class FamilyParams:
     is symbolic.  Degenerate pairs are allowed; the flag just tracks them.
     """
 
-    lam: Scalar
-    xi: Scalar
-    validity: str = field(init=False)
+    _fields = ("lam", "xi", "validity")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.lam, Poly) or isinstance(self.xi, Poly):
+    def __init__(self, lam: Scalar, xi: Scalar) -> None:
+        self.lam = lam
+        self.xi = xi
+        if isinstance(lam, Poly) or isinstance(xi, Poly):
             self.validity = "assumed"
-        elif self.lam != 0 and self.xi != 0 and self.lam != self.xi:
+        elif lam != 0 and xi != 0 and lam != xi:
             self.validity = "certified"
         else:
             self.validity = "violated"

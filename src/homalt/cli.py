@@ -16,6 +16,10 @@ fails (a witness is printed), 2 on usage or input errors, including identity
 preconditions the input algebra does not satisfy.  With ``--format json``
 output is byte-deterministic for fixed inputs; the random strategy then
 requires an explicit ``--seed``.
+
+``homalt.catalog`` is imported only by the commands that build the built-in
+algebra (``--mikheev``, ``mikheev``, ``noniso``), so other calls start
+without it.
 """
 
 from __future__ import annotations
@@ -33,12 +37,6 @@ from .algfile import (
     parse_element_expr,
     parse_morphism,
     serialize_algebra,
-)
-from .catalog import (
-    FamilyParams,
-    family_nonisomorphism_condition,
-    mikheev_algebra,
-    mikheev_family,
 )
 from .homalgebra import (
     CheckReport,
@@ -83,6 +81,8 @@ def _algebra_for_run(args) -> tuple[HomAlgebra, list[str]]:
 
 
 def _mikheev_variant(args) -> HomAlgebra:
+    from .catalog import FamilyParams, mikheev_algebra, mikheev_family
+
     symbolic = getattr(args, "symbolic", False)
     lam, xi = getattr(args, "lam", None), getattr(args, "xi", None)
     if symbolic and (lam or xi):
@@ -229,6 +229,8 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_noniso(args) -> int:
+    from .catalog import family_nonisomorphism_condition
+
     values = [parse_rational(v) for v in args.params]
     certified = family_nonisomorphism_condition(*values)
     print("non-isomorphic: certified" if certified else "non-isomorphic: not certified")

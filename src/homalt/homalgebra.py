@@ -27,8 +27,6 @@ independently, through ``mul``, ``twist_apply`` and ``hom_associator``.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
@@ -55,14 +53,56 @@ FAILS = "fails"
 RANDOM_PASS = "random-pass"
 
 
-@dataclass(frozen=True)
-class Element:
-    """Vector with exact scalar coordinates, written in a fixed basis."""
+class _Record:
+    """Plain record: equality and repr over the attributes named in
+    ``_fields``.  Records compare equal only to records of the same class and
+    are unhashable unless a subclass says otherwise."""
 
-    coords: tuple[Scalar, ...]
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Element(_Record):
+    """Vector with exact scalar coordinates, written in a fixed basis.
+
+    Immutable and hashable: ``__post_init__`` normalizes the coordinates
+    once, and assigning to an element raises AttributeError.
+    """
+
+    __slots__ = _fields = ("coords",)
+
+    def __init__(self, coords: tuple[Scalar, ...]) -> None:
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coords", tuple(normalize(c) for c in self.coords))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    def __reduce__(self):
+        return Element, (self.coords,)
 
     @property
     def dim(self) -> int:
@@ -205,8 +245,7 @@ def identity_rows(dim: int) -> RowTable:
     return {i: ((i, 1),) for i in range(dim)}
 
 
-@dataclass
-class HomAlgebra:
+class HomAlgebra(_Record):
     """Hom-algebra with sparse structure constants and twisting map.
 
     Instances are treated as immutable; every operation returns fresh
@@ -214,24 +253,21 @@ class HomAlgebra:
     safe.
     """
 
-    dim: int
-    mu: MuTable
-    alpha: RowTable
-    params: tuple[str, ...] = ()
+    _fields = ("dim", "mu", "alpha", "params")
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
+    def __init__(self, dim: int, mu: MuTable, alpha: RowsLike, params: Iterable[str] = ()) -> None:
+        if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        mu: MuTable = {}
-        for (i, j), row in self.mu.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise ValueError(f"product ({i},{j}): index out of range for dimension {self.dim}")
-            packed = _norm_sparse_row(self.dim, row, f"product ({i},{j})")
+        self.dim = dim
+        self.mu: MuTable = {}
+        for (i, j), row in mu.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"product ({i},{j}): index out of range for dimension {dim}")
+            packed = _norm_sparse_row(dim, row, f"product ({i},{j})")
             if packed:
-                mu[(i, j)] = packed
-        self.mu = mu
-        self.alpha = normalize_rows(self.dim, self.alpha, "twisting map")
-        self.params = tuple(self.params)
+                self.mu[(i, j)] = packed
+        self.alpha = normalize_rows(dim, alpha, "twisting map")
+        self.params = tuple(params)
         if len(set(self.params)) != len(self.params):
             raise ValueError("duplicate parameter names")
 
@@ -303,7 +339,7 @@ class HomAlgebra:
         return power
 
     def with_params(self, extra: Iterable[str]) -> "HomAlgebra":
-        return dataclasses.replace(self, params=self.params + tuple(extra))
+        return HomAlgebra(self.dim, self.mu, self.alpha, self.params + tuple(extra))
 
     def twist_entry_degree(self) -> int:
         """Largest parameter degree among stored product/twist coefficients."""
@@ -320,8 +356,7 @@ class HomAlgebra:
 # -- reports ----------------------------------------------------------------
 
 
-@dataclass
-class Witness:
+class Witness(_Record):
     """Replayable evidence for a failing check.
 
     Exactly one of ``basis`` (a tuple of basis indices) or ``point`` (an
@@ -331,11 +366,16 @@ class Witness:
     ``element`` is the nonzero difference observed there.
     """
 
-    element: Element
-    basis: tuple[int, ...] | None = None
-    point: dict[str, Rational] | None = None
-    probe: int | None = None
-    pair_index: int | None = None
+    _fields = ("element", "basis", "point", "probe", "pair_index")
+
+    def __init__(self, element: Element, basis: tuple[int, ...] | None = None,
+                 point: dict[str, Rational] | None = None, probe: int | None = None,
+                 pair_index: int | None = None) -> None:
+        self.element = element
+        self.basis = basis
+        self.point = point
+        self.probe = probe
+        self.pair_index = pair_index
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -356,8 +396,7 @@ class Witness:
         return out
 
 
-@dataclass
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one verification.
 
     ``holds`` and ``fails`` are exact statements about the strategy's
@@ -367,13 +406,18 @@ class CheckReport:
     the compared polynomials.
     """
 
-    check: str
-    status: str
-    strategy: str
-    points: int | None = None
-    seed: int | None = None
-    degree_bound: int | None = None
-    witness: Witness | None = None
+    _fields = ("check", "status", "strategy", "points", "seed", "degree_bound", "witness")
+
+    def __init__(self, check: str, status: str, strategy: str, points: int | None = None,
+                 seed: int | None = None, degree_bound: int | None = None,
+                 witness: Witness | None = None) -> None:
+        self.check = check
+        self.status = status
+        self.strategy = strategy
+        self.points = points
+        self.seed = seed
+        self.degree_bound = degree_bound
+        self.witness = witness
 
     def passed(self) -> bool:
         return self.status in (HOLDS, RANDOM_PASS)
@@ -609,15 +653,22 @@ def yau_twist(A: HomAlgebra, beta: RowsLike, check: bool = True) -> HomAlgebra:
     return HomAlgebra(A.dim, new_mu, compose_rows(A.dim, A.alpha, rows), A.params)
 
 
-def generic_element(A: HomAlgebra, prefix: str) -> tuple[HomAlgebra, Element]:
-    """Adjoin fresh indeterminates ``prefix_1 .. prefix_dim`` and return the
-    element with those coordinates, together with the extended algebra."""
+def coordinate_names(A: HomAlgebra, prefix: str) -> list[str]:
+    """``prefix_1 .. prefix_dim``, the coordinates of an element of A as
+    variables; ValueError when one of them already names a parameter."""
     if not prefix.isidentifier():
         raise ValueError(f"prefix {prefix!r} is not an identifier")
     names = [f"{prefix}_{i}" for i in range(1, A.dim + 1)]
     clash = set(names) & set(A.params)
     if clash:
         raise ValueError(f"name collision with existing parameters: {sorted(clash)}")
+    return names
+
+
+def generic_element(A: HomAlgebra, prefix: str) -> tuple[HomAlgebra, Element]:
+    """Adjoin fresh indeterminates ``prefix_1 .. prefix_dim`` and return the
+    element with those coordinates, together with the extended algebra."""
+    names = coordinate_names(A, prefix)
     extended = A.with_params(names)
     coords = tuple(Poly.variable(n) for n in names)
     return extended, Element(coords)

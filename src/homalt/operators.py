@@ -19,18 +19,28 @@ plain right multiplication ``a'`` and powers of the twisting map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .homalgebra import Element, HomAlgebra, RowTable, apply_rows, compose_rows, normalize_rows
+from .homalgebra import (
+    Element,
+    HomAlgebra,
+    RowsLike,
+    RowTable,
+    _Record,
+    apply_rows,
+    compose_rows,
+    normalize_rows,
+)
 from .scalars import Scalar
 
 
-@dataclass
-class RightOp:
+class RightOp(_Record):
     """Linear operator acting on the right, stored as sparse rows."""
 
-    dim: int
-    rows: RowTable
+    _fields = ("dim", "rows")
+
+    def __init__(self, dim: int, rows: RowsLike) -> None:
+        self.dim = dim
+        self.rows = rows
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         self.rows = normalize_rows(self.dim, self.rows, "operator")
@@ -60,11 +70,6 @@ class RightOp:
 
     def __sub__(self, other: "RightOp") -> "RightOp":
         return self + (-other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RightOp):
-            return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
 
 
 def _same_dim(a: RightOp, b: RightOp) -> None:

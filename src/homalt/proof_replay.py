@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .homalgebra import (
@@ -43,7 +42,9 @@ from .homalgebra import (
     RowTable,
     RowsLike,
     Witness,
+    _Record,
     apply_rows,
+    coordinate_names,
     generic_element,
     is_multiplicative,
     is_right_hom_alternative,
@@ -54,7 +55,7 @@ from .homalgebra import (
     yau_twist,
 )
 from .operators import RightOp, alpha_op, compose, op_sup, op_sub, right_mul_op, zero_op
-from .scalars import Poly, Rational
+from .scalars import Poly, Rational, Scalar, substitute, variables as scalar_variables
 
 Side = Union[Element, RightOp]
 Evaluator = Callable[[HomAlgebra, Sequence[Element], RowTable], list[tuple[Side, Side]]]
@@ -72,8 +73,7 @@ class PreconditionError(Exception):
         super().__init__(f"precondition for {tag!r} not satisfied: algebra is not {requirement}")
 
 
-@dataclass(frozen=True)
-class IdentityInstance:
+class IdentityInstance(_Record):
     """One verifiable identity.
 
     ``evaluate`` returns equation pairs (usually one; the shift-indexed
@@ -82,16 +82,24 @@ class IdentityInstance:
     product/twist applications, used for random-strategy degree bounds.
     """
 
-    tag: str
-    label: str
-    arity: int
-    kind: str  # "element" | "operator"
-    var_names: tuple[str, ...]
-    needs_multiplicative: bool
-    needs_right_alternative: bool
-    elem_degree: int
-    map_weight: int
-    evaluate: Evaluator
+    __slots__ = _fields = (
+        "tag", "label", "arity", "kind", "var_names", "needs_multiplicative",
+        "needs_right_alternative", "elem_degree", "map_weight", "evaluate",
+    )
+
+    def __init__(self, tag: str, label: str, arity: int, kind: str, var_names: tuple[str, ...],
+                 needs_multiplicative: bool, needs_right_alternative: bool, elem_degree: int,
+                 map_weight: int, evaluate: Evaluator) -> None:
+        self.tag = tag
+        self.label = label
+        self.arity = arity
+        self.kind = kind  # "element" | "operator"
+        self.var_names = var_names
+        self.needs_multiplicative = needs_multiplicative
+        self.needs_right_alternative = needs_right_alternative
+        self.elem_degree = elem_degree
+        self.map_weight = map_weight
+        self.evaluate = evaluate
 
     def degree_bound(self, A: HomAlgebra) -> int:
         return self.elem_degree + self.map_weight * A.twist_entry_degree()
@@ -461,15 +469,38 @@ def _witness_at(A, inst, beta, point: dict[str, Rational]) -> Witness | None:
 
 
 def _find_witness(A, inst, beta, variables: Sequence[str], seed: int = 0) -> Witness:
-    """Hunt a concrete integer point where a symbolically failing identity
-    still fails."""
+    """A concrete integer point where an identity that fails symbolically in
+    ``variables`` (every other coordinate 0) still fails: 1000 small random
+    points, then :func:`_grid_witness`."""
     rng = random.Random(seed)
     for attempt in range(1000):
         bound = 3 + attempt // 50
         witness = _witness_at(A, inst, beta, {v: rng.randint(-bound, bound) for v in variables})
         if witness is not None:
             return witness
-    raise RuntimeError("could not locate a concrete failing point")
+    return _grid_witness(A, inst, beta, variables)
+
+
+def _grid_witness(A, inst, beta, variables: Sequence[str]) -> Witness:
+    """The first failing point of a grid over the variables of one nonzero
+    coefficient of the symbolic difference, each ``v`` running over
+    ``{d_v, ..., 0}`` with ``d_v`` the coefficient's degree in ``v``.  A
+    polynomial that vanishes on that whole grid is zero (Alon, Combinatorial
+    Nullstellensatz, 1999, Lemma 2.1), so the grid holds a witness."""
+    given = set(variables)
+    xs = [Element(tuple(Poly.variable(f"{v}_{i + 1}") if f"{v}_{i + 1}" in given else 0
+                        for i in range(A.dim))) for v in inst.var_names]
+    hit = _first_mismatch(inst.evaluate(A, xs, beta))
+    if hit is None:
+        raise ValueError("the identity holds in these variables: no witness exists")
+    coeff = next(c for c in _coefficients(hit[1]) if c != 0)
+    grid = [v for v in variables if v in scalar_variables(coeff)]
+    degrees = [max(e for m in coeff.terms for n, e in m if n == v) for v in grid]
+    for values in itertools.product(*(range(d, -1, -1) for d in degrees)):
+        at = dict(zip(grid, values))
+        if substitute(coeff, at) != 0:
+            return _witness_at(A, inst, beta, {v: at.get(v, 0) for v in variables})
+    raise AssertionError("a nonzero polynomial vanished on its degree grid")
 
 
 def _support_tuples(dim: int, max_size: int) -> list[tuple[int, ...]]:
@@ -490,16 +521,20 @@ def _generic_pairs(A, inst, beta) -> tuple[HomAlgebra, list[tuple[Side, Side]]]:
     return extended, inst.evaluate(extended, xs, beta)
 
 
+def _coefficients(diff: Side) -> list[Scalar]:
+    """The coordinates of an element, or the entries of an operator."""
+    if isinstance(diff, Element):
+        return list(diff.coords)
+    return [c for row in diff.rows.values() for _, c in row]
+
+
 def _support_patterns(A, inst, pairs) -> set[tuple[frozenset[int], ...]]:
     """Per-slot coordinate supports of the monomials of the differences: slot
     ``s`` holds each ``i`` with ``<var_names[s]>_<i + 1>`` in the monomial."""
     slot_of = {f"{v}_{i + 1}": (s, i) for s, v in enumerate(inst.var_names) for i in range(A.dim)}
     patterns = set()
     for lhs, rhs in pairs:
-        diff = lhs - rhs
-        coeffs = (diff.coords if isinstance(diff, Element)
-                  else [c for row in diff.rows.values() for _, c in row])
-        for c in coeffs:
+        for c in _coefficients(lhs - rhs):
             for m in c.terms if isinstance(c, Poly) else ([()] if c != 0 else []):
                 slots: list[set[int]] = [set() for _ in inst.var_names]
                 for s, i in (slot_of[var] for var, _ in m if var in slot_of):
@@ -545,7 +580,7 @@ def _verify_subset(A, inst, beta, subset_max: int) -> CheckReport:
 def _verify_random(A, inst, beta, seed: int, points: int) -> CheckReport:
     rng = random.Random(seed)
     sample = {"points": points, "seed": seed, "degree_bound": inst.degree_bound(A)}
-    names = list(A.params) + [f"{v}_{i + 1}" for v in inst.var_names for i in range(A.dim)]
+    names = list(A.params) + [n for v in inst.var_names for n in coordinate_names(A, v)]
     for _ in range(points):
         point = {name: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for name in names}
         witness = _witness_at(A, inst, beta, point)
@@ -617,13 +652,16 @@ def verify(
     raise ValueError(f"unknown strategy {strategy!r} (expected generic, subset, or random)")
 
 
-@dataclass
-class BatchResult:
+class BatchResult(_Record):
     """Per-entry outcome of a batch run; exactly one of report/error is set."""
 
-    tag: str
-    report: CheckReport | None = None
-    error: str | None = None
+    _fields = ("tag", "report", "error")
+
+    def __init__(self, tag: str, report: CheckReport | None = None,
+                 error: str | None = None) -> None:
+        self.tag = tag
+        self.report = report
+        self.error = error
 
     def passed(self) -> bool:
         return self.report is not None and self.report.passed()

@@ -4,6 +4,7 @@ import pytest
 
 from homalt import FamilyParams, mikheev_algebra, mikheev_family
 from homalt.homalgebra import HomAlgebra, identity_rows
+from homalt.scalars import Poly
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -68,3 +69,34 @@ def upper_triangular():
 @pytest.fixture(scope="session")
 def zero_algebra():
     return HomAlgebra(3, {}, {})
+
+
+def _small_roots(every_product):
+    # P(t) = prod_{k=-22}^{22} (t - k) vanishes at every integer the
+    # witness search's 1000 random points draw t from (|t| <= 22).
+    t = Poly.variable("t")
+    P = 1
+    for k in range(-22, 23):
+        P = P * (t - k)
+    mu = {(0, 0): ((1, P),), (1, 0): ((1, P if every_product else 1),)}
+    return HomAlgebra(2, mu, identity_rows(2), params=("t",))
+
+
+@pytest.fixture(scope="session")
+def small_roots():
+    # e1 e1 = P(t) e2, e2 e1 = e2, identity twist: xyy fails, but a subset
+    # combo of support 1 fails only where P(t) != 0.
+    return _small_roots(every_product=False)
+
+
+@pytest.fixture(scope="session")
+def small_roots_everywhere():
+    # e1 e1 = e2 e1 = P(t) e2: the generic difference of xyy is a multiple
+    # of P(t)^2 too.
+    return _small_roots(every_product=True)
+
+
+@pytest.fixture(scope="session")
+def coordinate_named_param():
+    # e1 e1 = x_1 e1: the parameter is named like xyy's first coordinate.
+    return HomAlgebra(1, {(0, 0): ((0, Poly.variable("x_1")),)}, identity_rows(1), params=("x_1",))

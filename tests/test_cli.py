@@ -7,8 +7,10 @@ import pytest
 
 from homalt.algfile import parse_algebra, serialize_algebra, serialize_morphism
 from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
-from homalt.homalgebra import HomAlgebra, identity_rows
+from homalt.homalgebra import CheckReport, Element, HomAlgebra, Witness, identity_rows
 from homalt.cli import run
+from homalt.proof_replay import replay_identity_witness
+from homalt.scalars import decode_scalar
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,40 @@ def test_sweeps_that_check_nothing_exit_2(files, capsys, command, flags):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_witness_search_never_ends_in_a_traceback(tmp_path, small_roots, capsys):
+    path = tmp_path / "small_roots.alg"
+    path.write_text(serialize_algebra(small_roots))
+    code = run(["check", "--algebra", str(path), "--identity", "xyy", "--strategy", "subset",
+                "--subset-max", "1", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    (rec,) = json.loads(captured.out)
+    assert rec["status"] == "fails"
+    # Replay the printed witness: re-evaluate at its point, compare the element.
+    recorded = rec["witness"]
+    coords = [0] * small_roots.dim
+    for entry in recorded["element"]:
+        coords[entry["index"]] = decode_scalar(entry["coeff"])
+    witness = Witness(element=Element(tuple(coords)),
+                      point={k: Fraction(v) for k, v in recorded["point"].items()})
+    report = CheckReport("xyy", "fails", "subset", witness=witness)
+    replayed = replay_identity_witness(small_roots, report)
+    assert replayed == witness.element
+    assert not replayed.is_zero()
+
+
+def test_random_name_collision_exits_2(tmp_path, coordinate_named_param, capsys):
+    path = tmp_path / "collision.alg"
+    path.write_text(serialize_algebra(coordinate_named_param))
+    for strategy in ("random", "generic", "subset"):
+        argv = ["check", "--algebra", str(path), "--identity", "xyy", "--strategy", strategy]
+        assert run(argv + ["--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: name collision with existing parameters")
 
 
 def test_check_unknown_identity(files, capsys):

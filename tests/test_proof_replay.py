@@ -229,6 +229,32 @@ def test_subset_failure_replays(plain_twisted):
     assert not replay_identity_witness(plain_twisted, report).is_zero()
 
 
+@pytest.mark.parametrize("algebra, strategy, tags", [
+    ("small_roots", "subset", ("xyy",)),
+    ("small_roots_everywhere", "subset", ("xyy", "eq1", "linearized")),
+    ("small_roots_everywhere", "generic", ("xyy", "eq1", "linearized")),
+])
+def test_witness_search_ends_with_a_witness(request, algebra, strategy, tags):
+    # Every random point the search tries has P(t) = 0, so the witness comes
+    # from the grid over the variables of a nonzero coefficient.
+    A = request.getfixturevalue(algebra)
+    for tag in tags:
+        report = verify(A, tag, strategy, subset_max=1, skip_preconditions=True)
+        assert report.status == "fails"
+        assert abs(report.witness.point["t"]) > 22
+        replayed = replay_identity_witness(A, report)
+        assert replayed == report.witness.element
+        assert not replayed.is_zero()
+
+
+def test_random_rejects_a_parameter_named_like_a_coordinate(coordinate_named_param):
+    # The same collision generic and subset reject: sampling one value for
+    # the parameter and the coordinate would not sample independent variables.
+    for strategy in ("random", "generic", "subset"):
+        with pytest.raises(ValueError, match="name collision with existing parameters"):
+            verify(coordinate_named_param, "xyy", strategy, seed=1)
+
+
 def test_replay_needs_a_point(mikheev):
     report = verify(mikheev, "xyy", strategy="generic")
     assert report.status == "holds"

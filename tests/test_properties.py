@@ -1,0 +1,106 @@
+"""Exact properties that hold on every algebra, over seeded inputs.
+
+* Declared degree bounds: every coefficient of a generic evaluation, on
+  either side of an entry and in their difference, has total degree at most
+  ``inst.degree_bound(A)``.  The random strategy reports that bound.
+* Cross-route agreement: the strategies and the equivalent entries decide
+  the same identity the same way.
+
+The seeded algebras are those of ``test_scans.py`` and ``test_subset.py``.
+Few of them satisfy the entries' preconditions, so every verification here
+skips them (``skip_preconditions=True``): the properties hold for any
+algebra, whether or not the entry is a theorem on it.
+"""
+
+import pytest
+
+from homalt.homalgebra import FAILS, HOLDS, is_right_hom_alternative
+from homalt.proof_replay import _coefficients, _generic_pairs, _resolve_beta, registry, verify
+from homalt.scalars import degree
+from test_scans import random_algebra as scan_algebra
+from test_subset import CHAINS, random_algebra as subset_algebra
+
+
+# --- declared degree bounds ---
+
+def _assert_degrees_within_bound(A, inst):
+    bound = inst.degree_bound(A)
+    _, pairs = _generic_pairs(A, inst, _resolve_beta(A, None))
+    for lhs, rhs in pairs:
+        for side in (lhs, rhs, lhs - rhs):
+            observed = max((degree(c) for c in _coefficients(side)), default=0)
+            assert observed <= bound, (inst.tag, observed, bound)
+
+
+@pytest.mark.parametrize("inst", registry(), ids=lambda inst: inst.tag)
+def test_degree_bound_on_symbolic_family(fam_sym, inst):
+    _assert_degrees_within_bound(fam_sym, inst)
+
+
+@pytest.mark.parametrize("inst", registry(), ids=lambda inst: inst.tag)
+def test_degree_bound_on_seeded_poly_algebras(inst):
+    # The Poly-coefficient algebras of test_subset.py; the long chains at
+    # dimension at most 2, where their generic evaluation does not swell.
+    if inst.tag in CHAINS:
+        algebras = [subset_algebra(seed, "poly", max_dim=2) for seed in range(100, 105)]
+    else:
+        algebras = [subset_algebra(seed, "poly") for seed in range(6)]
+    for A in algebras:
+        _assert_degrees_within_bound(A, inst)
+
+
+# --- cross-route agreement ---
+
+# Short entries of arity 1 to 3, element and operator kinds.
+AGREEMENT_TAGS = ("xyy", "linearized", "eq1", "eq3a", "eq3b")
+SEEDS = range(120)
+
+
+@pytest.fixture(scope="module")
+def verdicts():
+    """``{(seed, tag, route): report}`` over the seeded algebras of
+    test_scans.py; subset runs with K = dim, random with 3 points."""
+    out = {}
+    for seed in SEEDS:
+        A = scan_algebra(seed)
+        for tag in AGREEMENT_TAGS:
+            out[seed, tag, "generic"] = verify(A, tag, "generic", skip_preconditions=True)
+            out[seed, tag, "subset"] = verify(A, tag, "subset", subset_max=A.dim,
+                                              skip_preconditions=True)
+            out[seed, tag, "random"] = verify(A, tag, "random", seed=seed, points=3,
+                                              skip_preconditions=True)
+    return out
+
+
+def test_inputs_cover_both_verdicts(verdicts):
+    for tag in AGREEMENT_TAGS:
+        statuses = {verdicts[seed, tag, "generic"].status for seed in SEEDS}
+        assert statuses == {HOLDS, FAILS}, tag
+
+
+def test_subset_with_every_support_agrees_with_generic(verdicts):
+    # K = dim admits every support, so subset covers what generic covers.
+    for seed in SEEDS:
+        for tag in AGREEMENT_TAGS:
+            generic = verdicts[seed, tag, "generic"].status
+            assert verdicts[seed, tag, "subset"].status == generic, (seed, tag)
+
+
+def test_random_never_fails_where_generic_holds(verdicts):
+    # A failing random point is a proof that the identity fails.
+    for seed in SEEDS:
+        for tag in AGREEMENT_TAGS:
+            if verdicts[seed, tag, "generic"].status == HOLDS:
+                assert verdicts[seed, tag, "random"].status != FAILS, (seed, tag)
+
+
+def test_forms_of_right_alternativity_agree(verdicts):
+    # eq1 (a'a_1' = alpha (a^2)') and eq3a (a^a = 0) both say
+    # (x a) alpha(a) = alpha(x) (a a) for all x: xyy with y = a.  The
+    # right-alt scan checks the linearization of the same law, which over
+    # characteristic zero is equivalent.
+    for seed in SEEDS:
+        xyy = verdicts[seed, "xyy", "generic"].status
+        assert verdicts[seed, "eq1", "generic"].status == xyy, seed
+        assert verdicts[seed, "eq3a", "generic"].status == xyy, seed
+        assert is_right_hom_alternative(scan_algebra(seed)).status == xyy, seed

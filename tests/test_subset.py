@@ -7,7 +7,7 @@ them.  It is kept here as the oracle for ``_verify_subset``, which reads
 every combo off one generic evaluation instead.
 """
 
-import dataclasses
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -158,7 +158,8 @@ def test_comparison_covers_both_verdicts_and_late_failures(compared):
 
 
 def _custom(monkeypatch, tag, evaluate):
-    inst = dataclasses.replace(get_identity(tag), evaluate=evaluate)
+    inst = copy.copy(get_identity(tag))
+    inst.evaluate = evaluate
     registry = tuple(inst if e.tag == tag else e for e in homalt.proof_replay._REGISTRY)
     monkeypatch.setattr(homalt.proof_replay, "_REGISTRY", registry)
 
