@@ -3,7 +3,9 @@
 The public names below load on first use: ``import homalt`` imports no
 submodule, and ``homalt.verify`` or ``from homalt import verify`` imports
 the module that defines it (PEP 562).  So ``python -m homalt.cli`` loads
-only the modules a command runs.
+only the modules a command runs: the registry's rows and
+``PreconditionError`` live in the light :mod:`homalt.identities`, and the
+evaluators in :mod:`homalt.proof_replay` load only for registry checks.
 """
 
 import importlib
@@ -25,9 +27,10 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "mikheev_morphism", "spectrum_certificate",
     ),
     "proof_replay": (
-        "BatchResult", "IdentityInstance", "PreconditionError", "registry",
-        "smallest_alpha_exponent", "verify", "verify_all",
+        "BatchResult", "IdentityInstance", "registry", "smallest_alpha_exponent", "verify",
+        "verify_all",
     ),
+    "identities": ("PreconditionError",),
     "algfile": (
         "AlgebraFormatError", "parse_algebra", "parse_document", "parse_element_expr",
         "parse_morphism", "serialize_algebra", "serialize_morphism",

@@ -57,6 +57,8 @@ def _load_json(text: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise AlgebraFormatError(f"line {exc.lineno}, column {exc.colno}", f"invalid JSON: {exc.msg}")
+    except RecursionError:
+        raise AlgebraFormatError("document", "invalid JSON: nested too deeply")
 
 
 def _expect_int(value: object, where: str) -> int:

@@ -17,21 +17,28 @@ preconditions the input algebra does not satisfy.  With ``--format json``
 output is byte-deterministic for fixed inputs; the random strategy then
 requires an explicit ``--seed``.
 
-``homalt.catalog`` is imported only by the commands that build the built-in
-algebra (``--mikheev``, ``mikheev``, ``noniso``), so other calls start
-without it.
+Exit 2 also covers output that cannot be written: an ``--out`` file, or
+stdout closed by its reader.
+
+A call loads only what it runs.  ``homalt.catalog`` is imported only by the
+commands that build the built-in algebra (``--mikheev``, ``mikheev``,
+``noniso``), and ``homalt.proof_replay`` (with ``homalt.operators``) only by
+``lemmas`` and by ``check`` on a registry tag; the ``--identity`` choices
+come from the light rows of ``homalt.identities``.  :func:`main` flushes the
+output and ends the process with ``os._exit``, skipping interpreter
+teardown; :func:`run` returns the exit code for in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .algfile import (
-    AlgebraFormatError,
     encode_element,
     parse_document,
     parse_element_expr,
@@ -48,7 +55,7 @@ from .homalgebra import (
     is_right_hom_alternative,
     yau_twist,
 )
-from .proof_replay import PreconditionError, identity_tags, verify, verify_all
+from .identities import ROWS, PreconditionError
 from .scalars import parse_rational
 
 STRUCTURAL_IDS = ("right-alt", "left-alt", "multiplicative", "morphism")
@@ -65,8 +72,23 @@ def _read_text(path: str) -> str:
         raise CliInputError(f"cannot read {path}: {exc.strerror or exc}")
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _load_algebra(path: str):
     return parse_document(_read_text(path))
+
+
+def _load_morphism(path: str, A: HomAlgebra):
+    """Rows and parameters of a morphism file on an algebra of ``A``'s dimension."""
+    rows, dim, params = parse_morphism(_read_text(path))
+    if dim != A.dim:
+        raise CliInputError(f"morphism dimension {dim} does not match algebra dimension {A.dim}")
+    return rows, params
 
 
 def _algebra_for_run(args) -> tuple[HomAlgebra, list[str]]:
@@ -156,9 +178,11 @@ def _cmd_check(args) -> int:
         elif identity == "multiplicative":
             report = is_multiplicative(A)
         else:
-            rows = parse_morphism(_read_text(args.morphism))[0] if args.morphism else A.alpha
+            rows = _load_morphism(args.morphism, A)[0] if args.morphism else A.alpha
             report = is_morphism(A, A, rows)
     else:
+        from .proof_replay import verify
+
         if args.strategy == "basis":
             raise CliInputError(
                 "the basis strategy applies to structural checks only "
@@ -175,6 +199,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
+    from .proof_replay import verify_all
+
     A, names = _algebra_for_run(args)
     if args.strategy == "basis":
         raise CliInputError("the basis strategy applies to structural checks only")
@@ -193,24 +219,20 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_twist(args) -> int:
     doc = _load_algebra(args.algebra)
-    rows, dim, params = parse_morphism(_read_text(args.morphism))
-    if dim != doc.algebra.dim:
-        raise CliInputError(
-            f"morphism dimension {dim} does not match algebra dimension {doc.algebra.dim}"
-        )
+    rows, params = _load_morphism(args.morphism, doc.algebra)
     base = doc.algebra
     extra = [p for p in params if p not in base.params]
     if extra:
         base = base.with_params(extra)
     twisted = yau_twist(base, rows)
-    Path(args.out).write_text(serialize_algebra(twisted, doc.basis_names))
+    _write_text(args.out, serialize_algebra(twisted, doc.basis_names))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_mikheev(args) -> int:
     A = _mikheev_variant(args)
-    Path(args.out).write_text(serialize_algebra(A))
+    _write_text(args.out, serialize_algebra(A))
     print(f"wrote {args.out}")
     return 0
 
@@ -271,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="verify one identity on an algebra")
     _add_algebra_source(check)
     check.add_argument("--identity", required=True,
-                       choices=tuple(identity_tags()) + STRUCTURAL_IDS,
+                       choices=tuple(row[0] for row in ROWS) + STRUCTURAL_IDS,
                        help="registry tag or structural check")
     check.add_argument("--morphism", metavar="FILE",
                        help="morphism to check (identity 'morphism'; default: the twisting map)")
@@ -320,16 +342,31 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PreconditionError as exc:
+    except (PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CliInputError, AlgebraFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        # Files are read and written through CliInputError: this is stdout.
+        return _output_error(exc)
+
+
+def _output_error(exc: OSError) -> int:
+    print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+    return 2
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    """Run the command line, flush its output and end the process with
+    ``os._exit``: freeing every object at interpreter teardown would only
+    cost time.  An exception escaping :func:`run` still ends in a traceback
+    and exit 1."""
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _output_error(exc)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

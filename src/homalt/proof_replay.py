@@ -54,6 +54,7 @@ from .homalgebra import (
     substitute_rows,
     yau_twist,
 )
+from .identities import ROWS, PreconditionError
 from .operators import RightOp, alpha_op, compose, op_sup, op_sub, right_mul_op, zero_op
 from .scalars import Poly, Rational, Scalar, substitute, variables as scalar_variables
 
@@ -61,16 +62,6 @@ Side = Union[Element, RightOp]
 Evaluator = Callable[[HomAlgebra, Sequence[Element], RowTable], list[tuple[Side, Side]]]
 
 RANDOM_BOUND = 10**6
-
-
-class PreconditionError(Exception):
-    """An identity was requested on an algebra outside its hypothesis class."""
-
-    def __init__(self, tag: str, requirement: str, report: CheckReport):
-        self.tag = tag
-        self.requirement = requirement
-        self.report = report
-        super().__init__(f"precondition for {tag!r} not satisfied: algebra is not {requirement}")
 
 
 class IdentityInstance(_Record):
@@ -175,7 +166,7 @@ def _ev_theorem(A, xs, beta):
     a, b = xs
     return [(A.shift(A.hom_power(_assoc_p(A, a, b), 4), 6), A.zero())]
 
-def _ev_classical(A, xs, beta):
+def _ev_mikheev_classical(A, xs, beta):
     a, b = xs
     return [(A.hom_power(_assoc_p(A, a, b), 4), A.zero())]
 
@@ -351,57 +342,10 @@ def _entry(tag, label, var_names, kind, mult, ralt, elem_degree, map_weight, fn)
     )
 
 
-_REGISTRY: tuple[IdentityInstance, ...] = (
-    _entry("xyy", "right alternativity, expanded: (xy)a(y) = a(x)(yy)",
-           ("x", "y"), "element", False, False, 3, 6, _ev_xyy),
-    _entry("linearized", "Hom-associator is antisymmetric in its last two slots",
-           ("x", "y", "z"), "element", False, True, 3, 6, _ev_linearized),
-    _entry("teichmuller", "five-term Hom-Teichmuller identity",
-           ("w", "x", "y", "z"), "element", True, False, 4, 12, _ev_teichmuller),
-    _entry("xyyz", "associator absorption: (a(x), a(y), yz) = (x,y,z) a^2(y)",
-           ("x", "y", "z"), "element", True, True, 3, 12, _ev_xyyz),
-    _entry("moufang", "right Hom-Moufang identity",
-           ("x", "y", "z"), "element", True, True, 3, 10, _ev_moufang),
-    _entry("beta2", "twice-twisted associator equals the associator of the twist",
-           ("x", "y", "z"), "element", False, False, 3, 18, _ev_beta2),
-    _entry("eq1", "operator right alternativity: a'a_1' = alpha (a^2)'",
-           ("a",), "operator", False, True, 2, 6, _ev_eq1),
-    _entry("eq2", "operator right Hom-Moufang: a'b_1'a_2' = alpha^2 ((ab)a_1)'",
-           ("a", "b"), "operator", True, True, 3, 12, _ev_eq2),
-    _entry("eq2p", "linearized operator right Hom-Moufang",
-           ("a", "b", "c"), "operator", True, True, 3, 12, _ev_eq2p),
-    _entry("eq3a", "superscript operator vanishes on the diagonal: a^a = 0",
-           ("a",), "operator", False, True, 2, 6, _ev_eq3a),
-    _entry("eq3b", "superscript operator is antisymmetric: a^b + b^a = 0",
-           ("a", "b"), "operator", False, True, 2, 6, _ev_eq3b),
-    _entry("eq5", "superscript then shifted subscript annihilates: a^b (a_2)_(b_2) = 0",
-           ("a", "b"), "operator", True, True, 4, 20, _ev_eq5),
-    _entry("eq5p", "linearization of the superscript/subscript annihilation",
-           ("a", "b", "c"), "operator", True, True, 4, 20, _ev_eq5p),
-    _entry("eq6", "subscript then shifted superscript is a commutator-associator",
-           ("a", "b"), "operator", True, True, 4, 20, _ev_eq6),
-    _entry("eq7", "subscript, right multiplication, then superscript collapses",
-           ("a", "b"), "operator", True, True, 5, 28, _ev_eq7),
-    _entry("eq8", "shifted (a,a,b) annihilates the commutator associator",
-           ("a", "b"), "element", True, True, 7, 24, _ev_eq8),
-    _entry("eq9", "shifted (a,a,b) annihilates the commutator-product associator",
-           ("a", "b"), "element", True, True, 8, 28, _ev_eq9),
-    _entry("eq10", "expansion of alpha^2 p_k' through superscript operators (k = 0,1,2)",
-           ("a", "b"), "operator", True, True, 3, 20, _ev_eq10),
-    _entry("eq10p", "expansion of alpha^2 p_k' through subscript operators (k = 0,1,2)",
-           ("a", "b"), "operator", True, True, 3, 20, _ev_eq10p),
-    _entry("dpe", "two-term split of the Mikheev operator chain",
-           ("a", "b"), "operator", True, True, 11, 60, _ev_dpe),
-    _entry("d0", "first split term of the Mikheev operator chain vanishes",
-           ("a", "b"), "operator", True, True, 11, 60, _ev_d0),
-    _entry("e0", "second split term of the Mikheev operator chain vanishes",
-           ("a", "b"), "operator", True, True, 11, 60, _ev_e0),
-    _entry("prop", "the Mikheev operator chain a^b p'p_1'p_2' alpha^6 vanishes",
-           ("a", "b"), "operator", True, True, 11, 48, _ev_prop),
-    _entry("theorem", "twisted Mikheev identity: alpha^6((a,a,b)^4) = 0",
-           ("a", "b"), "element", True, True, 12, 24, _ev_theorem),
-    _entry("mikheev_classical", "Mikheev identity (a,a,b)^4 = 0 (meaningful for injective twists)",
-           ("a", "b"), "element", True, True, 12, 12, _ev_classical),
+# The rows live in the light module :mod:`homalt.identities`; the row of
+# tag ``t`` is evaluated by ``_ev_t``.
+_REGISTRY: tuple[IdentityInstance, ...] = tuple(
+    _entry(*row, globals()[f"_ev_{row[0]}"]) for row in ROWS
 )
 
 

@@ -301,7 +301,10 @@ def decode_scalar(obj: object) -> Scalar:
         for pos, item in enumerate(items):
             if not isinstance(item, dict) or set(item) - {"coeff", "exps"}:
                 raise ValueError(f"term {pos}: expected coeff/exps object")
-            coeff = parse_rational(item.get("coeff", "1"))
+            text = item.get("coeff", "1")
+            if not isinstance(text, str):
+                raise ValueError(f"term {pos}: coeff must be a string")
+            coeff = parse_rational(text)
             exps = item.get("exps", {})
             if not isinstance(exps, dict):
                 raise ValueError(f"term {pos}: exps must be an object")

@@ -80,6 +80,19 @@ def test_invalid_json_reports_position():
     assert "invalid JSON" in str(exc.value)
 
 
+def test_deeply_nested_json_is_a_format_error():
+    with pytest.raises(AlgebraFormatError, match="document: invalid JSON: nested too deeply"):
+        parse_algebra("[" * 100_000)
+
+
+def test_poly_term_coefficient_must_be_text():
+    doc = {"dimension": 1, "alpha": [], "products": [
+        {"left": 0, "right": 0, "result": [{"index": 0, "coeff": {"poly": [{"coeff": 3}]}}]}]}
+    with pytest.raises(AlgebraFormatError, match=r"products\[0\]\.result\[0\]\.coeff: bad "
+                                                 r"scalar encoding: term 0: coeff must be a string"):
+        parse_algebra(json.dumps(doc))
+
+
 def test_duplicate_product_pair(mikheev):
     doc = json.loads(serialize_algebra(mikheev))
     doc["products"].append(dict(doc["products"][0]))

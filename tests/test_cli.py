@@ -160,6 +160,18 @@ def test_check_morphism_from_file(files, capsys):
     assert code == 0
 
 
+def test_check_morphism_dimension_mismatch(files, tmp_path, capsys):
+    # check and twist share one morphism loader: a 2-dim morphism is no map
+    # on a 13-dim algebra.
+    small = tmp_path / "small.mor"
+    small.write_text(serialize_morphism(identity_rows(2), 2))
+    code = run(["check", "--algebra", files["mikheev"], "--identity", "morphism",
+                "--morphism", str(small)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: morphism dimension 2 does not match algebra dimension 13\n"
+
+
 def test_lemmas_random_on_family(files, capsys):
     code = run(["lemmas", "--mikheev", "--lambda", "2/1", "--xi", "3/1",
                 "--strategy", "random", "--points", "5", "--seed", "7"])

@@ -1,10 +1,13 @@
-"""Start-up: what importing the package and the CLI loads.
+"""Start-up and exit: what a CLI call loads, and how it ends.
 
 A CLI call runs in a fresh interpreter, so every module it imports is paid
 for on every call.  These checks run the imports in a child process, where
-``sys.modules`` starts empty of homalt.
+``sys.modules`` starts empty of homalt.  ``homalt.cli.main`` flushes and
+ends the process with ``os._exit``; the child runs here check that it
+prints, writes and exits exactly as the in-process ``run()`` does.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -13,8 +16,14 @@ from pathlib import Path
 import pytest
 
 import homalt
+import homalt.proof_replay
+from homalt.algfile import parse_algebra, serialize_algebra, serialize_morphism
+from homalt.cli import STRUCTURAL_IDS, build_parser, run
+from homalt.homalgebra import identity_rows
+from homalt.identities import ROWS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+HEAVY = {"homalt.proof_replay", "homalt.operators"}
 
 
 def _modules_after(statement: str) -> set[str]:
@@ -60,3 +69,175 @@ def test_star_import_binds_every_public_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         homalt.no_such_name
+
+
+# -- what a CLI call loads ---------------------------------------------------------
+
+
+def _child(argv: list[str], cwd: Path, *, flags: tuple[str, ...] = (), stdout=subprocess.PIPE,
+           unbuffered: bool = True) -> subprocess.CompletedProcess:
+    """``python -m homalt.cli ARGV`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *flags, "-m", "homalt.cli", *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def _cli_modules(argv: list[str], cwd: Path) -> set[str]:
+    """The homalt modules a CLI call imports, read from ``-X importtime``."""
+    proc = _child(argv, cwd, flags=("-X", "importtime"))
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    names = {line.rpartition("|")[2].strip() for line in lines}
+    return {name for name in names if name.startswith("homalt")}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, plain_twisted):
+    """The built-in algebra written by the CLI, the twisted product of
+    A(lambda, xi) with the identity twist (not right Hom-alternative), and
+    the identity morphism."""
+    root = tmp_path_factory.mktemp("startup")
+    assert run(["mikheev", "--out", str(root / "base.alg")]) == 0
+    (root / "plain.alg").write_text(serialize_algebra(plain_twisted))
+    (root / "id.mor").write_text(serialize_morphism(identity_rows(13), 13))
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--algebra", "base.alg", "--identity", "right-alt"],
+    ["check", "--algebra", "base.alg", "--identity", "morphism", "--morphism", "id.mor"],
+    ["mikheev", "--out", "loads.alg"],
+    ["power", "--algebra", "base.alg", "--element", "e7 - e8", "--n", "2"],
+    ["--help"],
+])
+def test_structural_calls_skip_the_registry(inputs, argv):
+    loaded = _cli_modules(argv, inputs)
+    assert "homalt.identities" in loaded  # the command ran: cli runs as __main__
+    assert not HEAVY & loaded
+
+
+def test_registry_check_loads_the_evaluators(inputs):
+    loaded = _cli_modules(["check", "--algebra", "base.alg", "--identity", "xyy",
+                           "--strategy", "generic"], inputs)
+    assert HEAVY <= loaded
+
+
+def test_rows_and_evaluators_are_one_to_one():
+    tags = [row[0] for row in ROWS]
+    evaluators = {name for name in vars(homalt.proof_replay) if name.startswith("_ev_")}
+    assert evaluators == {f"_ev_{tag}" for tag in tags}
+    assert len(set(tags)) == len(ROWS)
+    for row, inst in zip(ROWS, homalt.proof_replay.registry(), strict=True):
+        assert inst.evaluate is getattr(homalt.proof_replay, f"_ev_{row[0]}")
+        assert (inst.tag, inst.label, inst.var_names, inst.kind, inst.needs_multiplicative,
+                inst.needs_right_alternative, inst.elem_degree, inst.map_weight) == row
+
+
+def test_identity_choices_follow_the_registry():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    identity = next(a for a in sub.choices["check"]._actions if a.dest == "identity")
+    assert list(identity.choices) == homalt.proof_replay.identity_tags() + list(STRUCTURAL_IDS)
+
+
+def test_precondition_error_is_one_class():
+    assert homalt.PreconditionError is homalt.proof_replay.PreconditionError
+    assert homalt.PreconditionError is homalt.identities.PreconditionError
+
+
+# -- a child prints, writes and exits as run() does ----------------------------------
+
+
+# name: (argv, exit code); {base}, {plain} and {id} are files of ``inputs``.
+CHILD_CASES = {
+    "holds": (["check", "--algebra", "{base}", "--identity", "right-alt"], 0),
+    "fails": (["check", "--algebra", "{base}", "--identity", "left-alt", "--format", "json"], 1),
+    "precondition": (["check", "--algebra", "{plain}", "--identity", "eq1",
+                      "--strategy", "random", "--seed", "1"], 2),
+    "usage": (["check", "--algebra", "{base}", "--identity", "nope"], 2),
+    "help": (["--help"], 0),
+    "check-help": (["check", "--help"], 0),
+    "mikheev-out": (["mikheev", "--lambda", "2", "--xi", "3", "--out", "fam23.alg"], 0),
+    "twist-out": (["twist", "--algebra", "{base}", "--morphism", "{id}", "--out", "tw.alg"], 0),
+    "power-json": (["power", "--algebra", "{base}", "--element", "e7 - e8", "--n", "2",
+                    "--format", "json"], 0),
+    "noniso": (["noniso", "--params", "2", "3", "5", "7"], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHILD_CASES))
+def test_child_matches_in_process_run(case, inputs, tmp_path, monkeypatch, capsys):
+    names = {name: str(inputs / f"{name}.{ext}")
+             for name, ext in (("base", "alg"), ("plain", "alg"), ("id", "mor"))}
+    template, expected = CHILD_CASES[case]
+    argv = [arg.format(**names) for arg in template]
+    (tmp_path / "child").mkdir()
+    (tmp_path / "here").mkdir()
+    child = _child(argv, tmp_path / "child")
+    monkeypatch.chdir(tmp_path / "here")
+    code = run(argv)
+    here = capsys.readouterr()
+    assert (child.stdout, child.stderr, child.returncode) == (here.out, here.err, code)
+    assert code == expected
+    assert "Traceback" not in here.err
+    written = sorted(p.name for p in (tmp_path / "child").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "here").iterdir())
+    for name in written:
+        text = (tmp_path / "child" / name).read_text()
+        assert text == (tmp_path / "here" / name).read_text()
+        parse_algebra(text)
+
+
+def test_escaping_exception_keeps_its_traceback(tmp_path):
+    code = ("import homalt.cli as cli\n"
+            "def boom(argv):\n"
+            "    raise RuntimeError('boom')\n"
+            "cli.run = boom\n"
+            "cli.main()\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "RuntimeError: boom" in proc.stderr
+
+
+def test_main_skips_interpreter_teardown(tmp_path):
+    code = ("import atexit, sys\n"
+            "import homalt.cli as cli\n"
+            "atexit.register(print, 'teardown ran')\n"
+            "sys.argv = ['homalt', 'noniso', '--params', '2', '3', '5', '7']\n"
+            "cli.main()\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "non-isomorphic: certified\n", "")
+
+
+# -- output that cannot be written ----------------------------------------------------
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_is_exit_2(inputs, fmt, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        proc = _child(["check", "--algebra", "base.alg", "--identity", "right-alt",
+                       "--format", fmt], inputs, stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["mikheev", "--out", "{out}"],
+    ["twist", "--algebra", "base.alg", "--morphism", "id.mor", "--out", "{out}"],
+])
+def test_unwritable_out_is_exit_2(inputs, tmp_path, argv):
+    out = str(tmp_path / "missing" / "x.alg")
+    proc = _child([arg.format(out=out) for arg in argv], inputs)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: cannot write {out}: No such file or directory\n"
