@@ -4,21 +4,30 @@ The public names below load on first use: ``import homalt`` imports no
 submodule, and ``homalt.verify`` or ``from homalt import verify`` imports
 the module that defines it (PEP 562).  So ``python -m homalt.cli`` loads
 only the modules a command runs: the registry's rows and
-``PreconditionError`` live in the light :mod:`homalt.identities`, and the
-evaluators in :mod:`homalt.proof_replay` load only for registry checks.
+``PreconditionError`` live in the light :mod:`homalt.identities`;
+:mod:`homalt.proof_replay` loads only for registry checks; it imports an
+entry's evaluator from :mod:`homalt.element_laws` or
+:mod:`homalt.operator_laws` by the entry's kind, and :mod:`homalt.search`
+only for the calls that search or sample points.  Code that most calls do not run sits in modules of its own:
+:mod:`homalt.structure` (the left-alt and morphism scans, Hom-nilpotency),
+:mod:`homalt.text` (printing and parsing elements) and
+:mod:`homalt.morphfile` (morphism documents).
 """
 
 import importlib
 
 # Public names by the submodule that defines them.
 _EXPORTS: dict[str, tuple[str, ...]] = {
-    "scalars": ("Poly", "Rational", "Scalar", "scalar_str"),
+    "scalars": ("Poly", "Rational", "Scalar"),
     "homalgebra": (
-        "CheckReport", "Element", "HomAlgebra", "Witness", "basis_left_zero_divisors",
-        "element_str", "generic_element", "is_hom_nilpotent", "is_left_hom_alternative",
-        "is_morphism", "is_multiplicative", "is_right_hom_alternative", "is_weak_morphism",
+        "CheckReport", "Element", "HomAlgebra", "Witness", "generic_element",
+        "is_multiplicative", "is_right_hom_alternative", "is_weak_morphism",
         "substitute_params", "yau_twist",
     ),
+    "structure": (
+        "basis_left_zero_divisors", "is_hom_nilpotent", "is_left_hom_alternative", "is_morphism",
+    ),
+    "text": ("element_str", "parse_element_expr", "scalar_str"),
     "operators": (
         "RightOp", "alpha_op", "apply", "compose", "op_sub", "op_sup", "right_mul_op", "zero_op",
     ),
@@ -31,10 +40,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "verify_all",
     ),
     "identities": ("PreconditionError",),
-    "algfile": (
-        "AlgebraFormatError", "parse_algebra", "parse_document", "parse_element_expr",
-        "parse_morphism", "serialize_algebra", "serialize_morphism",
-    ),
+    "algfile": ("AlgebraFormatError", "parse_algebra", "parse_document", "serialize_algebra"),
+    "morphfile": ("parse_morphism", "serialize_morphism"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,4 +1,4 @@
-"""JSON file format for algebras, morphisms, and element expressions.
+"""JSON file format for algebras.
 
 An algebra document looks like::
 
@@ -18,22 +18,23 @@ An algebra document looks like::
 
 Indices are 0-based; omitted product pairs and twist rows are zero.
 Coefficients use the scalar text encoding from :mod:`homalt.scalars` and may
-only mention declared parameters.  A morphism document has the same shape
-with a ``matrix`` list of ``{"from", "to"}`` rows instead of products/alpha.
-Parsing reports the offending field path on malformed input, and
-serialization emits a canonical, byte-stable form, so parse and serialize
-are mutually inverse on canonical documents.  Dimensions above 64 are
-rejected at load time to keep basis sweeps tractable.
+only mention declared parameters.  Morphism documents, which have the same
+shape with a ``matrix`` list of ``{"from", "to"}`` rows instead of
+products/alpha, are read and written by :mod:`homalt.morphfile` with the
+helpers here, and element expressions by :mod:`homalt.text`.  Parsing
+reports the offending field path on malformed input, and serialization
+emits a canonical, byte-stable form, so parse and serialize are mutually
+inverse on canonical documents.  Dimensions above 64 are rejected at load
+time to keep basis sweeps tractable.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from typing import NamedTuple, Sequence
 
-from .homalgebra import Element, HomAlgebra, MuTable, RowTable
-from .scalars import Scalar, decode_scalar, encode_scalar, parse_rational, variables
+from .homalgebra import HomAlgebra, MuTable, RowTable
+from .scalars import Scalar, decode_scalar, encode_scalar, variables
 
 DIMENSION_CAP = 64
 
@@ -200,78 +201,3 @@ def serialize_algebra(A: HomAlgebra, basis_names: Sequence[str] | None = None) -
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def parse_morphism(text: str) -> tuple[RowTable, int, tuple[str, ...]]:
-    """Parse a morphism document into (rows, dimension, parameters)."""
-    doc = _expect_obj(
-        _load_json(text), "document",
-        {"dimension", "parameters", "matrix"},
-        {"dimension", "matrix"},
-    )
-    dim = _decode_dimension(doc)
-    params = _decode_params(doc.get("parameters", []), "parameters")
-    param_set = set(params)
-    rows: RowTable = {}
-    for pos, item in enumerate(_expect_list(doc["matrix"], "matrix")):
-        where = f"matrix[{pos}]"
-        entry = _expect_obj(item, where, {"from", "to"}, {"from", "to"})
-        i = _expect_index(entry["from"], dim, f"{where}.from")
-        if i in rows:
-            raise AlgebraFormatError(where, f"duplicate matrix row for index {i}")
-        rows[i] = _decode_sparse(entry["to"], dim, param_set, f"{where}.to")
-    return rows, dim, params
-
-
-def serialize_morphism(rows: RowTable, dim: int, params: Sequence[str] = ()) -> str:
-    doc = {
-        "dimension": dim,
-        "parameters": list(params),
-        "matrix": [
-            {"from": i, "to": [{"index": k, "coeff": encode_scalar(c)} for k, c in row]}
-            for i, row in sorted(rows.items())
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def encode_element(x: Element) -> list[dict]:
-    return [
-        {"index": i, "coeff": encode_scalar(c)} for i, c in enumerate(x.coords) if c != 0
-    ]
-
-
-_TERM_RE = re.compile(r"([+-]?)\s*([^+-]+)")
-
-
-def parse_element_expr(expr: str, basis_names: Sequence[str]) -> Element:
-    """Parse a linear combination such as ``e7 - e8`` or ``3/2*e1 + e4``.
-
-    Basis vectors are referred to by the given names; coefficients are
-    rationals written ``p`` or ``p/q``.
-    """
-    positions = {name: i for i, name in enumerate(basis_names)}
-    coords: list[Scalar] = [0] * len(basis_names)
-    rest = expr.strip()
-    if not rest:
-        raise ValueError("empty element expression")
-    matched_to = 0
-    for m in _TERM_RE.finditer(rest):
-        if m.start() != matched_to:
-            raise ValueError(f"cannot parse element expression near {rest[matched_to:]!r}")
-        matched_to = m.end()
-        sign = -1 if m.group(1) == "-" else 1
-        body = m.group(2).strip()
-        if "*" in body:
-            coeff_text, _, name = body.partition("*")
-            coeff = parse_rational(coeff_text)
-            name = name.strip()
-        else:
-            coeff, name = 1, body
-        if name not in positions:
-            raise ValueError(f"unknown basis element {name!r}")
-        idx = positions[name]
-        coords[idx] = coords[idx] + sign * coeff
-    if matched_to != len(rest):
-        raise ValueError(f"cannot parse element expression near {rest[matched_to:]!r}")
-    return Element(tuple(coords))

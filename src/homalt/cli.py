@@ -22,11 +22,17 @@ stdout closed by its reader.
 
 A call loads only what it runs.  ``homalt.catalog`` is imported only by the
 commands that build the built-in algebra (``--mikheev``, ``mikheev``,
-``noniso``), and ``homalt.proof_replay`` (with ``homalt.operators``) only by
-``lemmas`` and by ``check`` on a registry tag; the ``--identity`` choices
-come from the light rows of ``homalt.identities``.  :func:`main` flushes the
-output and ends the process with ``os._exit``, skipping interpreter
-teardown; :func:`run` returns the exit code for in-process callers.
+``noniso``), and ``homalt.proof_replay`` only by ``lemmas`` and by ``check``
+on a registry tag, which in turn loads the laws of the entries it evaluates
+(``homalt.operators`` only for operator entries) and the search code only
+for failing checks and the subset and random strategies.  The left-alt and
+morphism scans (``homalt.structure``), morphism files (``homalt.morphfile``)
+and the text forms of elements (``homalt.text``) load for the calls that
+use them.  The ``--identity`` choices come from the light rows of
+``homalt.identities``, and :func:`build_parser` adds arguments only to the
+subcommand that the command line names.  :func:`main` flushes the output
+and ends the process with ``os._exit``, skipping interpreter teardown;
+:func:`run` returns the exit code for in-process callers.
 """
 
 from __future__ import annotations
@@ -38,19 +44,10 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .algfile import (
-    encode_element,
-    parse_document,
-    parse_element_expr,
-    parse_morphism,
-    serialize_algebra,
-)
+from .algfile import parse_document, serialize_algebra
 from .homalgebra import (
     CheckReport,
     HomAlgebra,
-    element_str,
-    is_left_hom_alternative,
-    is_morphism,
     is_multiplicative,
     is_right_hom_alternative,
     yau_twist,
@@ -85,6 +82,8 @@ def _load_algebra(path: str):
 
 def _load_morphism(path: str, A: HomAlgebra):
     """Rows and parameters of a morphism file on an algebra of ``A``'s dimension."""
+    from .morphfile import parse_morphism
+
     rows, dim, params = parse_morphism(_read_text(path))
     if dim != A.dim:
         raise CliInputError(f"morphism dimension {dim} does not match algebra dimension {A.dim}")
@@ -155,6 +154,8 @@ def _print_reports(reports: list[dict], fmt: str, names: list[str]) -> None:
 def _report_record(report: CheckReport, names: list[str]) -> dict:
     rec = report.to_dict()
     if report.witness is not None:
+        from .text import element_str
+
         rec["witness"]["pretty"] = element_str(report.witness.element, names)
     return rec
 
@@ -174,10 +175,14 @@ def _cmd_check(args) -> int:
         if identity == "right-alt":
             report = is_right_hom_alternative(A)
         elif identity == "left-alt":
+            from .structure import is_left_hom_alternative
+
             report = is_left_hom_alternative(A)
         elif identity == "multiplicative":
             report = is_multiplicative(A)
         else:
+            from .structure import is_morphism
+
             rows = _load_morphism(args.morphism, A)[0] if args.morphism else A.alpha
             report = is_morphism(A, A, rows)
     else:
@@ -238,6 +243,8 @@ def _cmd_mikheev(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from .text import element_str, encode_element, parse_element_expr
+
     doc = _load_algebra(args.algebra)
     if args.n < 1:
         raise CliInputError("--n must be at least 1")
@@ -283,14 +290,18 @@ def _add_strategy_flags(sub: argparse.ArgumentParser) -> None:
                      help="output format (default: text)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="homalt",
-        description="Exact verifier for identities in right Hom-alternative algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """argparse drops an OSError raised while it prints; this parser lets
+    the one from writing to stdout (help) reach :func:`run`, which exits 2."""
 
-    check = sub.add_parser("check", help="verify one identity on an algebra")
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
+def _check_arguments(check: argparse.ArgumentParser) -> None:
     _add_algebra_source(check)
     check.add_argument("--identity", required=True,
                        choices=tuple(row[0] for row in ROWS) + STRUCTURAL_IDS,
@@ -300,25 +311,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strategy_flags(check)
     check.set_defaults(func=_cmd_check)
 
-    lemmas = sub.add_parser("lemmas", help="run the whole identity registry")
+
+def _lemmas_arguments(lemmas: argparse.ArgumentParser) -> None:
     _add_algebra_source(lemmas)
     _add_strategy_flags(lemmas)
     lemmas.set_defaults(func=_cmd_lemmas)
 
-    twist = sub.add_parser("twist", help="twist an algebra along a weak morphism")
+
+def _twist_arguments(twist: argparse.ArgumentParser) -> None:
     twist.add_argument("--algebra", metavar="FILE", required=True)
     twist.add_argument("--morphism", metavar="FILE", required=True)
     twist.add_argument("--out", metavar="FILE", required=True)
     twist.set_defaults(func=_cmd_twist)
 
-    mikheev = sub.add_parser("mikheev", help="write the built-in algebra or its family")
+
+def _mikheev_arguments(mikheev: argparse.ArgumentParser) -> None:
     mikheev.add_argument("--out", metavar="FILE", required=True)
     mikheev.add_argument("--lambda", dest="lam", metavar="P/Q")
     mikheev.add_argument("--xi", metavar="P/Q")
     mikheev.add_argument("--symbolic", action="store_true")
     mikheev.set_defaults(func=_cmd_mikheev)
 
-    power = sub.add_parser("power", help="Hom-power of an element")
+
+def _power_arguments(power: argparse.ArgumentParser) -> None:
     power.add_argument("--algebra", metavar="FILE", required=True)
     power.add_argument("--element", metavar="EXPR", required=True,
                        help="linear combination of basis names, e.g. 'e7 - e8'")
@@ -326,20 +341,56 @@ def build_parser() -> argparse.ArgumentParser:
     power.add_argument("--format", choices=("text", "json"), default="text")
     power.set_defaults(func=_cmd_power)
 
-    noniso = sub.add_parser("noniso", help="non-isomorphism certificate for two parameter pairs")
+
+def _noniso_arguments(noniso: argparse.ArgumentParser) -> None:
     noniso.add_argument("--params", nargs=4, metavar=("L", "XI", "L2", "XI2"), required=True,
                         help="two parameter pairs as rationals")
     noniso.set_defaults(func=_cmd_noniso)
 
+
+# name, help line, and the function that adds its arguments, in --help order.
+_SUBCOMMANDS = (
+    ("check", "verify one identity on an algebra", _check_arguments),
+    ("lemmas", "run the whole identity registry", _lemmas_arguments),
+    ("twist", "twist an algebra along a weak morphism", _twist_arguments),
+    ("mikheev", "write the built-in algebra or its family", _mikheev_arguments),
+    ("power", "Hom-power of an element", _power_arguments),
+    ("noniso", "non-isomorphism certificate for two parameter pairs", _noniso_arguments),
+)
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with all six subcommands.
+
+    Given the arguments it is about to parse, only the subcommand they name
+    (their first word that is not an option) gets its own arguments, since
+    no other one can run; with no subcommand named, all six get theirs.
+    Help and usage texts are the same either way.
+    """
+    parser = _Parser(
+        prog="homalt",
+        description="Exact verifier for identities in right Hom-alternative algebras.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((arg for arg in argv or () if not arg.startswith("-")), None)
+    every = named not in {name for name, _, _ in _SUBCOMMANDS}
+    for name, help_line, add_arguments in _SUBCOMMANDS:
+        subparser = sub.add_parser(name, help=help_line)
+        if every or name == named:
+            add_arguments(subparser)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError as exc:  # help written to a closed stdout
+        return _output_error(exc)
     try:
         return args.func(args)
     except (PreconditionError, ValueError) as exc:

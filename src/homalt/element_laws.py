@@ -1,0 +1,83 @@
+"""Evaluators of the element identities of the registry.
+
+The registry row of tag ``t`` with kind ``"element"`` is evaluated by
+``_ev_t`` here.  Each evaluator takes the algebra, the argument elements and
+the twisting map ``beta`` of the ``beta2`` entry, and returns the equation
+pairs of the identity as elements.  This module does not import
+:mod:`homalt.operators`: :mod:`homalt.proof_replay` loads it only when an
+element entry is evaluated.
+"""
+
+from __future__ import annotations
+
+from .homalgebra import apply_rows, yau_twist
+from .proof_replay import _assoc_p
+
+
+def _ev_xyy(A, xs, beta):
+    x, y = xs
+    lhs = A.mul(A.mul(x, y), A.twist_apply(y))
+    rhs = A.mul(A.twist_apply(x), A.mul(y, y))
+    return [(lhs, rhs)]
+
+def _ev_linearized(A, xs, beta):
+    x, y, z = xs
+    return [(A.hom_associator(x, y, z), -A.hom_associator(x, z, y))]
+
+def _ev_teichmuller(A, xs, beta):
+    w, x, y, z = xs
+    aw, ax, ay, az = (A.twist_apply(v) for v in xs)
+    total = (
+        A.hom_associator(A.mul(w, x), ay, az)
+        - A.hom_associator(aw, A.mul(x, y), az)
+        + A.hom_associator(aw, ax, A.mul(y, z))
+        - A.mul(A.shift(w, 2), A.hom_associator(x, y, z))
+        - A.mul(A.hom_associator(w, x, y), A.shift(z, 2))
+    )
+    return [(total, A.zero())]
+
+def _ev_xyyz(A, xs, beta):
+    x, y, z = xs
+    lhs = A.hom_associator(A.twist_apply(x), A.twist_apply(y), A.mul(y, z))
+    rhs = A.mul(A.hom_associator(x, y, z), A.shift(y, 2))
+    return [(lhs, rhs)]
+
+def _ev_moufang(A, xs, beta):
+    x, y, z = xs
+    lhs = A.mul(A.mul(A.mul(x, y), A.twist_apply(z)), A.shift(y, 2))
+    rhs = A.mul(A.shift(x, 2), A.mul(A.mul(y, z), A.twist_apply(y)))
+    return [(lhs, rhs)]
+
+def _ev_beta2(A, xs, beta):
+    x, y, z = xs
+    twisted = yau_twist(A, beta, check=False)
+    inner = A.hom_associator(x, y, z)
+    lhs = apply_rows(beta, apply_rows(beta, inner))
+    rhs = twisted.hom_associator(x, y, z)
+    return [(lhs, rhs)]
+
+def _ev_eq8(A, xs, beta):
+    a, b = xs
+    p3 = A.shift(_assoc_p(A, a, b), 3)
+    inner = A.hom_associator(
+        A.commutator(A.shift(a, 2), A.shift(b, 2)), A.shift(a, 3), A.shift(b, 3)
+    )
+    return [(A.mul(p3, inner), A.zero())]
+
+def _ev_eq9(A, xs, beta):
+    a, b = xs
+    p4 = A.shift(_assoc_p(A, a, b), 4)
+    inner = A.hom_associator(
+        A.mul(A.commutator(A.shift(a, 2), A.shift(b, 2)), A.shift(a, 3)),
+        A.shift(a, 4),
+        A.shift(b, 4),
+    )
+    return [(A.mul(p4, inner), A.zero())]
+
+def _ev_theorem(A, xs, beta):
+    a, b = xs
+    return [(A.shift(A.hom_power(_assoc_p(A, a, b), 4), 6), A.zero())]
+
+def _ev_mikheev_classical(A, xs, beta):
+    a, b = xs
+    return [(A.hom_power(_assoc_p(A, a, b), 4), A.zero())]

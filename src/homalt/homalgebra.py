@@ -23,6 +23,10 @@ that a symmetry of the form makes redundant, and report the first failing
 tuple in lexicographic order along with the nonzero element witnessing the
 failure.  :func:`replay_structural_witness` recomputes that element
 independently, through ``mul``, ``twist_apply`` and ``hom_associator``.
+The scans a registry check runs live here; the left Hom-alternative and
+morphism scans and the element tests that none runs are in
+:mod:`homalt.structure`, and the text forms of elements in
+:mod:`homalt.text`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .scalars import (
     Scalar,
     encode_scalar,
     normalize,
-    scalar_str,
     substitute,
     degree as scalar_degree,
 )
@@ -132,42 +135,14 @@ class Element(_Record):
         return Element(tuple(substitute(c, assignment) for c in self.coords))
 
     def __str__(self) -> str:
+        from .text import element_str
+
         return element_str(self)
 
 
 def _same_dim(a: Element, b: Element) -> None:
     if len(a.coords) != len(b.coords):
         raise ValueError(f"dimension mismatch: {len(a.coords)} vs {len(b.coords)}")
-
-
-def element_str(x: Element, names: Sequence[str] | None = None) -> str:
-    """Render ``e7 - e8`` style text, parenthesizing polynomial coefficients."""
-    pieces: list[str] = []
-    for i, c in enumerate(x.coords):
-        if c == 0:
-            continue
-        name = names[i] if names is not None else f"e{i + 1}"
-        neg, body = _coeff_parts(c)
-        text = name if body is None else f"{body}*{name}"
-        if not pieces:
-            pieces.append(f"-{text}" if neg else text)
-        else:
-            pieces.append(f"- {text}" if neg else f"+ {text}")
-    return " ".join(pieces) if pieces else "0"
-
-
-def _coeff_parts(c: Scalar) -> tuple[bool, str | None]:
-    """Split a coefficient into (negative?, printable body or None for 1)."""
-    if isinstance(c, Poly):
-        if len(c.terms) == 1:
-            ((m, coeff),) = c.terms.items()
-            neg, body = _coeff_parts(coeff)
-            head = scalar_str(Poly({m: 1}))
-            return neg, head if body is None else f"{body}*{head}"
-        return False, f"({scalar_str(c)})"
-    neg = c < 0
-    mag = -c if neg else c
-    return neg, None if mag == 1 else scalar_str(mag)
 
 
 def _norm_sparse_row(dim: int, row: Iterable[tuple[int, Scalar]], what: str) -> SparseRow:
@@ -527,27 +502,6 @@ def is_right_hom_alternative(A: HomAlgebra) -> CheckReport:
     return _first_failure("right-alt", A.dim, values())
 
 
-def is_left_hom_alternative(A: HomAlgebra) -> CheckReport:
-    """Check ``(x, x, y) = 0`` via its linearization on all basis triples.
-
-    The linearized form ``(x,y,z) + (y,x,z)`` is symmetric in its first two
-    slots, so only triples with ``i <= j`` are scanned.
-    """
-    by_left = _by_left(A.mu)
-
-    def values():
-        for i in range(A.dim):
-            for j in range(i, A.dim):
-                for k in range(A.dim):
-                    acc: dict[int, Scalar] = {}
-                    _add_associator(acc, A, by_left, i, j, k)
-                    if i != j:
-                        _add_associator(acc, A, by_left, j, i, k)
-                    yield (i, j, k), acc
-
-    return _first_failure("left-alt", A.dim, values())
-
-
 def is_weak_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
     """Does ``f`` carry products of A to products of B on all basis pairs?"""
     if A.dim != B.dim:
@@ -564,23 +518,6 @@ def is_weak_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
                 yield (i, j), acc
 
     return _first_failure("weak-morphism", A.dim, values())
-
-
-def is_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
-    """Weak morphism that also intertwines the twisting maps."""
-    report = is_weak_morphism(A, B, f)
-    if report.status == FAILS:
-        return CheckReport("morphism", FAILS, "basis", witness=report.witness)
-    rows = normalize_rows(A.dim, f)
-    for i in range(A.dim):
-        e = A.basis_element(i)
-        diff = apply_rows(rows, A.twist_apply(e)) - B.twist_apply(apply_rows(rows, e))
-        if not diff.is_zero():
-            return CheckReport(
-                "morphism", FAILS, "basis",
-                witness=Witness(element=diff, basis=(i,)),
-            )
-    return CheckReport("morphism", HOLDS, "basis")
 
 
 def _alternativity_witness(A: HomAlgebra, triple: tuple[int, int, int], side: str) -> Element:
@@ -699,28 +636,3 @@ def _hom_powers(A: HomAlgebra, x: Element, n: int) -> Iterator[tuple[int, Elemen
         yield m, power
         if power.is_zero():
             return
-
-
-def is_hom_nilpotent(A: HomAlgebra, x: Element, nmax: int) -> int | None:
-    """Least ``2 <= n <= nmax`` with ``x^n = 0`` for nonzero x, else None."""
-    if nmax < 2:
-        raise ValueError("nmax must be at least 2")
-    if x.is_zero():
-        return None
-    for n, power in _hom_powers(A, x, nmax):
-        if power.is_zero():
-            return n
-    return None
-
-
-def basis_left_zero_divisors(A: HomAlgebra) -> list[int]:
-    """Basis indices i with ``e_i e_j = 0`` for at least one basis j.
-
-    Sound witnesses for left zero-divisors among basis elements; the scan
-    only considers basis pairs, so it is not a complete zero-divisor test.
-    """
-    out = []
-    for i in range(A.dim):
-        if any((i, j) not in A.mu for j in range(A.dim)):
-            out.append(i)
-    return out

@@ -1,0 +1,63 @@
+"""JSON morphism documents.
+
+A morphism document gives a linear map by its rows, in the algebra
+document's shape (see :mod:`homalt.algfile`) with a ``matrix`` list of
+``{"from", "to"}`` rows instead of products and a twist::
+
+    {"dimension": 2, "parameters": [],
+     "matrix": [{"from": 0, "to": [{"index": 1, "coeff": "1"}]}]}
+
+Only the calls that read or write a morphism import this module:
+``homalt check --identity morphism --morphism FILE`` and ``homalt twist``.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Sequence
+
+from .algfile import (
+    AlgebraFormatError,
+    _decode_dimension,
+    _decode_params,
+    _decode_sparse,
+    _expect_index,
+    _expect_list,
+    _expect_obj,
+    _load_json,
+)
+from .homalgebra import RowTable
+from .scalars import encode_scalar
+
+
+def parse_morphism(text: str) -> tuple[RowTable, int, tuple[str, ...]]:
+    """Parse a morphism document into (rows, dimension, parameters)."""
+    doc = _expect_obj(
+        _load_json(text), "document",
+        {"dimension", "parameters", "matrix"},
+        {"dimension", "matrix"},
+    )
+    dim = _decode_dimension(doc)
+    params = _decode_params(doc.get("parameters", []), "parameters")
+    param_set = set(params)
+    rows: RowTable = {}
+    for pos, item in enumerate(_expect_list(doc["matrix"], "matrix")):
+        where = f"matrix[{pos}]"
+        entry = _expect_obj(item, where, {"from", "to"}, {"from", "to"})
+        i = _expect_index(entry["from"], dim, f"{where}.from")
+        if i in rows:
+            raise AlgebraFormatError(where, f"duplicate matrix row for index {i}")
+        rows[i] = _decode_sparse(entry["to"], dim, param_set, f"{where}.to")
+    return rows, dim, params
+
+
+def serialize_morphism(rows: RowTable, dim: int, params: Sequence[str] = ()) -> str:
+    doc = {
+        "dimension": dim,
+        "parameters": list(params),
+        "matrix": [
+            {"from": i, "to": [{"index": k, "coeff": encode_scalar(c)} for k, c in row]}
+            for i, row in sorted(rows.items())
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -181,10 +181,12 @@ class Poly:
             yield m, self.terms[m]
 
     def __str__(self) -> str:
-        return _poly_str(self)
+        from .text import scalar_str
+
+        return scalar_str(self)
 
     def __repr__(self) -> str:
-        return f"Poly({_poly_str(self)})"
+        return f"Poly({self})"
 
 
 Scalar = Union[int, Fraction, Poly]
@@ -227,37 +229,6 @@ def degree(s: Scalar) -> int:
 
 
 # -- text encoding ---------------------------------------------------------
-
-def _mono_str(m: Mono) -> str:
-    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
-
-
-def _poly_str(p: Poly) -> str:
-    if not p.terms:
-        return "0"
-    pieces: list[str] = []
-    for m, c in p.sorted_terms():
-        neg = c < 0
-        mag = -c if neg else c
-        if m == UNIT_MONO:
-            body = str(_norm_rational(mag))
-        elif mag == 1:
-            body = _mono_str(m)
-        else:
-            body = f"{_norm_rational(mag)}*{_mono_str(m)}"
-        if not pieces:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(pieces)
-
-
-def scalar_str(s: Scalar) -> str:
-    """Human-readable canonical form, e.g. ``5/6`` or ``lambda^2 - xi``."""
-    if isinstance(s, Poly):
-        return _poly_str(s)
-    return str(_norm_rational(s))
-
 
 def encode_scalar(s: Scalar) -> str | dict:
     """JSON-friendly encoding: rationals as ``"p/q"`` strings, polynomials
@@ -311,7 +282,7 @@ def decode_scalar(obj: object) -> Scalar:
             for name, e in exps.items():
                 if not isinstance(name, str) or not name.isidentifier():
                     raise ValueError(f"term {pos}: bad variable name {name!r}")
-                if not isinstance(e, int) or e < 1:
+                if not isinstance(e, int) or isinstance(e, bool) or e < 1:
                     raise ValueError(f"term {pos}: exponent of {name} must be a positive integer")
             key = mono(exps)
             terms[key] = terms.get(key, 0) + coeff

@@ -1,0 +1,193 @@
+"""Point evaluation, witness search, and the subset and random strategies.
+
+:mod:`homalt.proof_replay` imports this module only for the calls that run
+it: a failing generic check (to find a witness), the ``subset`` and
+``random`` strategies, and the replay of a point witness.  A holding
+generic check never loads it.
+
+A witness is a concrete point: a rational value for every parameter and
+argument coordinate ``<name>_<i>`` in play (the others are 0), and for
+operator identities the probe basis index whose image row differs.
+:func:`_find_witness` tries small random integer points and falls back to a
+grid that a nonzero polynomial cannot vanish on.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from typing import Sequence
+
+from .homalgebra import (
+    FAILS,
+    HOLDS,
+    RANDOM_PASS,
+    CheckReport,
+    Element,
+    HomAlgebra,
+    RowsLike,
+    Witness,
+    coordinate_names,
+    substitute_params,
+    substitute_rows,
+)
+from .proof_replay import Side, _first_mismatch, _generic_pairs, _resolve_beta, get_identity
+from .scalars import Poly, Rational, Scalar, substitute, variables as scalar_variables
+
+RANDOM_BOUND = 10**6
+
+
+def _probe_side(diff: Side, probe: int | None = None) -> tuple[Element, int | None]:
+    """Nonzero element extracted from a difference: the element itself, or
+    for an operator its row ``probe`` (by default the first nonzero row)."""
+    if isinstance(diff, Element):
+        return diff, None
+    if probe is None:
+        probe = min(diff.rows)
+    coords: list = [0] * diff.dim
+    for k, c in diff.rows.get(probe, ()):
+        coords[k] = c
+    return Element(tuple(coords)), probe
+
+
+def _evaluate_at(A, inst, beta, point: dict[str, Rational]) -> list[tuple[Side, Side]]:
+    """The identity's pairs at a point that instantiates the parameters and
+    the argument coordinates ``<name>_<i>`` (missing coordinates are 0)."""
+    A_pt = substitute_params(A, {p: point[p] for p in A.params if p in point})
+    beta_pt = substitute_rows(beta, point) if beta else beta
+    xs = [Element(tuple(point.get(f"{v}_{i + 1}", 0) for i in range(A.dim)))
+          for v in inst.var_names]
+    return inst.evaluate(A_pt, xs, beta_pt)
+
+
+def _witness_at(A, inst, beta, point: dict[str, Rational]) -> Witness | None:
+    """The witness at ``point`` if the identity fails there."""
+    hit = _first_mismatch(_evaluate_at(A, inst, beta, point))
+    if hit is None:
+        return None
+    idx, diff = hit
+    element, probe = _probe_side(diff)
+    return Witness(element=element, point=point, probe=probe, pair_index=idx)
+
+
+def _find_witness(A, inst, beta, variables: Sequence[str], seed: int = 0) -> Witness:
+    """A concrete integer point where an identity that fails symbolically in
+    ``variables`` (every other coordinate 0) still fails: 1000 small random
+    points, then :func:`_grid_witness`."""
+    rng = random.Random(seed)
+    for attempt in range(1000):
+        bound = 3 + attempt // 50
+        witness = _witness_at(A, inst, beta, {v: rng.randint(-bound, bound) for v in variables})
+        if witness is not None:
+            return witness
+    return _grid_witness(A, inst, beta, variables)
+
+
+def _grid_witness(A, inst, beta, variables: Sequence[str]) -> Witness:
+    """The first failing point of a grid over the variables of one nonzero
+    coefficient of the symbolic difference, each ``v`` running over
+    ``{d_v, ..., 0}`` with ``d_v`` the coefficient's degree in ``v``.  A
+    polynomial that vanishes on that whole grid is zero (Alon, Combinatorial
+    Nullstellensatz, 1999, Lemma 2.1), so the grid holds a witness."""
+    given = set(variables)
+    xs = [Element(tuple(Poly.variable(f"{v}_{i + 1}") if f"{v}_{i + 1}" in given else 0
+                        for i in range(A.dim))) for v in inst.var_names]
+    hit = _first_mismatch(inst.evaluate(A, xs, beta))
+    if hit is None:
+        raise ValueError("the identity holds in these variables: no witness exists")
+    coeff = next(c for c in _coefficients(hit[1]) if c != 0)
+    grid = [v for v in variables if v in scalar_variables(coeff)]
+    degrees = [max(e for m in coeff.terms for n, e in m if n == v) for v in grid]
+    for values in itertools.product(*(range(d, -1, -1) for d in degrees)):
+        at = dict(zip(grid, values))
+        if substitute(coeff, at) != 0:
+            return _witness_at(A, inst, beta, {v: at.get(v, 0) for v in variables})
+    raise AssertionError("a nonzero polynomial vanished on its degree grid")
+
+
+def _support_tuples(dim: int, max_size: int) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = []
+    for size in range(1, min(max_size, dim) + 1):
+        out.extend(itertools.combinations(range(dim), size))
+    return out
+
+
+def _coefficients(diff: Side) -> list[Scalar]:
+    """The coordinates of an element, or the entries of an operator."""
+    if isinstance(diff, Element):
+        return list(diff.coords)
+    return [c for row in diff.rows.values() for _, c in row]
+
+
+def _support_patterns(A, inst, pairs) -> set[tuple[frozenset[int], ...]]:
+    """Per-slot coordinate supports of the monomials of the differences: slot
+    ``s`` holds each ``i`` with ``<var_names[s]>_<i + 1>`` in the monomial."""
+    slot_of = {f"{v}_{i + 1}": (s, i) for s, v in enumerate(inst.var_names) for i in range(A.dim)}
+    patterns = set()
+    for lhs, rhs in pairs:
+        for c in _coefficients(lhs - rhs):
+            for m in c.terms if isinstance(c, Poly) else ([()] if c != 0 else []):
+                slots: list[set[int]] = [set() for _ in inst.var_names]
+                for s, i in (slot_of[var] for var, _ in m if var in slot_of):
+                    slots[s].add(i)
+                patterns.add(tuple(map(frozenset, slots)))
+    return patterns
+
+
+def _verify_subset(A, inst, beta, subset_max: int) -> CheckReport:
+    """Sweep the support combos as a view of the one generic evaluation.
+
+    Evaluators are polynomial in the coordinates, so a combo's difference is
+    the generic one with the coordinates outside the combo set to 0: it is
+    nonzero exactly when the combo contains, slot by slot, the support of a
+    monomial.  The cost is one generic evaluation even when the first combo
+    fails, which on dense structure constants is far more than evaluating
+    that combo alone.  When no monomial's support fits within
+    ``subset_max``, no combo can fail and the sweep is not walked: it holds
+    on all ``len(supports) ** arity`` combos.
+    """
+    _, pairs = _generic_pairs(A, inst, beta)
+    patterns = [p for p in _support_patterns(A, inst, pairs) if max(map(len, p)) <= subset_max]
+    supports = _support_tuples(A.dim, subset_max)
+    if not patterns:
+        return CheckReport(inst.tag, HOLDS, "subset", points=len(supports) ** inst.arity)
+    as_set = {support: frozenset(support) for support in supports}
+    checked = 0
+    for combo in itertools.product(supports, repeat=inst.arity):
+        checked += 1
+        if any(all(need <= as_set[t] for need, t in zip(p, combo)) for p in patterns):
+            variables = list(A.params) + [
+                f"{v}_{i + 1}" for v, support in zip(inst.var_names, combo) for i in support
+            ]
+            witness = _find_witness(A, inst, beta, variables)
+            return CheckReport(inst.tag, FAILS, "subset", points=checked, witness=witness)
+    return CheckReport(inst.tag, HOLDS, "subset", points=checked)
+
+
+def _verify_random(A, inst, beta, seed: int, points: int) -> CheckReport:
+    rng = random.Random(seed)
+    sample = {"points": points, "seed": seed, "degree_bound": inst.degree_bound(A)}
+    names = list(A.params) + [n for v in inst.var_names for n in coordinate_names(A, v)]
+    for _ in range(points):
+        point = {name: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for name in names}
+        witness = _witness_at(A, inst, beta, point)
+        if witness is not None:
+            return CheckReport(inst.tag, FAILS, "random", witness=witness, **sample)
+    return CheckReport(inst.tag, RANDOM_PASS, "random", **sample)
+
+
+def replay_point_witness(
+    A: HomAlgebra, report: CheckReport, beta: RowsLike | None = None
+) -> Element:
+    """Re-evaluate a failing identity report at its stored point; see
+    :func:`homalt.proof_replay.replay_identity_witness`."""
+    if report.witness is None or report.witness.point is None:
+        raise ValueError("report carries no point witness")
+    inst = get_identity(report.check)
+    lhs, rhs = _evaluate_at(A, inst, _resolve_beta(A, beta), report.witness.point)[
+        report.witness.pair_index or 0
+    ]
+    diff = lhs - rhs
+    if not isinstance(diff, Element) and report.witness.probe is None:
+        raise ValueError("operator witness without probe index")
+    return _probe_side(diff, report.witness.probe)[0]

@@ -5,19 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from homalt.algfile import (
-    AlgebraFormatError,
-    encode_element,
-    parse_algebra,
-    parse_document,
-    parse_element_expr,
-    parse_morphism,
-    serialize_algebra,
-    serialize_morphism,
-)
+from homalt.algfile import AlgebraFormatError, parse_algebra, parse_document, serialize_algebra
 from homalt.catalog import FamilyParams, mikheev_morphism
+from homalt.cli import run
 from homalt.homalgebra import Element, substitute_params
+from homalt.morphfile import parse_morphism, serialize_morphism
 from homalt.scalars import Poly
+from homalt.text import encode_element, parse_element_expr
 
 
 def test_round_trip_base_algebra(mikheev):
@@ -217,3 +211,26 @@ def test_file_coeff_shapes():
     t = Poly.variable("t")
     assert A.mul(A.basis_element(0), A.basis_element(0)) == A.basis_element(1).scale(2 * t**3)
     assert A.twist_apply(A.basis_element(0)) == A.basis_element(0).scale(Fraction(1, 2))
+
+
+def test_boolean_exponent_is_rejected(tmp_path, capsys):
+    # JSON true passes an int check (bool subclasses int), and serializing
+    # would write it back as true, so parse then serialize was not canonical.
+    doc = {
+        "dimension": 1,
+        "parameters": ["t"],
+        "products": [
+            {"left": 0, "right": 0,
+             "result": [{"index": 0, "coeff": {"poly": [{"coeff": "1", "exps": {"t": True}}]}}]},
+        ],
+        "alpha": [{"from": 0, "to": [{"index": 0, "coeff": "1"}]}],
+    }
+    with pytest.raises(AlgebraFormatError, match=r"^products\[0\]\.result\[0\]\.coeff: "
+                       r"bad scalar encoding: term 0: exponent of t must be a positive integer$"):
+        parse_algebra(json.dumps(doc))
+    path = tmp_path / "bool.alg"
+    path.write_text(json.dumps(doc))
+    assert run(["check", "--algebra", str(path), "--identity", "right-alt"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: products[0].result[0].coeff: bad scalar encoding")
+    assert err.count("\n") == 1

@@ -14,10 +14,10 @@ from homalt.catalog import (
 from homalt.homalgebra import (
     HomAlgebra,
     identity_rows,
-    is_left_hom_alternative,
     is_right_hom_alternative,
 )
 from homalt.scalars import Poly
+from homalt.structure import is_left_hom_alternative
 
 lam = Poly.variable("lambda")
 xi = Poly.variable("xi")

@@ -9,13 +9,8 @@ from homalt.homalgebra import (
     Element,
     HomAlgebra,
     apply_rows,
-    basis_left_zero_divisors,
-    element_str,
     generic_element,
     identity_rows,
-    is_hom_nilpotent,
-    is_left_hom_alternative,
-    is_morphism,
     is_multiplicative,
     is_right_hom_alternative,
     is_weak_morphism,
@@ -25,6 +20,13 @@ from homalt.homalgebra import (
 )
 from homalt.catalog import FamilyParams, mikheev_morphism
 from homalt.scalars import Poly, degree, is_zero
+from homalt.structure import (
+    basis_left_zero_divisors,
+    is_hom_nilpotent,
+    is_left_hom_alternative,
+    is_morphism,
+)
+from homalt.text import element_str
 
 lam = Poly.variable("lambda")
 xi = Poly.variable("xi")

@@ -15,7 +15,8 @@ algebra, whether or not the entry is a theorem on it.
 import pytest
 
 from homalt.homalgebra import FAILS, HOLDS, is_right_hom_alternative
-from homalt.proof_replay import _coefficients, _generic_pairs, _resolve_beta, registry, verify
+from homalt.proof_replay import _generic_pairs, _resolve_beta, registry, verify
+from homalt.search import _coefficients
 from homalt.scalars import degree
 from test_scans import random_algebra as scan_algebra
 from test_subset import CHAINS, random_algebra as subset_algebra

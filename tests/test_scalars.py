@@ -14,10 +14,10 @@ from homalt.scalars import (
     is_zero,
     normalize,
     parse_rational,
-    scalar_str,
     substitute,
     variables,
 )
+from homalt.text import scalar_str
 
 lam = Poly.variable("lambda")
 xi = Poly.variable("xi")

@@ -21,7 +21,6 @@ from homalt.homalgebra import (
     Witness,
     apply_rows,
     identity_rows,
-    is_left_hom_alternative,
     is_multiplicative,
     is_right_hom_alternative,
     is_weak_morphism,
@@ -29,6 +28,7 @@ from homalt.homalgebra import (
     replay_structural_witness,
 )
 from homalt.scalars import Poly
+from homalt.structure import is_left_hom_alternative
 
 lam = Poly.variable("lambda")
 xi = Poly.variable("xi")

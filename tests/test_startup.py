@@ -5,6 +5,11 @@ for on every call.  These checks run the imports in a child process, where
 ``sys.modules`` starts empty of homalt.  ``homalt.cli.main`` flushes and
 ends the process with ``os._exit``; the child runs here check that it
 prints, writes and exits exactly as the in-process ``run()`` does.
+
+Each path loads only its own code: the element and operator laws, the
+operator calculus and the search code (point evaluation, witness search,
+the subset and random strategies) each load only for the checks that run
+them, and the parser adds arguments only to the subcommand named.
 """
 
 import json
@@ -16,14 +21,22 @@ from pathlib import Path
 import pytest
 
 import homalt
+import homalt.element_laws
+import homalt.operator_laws
 import homalt.proof_replay
-from homalt.algfile import parse_algebra, serialize_algebra, serialize_morphism
-from homalt.cli import STRUCTURAL_IDS, build_parser, run
+from homalt.algfile import parse_algebra, serialize_algebra
+from homalt.cli import _SUBCOMMANDS, STRUCTURAL_IDS, build_parser, run
 from homalt.homalgebra import identity_rows
 from homalt.identities import ROWS
+from homalt.morphfile import serialize_morphism
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = {"homalt.proof_replay", "homalt.operators"}
+# The code a registry check loads on demand.
+LAWS = {"element": "homalt.element_laws", "operator": "homalt.operator_laws"}
+ON_DEMAND = HEAVY | set(LAWS.values()) | {"homalt.search"}
+# What no holding registry check runs: other scans, text forms, morphism files.
+ASIDE = {"homalt.structure", "homalt.text", "homalt.morphfile"}
 
 
 def _modules_after(statement: str) -> set[str]:
@@ -85,9 +98,11 @@ def _child(argv: list[str], cwd: Path, *, flags: tuple[str, ...] = (), stdout=su
                           stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
-def _cli_modules(argv: list[str], cwd: Path) -> set[str]:
-    """The homalt modules a CLI call imports, read from ``-X importtime``."""
+def _cli_modules(argv: list[str], cwd: Path, code: int = 0) -> set[str]:
+    """The homalt modules a CLI call that exits ``code`` imports, read from
+    ``-X importtime``."""
     proc = _child(argv, cwd, flags=("-X", "importtime"))
+    assert proc.returncode == code, proc.stderr
     lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
     names = {line.rpartition("|")[2].strip() for line in lines}
     return {name for name in names if name.startswith("homalt")}
@@ -115,24 +130,84 @@ def inputs(tmp_path_factory, plain_twisted):
 def test_structural_calls_skip_the_registry(inputs, argv):
     loaded = _cli_modules(argv, inputs)
     assert "homalt.identities" in loaded  # the command ran: cli runs as __main__
-    assert not HEAVY & loaded
+    assert not ON_DEMAND & loaded
 
 
-def test_registry_check_loads_the_evaluators(inputs):
-    loaded = _cli_modules(["check", "--algebra", "base.alg", "--identity", "xyy",
-                           "--strategy", "generic"], inputs)
-    assert HEAVY <= loaded
+def _check(algebra: str, tag: str, *flags: str) -> list[str]:
+    return ["check", "--algebra", algebra, "--identity", tag, *flags]
+
+
+@pytest.mark.parametrize("tag", ["xyy", "moufang", "theorem"])
+def test_holding_element_check_loads_no_operator_code(inputs, tag):
+    loaded = _cli_modules(_check("base.alg", tag, "--strategy", "generic"), inputs)
+    assert {"homalt.proof_replay", LAWS["element"]} <= loaded
+    assert not {"homalt.operators", LAWS["operator"], "homalt.search"} & loaded
+    assert not ASIDE & loaded
+
+
+@pytest.mark.parametrize("tag", ["eq1", "eq5"])
+def test_holding_operator_check_loads_only_the_operator_laws(inputs, tag):
+    loaded = _cli_modules(_check("base.alg", tag, "--strategy", "generic"), inputs)
+    assert {"homalt.proof_replay", "homalt.operators", LAWS["operator"]} <= loaded
+    assert not {LAWS["element"], "homalt.search"} & loaded
+    assert not ASIDE & loaded
+
+
+@pytest.mark.parametrize("flags", [
+    ("--strategy", "generic"),
+    ("--strategy", "subset", "--subset-max", "1"),
+    ("--strategy", "random", "--seed", "1", "--points", "2"),
+], ids=["generic", "subset", "random"])
+def test_failing_check_loads_the_search(inputs, flags):
+    # xyy fails on the identity-twist algebra: exit 1.
+    loaded = _cli_modules(_check("plain.alg", "xyy", *flags), inputs, code=1)
+    assert {"homalt.search", LAWS["element"]} <= loaded
+    assert not {"homalt.operators", LAWS["operator"]} & loaded
 
 
 def test_rows_and_evaluators_are_one_to_one():
     tags = [row[0] for row in ROWS]
-    evaluators = {name for name in vars(homalt.proof_replay) if name.startswith("_ev_")}
-    assert evaluators == {f"_ev_{tag}" for tag in tags}
+    modules = {kind: sys.modules[name] for kind, name in LAWS.items()}
+    evaluators = {(kind, name) for kind, module in modules.items()
+                  for name in vars(module) if name.startswith("_ev_")}
+    assert evaluators == {(row[3], f"_ev_{row[0]}") for row in ROWS}
     assert len(set(tags)) == len(ROWS)
     for row, inst in zip(ROWS, homalt.proof_replay.registry(), strict=True):
-        assert inst.evaluate is getattr(homalt.proof_replay, f"_ev_{row[0]}")
+        assert inst.evaluate is getattr(modules[inst.kind], f"_ev_{row[0]}")
         assert (inst.tag, inst.label, inst.var_names, inst.kind, inst.needs_multiplicative,
                 inst.needs_right_alternative, inst.elem_degree, inst.map_weight) == row
+
+
+# argv whose output comes from argparse alone: help, usage errors.
+PARSER_CASES = [[], ["--help"], ["-h", "check"], ["bogus"], ["bogus", "--help"], ["--frob"],
+                ["check"], ["check", "--identity", "nope"], ["lemmas", "--strategy", "x"],
+                ["power", "--n", "x"]] + [[name, "--help"] for name, _, _ in _SUBCOMMANDS]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_parser_for_one_subcommand_prints_what_the_full_parser_does(argv, capsys):
+    code = run(argv)
+    partial = capsys.readouterr()
+    with pytest.raises(SystemExit) as full_exit:
+        build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert (partial.out, partial.err, code) == (full.out, full.err, full_exit.value.code)
+    assert partial.out or partial.err
+
+
+def test_parser_adds_arguments_to_the_named_subcommand_only():
+    def arguments(parser):
+        sub = next(a for a in parser._actions if a.dest == "command")
+        return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+
+    full = arguments(build_parser())
+    assert all(len(dests) > 1 for dests in full.values())
+    partial = arguments(build_parser(["--", "check", "--identity", "xyy"]))
+    assert list(partial) == list(full)
+    assert partial["check"] == full["check"]
+    assert all(dests == ["help"] for name, dests in partial.items() if name != "check")
+    assert arguments(build_parser(["--help"])) == full
+    assert arguments(build_parser(["bogus"])) == full
 
 
 def test_identity_choices_follow_the_registry():
@@ -225,6 +300,21 @@ def test_closed_stdout_is_exit_2(inputs, fmt, unbuffered):
     try:
         proc = _child(["check", "--algebra", "base.alg", "--identity", "right-alt",
                        "--format", fmt], inputs, stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=" ".join)
+def test_help_to_closed_stdout_is_exit_2(inputs, argv, unbuffered):
+    # argparse itself drops an OSError from printing help.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _child(argv, inputs, stdout=write_end, unbuffered=unbuffered)
     finally:
         os.close(write_end)
     assert proc.returncode == 2

@@ -9,25 +9,30 @@ every combo off one generic evaluation instead.
 
 import copy
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import homalt.proof_replay
 from homalt import FamilyParams, mikheev_algebra, mikheev_family
+from homalt.algfile import serialize_algebra
 from homalt.homalgebra import FAILS, HOLDS, CheckReport, Element, HomAlgebra
 from homalt.proof_replay import (
-    _find_witness,
     _first_mismatch,
     _resolve_beta,
-    _support_tuples,
     get_identity,
     identity_tags,
     replay_identity_witness,
     verify,
 )
 from homalt.scalars import Poly
+from homalt.search import _find_witness, _support_tuples
 
 t = Poly.variable("t")
 
@@ -226,3 +231,22 @@ def test_failing_sweep_evaluates_symbolically_once(monkeypatch):
     # One generic evaluation, then the witness search at integer points.
     assert calls[0] is True
     assert not any(calls[1:])
+
+
+def test_sweep_that_cannot_fail_is_not_walked(tmp_path, mikheev):
+    # teichmuller holds generically on the base algebra, so no combo can
+    # fail: its 377^4 combos at K = 3 must be counted, not walked one by one.
+    path = tmp_path / "base.alg"
+    path.write_text(serialize_algebra(mikheev))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "homalt.cli", "check", "--algebra", str(path),
+         "--identity", "teichmuller", "--strategy", "subset", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (record,) = json.loads(proc.stdout)
+    assert (record["status"], record["points"]) == (HOLDS, 20200652641)
+    # Every combo counts, as when the sweep is walked: 377^3 for linearized.
+    report = verify(mikheev, "linearized", "subset", skip_preconditions=True)
+    assert (report.status, report.points) == (HOLDS, 53582633)
