@@ -3,12 +3,13 @@
 The public names below load on first use: ``import homalt`` imports no
 submodule, and ``homalt.verify`` or ``from homalt import verify`` imports
 the module that defines it (PEP 562).  So ``python -m homalt.cli`` loads
-only the modules a command runs: the registry's rows and
-``PreconditionError`` live in the light :mod:`homalt.identities`;
-:mod:`homalt.proof_replay` loads only for registry checks; it imports an
-entry's evaluator from :mod:`homalt.element_laws` or
-:mod:`homalt.operator_laws` by the entry's kind, and :mod:`homalt.search`
-only for the calls that search or sample points.  Code that most calls do not run sits in modules of its own:
+only the modules a command runs.  The identity registry and
+``PreconditionError`` live in :mod:`homalt.identities`, which imports only
+:mod:`homalt.homalgebra`; :mod:`homalt.proof_replay` (preconditions and
+strategies) loads only for registry checks.  An entry's evaluator loads
+from :mod:`homalt.element_laws` or :mod:`homalt.operator_laws` by the
+entry's kind, and :mod:`homalt.search` only for the calls that search or
+sample points.  Code that most calls do not run sits in modules of its own:
 :mod:`homalt.structure` (the left-alt and morphism scans, Hom-nilpotency),
 :mod:`homalt.text` (printing and parsing elements) and
 :mod:`homalt.morphfile` (morphism documents).
@@ -35,11 +36,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "FamilyParams", "family_nonisomorphism_condition", "mikheev_algebra", "mikheev_family",
         "mikheev_morphism", "spectrum_certificate",
     ),
-    "proof_replay": (
-        "BatchResult", "IdentityInstance", "registry", "smallest_alpha_exponent", "verify",
-        "verify_all",
-    ),
-    "identities": ("PreconditionError",),
+    "proof_replay": ("BatchResult", "smallest_alpha_exponent", "verify", "verify_all"),
+    "identities": ("IdentityInstance", "PreconditionError", "registry"),
     "algfile": ("AlgebraFormatError", "parse_algebra", "parse_document", "serialize_algebra"),
     "morphfile": ("parse_morphism", "serialize_morphism"),
 }

@@ -24,8 +24,9 @@ products/alpha, are read and written by :mod:`homalt.morphfile` with the
 helpers here, and element expressions by :mod:`homalt.text`.  Parsing
 reports the offending field path on malformed input, and serialization
 emits a canonical, byte-stable form, so parse and serialize are mutually
-inverse on canonical documents.  Dimensions above 64 are rejected at load
-time to keep basis sweeps tractable.
+inverse on canonical documents.  Dimensions above 64 and polynomial
+exponents above 1000 are rejected at load time, to keep basis sweeps and
+polynomial arithmetic tractable.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ import json
 from typing import NamedTuple, Sequence
 
 from .homalgebra import HomAlgebra, MuTable, RowTable
-from .scalars import Scalar, decode_scalar, encode_scalar, variables
+from .scalars import Poly, Scalar, decode_scalar, encode_sparse, variables
 
 DIMENSION_CAP = 64
+EXPONENT_CAP = 1000
 
 
 class AlgebraFormatError(ValueError):
@@ -101,6 +103,9 @@ def _decode_coeff(obj: object, params: set[str], where: str) -> Scalar:
     stray = variables(value) - params
     if stray:
         raise AlgebraFormatError(where, f"undeclared parameters {sorted(stray)}")
+    top = max((e for m in value.terms for _, e in m), default=0) if isinstance(value, Poly) else 0
+    if top > EXPONENT_CAP:
+        raise AlgebraFormatError(where, f"exponent {top} exceeds the supported cap of {EXPONENT_CAP}")
     return value
 
 
@@ -191,12 +196,12 @@ def serialize_algebra(A: HomAlgebra, basis_names: Sequence[str] | None = None) -
             {
                 "left": i,
                 "right": j,
-                "result": [{"index": k, "coeff": encode_scalar(c)} for k, c in row],
+                "result": encode_sparse(row),
             }
             for (i, j), row in sorted(A.mu.items())
         ],
         "alpha": [
-            {"from": i, "to": [{"index": k, "coeff": encode_scalar(c)} for k, c in row]}
+            {"from": i, "to": encode_sparse(row)}
             for i, row in sorted(A.alpha.items())
         ],
     }

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .homalgebra import HomAlgebra, MuTable, RowTable, _Record, yau_twist
+from .homalgebra import HomAlgebra, MuTable, RowTable, _Record, identity_rows, yau_twist
 from .scalars import Poly, Rational, Scalar
 
 # Nonzero basis products, 1-based: (i, j) -> coordinates of e_i e_j.
@@ -113,8 +113,7 @@ def mikheev_algebra() -> HomAlgebra:
         (i - 1, j - 1): tuple((k - 1, c) for k, c in row)
         for (i, j), row in _TABLE.items()
     }
-    alpha: RowTable = {i: ((i, 1),) for i in range(DIM)}
-    return HomAlgebra(DIM, mu, alpha)
+    return HomAlgebra(DIM, mu, identity_rows(DIM))
 
 
 def mikheev_morphism(params: FamilyParams) -> RowTable:

@@ -28,7 +28,7 @@ on a registry tag, which in turn loads the laws of the entries it evaluates
 for failing checks and the subset and random strategies.  The left-alt and
 morphism scans (``homalt.structure``), morphism files (``homalt.morphfile``)
 and the text forms of elements (``homalt.text``) load for the calls that
-use them.  The ``--identity`` choices come from the light rows of
+use them.  The ``--identity`` choices come from the registry in
 ``homalt.identities``, and :func:`build_parser` adds arguments only to the
 subcommand that the command line names.  :func:`main` flushes the output
 and ends the process with ``os._exit``, skipping interpreter teardown;
@@ -52,8 +52,8 @@ from .homalgebra import (
     is_right_hom_alternative,
     yau_twist,
 )
-from .identities import ROWS, PreconditionError
-from .scalars import parse_rational
+from .identities import PreconditionError, identity_tags
+from .scalars import encode_sparse, parse_rational
 
 STRUCTURAL_IDS = ("right-alt", "left-alt", "multiplicative", "morphism")
 
@@ -243,7 +243,7 @@ def _cmd_mikheev(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    from .text import element_str, encode_element, parse_element_expr
+    from .text import element_str, parse_element_expr
 
     doc = _load_algebra(args.algebra)
     if args.n < 1:
@@ -251,7 +251,7 @@ def _cmd_power(args) -> int:
     x = parse_element_expr(args.element, doc.basis_names)
     result = doc.algebra.hom_power(x, args.n)
     if args.format == "json":
-        sys.stdout.write(json.dumps({"power": encode_element(result)}, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps({"power": encode_sparse(result)}, indent=2, sort_keys=True) + "\n")
     else:
         print(element_str(result, doc.basis_names))
     return 0
@@ -304,7 +304,7 @@ class _Parser(argparse.ArgumentParser):
 def _check_arguments(check: argparse.ArgumentParser) -> None:
     _add_algebra_source(check)
     check.add_argument("--identity", required=True,
-                       choices=tuple(row[0] for row in ROWS) + STRUCTURAL_IDS,
+                       choices=tuple(identity_tags()) + STRUCTURAL_IDS,
                        help="registry tag or structural check")
     check.add_argument("--morphism", metavar="FILE",
                        help="morphism to check (identity 'morphism'; default: the twisting map)")

@@ -1,17 +1,17 @@
 """Evaluators of the element identities of the registry.
 
-The registry row of tag ``t`` with kind ``"element"`` is evaluated by
-``_ev_t`` here.  Each evaluator takes the algebra, the argument elements and
-the twisting map ``beta`` of the ``beta2`` entry, and returns the equation
-pairs of the identity as elements.  This module does not import
-:mod:`homalt.operators`: :mod:`homalt.proof_replay` loads it only when an
-element entry is evaluated.
+The registry entry of tag ``t`` with kind ``"element"`` (declared in
+:mod:`homalt.identities`) is evaluated by ``_ev_t`` here.  Each evaluator
+takes the algebra, the argument elements and the twisting map ``beta`` of
+the ``beta2`` entry, and returns the equation pairs of the identity as
+elements.  This module imports only :mod:`homalt.homalgebra`; the entry
+imports it when it is first evaluated, so it loads neither
+:mod:`homalt.operators` nor :mod:`homalt.proof_replay`.
 """
 
 from __future__ import annotations
 
 from .homalgebra import apply_rows, yau_twist
-from .proof_replay import _assoc_p
 
 
 def _ev_xyy(A, xs, beta):
@@ -58,7 +58,7 @@ def _ev_beta2(A, xs, beta):
 
 def _ev_eq8(A, xs, beta):
     a, b = xs
-    p3 = A.shift(_assoc_p(A, a, b), 3)
+    p3 = A.shift(A.hom_associator(a, a, b), 3)
     inner = A.hom_associator(
         A.commutator(A.shift(a, 2), A.shift(b, 2)), A.shift(a, 3), A.shift(b, 3)
     )
@@ -66,7 +66,7 @@ def _ev_eq8(A, xs, beta):
 
 def _ev_eq9(A, xs, beta):
     a, b = xs
-    p4 = A.shift(_assoc_p(A, a, b), 4)
+    p4 = A.shift(A.hom_associator(a, a, b), 4)
     inner = A.hom_associator(
         A.mul(A.commutator(A.shift(a, 2), A.shift(b, 2)), A.shift(a, 3)),
         A.shift(a, 4),
@@ -76,8 +76,8 @@ def _ev_eq9(A, xs, beta):
 
 def _ev_theorem(A, xs, beta):
     a, b = xs
-    return [(A.shift(A.hom_power(_assoc_p(A, a, b), 4), 6), A.zero())]
+    return [(A.shift(A.hom_power(A.hom_associator(a, a, b), 4), 6), A.zero())]
 
 def _ev_mikheev_classical(A, xs, beta):
     a, b = xs
-    return [(A.hom_power(_assoc_p(A, a, b), 4), A.zero())]
+    return [(A.hom_power(A.hom_associator(a, a, b), 4), A.zero())]

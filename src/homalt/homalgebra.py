@@ -38,7 +38,7 @@ from .scalars import (
     Poly,
     Rational,
     Scalar,
-    encode_scalar,
+    encode_sparse,
     normalize,
     substitute,
     degree as scalar_degree,
@@ -353,13 +353,7 @@ class Witness(_Record):
         self.pair_index = pair_index
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "element": [
-                {"index": i, "coeff": encode_scalar(c)}
-                for i, c in enumerate(self.element.coords)
-                if c != 0
-            ]
-        }
+        out: dict = {"element": encode_sparse(self.element)}
         if self.basis is not None:
             out["basis"] = list(self.basis)
         if self.point is not None:
@@ -590,12 +584,17 @@ def yau_twist(A: HomAlgebra, beta: RowsLike, check: bool = True) -> HomAlgebra:
     return HomAlgebra(A.dim, new_mu, compose_rows(A.dim, A.alpha, rows), A.params)
 
 
+def coordinate_name(prefix: str, i: int) -> str:
+    """``prefix_<i+1>``, the variable of coordinate ``i`` of argument ``prefix``."""
+    return f"{prefix}_{i + 1}"
+
+
 def coordinate_names(A: HomAlgebra, prefix: str) -> list[str]:
     """``prefix_1 .. prefix_dim``, the coordinates of an element of A as
     variables; ValueError when one of them already names a parameter."""
     if not prefix.isidentifier():
         raise ValueError(f"prefix {prefix!r} is not an identifier")
-    names = [f"{prefix}_{i}" for i in range(1, A.dim + 1)]
+    names = [coordinate_name(prefix, i) for i in range(A.dim)]
     clash = set(names) & set(A.params)
     if clash:
         raise ValueError(f"name collision with existing parameters: {sorted(clash)}")

@@ -27,7 +27,7 @@ from .algfile import (
     _load_json,
 )
 from .homalgebra import RowTable
-from .scalars import encode_scalar
+from .scalars import encode_sparse
 
 
 def parse_morphism(text: str) -> tuple[RowTable, int, tuple[str, ...]]:
@@ -56,7 +56,7 @@ def serialize_morphism(rows: RowTable, dim: int, params: Sequence[str] = ()) -> 
         "dimension": dim,
         "parameters": list(params),
         "matrix": [
-            {"from": i, "to": [{"index": k, "coeff": encode_scalar(c)} for k, c in row]}
+            {"from": i, "to": encode_sparse(row)}
             for i, row in sorted(rows.items())
         ],
     }

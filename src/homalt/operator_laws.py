@@ -1,18 +1,18 @@
 """Evaluators of the operator identities of the registry.
 
-The registry row of tag ``t`` with kind ``"operator"`` is evaluated by
-``_ev_t`` here.  The two sides of each equation pair are right operators of
-:mod:`homalt.operators`; the long chains of the Mikheev operator identity
-are built by :func:`_mikheev_chain`, :func:`_d_term` and :func:`_e_term`.
-:mod:`homalt.proof_replay` loads this module only when an operator entry
-is evaluated.
+The registry entry of tag ``t`` with kind ``"operator"`` (declared in
+:mod:`homalt.identities`) is evaluated by ``_ev_t`` here.  The two sides of
+each equation pair are right operators of :mod:`homalt.operators`; the long
+chains of the Mikheev operator identity are built by :func:`_mikheev_chain`,
+:func:`_d_term` and :func:`_e_term`.  This module imports only
+:mod:`homalt.homalgebra` and :mod:`homalt.operators`; the entry imports it
+when it is first evaluated.
 """
 
 from __future__ import annotations
 
 from .homalgebra import Element, HomAlgebra
 from .operators import RightOp, alpha_op, compose, op_sub, op_sup, right_mul_op, zero_op
-from .proof_replay import _assoc_p
 
 
 def _ev_eq1(A, xs, beta):
@@ -86,7 +86,7 @@ def _ev_eq7(A, xs, beta):
 
 def _ev_eq10(A, xs, beta):
     a, b = xs
-    p = _assoc_p(A, a, b)
+    p = A.hom_associator(a, a, b)
     ba = A.mul(b, a)
     pairs = []
     for k in range(3):
@@ -102,7 +102,7 @@ def _ev_eq10(A, xs, beta):
 
 def _ev_eq10p(A, xs, beta):
     a, b = xs
-    p = _assoc_p(A, a, b)
+    p = A.hom_associator(a, a, b)
     ba = A.mul(b, a)
     pairs = []
     for k in range(3):
@@ -119,7 +119,7 @@ def _ev_eq10p(A, xs, beta):
 
 def _mikheev_chain(A: HomAlgebra, a: Element, b: Element) -> RightOp:
     """The product ``a^b p' p_1' p_2' alpha^6`` with ``p = (a, a, b)``."""
-    p = _assoc_p(A, a, b)
+    p = A.hom_associator(a, a, b)
     return compose(
         op_sup(A, a, b),
         right_mul_op(A, p),

@@ -27,6 +27,7 @@ from .homalgebra import (
     _Record,
     apply_rows,
     compose_rows,
+    identity_rows,
     normalize_rows,
 )
 from .scalars import Scalar
@@ -82,7 +83,7 @@ def zero_op(dim: int) -> RightOp:
 
 
 def identity_op(dim: int) -> RightOp:
-    return RightOp(dim, {i: ((i, 1),) for i in range(dim)})
+    return RightOp(dim, identity_rows(dim))
 
 
 def apply(x: Element, op: RightOp) -> Element:

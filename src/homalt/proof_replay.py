@@ -1,12 +1,12 @@
-"""Identity registry and verification strategies.
+"""Verification strategies over the identity registry.
 
-Each registry entry pins down one identity of the right Hom-alternative
-calculus, from the defining alternativity law up to the twisted Mikheev
-identity ``alpha^6((a,a,b)^4) = 0`` and its untwisted corollary.  Entries
-carry the preconditions an algebra must satisfy for the identity to be a
-theorem (multiplicativity and/or right Hom-alternativity, checked on basis
-tuples before verification; violations raise :class:`PreconditionError`
-rather than producing a meaningless failure).
+The registry (:mod:`homalt.identities`, whose lookups are importable from
+here too) runs from the defining alternativity law up to the twisted Mikheev
+identity ``alpha^6((a,a,b)^4) = 0`` and its untwisted corollary.  Each entry
+lists the hypotheses under which it is a theorem (multiplicativity, right
+Hom-alternativity, a weak-morphism twist); they are checked on basis tuples
+before verification, in that order, and a violation raises
+:class:`PreconditionError` rather than producing a meaningless failure.
 
 Three strategies are offered:
 
@@ -25,18 +25,18 @@ Failing reports carry a replayable witness: a rational point (and for
 operator identities a probe basis index) at which the two sides differ,
 together with the nonzero difference element.
 
-This module holds the registry, the preconditions and the generic
-strategy; the rest loads on first use.  An entry's evaluator lives in
-:mod:`homalt.element_laws` or :mod:`homalt.operator_laws`, picked by the
-row's kind when the entry is first evaluated, and :mod:`homalt.search`
-(point evaluation, the witness search, the subset and random strategies)
-is imported only by the calls that run it.  So a holding generic check on
-an element entry loads neither :mod:`homalt.operators` nor the search code.
+This module holds the preconditions and the generic strategy; the rest
+loads on first use.  An entry's evaluator lives in
+:mod:`homalt.element_laws` or :mod:`homalt.operator_laws`, by its kind, and
+:mod:`homalt.search` (point evaluation, the witness search, the subset and
+random strategies) is imported only by the calls that run it.  So a holding
+generic check on an element entry loads neither :mod:`homalt.operators` nor
+the search code.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from .homalgebra import (
     FAILS,
@@ -53,102 +53,12 @@ from .homalgebra import (
     is_weak_morphism,
     normalize_rows,
 )
-from .identities import ROWS, PreconditionError
+from .identities import IdentityInstance, PreconditionError, get_identity, identity_tags, registry
 
 if TYPE_CHECKING:
     from .operators import RightOp
 
 Side = Union[Element, "RightOp"]
-Evaluator = Callable[[HomAlgebra, Sequence[Element], RowTable], list[tuple[Side, Side]]]
-
-
-class IdentityInstance(_Record):
-    """One verifiable identity.
-
-    ``evaluate`` returns equation pairs (usually one; the shift-indexed
-    entries return one pair per shift).  ``elem_degree`` is the total degree
-    in element coordinates and ``map_weight`` a conservative count of
-    product/twist applications, used for random-strategy degree bounds.
-    Without an explicit ``evaluate`` the instance is evaluated by ``_ev_<tag>``
-    of :mod:`homalt.element_laws` or :mod:`homalt.operator_laws`, as its
-    ``kind`` says; that module is imported on first use.
-    """
-
-    __slots__ = (
-        "tag", "label", "arity", "kind", "var_names", "needs_multiplicative",
-        "needs_right_alternative", "elem_degree", "map_weight", "_evaluate",
-    )
-    _fields = __slots__[:-1] + ("evaluate",)
-
-    def __init__(self, tag: str, label: str, arity: int, kind: str, var_names: tuple[str, ...],
-                 needs_multiplicative: bool, needs_right_alternative: bool, elem_degree: int,
-                 map_weight: int, evaluate: Evaluator | None = None) -> None:
-        self.tag = tag
-        self.label = label
-        self.arity = arity
-        self.kind = kind  # "element" | "operator"
-        self.var_names = var_names
-        self.needs_multiplicative = needs_multiplicative
-        self.needs_right_alternative = needs_right_alternative
-        self.elem_degree = elem_degree
-        self.map_weight = map_weight
-        self._evaluate = evaluate
-
-    @property
-    def evaluate(self) -> Evaluator:
-        if self._evaluate is None:
-            if self.kind == "element":
-                from . import element_laws as laws
-            else:
-                from . import operator_laws as laws
-            self._evaluate = getattr(laws, f"_ev_{self.tag}")
-        return self._evaluate
-
-    @evaluate.setter
-    def evaluate(self, fn: Evaluator) -> None:
-        self._evaluate = fn
-
-    def degree_bound(self, A: HomAlgebra) -> int:
-        return self.elem_degree + self.map_weight * A.twist_entry_degree()
-
-
-def _assoc_p(A: HomAlgebra, a: Element, b: Element) -> Element:
-    return A.hom_associator(a, a, b)
-
-
-def _entry(tag, label, var_names, kind, mult, ralt, elem_degree, map_weight):
-    return IdentityInstance(
-        tag=tag,
-        label=label,
-        arity=len(var_names),
-        kind=kind,
-        var_names=tuple(var_names),
-        needs_multiplicative=mult,
-        needs_right_alternative=ralt,
-        elem_degree=elem_degree,
-        map_weight=map_weight,
-    )
-
-
-# The rows live in the light module :mod:`homalt.identities`; each instance
-# finds its evaluator by its kind and tag when first evaluated.
-_REGISTRY: tuple[IdentityInstance, ...] = tuple(_entry(*row) for row in ROWS)
-
-
-def registry() -> tuple[IdentityInstance, ...]:
-    """All verifiable identities in a stable order."""
-    return _REGISTRY
-
-
-def identity_tags() -> list[str]:
-    return [inst.tag for inst in _REGISTRY]
-
-
-def get_identity(tag: str) -> IdentityInstance:
-    for inst in _REGISTRY:
-        if inst.tag == tag:
-            return inst
-    raise ValueError(f"unknown identity {tag!r}")
 
 
 # -- strategy drivers ----------------------------------------------------------
@@ -186,25 +96,31 @@ def _verify_generic(A, inst, beta) -> CheckReport:
     return CheckReport(inst.tag, FAILS, "generic", witness=witness)
 
 
+# Each hypothesis by its precondition cache key: the requirement a
+# PreconditionError names, and its basis scan.  The lambdas look the scans up
+# in this module when they run, so a scan patched here is the one called.
+_HYPOTHESES: dict[str, tuple[str, Callable[[HomAlgebra, RowTable], CheckReport]]] = {
+    "multiplicative": ("multiplicative", lambda A, beta: is_multiplicative(A)),
+    "right-alt": ("right Hom-alternative", lambda A, beta: is_right_hom_alternative(A)),
+    "weak-morphism": ("twisted by a weak morphism", lambda A, beta: is_weak_morphism(A, A, beta)),
+}
+
+
 def _check_preconditions(
     A: HomAlgebra,
     inst: IdentityInstance,
     beta: RowTable,
     known: dict[str, CheckReport],
 ) -> None:
-    def require(key: str, requirement: str, scan: Callable[[], CheckReport]) -> None:
+    """Raise :class:`PreconditionError` at the first hypothesis of ``inst``
+    that ``A`` fails; ``known`` caches each scan's report by its key."""
+    for key in inst.requires:
+        requirement, scan = _HYPOTHESES[key]
         report = known.get(key)
         if report is None:
-            report = known[key] = scan()
+            report = known[key] = scan(A, beta)
         if not report.passed():
             raise PreconditionError(inst.tag, requirement, report)
-
-    if inst.needs_multiplicative:
-        require("multiplicative", "multiplicative", lambda: is_multiplicative(A))
-    if inst.needs_right_alternative:
-        require("right-alt", "right Hom-alternative", lambda: is_right_hom_alternative(A))
-    if inst.tag == "beta2":
-        require("weak-morphism", "twisted by a weak morphism", lambda: is_weak_morphism(A, A, beta))
 
 
 def _resolve_beta(A: HomAlgebra, beta: RowsLike | None) -> RowTable:
@@ -282,7 +198,7 @@ def verify_all(
     beta_rows = _resolve_beta(A, beta)
     known: dict[str, CheckReport] = {}
     results = []
-    for inst in _REGISTRY:
+    for inst in registry():
         try:
             _check_preconditions(A, inst, beta_rows, known)
             report = verify(
@@ -300,7 +216,7 @@ def smallest_alpha_exponent(
     A: HomAlgebra, a: Element, b: Element, max_m: int = 6
 ) -> int | None:
     """Least ``0 <= m <= max_m`` with ``alpha^m((a,a,b)^4) = 0``, else None."""
-    q = A.hom_power(_assoc_p(A, a, b), 4)
+    q = A.hom_power(A.hom_associator(a, a, b), 4)
     for m in range(max_m + 1):
         if A.shift(q, m).is_zero():
             return m
@@ -313,6 +229,15 @@ def replay_identity_witness(
     """Re-evaluate a failing identity report at its stored point and return
     the nonzero difference element (probing the recorded basis row for
     operator identities)."""
-    from .search import replay_point_witness
+    from .search import _evaluate_at, _probe_side
 
-    return replay_point_witness(A, report, beta)
+    if report.witness is None or report.witness.point is None:
+        raise ValueError("report carries no point witness")
+    inst = get_identity(report.check)
+    lhs, rhs = _evaluate_at(A, inst, _resolve_beta(A, beta), report.witness.point)[
+        report.witness.pair_index or 0
+    ]
+    diff = lhs - rhs
+    if not isinstance(diff, Element) and report.witness.probe is None:
+        raise ValueError("operator witness without probe index")
+    return _probe_side(diff, report.witness.probe)[0]

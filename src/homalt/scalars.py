@@ -242,6 +242,14 @@ def encode_scalar(s: Scalar) -> str | dict:
     return str(Fraction(s))
 
 
+def encode_sparse(vector) -> list[dict]:
+    """``[{"index": k, "coeff": encode_scalar(c)}, ...]`` over the nonzero
+    coordinates of an element, or over the ``(k, c)`` pairs of a sparse row."""
+    if hasattr(vector, "coords"):
+        vector = [(k, c) for k, c in enumerate(vector.coords) if c != 0]
+    return [{"index": k, "coeff": encode_scalar(c)} for k, c in vector]
+
+
 def parse_rational(text: str) -> Rational:
     """Parse ``"p"`` or ``"p/q"`` exactly; floats and other forms rejected."""
     body = text.strip()

@@ -24,14 +24,13 @@ from .homalgebra import (
     RANDOM_PASS,
     CheckReport,
     Element,
-    HomAlgebra,
-    RowsLike,
     Witness,
+    coordinate_name,
     coordinate_names,
     substitute_params,
     substitute_rows,
 )
-from .proof_replay import Side, _first_mismatch, _generic_pairs, _resolve_beta, get_identity
+from .proof_replay import Side, _first_mismatch, _generic_pairs
 from .scalars import Poly, Rational, Scalar, substitute, variables as scalar_variables
 
 RANDOM_BOUND = 10**6
@@ -55,7 +54,7 @@ def _evaluate_at(A, inst, beta, point: dict[str, Rational]) -> list[tuple[Side, 
     the argument coordinates ``<name>_<i>`` (missing coordinates are 0)."""
     A_pt = substitute_params(A, {p: point[p] for p in A.params if p in point})
     beta_pt = substitute_rows(beta, point) if beta else beta
-    xs = [Element(tuple(point.get(f"{v}_{i + 1}", 0) for i in range(A.dim)))
+    xs = [Element(tuple(point.get(coordinate_name(v, i), 0) for i in range(A.dim)))
           for v in inst.var_names]
     return inst.evaluate(A_pt, xs, beta_pt)
 
@@ -70,11 +69,11 @@ def _witness_at(A, inst, beta, point: dict[str, Rational]) -> Witness | None:
     return Witness(element=element, point=point, probe=probe, pair_index=idx)
 
 
-def _find_witness(A, inst, beta, variables: Sequence[str], seed: int = 0) -> Witness:
+def _find_witness(A, inst, beta, variables: Sequence[str]) -> Witness:
     """A concrete integer point where an identity that fails symbolically in
     ``variables`` (every other coordinate 0) still fails: 1000 small random
-    points, then :func:`_grid_witness`."""
-    rng = random.Random(seed)
+    points of the generator seeded with 0, then :func:`_grid_witness`."""
+    rng = random.Random(0)
     for attempt in range(1000):
         bound = 3 + attempt // 50
         witness = _witness_at(A, inst, beta, {v: rng.randint(-bound, bound) for v in variables})
@@ -90,8 +89,8 @@ def _grid_witness(A, inst, beta, variables: Sequence[str]) -> Witness:
     polynomial that vanishes on that whole grid is zero (Alon, Combinatorial
     Nullstellensatz, 1999, Lemma 2.1), so the grid holds a witness."""
     given = set(variables)
-    xs = [Element(tuple(Poly.variable(f"{v}_{i + 1}") if f"{v}_{i + 1}" in given else 0
-                        for i in range(A.dim))) for v in inst.var_names]
+    names = [[coordinate_name(v, i) for i in range(A.dim)] for v in inst.var_names]
+    xs = [Element(tuple(Poly.variable(n) if n in given else 0 for n in row)) for row in names]
     hit = _first_mismatch(inst.evaluate(A, xs, beta))
     if hit is None:
         raise ValueError("the identity holds in these variables: no witness exists")
@@ -122,7 +121,8 @@ def _coefficients(diff: Side) -> list[Scalar]:
 def _support_patterns(A, inst, pairs) -> set[tuple[frozenset[int], ...]]:
     """Per-slot coordinate supports of the monomials of the differences: slot
     ``s`` holds each ``i`` with ``<var_names[s]>_<i + 1>`` in the monomial."""
-    slot_of = {f"{v}_{i + 1}": (s, i) for s, v in enumerate(inst.var_names) for i in range(A.dim)}
+    slot_of = {coordinate_name(v, i): (s, i)
+               for s, v in enumerate(inst.var_names) for i in range(A.dim)}
     patterns = set()
     for lhs, rhs in pairs:
         for c in _coefficients(lhs - rhs):
@@ -157,7 +157,7 @@ def _verify_subset(A, inst, beta, subset_max: int) -> CheckReport:
         checked += 1
         if any(all(need <= as_set[t] for need, t in zip(p, combo)) for p in patterns):
             variables = list(A.params) + [
-                f"{v}_{i + 1}" for v, support in zip(inst.var_names, combo) for i in support
+                coordinate_name(v, i) for v, support in zip(inst.var_names, combo) for i in support
             ]
             witness = _find_witness(A, inst, beta, variables)
             return CheckReport(inst.tag, FAILS, "subset", points=checked, witness=witness)
@@ -175,19 +175,3 @@ def _verify_random(A, inst, beta, seed: int, points: int) -> CheckReport:
             return CheckReport(inst.tag, FAILS, "random", witness=witness, **sample)
     return CheckReport(inst.tag, RANDOM_PASS, "random", **sample)
 
-
-def replay_point_witness(
-    A: HomAlgebra, report: CheckReport, beta: RowsLike | None = None
-) -> Element:
-    """Re-evaluate a failing identity report at its stored point; see
-    :func:`homalt.proof_replay.replay_identity_witness`."""
-    if report.witness is None or report.witness.point is None:
-        raise ValueError("report carries no point witness")
-    inst = get_identity(report.check)
-    lhs, rhs = _evaluate_at(A, inst, _resolve_beta(A, beta), report.witness.point)[
-        report.witness.pair_index or 0
-    ]
-    diff = lhs - rhs
-    if not isinstance(diff, Element) and report.witness.probe is None:
-        raise ValueError("operator witness without probe index")
-    return _probe_side(diff, report.witness.probe)[0]

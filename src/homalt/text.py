@@ -4,8 +4,8 @@ Rendering: :func:`scalar_str` writes a scalar as ``5/6`` or
 ``lambda^2 - xi`` (terms in graded lexicographic order, highest first), and
 :func:`element_str` a vector as ``e7 - e8``, parenthesizing polynomial
 coefficients.  Parsing: :func:`parse_element_expr` reads a linear
-combination of basis names such as ``3/2*e1 + e4``.  :func:`encode_element`
-gives an element's JSON encoding (its nonzero coordinates).
+combination of basis names such as ``3/2*e1 + e4``.  An element's JSON
+encoding is :func:`homalt.scalars.encode_sparse`.
 
 Only the calls that print a scalar or an element, or read one, import this
 module: ``str()`` of a ``Poly`` or an ``Element``, a report's witness, and
@@ -18,7 +18,7 @@ import re
 from typing import Sequence
 
 from .homalgebra import Element
-from .scalars import UNIT_MONO, Mono, Poly, Scalar, _norm_rational, encode_scalar, parse_rational
+from .scalars import UNIT_MONO, Mono, Poly, Scalar, _norm_rational, parse_rational
 
 
 def _mono_str(m: Mono) -> str:
@@ -80,12 +80,6 @@ def _coeff_parts(c: Scalar) -> tuple[bool, str | None]:
     neg = c < 0
     mag = -c if neg else c
     return neg, None if mag == 1 else scalar_str(mag)
-
-
-def encode_element(x: Element) -> list[dict]:
-    return [
-        {"index": i, "coeff": encode_scalar(c)} for i, c in enumerate(x.coords) if c != 0
-    ]
 
 
 _TERM_RE = re.compile(r"([+-]?)\s*([^+-]+)")

@@ -5,13 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from homalt.algfile import AlgebraFormatError, parse_algebra, parse_document, serialize_algebra
+from homalt.algfile import (
+    EXPONENT_CAP,
+    AlgebraFormatError,
+    parse_algebra,
+    parse_document,
+    serialize_algebra,
+)
 from homalt.catalog import FamilyParams, mikheev_morphism
 from homalt.cli import run
 from homalt.homalgebra import Element, substitute_params
 from homalt.morphfile import parse_morphism, serialize_morphism
-from homalt.scalars import Poly
-from homalt.text import encode_element, parse_element_expr
+from homalt.scalars import Poly, encode_sparse as encode_element
+from homalt.text import parse_element_expr
 
 
 def test_round_trip_base_algebra(mikheev):
@@ -233,4 +239,36 @@ def test_boolean_exponent_is_rejected(tmp_path, capsys):
     assert run(["check", "--algebra", str(path), "--identity", "right-alt"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: products[0].result[0].coeff: bad scalar encoding")
+    assert err.count("\n") == 1
+
+
+def _power_document(exponent: int) -> dict:
+    """A 1-dim algebra with ``e1 e1 = t^exponent e1`` and the identity twist."""
+    term = {"poly": [{"coeff": "1", "exps": {"t": exponent}}]}
+    return {
+        "dimension": 1,
+        "parameters": ["t"],
+        "products": [{"left": 0, "right": 0, "result": [{"index": 0, "coeff": term}]}],
+        "alpha": [{"from": 0, "to": [{"index": 0, "coeff": "1"}]}],
+    }
+
+
+def test_exponent_cap(tmp_path, capsys):
+    # A large exponent makes every product of a check slow, so it is refused
+    # at load time, for algebra and morphism documents alike.
+    A = parse_algebra(json.dumps(_power_document(EXPONENT_CAP)))
+    assert A.mu[(0, 0)] == ((0, Poly.variable("t") ** EXPONENT_CAP),)
+    with pytest.raises(AlgebraFormatError, match=r"^products\[0\]\.result\[0\]\.coeff: "
+                       rf"exponent {EXPONENT_CAP + 1} exceeds the supported cap of {EXPONENT_CAP}$"):
+        parse_algebra(json.dumps(_power_document(EXPONENT_CAP + 1)))
+    morphism = {"dimension": 1, "parameters": ["t"], "matrix": [
+        {"from": 0, "to": [{"index": 0, "coeff": {"poly": [{"exps": {"t": EXPONENT_CAP + 1}}]}}]}]}
+    with pytest.raises(AlgebraFormatError, match=r"^matrix\[0\]\.to\[0\]\.coeff: exponent"):
+        parse_morphism(json.dumps(morphism))
+    path = tmp_path / "power.alg"
+    path.write_text(json.dumps(_power_document(EXPONENT_CAP + 1)))
+    assert run(["check", "--algebra", str(path), "--identity", "xyy", "--strategy", "random",
+                "--points", "1", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: products[0].result[0].coeff: exponent")
     assert err.count("\n") == 1

@@ -122,6 +122,10 @@ def _assert_contract(code: int, err: str) -> None:
 @example(text='{"dimension": 1, "products": [{"left": 0, "right": 0, "result": '
               '[{"index": 0, "coeff": {"poly": [{"coeff": 3}]}}]}], "alpha": []}',
          flags=["--identity", "right-alt"])
+@example(text='{"dimension": 1, "parameters": ["t"], "products": [{"left": 0, "right": 0, '
+              '"result": [{"index": 0, "coeff": {"poly": [{"exps": {"t": 1001}}]}}]}], '
+              '"alpha": [{"from": 0, "to": [{"index": 0, "coeff": "1"}]}]}',
+         flags=["--identity", "xyy", "--strategy", "generic"])
 def test_check_keeps_the_exit_contract(text, flags):
     _assert_contract(*_run(["check", *flags, "--seed", "1"], text))
 

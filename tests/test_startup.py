@@ -27,7 +27,6 @@ import homalt.proof_replay
 from homalt.algfile import parse_algebra, serialize_algebra
 from homalt.cli import _SUBCOMMANDS, STRUCTURAL_IDS, build_parser, run
 from homalt.homalgebra import identity_rows
-from homalt.identities import ROWS
 from homalt.morphfile import serialize_morphism
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -166,16 +165,15 @@ def test_failing_check_loads_the_search(inputs, flags):
 
 
 def test_rows_and_evaluators_are_one_to_one():
-    tags = [row[0] for row in ROWS]
+    entries = homalt.proof_replay.registry()
+    tags = [inst.tag for inst in entries]
     modules = {kind: sys.modules[name] for kind, name in LAWS.items()}
     evaluators = {(kind, name) for kind, module in modules.items()
                   for name in vars(module) if name.startswith("_ev_")}
-    assert evaluators == {(row[3], f"_ev_{row[0]}") for row in ROWS}
-    assert len(set(tags)) == len(ROWS)
-    for row, inst in zip(ROWS, homalt.proof_replay.registry(), strict=True):
-        assert inst.evaluate is getattr(modules[inst.kind], f"_ev_{row[0]}")
-        assert (inst.tag, inst.label, inst.var_names, inst.kind, inst.needs_multiplicative,
-                inst.needs_right_alternative, inst.elem_degree, inst.map_weight) == row
+    assert evaluators == {(inst.kind, f"_ev_{inst.tag}") for inst in entries}
+    assert len(set(tags)) == len(entries)
+    for inst in entries:
+        assert inst.evaluate is getattr(modules[inst.kind], f"_ev_{inst.tag}")
 
 
 # argv whose output comes from argparse alone: help, usage errors.

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-import homalt.proof_replay
+import homalt.identities
 from homalt import FamilyParams, mikheev_algebra, mikheev_family
 from homalt.algfile import serialize_algebra
 from homalt.homalgebra import FAILS, HOLDS, CheckReport, Element, HomAlgebra
@@ -165,8 +165,8 @@ def test_comparison_covers_both_verdicts_and_late_failures(compared):
 def _custom(monkeypatch, tag, evaluate):
     inst = copy.copy(get_identity(tag))
     inst.evaluate = evaluate
-    registry = tuple(inst if e.tag == tag else e for e in homalt.proof_replay._REGISTRY)
-    monkeypatch.setattr(homalt.proof_replay, "_REGISTRY", registry)
+    registry = tuple(inst if e.tag == tag else e for e in homalt.identities.REGISTRY)
+    monkeypatch.setattr(homalt.identities, "REGISTRY", registry)
 
 
 @pytest.mark.parametrize("case", ["x-only", "y-only", "constant", "parameter"])
