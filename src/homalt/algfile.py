@@ -21,12 +21,12 @@ Coefficients use the scalar text encoding from :mod:`homalt.scalars` and may
 only mention declared parameters.  Morphism documents, which have the same
 shape with a ``matrix`` list of ``{"from", "to"}`` rows instead of
 products/alpha, are read and written by :mod:`homalt.morphfile` with the
-helpers here, and element expressions by :mod:`homalt.text`.  Parsing
-reports the offending field path on malformed input, and serialization
-emits a canonical, byte-stable form, so parse and serialize are mutually
-inverse on canonical documents.  Dimensions above 64 and polynomial
-exponents above 1000 are rejected at load time, to keep basis sweeps and
-polynomial arithmetic tractable.
+helpers here (one row codec serves both), and element expressions by
+:mod:`homalt.text`.  Parsing reports the offending field path on malformed
+input, and serialization emits a canonical, byte-stable form, so parse and
+serialize are mutually inverse on canonical documents.  Dimensions above 64
+and polynomial exponents above 1000 are rejected at load time, to keep
+basis sweeps and polynomial arithmetic tractable.
 """
 
 from __future__ import annotations
@@ -119,6 +119,23 @@ def _decode_sparse(items: object, dim: int, params: set[str], where: str) -> tup
     return tuple(out)
 
 
+def _decode_rows(items: object, dim: int, params: set[str], where: str, what: str) -> RowTable:
+    """Rows ``{"from": i, "to": [...]}`` of a linear map, keyed by ``i``."""
+    rows: RowTable = {}
+    for pos, item in enumerate(_expect_list(items, where)):
+        at = f"{where}[{pos}]"
+        entry = _expect_obj(item, at, {"from", "to"}, {"from", "to"})
+        i = _expect_index(entry["from"], dim, f"{at}.from")
+        if i in rows:
+            raise AlgebraFormatError(at, f"duplicate {what} row for index {i}")
+        rows[i] = _decode_sparse(entry["to"], dim, params, f"{at}.to")
+    return rows
+
+
+def _encode_rows(rows: RowTable) -> list[dict]:
+    return [{"from": i, "to": encode_sparse(row)} for i, row in sorted(rows.items())]
+
+
 def _decode_params(value: object, where: str) -> tuple[str, ...]:
     names = []
     for pos, name in enumerate(_expect_list(value, where)):
@@ -167,15 +184,7 @@ def parse_document(text: str) -> AlgebraDocument:
             raise AlgebraFormatError(where, f"duplicate product entry for pair ({i}, {j})")
         mu[(i, j)] = _decode_sparse(entry["result"], dim, param_set, f"{where}.result")
 
-    alpha: RowTable = {}
-    for pos, item in enumerate(_expect_list(doc["alpha"], "alpha")):
-        where = f"alpha[{pos}]"
-        entry = _expect_obj(item, where, {"from", "to"}, {"from", "to"})
-        i = _expect_index(entry["from"], dim, f"{where}.from")
-        if i in alpha:
-            raise AlgebraFormatError(where, f"duplicate twist row for index {i}")
-        alpha[i] = _decode_sparse(entry["to"], dim, param_set, f"{where}.to")
-
+    alpha = _decode_rows(doc["alpha"], dim, param_set, "alpha", "twist")
     return AlgebraDocument(HomAlgebra(dim, mu, alpha, params), basis_names)
 
 
@@ -200,9 +209,6 @@ def serialize_algebra(A: HomAlgebra, basis_names: Sequence[str] | None = None) -
             }
             for (i, j), row in sorted(A.mu.items())
         ],
-        "alpha": [
-            {"from": i, "to": encode_sparse(row)}
-            for i, row in sorted(A.alpha.items())
-        ],
+        "alpha": _encode_rows(A.alpha),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

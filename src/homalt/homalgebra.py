@@ -15,18 +15,19 @@ is how generic (indeterminate-coordinate) elements are represented.
 The Hom-associator is ``(x, y, z) = (xy) alpha(z) - alpha(x) (yz)``; an
 algebra is right Hom-alternative when ``(x, y, y) = 0`` and left
 Hom-alternative when ``(x, x, y) = 0``.  Hom-powers follow
-``x^n = x^(n-1) * alpha^(n-2)(x)``.  Structural checks below evaluate the
+``x^n = x^(n-1) * alpha^(n-2)(x)``.  Structural checks evaluate
 (multi)linearized forms on basis tuples, which is complete over a field of
-characteristic zero.  They scan the sparse tables (``mu`` indexed by left
-factor, the twisting map's rows) rather than building elements, skip tuples
-that a symmetry of the form makes redundant, and report the first failing
-tuple in lexicographic order along with the nonzero element witnessing the
-failure.  :func:`replay_structural_witness` recomputes that element
-independently, through ``mul``, ``twist_apply`` and ``hom_associator``.
-The scans a registry check runs live here; the left Hom-alternative and
-morphism scans and the element tests that none runs are in
-:mod:`homalt.structure`, and the text forms of elements in
-:mod:`homalt.text`.
+characteristic zero, by two scans over the sparse tables: a pair scan of
+``f(e_i e_j) = f(e_i) f(e_j)`` (multiplicativity is f = alpha, a weak
+morphism any f) and a triple scan of the linearized alternative law, which
+is symmetric in slots 1-2 (right) or 0-1 (left) and so scans only triples
+with that pair ordered.  Each reports the first failing tuple in
+lexicographic order with the nonzero element there, which
+:func:`replay_structural_witness` recomputes independently through ``mul``,
+``twist_apply`` and ``hom_associator``.  The checks a registry check runs
+live here; :mod:`homalt.structure` holds left Hom-alternativity (a call of
+the triple scan here), morphisms and element tests, and :mod:`homalt.text`
+the text forms of elements.
 """
 
 from __future__ import annotations
@@ -456,80 +457,63 @@ def _first_failure(
     return CheckReport(check_id, HOLDS, "basis")
 
 
-def is_multiplicative(A: HomAlgebra) -> CheckReport:
-    """Does the twisting map preserve products on all basis pairs?"""
-    by_left = _by_left(A.mu)
+def _pair_scan(check_id: str, A: HomAlgebra, rows: RowTable, B: HomAlgebra) -> CheckReport:
+    """Check ``f(e_i e_j) = f(e_i) f(e_j)`` on all basis pairs of A, where f
+    has the sparse rows ``rows`` and the right-hand product is taken in B."""
+    b_left = _by_left(B.mu)
 
     def values():
         for i in range(A.dim):
+            fi = rows.get(i, ())
             for j in range(A.dim):
                 acc: dict[int, Scalar] = {}
-                _add_image(acc, A.alpha, A.mu.get((i, j), ()))
-                _add_product(acc, by_left, A.alpha.get(i, ()), A.alpha.get(j, ()), negate=True)
+                _add_image(acc, rows, A.mu.get((i, j), ()))
+                _add_product(acc, b_left, fi, rows.get(j, ()), negate=True)
                 yield (i, j), acc
 
-    return _first_failure("multiplicative", A.dim, values())
+    return _first_failure(check_id, A.dim, values())
 
 
-def is_right_hom_alternative(A: HomAlgebra) -> CheckReport:
-    """Check ``(x, y, y) = 0`` via its linearization on all basis triples.
-
-    Over characteristic zero the linearized form ``(x,y,z) + (x,z,y)``
-    vanishing on every basis triple is equivalent to the quadratic identity;
-    for a failing triple with repeated last slots the plain Hom-associator is
-    reported, otherwise the linearized sum.  The form is symmetric in its
-    last two slots, so the first failing triple has ``j <= k`` and only
-    those triples are scanned.
-    """
+def _alternativity_scan(A: HomAlgebra, check_id: str) -> CheckReport:
+    """Check the linearized alternative law ``check_id`` on basis triples:
+    ``(x,y,z) + (x,z,y)`` for right-alt, ``(x,y,z) + (y,x,z)`` for left-alt.
+    The form is symmetric in slots 1-2 or 0-1, so only triples with
+    ``j <= k`` or ``i <= j`` are scanned; on a repeated pair the plain
+    Hom-associator is reported."""
     by_left = _by_left(A.mu)
+    left = check_id == "left-alt"
 
     def values():
         for i in range(A.dim):
-            for j in range(A.dim):
-                for k in range(j, A.dim):
+            for j in range(i if left else 0, A.dim):
+                for k in range(0 if left else j, A.dim):
                     acc: dict[int, Scalar] = {}
                     _add_associator(acc, A, by_left, i, j, k)
-                    if k != j:
+                    if left:
+                        if i != j:
+                            _add_associator(acc, A, by_left, j, i, k)
+                    elif j != k:
                         _add_associator(acc, A, by_left, i, k, j)
                     yield (i, j, k), acc
 
-    return _first_failure("right-alt", A.dim, values())
+    return _first_failure(check_id, A.dim, values())
+
+
+def is_multiplicative(A: HomAlgebra) -> CheckReport:
+    """Does the twisting map preserve products on all basis pairs?"""
+    return _pair_scan("multiplicative", A, A.alpha, A)
+
+
+def is_right_hom_alternative(A: HomAlgebra) -> CheckReport:
+    """Check ``(x, y, y) = 0`` on basis triples (see :func:`_alternativity_scan`)."""
+    return _alternativity_scan(A, "right-alt")
 
 
 def is_weak_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
     """Does ``f`` carry products of A to products of B on all basis pairs?"""
     if A.dim != B.dim:
         raise ValueError("dimension mismatch between algebras")
-    rows = normalize_rows(A.dim, f)
-    b_left = _by_left(B.mu)
-
-    def values():
-        for i in range(A.dim):
-            for j in range(A.dim):
-                acc: dict[int, Scalar] = {}
-                _add_image(acc, rows, A.mu.get((i, j), ()))
-                _add_product(acc, b_left, rows.get(i, ()), rows.get(j, ()), negate=True)
-                yield (i, j), acc
-
-    return _first_failure("weak-morphism", A.dim, values())
-
-
-def _alternativity_witness(A: HomAlgebra, triple: tuple[int, int, int], side: str) -> Element:
-    """Recompute the element reported for a failing (left/right) triple
-    through Element operations, independently of the scan."""
-    i, j, k = triple
-    basis = A.basis()
-    if side == "right":
-        if j == k:
-            return A.hom_associator(basis[i], basis[j], basis[j])
-        return A.hom_associator(basis[i], basis[j], basis[k]) + A.hom_associator(
-            basis[i], basis[k], basis[j]
-        )
-    if i == j:
-        return A.hom_associator(basis[i], basis[i], basis[k])
-    return A.hom_associator(basis[i], basis[j], basis[k]) + A.hom_associator(
-        basis[j], basis[i], basis[k]
-    )
+    return _pair_scan("weak-morphism", A, normalize_rows(A.dim, f), B)
 
 
 def replay_structural_witness(
@@ -538,31 +522,34 @@ def replay_structural_witness(
     B: HomAlgebra | None = None,
     f: RowsLike | None = None,
 ) -> Element:
-    """Recompute the element a failing structural report points at."""
+    """Recompute the element a failing structural report points at, through
+    ``mul``, ``twist_apply`` and ``hom_associator`` on basis elements,
+    independently of the scans.  A multiplicative report is replayed as a
+    weak-morphism report of alpha from A to A."""
     if report.witness is None or report.witness.basis is None:
         raise ValueError("report carries no basis witness")
     tup = report.witness.basis
-    if report.check == "multiplicative":
-        i, j = tup
-        ei, ej = A.basis_element(i), A.basis_element(j)
-        return A.twist_apply(A.mul(ei, ej)) - A.mul(A.twist_apply(ei), A.twist_apply(ej))
+    e = A.basis_element
     if report.check in ("right-alt", "left-alt"):
-        side = "right" if report.check == "right-alt" else "left"
-        return _alternativity_witness(A, tup, side)
-    if report.check in ("weak-morphism", "morphism"):
-        if f is None:
-            raise ValueError("replaying a morphism report needs the map")
-        other = B if B is not None else A
-        rows = normalize_rows(A.dim, f)
-        if len(tup) == 1:
-            e = A.basis_element(tup[0])
-            return apply_rows(rows, A.twist_apply(e)) - other.twist_apply(apply_rows(rows, e))
-        i, j = tup
-        ei, ej = A.basis_element(i), A.basis_element(j)
-        return apply_rows(rows, A.mul(ei, ej)) - other.mul(
-            apply_rows(rows, ei), apply_rows(rows, ej)
-        )
-    raise ValueError(f"unknown structural check {report.check!r}")
+        i, j, k = tup
+        swapped = (j, i, k) if report.check == "left-alt" else (i, k, j)
+        value = A.hom_associator(e(i), e(j), e(k))
+        if swapped != (i, j, k):
+            value = value + A.hom_associator(*map(e, swapped))
+        return value
+    if report.check == "multiplicative":
+        B, f = A, A.alpha
+    elif report.check not in ("weak-morphism", "morphism"):
+        raise ValueError(f"unknown structural check {report.check!r}")
+    elif f is None:
+        raise ValueError("replaying a morphism report needs the map")
+    other = B if B is not None else A
+    rows = normalize_rows(A.dim, f)
+    if len(tup) == 1:
+        x = e(tup[0])
+        return apply_rows(rows, A.twist_apply(x)) - other.twist_apply(apply_rows(rows, x))
+    x, y = map(e, tup)
+    return apply_rows(rows, A.mul(x, y)) - other.mul(apply_rows(rows, x), apply_rows(rows, y))
 
 
 # -- constructions ------------------------------------------------------------

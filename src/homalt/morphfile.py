@@ -17,17 +17,9 @@ import json
 from typing import Sequence
 
 from .algfile import (
-    AlgebraFormatError,
-    _decode_dimension,
-    _decode_params,
-    _decode_sparse,
-    _expect_index,
-    _expect_list,
-    _expect_obj,
-    _load_json,
+    _decode_dimension, _decode_params, _decode_rows, _encode_rows, _expect_obj, _load_json,
 )
 from .homalgebra import RowTable
-from .scalars import encode_sparse
 
 
 def parse_morphism(text: str) -> tuple[RowTable, int, tuple[str, ...]]:
@@ -39,25 +31,13 @@ def parse_morphism(text: str) -> tuple[RowTable, int, tuple[str, ...]]:
     )
     dim = _decode_dimension(doc)
     params = _decode_params(doc.get("parameters", []), "parameters")
-    param_set = set(params)
-    rows: RowTable = {}
-    for pos, item in enumerate(_expect_list(doc["matrix"], "matrix")):
-        where = f"matrix[{pos}]"
-        entry = _expect_obj(item, where, {"from", "to"}, {"from", "to"})
-        i = _expect_index(entry["from"], dim, f"{where}.from")
-        if i in rows:
-            raise AlgebraFormatError(where, f"duplicate matrix row for index {i}")
-        rows[i] = _decode_sparse(entry["to"], dim, param_set, f"{where}.to")
-    return rows, dim, params
+    return _decode_rows(doc["matrix"], dim, set(params), "matrix", "matrix"), dim, params
 
 
 def serialize_morphism(rows: RowTable, dim: int, params: Sequence[str] = ()) -> str:
     doc = {
         "dimension": dim,
         "parameters": list(params),
-        "matrix": [
-            {"from": i, "to": encode_sparse(row)}
-            for i, row in sorted(rows.items())
-        ],
+        "matrix": _encode_rows(rows),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -104,13 +104,6 @@ def compose(*ops: RightOp) -> RightOp:
     return result
 
 
-def op_sum(*ops: RightOp) -> RightOp:
-    result = ops[0]
-    for op in ops[1:]:
-        result = result + op
-    return result
-
-
 def right_mul_op(A: HomAlgebra, a: Element) -> RightOp:
     """Right multiplication ``x -> xa`` as a matrix."""
     if a.dim != A.dim:

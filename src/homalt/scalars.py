@@ -209,9 +209,6 @@ def normalize(s: Scalar) -> Scalar:
         return _wrap(s.terms)
     return _norm_rational(s)
 
-def is_zero(s: Scalar) -> bool:
-    return s == 0
-
 def substitute(s: Scalar, assignment: Mapping[str, Rational]) -> Scalar:
     if isinstance(s, Poly):
         return s.substitute(assignment)

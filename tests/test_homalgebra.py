@@ -19,7 +19,7 @@ from homalt.homalgebra import (
     yau_twist,
 )
 from homalt.catalog import FamilyParams, mikheev_morphism
-from homalt.scalars import Poly, degree, is_zero
+from homalt.scalars import Poly, degree
 from homalt.structure import (
     basis_left_zero_divisors,
     is_hom_nilpotent,
@@ -145,9 +145,9 @@ def test_hom_power_of_associator(mikheev):
 def test_hom_power_homogeneous(mikheev):
     A, x = generic_element(mikheev, "x")
     sq = A.hom_power(x, 2)
-    assert all(is_zero(c) or degree(c) == 2 for c in sq.coords)
+    assert all(c == 0 or degree(c) == 2 for c in sq.coords)
     cube = A.hom_power(x, 3)
-    assert all(is_zero(c) or degree(c) == 3 for c in cube.coords)
+    assert all(c == 0 or degree(c) == 3 for c in cube.coords)
 
 
 def test_commutator(mikheev):
@@ -235,6 +235,19 @@ def test_identity_is_a_morphism(mikheev):
     assert is_morphism(mikheev, mikheev, identity_rows(13)).status == "holds"
 
 
+def test_morphism_twist_condition_fails_at_first_basis_index(fam_sym, plain_twisted):
+    # Same product, identity twist on one side: the identity map is a weak
+    # morphism but does not intertwine the twists.
+    f = identity_rows(13)
+    report = is_morphism(fam_sym, plain_twisted, f)
+    e = fam_sym.basis()
+    first = next(i for i in range(13) if fam_sym.twist_apply(e[i]) != e[i])
+    assert report.status == "fails"
+    assert report.witness.basis == (first,)
+    assert report.witness.element == fam_sym.twist_apply(e[first]) - e[first]
+    assert replay_structural_witness(fam_sym, report, plain_twisted, f) == report.witness.element
+
+
 def test_projection_is_not_weak_morphism(mikheev):
     rows = {0: ((0, 1),)}
     report = is_weak_morphism(mikheev, mikheev, rows)
@@ -293,7 +306,7 @@ def test_generic_elements_commute(mikheev):
     A1, a = generic_element(mikheev, "a")
     A2, b = generic_element(A1, "b")
     prod = A2.mul(a, b)
-    assert all(is_zero(c) or degree(c) == 2 for c in prod.coords)
+    assert all(c == 0 or degree(c) == 2 for c in prod.coords)
 
 
 def test_substitute_params_matches_direct_construction(fam_sym, fam23):

@@ -1,0 +1,89 @@
+"""Metamorphic tests: exact relations that need no second implementation.
+
+Change of basis.  Conjugating an algebra by an invertible matrix P gives an
+isomorphic algebra, so every structural verdict stays the same, and every
+failing report still replays.  P is a seeded product of operations
+``row_i += row_j`` or ``row_i -= row_j``; its inverse applies the inverse
+operations in reverse order, so both stay integral.
+"""
+
+import random
+
+import pytest
+
+from homalt.homalgebra import (
+    FAILS,
+    HomAlgebra,
+    identity_rows,
+    is_multiplicative,
+    is_right_hom_alternative,
+    replay_structural_witness,
+)
+from homalt.structure import is_left_hom_alternative
+
+SCANS = (is_right_hom_alternative, is_left_hom_alternative, is_multiplicative)
+
+
+def unimodular(dim, ops, seed):
+    """P as the product of ``ops`` seeded row operations, and its inverse."""
+    rng = random.Random(seed)
+    steps = [(*rng.sample(range(dim), 2), rng.choice((1, -1))) for _ in range(ops)]
+    P = [[int(a == b) for b in range(dim)] for a in range(dim)]
+    P_inv = [row[:] for row in P]
+    for i, j, s in steps:
+        P[i] = [a + s * b for a, b in zip(P[i], P[j])]
+    for i, j, s in reversed(steps):
+        P_inv[i] = [a - s * b for a, b in zip(P_inv[i], P_inv[j])]
+    return P, P_inv
+
+
+def change_basis(A, P, P_inv):
+    """A in the basis ``f_a = sum_b P[a][b] e_b``."""
+    n = A.dim
+
+    def in_new_basis(v):  # coordinates over e -> sparse row over f
+        return [(t, sum(v[m] * P_inv[m][t] for m in range(n) if v[m])) for t in range(n)]
+
+    def combine(weights, rows):  # sum_c weights[c] * rows[c], over e
+        v = [0] * n
+        for c, w in weights:
+            for m, x in rows.get(c, ()):
+                v[m] += w * x
+        return v
+
+    nonzero = [[(c, p) for c, p in enumerate(row) if p] for row in P]
+    mu = {}
+    for a in range(n):
+        for b in range(n):
+            pairs = [((c, d), p * q) for c, p in nonzero[a] for d, q in nonzero[b]]
+            mu[(a, b)] = in_new_basis(combine(pairs, A.mu))
+    alpha = {a: in_new_basis(combine(nonzero[a], A.alpha)) for a in range(n)}
+    return HomAlgebra(n, mu, alpha, A.params)
+
+
+def test_unimodular_inverse():
+    P, P_inv = unimodular(13, 20, 0)
+    product = [[sum(P[a][m] * P_inv[m][b] for m in range(13)) for b in range(13)]
+               for a in range(13)]
+    assert product == [[int(a == b) for b in range(13)] for a in range(13)]
+    assert P != P_inv
+
+
+@pytest.fixture(scope="module")
+def identity_twist(fam23):
+    # The twisted product with the identity twist, as in the refute-witness
+    # workload: not right Hom-alternative.
+    return HomAlgebra(13, dict(fam23.mu), identity_rows(13))
+
+
+@pytest.mark.parametrize("name", ["mikheev", "fam23", "identity_twist"])
+@pytest.mark.parametrize("ops, seed", [(5, 0), (20, 1), (20, 2), (20, 3)])
+def test_change_of_basis_keeps_structural_verdicts(request, name, ops, seed):
+    A = request.getfixturevalue(name)
+    B = change_basis(A, *unimodular(A.dim, ops, seed))
+    assert B != A
+    for scan in SCANS:
+        report = scan(B)
+        assert report.status == scan(A).status, scan.__name__
+        if report.status == FAILS:
+            assert replay_structural_witness(B, report) == report.witness.element

@@ -11,7 +11,6 @@ from homalt.operators import (
     compose,
     identity_op,
     op_sub,
-    op_sum,
     op_sup,
     right_mul_op,
     zero_op,
@@ -109,7 +108,6 @@ def test_operator_arithmetic(mikheev):
     r1 = right_mul_op(mikheev, e[1])
     both = right_mul_op(mikheev, e[0] + e[1])
     assert r0 + r1 == both
-    assert op_sum(r0, r1) == both
     assert (r0 - r0).is_zero()
     assert -zero_op(13) == zero_op(13)
     assert r0 + zero_op(13) == r0
