@@ -8,7 +8,7 @@ Subcommands:
 * ``twist``   -- twist an algebra file along a morphism file.
 * ``mikheev`` -- write the built-in 13-dimensional algebra or its twisted
   family (rational or symbolic parameters) to a file.
-* ``power``   -- Hom-power of an element of an algebra file.
+* ``power``   -- Hom-power of an element of an algebra file, ``--n`` <= 1000.
 * ``noniso``  -- non-isomorphism certificate for two parameter pairs.
 
 Exit codes: 0 when every check holds (or random-passes), 1 when some check
@@ -56,6 +56,7 @@ from .identities import PreconditionError, identity_tags
 from .scalars import encode_sparse, parse_rational
 
 STRUCTURAL_IDS = ("right-alt", "left-alt", "multiplicative", "morphism")
+POWER_CAP = 1000  # largest ``power --n``: the loop is linear in n
 
 
 class CliInputError(ValueError):
@@ -248,6 +249,8 @@ def _cmd_power(args) -> int:
     doc = _load_algebra(args.algebra)
     if args.n < 1:
         raise CliInputError("--n must be at least 1")
+    if args.n > POWER_CAP:
+        raise CliInputError(f"--n must be at most {POWER_CAP}")
     x = parse_element_expr(args.element, doc.basis_names)
     result = doc.algebra.hom_power(x, args.n)
     if args.format == "json":

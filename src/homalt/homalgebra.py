@@ -15,7 +15,10 @@ is how generic (indeterminate-coordinate) elements are represented.
 The Hom-associator is ``(x, y, z) = (xy) alpha(z) - alpha(x) (yz)``; an
 algebra is right Hom-alternative when ``(x, y, y) = 0`` and left
 Hom-alternative when ``(x, x, y) = 0``.  Hom-powers follow
-``x^n = x^(n-1) * alpha^(n-2)(x)``.  Structural checks evaluate
+``x^n = x^(n-1) * alpha^(n-2)(x)``.  Each algebra keeps a table of twist
+powers: ``twist_power(n)`` composes the rows of ``alpha^n`` once, from
+``alpha^(n-1)``, and ``shift`` and :func:`homalt.operators.alpha_op` read
+it.  Structural checks evaluate
 (multi)linearized forms on basis tuples, which is complete over a field of
 characteristic zero, by two scans over the sparse tables: a pair scan of
 ``f(e_i e_j) = f(e_i) f(e_j)`` (multiplicativity is f = alpha, a weak
@@ -225,8 +228,8 @@ class HomAlgebra(_Record):
     """Hom-algebra with sparse structure constants and twisting map.
 
     Instances are treated as immutable; every operation returns fresh
-    elements or fresh algebras, so concurrent sweeps over one algebra are
-    safe.
+    elements or fresh algebras, and the table of twist powers only grows,
+    by whole replacement, so concurrent sweeps over one algebra are safe.
     """
 
     _fields = ("dim", "mu", "alpha", "params")
@@ -246,6 +249,7 @@ class HomAlgebra(_Record):
         self.params = tuple(params)
         if len(set(self.params)) != len(self.params):
             raise ValueError("duplicate parameter names")
+        self._twist_powers = [identity_rows(dim), self.alpha]
 
     # -- element constructors ----------------------------------------------
 
@@ -290,13 +294,23 @@ class HomAlgebra(_Record):
             raise ValueError("dimension mismatch between element and algebra")
         return apply_rows(self.alpha, x)
 
-    def shift(self, x: Element, n: int) -> Element:
-        """n-fold application of the twisting map (n >= 0)."""
+    def twist_power(self, n: int) -> RowTable:
+        """Sparse rows of ``alpha^n`` (n >= 0), read-only.  Each power is
+        composed once, from the one below it, into the algebra's table."""
         if n < 0:
             raise ValueError("twist exponent must be nonnegative")
-        for _ in range(n):
-            x = self.twist_apply(x)
-        return x
+        powers = self._twist_powers
+        while len(powers) <= n:
+            powers = powers + [compose_rows(self.dim, powers[-1], self.alpha)]
+            self._twist_powers = powers
+        return powers[n]
+
+    def shift(self, x: Element, n: int) -> Element:
+        """``alpha^n(x)`` (n >= 0), read from :meth:`twist_power`."""
+        rows = self.twist_power(n)
+        if x.dim != self.dim:
+            raise ValueError("dimension mismatch between element and algebra")
+        return apply_rows(rows, x)
 
     def hom_associator(self, x: Element, y: Element, z: Element) -> Element:
         return self.mul(self.mul(x, y), self.twist_apply(z)) - self.mul(
@@ -319,14 +333,8 @@ class HomAlgebra(_Record):
 
     def twist_entry_degree(self) -> int:
         """Largest parameter degree among stored product/twist coefficients."""
-        best = 0
-        for row in self.mu.values():
-            for _, c in row:
-                best = max(best, scalar_degree(c))
-        for row in self.alpha.values():
-            for _, c in row:
-                best = max(best, scalar_degree(c))
-        return best
+        rows = (*self.mu.values(), *self.alpha.values())
+        return max((scalar_degree(c) for row in rows for _, c in row), default=0)
 
 
 # -- reports ----------------------------------------------------------------

@@ -14,7 +14,8 @@ The derived operators are the two bracketed right multiplications
     x . sub(a, b)  =  alpha(x) (ab) - (xb) alpha(a)
 
 written ``a^b`` and ``a_b`` in superscript/subscript notation, together with
-plain right multiplication ``a'`` and powers of the twisting map.
+plain right multiplication ``a'`` and powers of the twisting map, which
+``alpha_op`` reads from the algebra's table (``HomAlgebra.twist_power``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .homalgebra import (
     _Record,
     apply_rows,
     compose_rows,
-    identity_rows,
     normalize_rows,
 )
 from .scalars import Scalar
@@ -40,11 +40,7 @@ class RightOp(_Record):
 
     def __init__(self, dim: int, rows: RowsLike) -> None:
         self.dim = dim
-        self.rows = rows
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        self.rows = normalize_rows(self.dim, self.rows, "operator")
+        self.rows = normalize_rows(dim, rows, "operator")
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -82,10 +78,6 @@ def zero_op(dim: int) -> RightOp:
     return RightOp(dim, {})
 
 
-def identity_op(dim: int) -> RightOp:
-    return RightOp(dim, identity_rows(dim))
-
-
 def apply(x: Element, op: RightOp) -> Element:
     """Right action: the image of x under op."""
     if x.dim != op.dim:
@@ -120,14 +112,9 @@ def right_mul_op(A: HomAlgebra, a: Element) -> RightOp:
 
 
 def alpha_op(A: HomAlgebra, n: int) -> RightOp:
-    """The n-th power of the twisting map as a right operator (n >= 0)."""
-    if n < 0:
-        raise ValueError("twist exponent must be nonnegative")
-    result = identity_op(A.dim)
-    twist = RightOp(A.dim, A.alpha)
-    for _ in range(n):
-        result = compose(result, twist)
-    return result
+    """The n-th power of the twisting map as a right operator (n >= 0),
+    read from the algebra's table of twist powers."""
+    return RightOp(A.dim, A.twist_power(n))
 
 
 def op_sup(A: HomAlgebra, a: Element, b: Element) -> RightOp:

@@ -299,6 +299,17 @@ def test_power_bad_inputs(files, capsys):
                 "--n", "2"]) == 2
 
 
+def test_power_exponent_is_capped(tmp_path, capsys):
+    # e1 e1 = e1 with the identity twist: no power vanishes, so the loop
+    # would run all n steps.
+    idem = tmp_path / "idem.alg"
+    idem.write_text(serialize_algebra(HomAlgebra(1, {(0, 0): ((0, 1),)}, identity_rows(1))))
+    assert run(["power", "--algebra", str(idem), "--element", "e1", "--n", "1000000000"]) == 2
+    assert capsys.readouterr().err.strip() == "error: --n must be at most 1000"
+    assert run(["power", "--algebra", str(idem), "--element", "e1", "--n", "1000"]) == 0
+    assert capsys.readouterr().out.strip() == "e1"
+
+
 def test_noniso(capsys):
     assert run(["noniso", "--params", "2", "3", "5", "7"]) == 0
     assert "certified" in capsys.readouterr().out

@@ -19,6 +19,7 @@ from homalt.homalgebra import (
     yau_twist,
 )
 from homalt.catalog import FamilyParams, mikheev_morphism
+from homalt.operators import RightOp, alpha_op, compose
 from homalt.scalars import Poly, degree
 from homalt.structure import (
     basis_left_zero_divisors,
@@ -27,6 +28,7 @@ from homalt.structure import (
     is_morphism,
 )
 from homalt.text import element_str
+from test_metamorphic import change_basis, unimodular
 
 lam = Poly.variable("lambda")
 xi = Poly.variable("xi")
@@ -105,6 +107,60 @@ def test_family_twist_eigenvalues(fam_sym):
     e = fam_sym.basis()
     assert fam_sym.twist_apply(e[0]) == e[0].scale(lam)
     assert fam_sym.shift(e[6], 2) == e[6].scale(lam**4 * xi**2)
+
+
+def _reference_shift(A, x, n):
+    for _ in range(n):
+        x = A.twist_apply(x)
+    return x
+
+
+def _reference_alpha_op(A, n):
+    twist = RightOp(A.dim, A.alpha)
+    return compose(RightOp(A.dim, identity_rows(A.dim)), *[twist] * n)
+
+
+def _twist_table_cases(fam_sym, fam23):
+    ext, x = generic_element(fam_sym, "x")  # diagonal symbolic twist
+    dense = change_basis(fam23, *unimodular(13, 10, 4))  # dense rational twist
+    # alpha: e1 -> e2 -> -2 e3 -> 0, so the table ends in empty rows.
+    nilpotent = HomAlgebra(3, {(0, 1): ((1, 1),)}, {0: ((1, 1),), 1: ((2, -2),)})
+    return [
+        (ext, x),
+        (dense, dense.element([1, -2, 0, 3, Fraction(1, 2)] + [0] * 7 + [5])),
+        (nilpotent, nilpotent.element([1, 2, 3])),
+    ]
+
+
+def test_twist_power_table_matches_the_loops(fam_sym, fam23):
+    cases = _twist_table_cases(fam_sym, fam23)
+    for A, x in cases:
+        for n in range(9):
+            assert A.shift(x, n) == _reference_shift(A, x, n)
+            assert alpha_op(A, n) == _reference_alpha_op(A, n)
+    nilpotent = cases[2][0]
+    assert nilpotent.twist_power(2) == {0: ((2, -2),)}
+    assert nilpotent.twist_power(3) == {}
+
+
+def test_twist_power_table_grows_out_of_order(fam23):
+    A = change_basis(fam23, *unimodular(13, 5, 7))
+    x = A.element(range(13))
+    for n in (8, 2, 5, 0):
+        assert A.shift(x, n) == _reference_shift(A, x, n)
+        assert alpha_op(A, n) == _reference_alpha_op(A, n)
+    assert A.twist_power(5) is A.twist_power(5)
+
+
+def test_shift_errors(fam23):
+    x = fam23.basis_element(0)
+    with pytest.raises(ValueError, match="twist exponent must be nonnegative"):
+        fam23.shift(x, -1)
+    with pytest.raises(ValueError, match="twist exponent must be nonnegative"):
+        alpha_op(fam23, -1)
+    for n in (0, 1, 3):
+        with pytest.raises(ValueError, match="dimension mismatch between element and algebra"):
+            fam23.shift(Element((1, 0)), n)
 
 
 def test_hom_associator_values(mikheev, fam_sym):

@@ -1,24 +1,36 @@
 """Metamorphic tests: exact relations that need no second implementation.
 
 Change of basis.  Conjugating an algebra by an invertible matrix P gives an
-isomorphic algebra, so every structural verdict stays the same, and every
-failing report still replays.  P is a seeded product of operations
-``row_i += row_j`` or ``row_i -= row_j``; its inverse applies the inverse
-operations in reverse order, so both stay integral.
+isomorphic algebra, so every structural verdict and every registry status
+stays the same, and every failing report still replays.  P is a seeded
+product of operations ``row_i += row_j`` or ``row_i -= row_j``; its inverse
+applies the inverse operations in reverse order, so both stay integral.
+
+Specialization.  Substituting values for the parameters commutes with the
+ring operations, so each side of an identity on A(lambda, xi), specialized,
+is the same side on the family member at those values.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from homalt.catalog import FamilyParams, mikheev_family
 from homalt.homalgebra import (
     FAILS,
+    HOLDS,
+    Element,
     HomAlgebra,
     identity_rows,
     is_multiplicative,
     is_right_hom_alternative,
     replay_structural_witness,
+    substitute_rows,
 )
+from homalt.identities import get_identity
+from homalt.operators import RightOp
+from homalt.proof_replay import _generic_pairs, _resolve_beta, replay_identity_witness, verify
 from homalt.structure import is_left_hom_alternative
 
 SCANS = (is_right_hom_alternative, is_left_hom_alternative, is_multiplicative)
@@ -87,3 +99,41 @@ def test_change_of_basis_keeps_structural_verdicts(request, name, ops, seed):
         assert report.status == scan(A).status, scan.__name__
         if report.status == FAILS:
             assert replay_structural_witness(B, report) == report.witness.element
+
+
+# Entries that hold on A(2, 3), among them a dense twist's longest shifts
+# (theorem: alpha^6; dpe: up to alpha^10).
+HOLDING = ("xyy", "linearized", "moufang", "eq1", "eq3b", "eq5", "theorem", "dpe")
+
+
+@pytest.mark.parametrize("ops, seed", [(5, 0), (10, 1)])
+def test_change_of_basis_keeps_registry_statuses(fam23, identity_twist, ops, seed):
+    P, P_inv = unimodular(13, ops, seed)
+    B = change_basis(fam23, P, P_inv)
+    for tag in HOLDING:
+        assert verify(B, tag, "generic").status == HOLDS, tag
+    broken = change_basis(identity_twist, P, P_inv)
+    report = verify(broken, "xyy", "generic")
+    assert report.status == FAILS
+    assert replay_identity_witness(broken, report) == report.witness.element
+
+
+def _specialize(side, point):
+    if isinstance(side, Element):
+        return side.substitute(point)
+    return RightOp(side.dim, substitute_rows(side.rows, point))
+
+
+@pytest.mark.parametrize("tag", ["teichmuller", "eq5", "eq10", "beta2"])
+def test_specialization_commutes_with_evaluation(fam_sym, tag):
+    # Sides, not differences: on A(lambda, xi) every difference is zero.
+    lam, xi = Fraction(2, 3), Fraction(-5, 2)
+    point = {"lambda": lam, "xi": xi}
+    member = mikheev_family(FamilyParams.rational(lam, xi))
+    inst = get_identity(tag)
+    _, symbolic = _generic_pairs(fam_sym, inst, _resolve_beta(fam_sym, None))
+    _, direct = _generic_pairs(member, inst, _resolve_beta(member, None))
+    assert len(symbolic) == len(direct)
+    for (lhs, rhs), (lhs_at, rhs_at) in zip(symbolic, direct):
+        assert _specialize(lhs, point) == lhs_at
+        assert _specialize(rhs, point) == rhs_at

@@ -3,13 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homalt.homalgebra import Element, generic_element
+from homalt.homalgebra import Element, generic_element, identity_rows
 from homalt.operators import (
     RightOp,
     alpha_op,
     apply,
     compose,
-    identity_op,
     op_sub,
     op_sup,
     right_mul_op,
@@ -43,8 +42,8 @@ def test_right_mul_matches_mul_everywhere(mikheev):
 
 
 def test_alpha_op(mikheev, fam_sym):
-    assert alpha_op(mikheev, 0) == identity_op(13)
-    assert alpha_op(mikheev, 3) == identity_op(13)
+    assert alpha_op(mikheev, 0) == RightOp(13, identity_rows(13))
+    assert alpha_op(mikheev, 3) == RightOp(13, identity_rows(13))
     two = alpha_op(fam_sym, 2)
     assert two.entry(0, 0) == lam**2
     x = fam_sym.element([0, 1, 0, 2] + [0] * 9)
@@ -83,7 +82,7 @@ def test_sub_vanishes_on_commutative_associative(truncated_poly):
 
 def test_apply_and_compose_conventions(mikheev):
     e = mikheev.basis()
-    assert apply(e[4], identity_op(13)) == e[4]
+    assert apply(e[4], RightOp(13, identity_rows(13))) == e[4]
     r1 = right_mul_op(mikheev, e[0])
     assert apply(e[1], compose(r1, r1)) == e[9]
     x = mikheev.element([1, 1, 0, 0, 2] + [0] * 8)
@@ -99,7 +98,7 @@ def test_compose_arities(mikheev):
     with pytest.raises(ValueError):
         compose()
     assert compose(r) == r
-    assert compose(r, identity_op(13), r) == compose(r, r)
+    assert compose(r, RightOp(13, identity_rows(13)), r) == compose(r, r)
 
 
 def test_operator_arithmetic(mikheev):
