@@ -606,10 +606,13 @@ def generic_element(A: HomAlgebra, prefix: str) -> tuple[HomAlgebra, Element]:
 
 
 def substitute_params(A: HomAlgebra, assignment: Mapping[str, Rational]) -> HomAlgebra:
-    """Instantiate named parameters with rational values."""
+    """Instantiate named parameters with rational values.  An empty
+    assignment returns ``A`` itself, so its table of twist powers is reused."""
     unknown = set(assignment) - set(A.params)
     if unknown:
         raise ValueError(f"unknown parameters: {sorted(unknown)}")
+    if not assignment:
+        return A
     mu = substitute_rows(A.mu, assignment)
     alpha = substitute_rows(A.alpha, assignment)
     params = tuple(p for p in A.params if p not in assignment)

@@ -11,6 +11,10 @@ before verification, in that order, and a violation raises
 Three strategies are offered:
 
 * ``generic``  -- evaluate with fully indeterminate coordinates; complete.
+  The identity is evaluated on the input algebra itself: each argument's
+  coordinates are the indeterminates ``<name>_<i>``, and evaluation never
+  reads an algebra's parameter names, so no copy of the algebra is built
+  and its table of twist powers is shared by every argument.
 * ``subset``   -- fully generic coordinates restricted to every support
   tuple of size at most ``subset_max`` per argument slot; complete for
   elements of small support.  Every combo is decided from the one generic
@@ -47,13 +51,14 @@ from .homalgebra import (
     RowTable,
     RowsLike,
     _Record,
-    generic_element,
+    coordinate_names,
     is_multiplicative,
     is_right_hom_alternative,
     is_weak_morphism,
     normalize_rows,
 )
 from .identities import IdentityInstance, PreconditionError, get_identity, identity_tags, registry
+from .scalars import Poly
 
 if TYPE_CHECKING:
     from .operators import RightOp
@@ -75,24 +80,26 @@ def _first_mismatch(
     return None
 
 
-def _generic_pairs(A, inst, beta) -> tuple[HomAlgebra, list[tuple[Side, Side]]]:
-    """The identity's pairs on arguments with indeterminate coordinates
-    ``<name>_<i>``, and the algebra extended by those indeterminates."""
-    extended = A
-    xs = []
-    for name in inst.var_names:
-        extended, x = generic_element(extended, name)
-        xs.append(x)
-    return extended, inst.evaluate(extended, xs, beta)
+def _variables(A: HomAlgebra, inst: IdentityInstance) -> list[str]:
+    """The parameters of ``A``, then each argument's coordinates ``<name>_<i>``."""
+    return list(A.params) + [n for v in inst.var_names for n in coordinate_names(A, v)]
+
+
+def _generic_pairs(A, inst, beta, live: set[str] | None = None) -> list[tuple[Side, Side]]:
+    """The identity's pairs on ``A`` at arguments whose coordinates are the
+    indeterminates ``<name>_<i>``; with ``live``, those not in it are 0."""
+    xs = [Element(tuple(Poly.variable(n) if live is None or n in live else 0
+                        for n in coordinate_names(A, v)))
+          for v in inst.var_names]
+    return inst.evaluate(A, xs, beta)
 
 
 def _verify_generic(A, inst, beta) -> CheckReport:
-    extended, pairs = _generic_pairs(A, inst, beta)
-    if _first_mismatch(pairs) is None:
+    if _first_mismatch(_generic_pairs(A, inst, beta)) is None:
         return CheckReport(inst.tag, HOLDS, "generic")
     from .search import _find_witness
 
-    witness = _find_witness(extended, inst, beta, list(extended.params))
+    witness = _find_witness(A, inst, beta, _variables(A, inst))
     return CheckReport(inst.tag, FAILS, "generic", witness=witness)
 
 

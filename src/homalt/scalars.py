@@ -153,6 +153,11 @@ class Poly:
             return self.terms == {UNIT_MONO: _norm_rational(other)}
         return NotImplemented
 
+    def __hash__(self) -> int:
+        if set(self.terms) <= {UNIT_MONO}:  # equal to the rational it holds
+            return hash(self.terms.get(UNIT_MONO, 0))
+        return hash(frozenset(self.terms.items()))
+
     def degree(self) -> int:
         if not self.terms:
             return 0

@@ -9,7 +9,8 @@ A witness is a concrete point: a rational value for every parameter and
 argument coordinate ``<name>_<i>`` in play (the others are 0), and for
 operator identities the probe basis index whose image row differs.
 :func:`_find_witness` tries small random integer points and falls back to a
-grid that a nonzero polynomial cannot vanish on.
+grid that a nonzero polynomial cannot vanish on; the grid reads the one
+generic evaluation, ``_generic_pairs``, restricted to its variables.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from .homalgebra import (
     Element,
     Witness,
     coordinate_name,
-    coordinate_names,
     substitute_params,
     substitute_rows,
 )
-from .proof_replay import Side, _first_mismatch, _generic_pairs
+from .proof_replay import Side, _first_mismatch, _generic_pairs, _variables
 from .scalars import Poly, Rational, Scalar, substitute, variables as scalar_variables
 
 RANDOM_BOUND = 10**6
@@ -88,10 +88,7 @@ def _grid_witness(A, inst, beta, variables: Sequence[str]) -> Witness:
     ``{d_v, ..., 0}`` with ``d_v`` the coefficient's degree in ``v``.  A
     polynomial that vanishes on that whole grid is zero (Alon, Combinatorial
     Nullstellensatz, 1999, Lemma 2.1), so the grid holds a witness."""
-    given = set(variables)
-    names = [[coordinate_name(v, i) for i in range(A.dim)] for v in inst.var_names]
-    xs = [Element(tuple(Poly.variable(n) if n in given else 0 for n in row)) for row in names]
-    hit = _first_mismatch(inst.evaluate(A, xs, beta))
+    hit = _first_mismatch(_generic_pairs(A, inst, beta, set(variables)))
     if hit is None:
         raise ValueError("the identity holds in these variables: no witness exists")
     coeff = next(c for c in _coefficients(hit[1]) if c != 0)
@@ -146,7 +143,7 @@ def _verify_subset(A, inst, beta, subset_max: int) -> CheckReport:
     ``subset_max``, no combo can fail and the sweep is not walked: it holds
     on all ``len(supports) ** arity`` combos.
     """
-    _, pairs = _generic_pairs(A, inst, beta)
+    pairs = _generic_pairs(A, inst, beta)
     patterns = [p for p in _support_patterns(A, inst, pairs) if max(map(len, p)) <= subset_max]
     supports = _support_tuples(A.dim, subset_max)
     if not patterns:
@@ -167,7 +164,7 @@ def _verify_subset(A, inst, beta, subset_max: int) -> CheckReport:
 def _verify_random(A, inst, beta, seed: int, points: int) -> CheckReport:
     rng = random.Random(seed)
     sample = {"points": points, "seed": seed, "degree_bound": inst.degree_bound(A)}
-    names = list(A.params) + [n for v in inst.var_names for n in coordinate_names(A, v)]
+    names = _variables(A, inst)
     for _ in range(points):
         point = {name: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for name in names}
         witness = _witness_at(A, inst, beta, point)

@@ -372,6 +372,24 @@ def test_substitute_params_matches_direct_construction(fam_sym, fam23):
     assert S.params == ()
 
 
+def test_substitute_params_without_assignment_is_the_algebra(mikheev, fam_sym):
+    # The same object, so point evaluation keeps A's table of twist powers.
+    assert substitute_params(mikheev, {}) is mikheev
+    assert substitute_params(fam_sym, {}) is fam_sym
+    partial = substitute_params(fam_sym, {"xi": 3})
+    assert partial is not fam_sym
+    assert partial.params == ("lambda",)
+    with pytest.raises(ValueError, match="unknown parameters"):
+        substitute_params(mikheev, {"lambda": 2})
+
+
+def test_generic_elements_are_hashable(mikheev):
+    _, a = generic_element(mikheev, "a")
+    _, again = generic_element(mikheev, "a")
+    _, b = generic_element(mikheev, "b")
+    assert len({a, again, b, a + b - b}) == 2
+
+
 # --- nilpotence and zero divisors ---
 
 def test_hom_nilpotent_index(mikheev, fam23):

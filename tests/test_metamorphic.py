@@ -9,6 +9,9 @@ applies the inverse operations in reverse order, so both stay integral.
 Specialization.  Substituting values for the parameters commutes with the
 ring operations, so each side of an identity on A(lambda, xi), specialized,
 is the same side on the family member at those values.
+
+Yau twist.  For a morphism beta of a right alternative algebra A, the
+Hom-associator of ``yau_twist(A, beta)`` is beta^2 of A's associator.
 """
 
 import random
@@ -16,19 +19,22 @@ from fractions import Fraction
 
 import pytest
 
-from homalt.catalog import FamilyParams, mikheev_family
+from homalt.catalog import FamilyParams, mikheev_algebra, mikheev_family, mikheev_morphism
 from homalt.homalgebra import (
     FAILS,
     HOLDS,
     Element,
     HomAlgebra,
+    apply_rows,
+    generic_element,
     identity_rows,
     is_multiplicative,
     is_right_hom_alternative,
     replay_structural_witness,
     substitute_rows,
+    yau_twist,
 )
-from homalt.identities import get_identity
+from homalt.identities import get_identity, identity_tags
 from homalt.operators import RightOp
 from homalt.proof_replay import _generic_pairs, _resolve_beta, replay_identity_witness, verify
 from homalt.structure import is_left_hom_alternative
@@ -124,16 +130,30 @@ def _specialize(side, point):
     return RightOp(side.dim, substitute_rows(side.rows, point))
 
 
-@pytest.mark.parametrize("tag", ["teichmuller", "eq5", "eq10", "beta2"])
+@pytest.mark.parametrize("tag", identity_tags())
 def test_specialization_commutes_with_evaluation(fam_sym, tag):
     # Sides, not differences: on A(lambda, xi) every difference is zero.
     lam, xi = Fraction(2, 3), Fraction(-5, 2)
     point = {"lambda": lam, "xi": xi}
     member = mikheev_family(FamilyParams.rational(lam, xi))
     inst = get_identity(tag)
-    _, symbolic = _generic_pairs(fam_sym, inst, _resolve_beta(fam_sym, None))
-    _, direct = _generic_pairs(member, inst, _resolve_beta(member, None))
+    symbolic = _generic_pairs(fam_sym, inst, _resolve_beta(fam_sym, None))
+    direct = _generic_pairs(member, inst, _resolve_beta(member, None))
     assert len(symbolic) == len(direct)
     for (lhs, rhs), (lhs_at, rhs_at) in zip(symbolic, direct):
         assert _specialize(lhs, point) == lhs_at
         assert _specialize(rhs, point) == rhs_at
+
+
+@pytest.mark.parametrize("params", [
+    FamilyParams.rational(Fraction(2, 3), Fraction(-5, 2)),
+    FamilyParams.symbolic(),
+], ids=["rational", "symbolic"])
+def test_yau_twist_associator_is_beta_squared(params):
+    base = mikheev_algebra()  # right alternative, identity twist
+    beta = mikheev_morphism(params)
+    twisted = yau_twist(base.with_params(params.names()), beta)
+    x, y, z = (generic_element(base, v)[1] for v in ("x", "y", "z"))
+    associator = twisted.hom_associator(x, y, z)
+    assert not associator.is_zero()
+    assert associator == apply_rows(beta, apply_rows(beta, base.hom_associator(x, y, z)))

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import homalt.homalgebra
 import homalt.proof_replay
+import homalt.search
 from homalt.homalgebra import HomAlgebra, generic_element, identity_rows
 from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
 from homalt.operators import alpha_op, apply, compose, op_sup, right_mul_op
@@ -195,6 +197,50 @@ def test_verify_all_scans_each_failed_precondition_once(monkeypatch):
     results = verify_all(broken, strategy="generic")
     assert sum(r.error is not None for r in results) == 22
     assert calls == Counter({name: 1 for name in SCAN_NAMES})
+
+
+def _count_work(monkeypatch) -> Counter:
+    """Count the algebras built, the twist rows composed (``twist_power``
+    reads ``compose_rows`` from its module) and the parameter substitutions."""
+    calls: Counter = Counter()
+    init = HomAlgebra.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["HomAlgebra"] += 1
+        init(self, *args, **kwargs)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(HomAlgebra, "__init__", counted_init)
+    monkeypatch.setattr(homalt.homalgebra, "compose_rows",
+                        counted("compose_rows", homalt.homalgebra.compose_rows))
+    substitute = counted("substitute_params", homalt.homalgebra.substitute_params)
+    for module in (homalt.homalgebra, homalt.search):
+        monkeypatch.setattr(module, "substitute_params", substitute)
+    return calls
+
+
+@pytest.mark.parametrize("tag, algebras", [("theorem", 0), ("beta2", 1)])
+def test_generic_evaluates_on_the_given_algebra(monkeypatch, tag, algebras):
+    # No copy of A per argument; beta2's evaluator builds its Yau twist.
+    A = mikheev_family(FamilyParams.symbolic())
+    calls = _count_work(monkeypatch)
+    assert verify(A, tag, "generic").status == "holds"
+    assert calls["HomAlgebra"] == algebras
+
+
+def test_random_points_share_the_twist_powers(monkeypatch):
+    # No copy of A per point, so alpha^2 .. alpha^6 are composed once; the
+    # bench counts random points by the substitution each point still runs.
+    A = mikheev_family(FamilyParams.rational(2, 3))
+    calls = _count_work(monkeypatch)
+    report = verify(A, "theorem", "random", seed=1, points=20)
+    assert report.status == "random-pass"
+    assert calls == Counter({"substitute_params": 20, "compose_rows": 5})
 
 
 def test_beta2_with_explicit_morphism(mikheev):

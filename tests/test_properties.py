@@ -4,7 +4,7 @@
   either side of an entry and in their difference, has total degree at most
   ``inst.degree_bound(A)``.  The random strategy reports that bound.
 * Cross-route agreement: the strategies and the equivalent entries decide
-  the same identity the same way.
+  the same identity the same way, and every failing report replays.
 
 The seeded algebras are those of ``test_scans.py`` and ``test_subset.py``.
 Few of them satisfy the entries' preconditions, so every verification here
@@ -15,7 +15,13 @@ algebra, whether or not the entry is a theorem on it.
 import pytest
 
 from homalt.homalgebra import FAILS, HOLDS, is_right_hom_alternative
-from homalt.proof_replay import _generic_pairs, _resolve_beta, registry, verify
+from homalt.proof_replay import (
+    _generic_pairs,
+    _resolve_beta,
+    registry,
+    replay_identity_witness,
+    verify,
+)
 from homalt.search import _coefficients
 from homalt.scalars import degree
 from test_scans import random_algebra as scan_algebra
@@ -26,7 +32,7 @@ from test_subset import CHAINS, random_algebra as subset_algebra
 
 def _assert_degrees_within_bound(A, inst):
     bound = inst.degree_bound(A)
-    _, pairs = _generic_pairs(A, inst, _resolve_beta(A, None))
+    pairs = _generic_pairs(A, inst, _resolve_beta(A, None))
     for lhs, rhs in pairs:
         for side in (lhs, rhs, lhs - rhs):
             observed = max((degree(c) for c in _coefficients(side)), default=0)
@@ -52,47 +58,70 @@ def test_degree_bound_on_seeded_poly_algebras(inst):
 
 # --- cross-route agreement ---
 
-# Short entries of arity 1 to 3, element and operator kinds.
+# Short entries of arity 1 to 3, element and operator kinds, on the seeded
+# algebras of test_scans.py; longer entries on the int and fraction algebras
+# of test_subset.py.
 AGREEMENT_TAGS = ("xyy", "linearized", "eq1", "eq3a", "eq3b")
+LONG_TAGS = ("teichmuller", "xyyz", "moufang", "beta2", "eq2", "eq5", "eq6", "eq7")
 SEEDS = range(120)
+LONG_SEEDS = range(24)
 
 
 @pytest.fixture(scope="module")
-def verdicts():
-    """``{(seed, tag, route): report}`` over the seeded algebras of
-    test_scans.py; subset runs with K = dim, random with 3 points."""
+def inputs():
+    """``{label: (algebra, tags, seed)}``; a test_scans.py algebra is
+    labelled by its seed."""
+    out = {seed: (scan_algebra(seed), AGREEMENT_TAGS, seed) for seed in SEEDS}
+    for kind in ("int", "fraction"):
+        for seed in LONG_SEEDS:
+            out[f"{kind}/{seed}"] = (subset_algebra(seed, kind), LONG_TAGS, seed)
+    return out
+
+
+@pytest.fixture(scope="module")
+def verdicts(inputs):
+    """``{(label, tag, route): report}`` over the inputs; subset runs with
+    K = dim, random with 3 points."""
     out = {}
-    for seed in SEEDS:
-        A = scan_algebra(seed)
-        for tag in AGREEMENT_TAGS:
-            out[seed, tag, "generic"] = verify(A, tag, "generic", skip_preconditions=True)
-            out[seed, tag, "subset"] = verify(A, tag, "subset", subset_max=A.dim,
-                                              skip_preconditions=True)
-            out[seed, tag, "random"] = verify(A, tag, "random", seed=seed, points=3,
-                                              skip_preconditions=True)
+    for label, (A, tags, seed) in inputs.items():
+        for tag in tags:
+            out[label, tag, "generic"] = verify(A, tag, "generic", skip_preconditions=True)
+            out[label, tag, "subset"] = verify(A, tag, "subset", subset_max=A.dim,
+                                               skip_preconditions=True)
+            out[label, tag, "random"] = verify(A, tag, "random", seed=seed, points=3,
+                                               skip_preconditions=True)
     return out
 
 
 def test_inputs_cover_both_verdicts(verdicts):
-    for tag in AGREEMENT_TAGS:
-        statuses = {verdicts[seed, tag, "generic"].status for seed in SEEDS}
-        assert statuses == {HOLDS, FAILS}, tag
+    statuses = {tag: set() for tag in AGREEMENT_TAGS + LONG_TAGS}
+    for (_, tag, route), report in verdicts.items():
+        if route == "generic":
+            statuses[tag].add(report.status)
+    for tag, seen in statuses.items():
+        assert seen == {HOLDS, FAILS}, tag
 
 
 def test_subset_with_every_support_agrees_with_generic(verdicts):
     # K = dim admits every support, so subset covers what generic covers.
-    for seed in SEEDS:
-        for tag in AGREEMENT_TAGS:
-            generic = verdicts[seed, tag, "generic"].status
-            assert verdicts[seed, tag, "subset"].status == generic, (seed, tag)
+    for (label, tag, route), report in verdicts.items():
+        if route == "subset":
+            assert report.status == verdicts[label, tag, "generic"].status, (label, tag)
 
 
 def test_random_never_fails_where_generic_holds(verdicts):
     # A failing random point is a proof that the identity fails.
-    for seed in SEEDS:
-        for tag in AGREEMENT_TAGS:
-            if verdicts[seed, tag, "generic"].status == HOLDS:
-                assert verdicts[seed, tag, "random"].status != FAILS, (seed, tag)
+    for (label, tag, route), report in verdicts.items():
+        if route == "random" and verdicts[label, tag, "generic"].status == HOLDS:
+            assert report.status != FAILS, (label, tag)
+
+
+def test_every_failing_report_replays(inputs, verdicts):
+    for (label, tag, route), report in verdicts.items():
+        if report.status == FAILS:
+            replayed = replay_identity_witness(inputs[label][0], report)
+            assert replayed == report.witness.element, (label, tag, route)
+            assert not replayed.is_zero(), (label, tag, route)
 
 
 def test_forms_of_right_alternativity_agree(verdicts):

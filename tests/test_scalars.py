@@ -79,6 +79,15 @@ def test_constant_poly_collapses_to_rational():
     assert isinstance(half, Fraction)
 
 
+def test_hash_agrees_with_equality():
+    x, y = Poly.variable("x"), Poly.variable("y")
+    assert hash((x + y) * (x - y)) == hash(x * x - y * y)
+    assert hash(Poly({(): 3})) == hash(3)
+    assert hash(Poly({(): Fraction(1, 2)})) == hash(Fraction(1, 2))
+    assert hash(Poly({})) == hash(0)
+    assert len({Poly({(): 3}), 3, Poly({}), 0, x + 1, 1 + x}) == 3
+
+
 def test_integral_fractions_collapse_to_int():
     assert normalize(Fraction(6, 3)) == 2
     assert isinstance(normalize(Fraction(6, 3)), int)
