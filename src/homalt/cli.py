@@ -251,7 +251,9 @@ def _cmd_power(args) -> int:
         raise CliInputError("--n must be at least 1")
     if args.n > POWER_CAP:
         raise CliInputError(f"--n must be at most {POWER_CAP}")
-    x = parse_element_expr(args.element, doc.basis_names)
+    # argparse drops the attached value of ``--element=--`` and stores [].
+    expr = args.element if isinstance(args.element, str) else "--"
+    x = parse_element_expr(expr, doc.basis_names)
     result = doc.algebra.hom_power(x, args.n)
     if args.format == "json":
         sys.stdout.write(json.dumps({"power": encode_sparse(result)}, indent=2, sort_keys=True) + "\n")

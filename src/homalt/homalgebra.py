@@ -18,7 +18,13 @@ Hom-alternative when ``(x, x, y) = 0``.  Hom-powers follow
 ``x^n = x^(n-1) * alpha^(n-2)(x)``.  Each algebra keeps a table of twist
 powers: ``twist_power(n)`` composes the rows of ``alpha^n`` once, from
 ``alpha^(n-1)``, and ``shift`` and :func:`homalt.operators.alpha_op` read
-it.  Structural checks evaluate
+it.
+
+Two sparse kernels do all arithmetic on the tables: :func:`_add_product`
+every bilinear product, reading ``mu`` through the index by left factor
+that each algebra builds once, and :func:`_add_image` every linear image.
+A row table is normalized once, by the constructor that stores it.
+Structural checks evaluate
 (multi)linearized forms on basis tuples, which is complete over a field of
 characteristic zero, by two scans over the sparse tables: a pair scan of
 ``f(e_i e_j) = f(e_i) f(e_j)`` (multiplicativity is f = alpha, a weak
@@ -176,35 +182,42 @@ def normalize_rows(dim: int, rows: RowsLike, what: str = "linear map") -> RowTab
     return out
 
 
-def apply_rows(rows: RowTable, x: Element) -> Element:
-    """Apply a linear map given as sparse rows: row i holds the image of e_i."""
-    acc: list[Scalar] = [0] * len(x.coords)
-    for i, row in rows.items():
-        xi = x.coords[i]
-        if xi == 0:
-            continue
-        for k, c in row:
-            acc[k] = acc[k] + xi * c
-    return Element(tuple(acc))
+def _sparse(x: Element) -> SparseRow:
+    """The nonzero coordinates of ``x`` as a sparse row."""
+    return tuple((i, c) for i, c in enumerate(x.coords) if c != 0)
 
 
-def _add_image(acc: dict[int, Scalar], rows: RowTable, u: SparseRow) -> None:
-    """``acc += f(u)`` for the linear map with sparse rows ``rows``."""
+def _element(dim: int, acc: Mapping[int, Scalar]) -> Element:
+    """The element with the coordinates accumulated in ``acc``."""
+    return Element(tuple(acc.get(k, 0) for k in range(dim)))
+
+
+def _add_image(acc: dict[int, Scalar], rows: Mapping[int, SparseRow], u: SparseRow) -> None:
+    """``acc += f(u)`` for the linear map with sparse rows ``rows``: the one
+    linear-image loop."""
     for a, ua in u:
         for k, c in rows.get(a, ()):
             acc[k] = acc.get(k, 0) + ua * c
 
 
-def _image(rows: RowTable, u: SparseRow) -> SparseRow:
+def _image(rows: Mapping[int, SparseRow], u: SparseRow) -> SparseRow:
     """``f(u)`` for the linear map with sparse rows ``rows``, unnormalized."""
     acc: dict[int, Scalar] = {}
     _add_image(acc, rows, u)
     return tuple(acc.items())
 
 
-def compose_rows(dim: int, first: RowTable, then: RowTable) -> RowTable:
-    """Row table of ``x -> then(first(x))``."""
-    return normalize_rows(dim, {i: _image(then, row) for i, row in first.items()})
+def apply_rows(rows: RowTable, x: Element) -> Element:
+    """Apply a linear map given as sparse rows: row i holds the image of e_i."""
+    acc: dict[int, Scalar] = {}
+    _add_image(acc, rows, _sparse(x))
+    return _element(len(x.coords), acc)
+
+
+def compose_rows(first: RowTable, then: RowTable) -> RowTable:
+    """Row table of ``x -> then(first(x))``, unnormalized: the constructor
+    that stores it normalizes it."""
+    return {i: _image(then, row) for i, row in first.items()}
 
 
 def substitute_rows(
@@ -239,12 +252,13 @@ class HomAlgebra(_Record):
             raise ValueError("dimension must be nonnegative")
         self.dim = dim
         self.mu: MuTable = {}
+        self._left_mu: ByLeft = {}  # mu by left factor: _left_mu[i][j] is mu[(i, j)]
         for (i, j), row in mu.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"product ({i},{j}): index out of range for dimension {dim}")
             packed = _norm_sparse_row(dim, row, f"product ({i},{j})")
             if packed:
-                self.mu[(i, j)] = packed
+                self.mu[(i, j)] = self._left_mu.setdefault(i, {})[j] = packed
         self.alpha = normalize_rows(dim, alpha, "twisting map")
         self.params = tuple(params)
         if len(set(self.params)) != len(self.params):
@@ -275,19 +289,9 @@ class HomAlgebra(_Record):
     def mul(self, x: Element, y: Element) -> Element:
         if x.dim != self.dim or y.dim != self.dim:
             raise ValueError("dimension mismatch between element and algebra")
-        acc: list[Scalar] = [0] * self.dim
-        xs, ys = x.coords, y.coords
-        for (i, j), row in self.mu.items():
-            xi = xs[i]
-            if xi == 0:
-                continue
-            yj = ys[j]
-            if yj == 0:
-                continue
-            base = xi * yj
-            for k, c in row:
-                acc[k] = acc[k] + base * c
-        return Element(tuple(acc))
+        acc: dict[int, Scalar] = {}
+        _add_product(acc, self._left_mu, _sparse(x), _sparse(y))
+        return _element(self.dim, acc)
 
     def twist_apply(self, x: Element) -> Element:
         if x.dim != self.dim:
@@ -301,7 +305,7 @@ class HomAlgebra(_Record):
             raise ValueError("twist exponent must be nonnegative")
         powers = self._twist_powers
         while len(powers) <= n:
-            powers = powers + [compose_rows(self.dim, powers[-1], self.alpha)]
+            powers = powers + [normalize_rows(self.dim, compose_rows(powers[-1], self.alpha))]
             self._twist_powers = powers
         return powers[n]
 
@@ -417,18 +421,11 @@ class CheckReport(_Record):
 # -- structural checks -------------------------------------------------------
 
 
-def _by_left(mu: MuTable) -> ByLeft:
-    """``mu`` indexed by left factor: ``out[i][j]`` is the row of ``e_i e_j``."""
-    out: ByLeft = {}
-    for (i, j), row in mu.items():
-        out.setdefault(i, {})[j] = row
-    return out
-
-
 def _add_product(
     acc: dict[int, Scalar], by_left: ByLeft, u: SparseRow, v: SparseRow, negate: bool = False
 ) -> None:
-    """``acc += u v`` (or ``-= u v``) for sparse vectors ``u`` and ``v``."""
+    """``acc += u v`` (or ``-= u v``) for sparse vectors ``u`` and ``v``, with
+    ``mu`` indexed by left factor: the one bilinear-product loop."""
     for a, ua in u:
         right = by_left.get(a)
         if right is None:
@@ -458,25 +455,21 @@ def _first_failure(
     """Report on the first basis tuple whose sparse value is nonzero."""
     for tup, value in values:
         if any(c != 0 for c in value.values()):
-            element = Element(tuple(value.get(k, 0) for k in range(dim)))
-            return CheckReport(
-                check_id, FAILS, "basis", witness=Witness(element=element, basis=tup)
-            )
+            witness = Witness(element=_element(dim, value), basis=tup)
+            return CheckReport(check_id, FAILS, "basis", witness=witness)
     return CheckReport(check_id, HOLDS, "basis")
 
 
 def _pair_scan(check_id: str, A: HomAlgebra, rows: RowTable, B: HomAlgebra) -> CheckReport:
     """Check ``f(e_i e_j) = f(e_i) f(e_j)`` on all basis pairs of A, where f
     has the sparse rows ``rows`` and the right-hand product is taken in B."""
-    b_left = _by_left(B.mu)
-
     def values():
         for i in range(A.dim):
             fi = rows.get(i, ())
             for j in range(A.dim):
                 acc: dict[int, Scalar] = {}
                 _add_image(acc, rows, A.mu.get((i, j), ()))
-                _add_product(acc, b_left, fi, rows.get(j, ()), negate=True)
+                _add_product(acc, B._left_mu, fi, rows.get(j, ()), negate=True)
                 yield (i, j), acc
 
     return _first_failure(check_id, A.dim, values())
@@ -488,7 +481,7 @@ def _alternativity_scan(A: HomAlgebra, check_id: str) -> CheckReport:
     The form is symmetric in slots 1-2 or 0-1, so only triples with
     ``j <= k`` or ``i <= j`` are scanned; on a repeated pair the plain
     Hom-associator is reported."""
-    by_left = _by_left(A.mu)
+    by_left = A._left_mu
     left = check_id == "left-alt"
 
     def values():
@@ -576,7 +569,7 @@ def yau_twist(A: HomAlgebra, beta: RowsLike, check: bool = True) -> HomAlgebra:
             pair = report.witness.basis if report.witness else None
             raise ValueError(f"twisting map is not a weak morphism (first failing pair {pair})")
     new_mu = {key: _image(rows, row) for key, row in A.mu.items()}
-    return HomAlgebra(A.dim, new_mu, compose_rows(A.dim, A.alpha, rows), A.params)
+    return HomAlgebra(A.dim, new_mu, compose_rows(A.alpha, rows), A.params)
 
 
 def coordinate_name(prefix: str, i: int) -> str:

@@ -16,6 +16,7 @@ The derived operators are the two bracketed right multiplications
 written ``a^b`` and ``a_b`` in superscript/subscript notation, together with
 plain right multiplication ``a'`` and powers of the twisting map, which
 ``alpha_op`` reads from the algebra's table (``HomAlgebra.twist_power``).
+``RightOp`` normalizes the table it stores, once.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .homalgebra import (
     Element,
     HomAlgebra,
     RowsLike,
-    RowTable,
     _Record,
+    _image,
+    _sparse,
     apply_rows,
     compose_rows,
     normalize_rows,
@@ -52,21 +54,25 @@ class RightOp(_Record):
         return 0
 
     def __add__(self, other: "RightOp") -> "RightOp":
+        return self._merge(other, negate=False)
+
+    def __sub__(self, other: "RightOp") -> "RightOp":
+        return self._merge(other, negate=True)
+
+    def _merge(self, other: "RightOp", negate: bool) -> "RightOp":
+        """``self + other``, or ``self - other`` when ``negate``."""
         _same_dim(self, other)
         acc: dict[int, dict[int, Scalar]] = {i: dict(r) for i, r in self.rows.items()}
         for i, row in other.rows.items():
             dest = acc.setdefault(i, {})
             for k, c in row:
-                dest[k] = dest.get(k, 0) + c
+                dest[k] = dest.get(k, 0) - c if negate else dest.get(k, 0) + c
         return RightOp(self.dim, {i: tuple(r.items()) for i, r in acc.items()})
 
     def __neg__(self) -> "RightOp":
         return RightOp(
             self.dim, {i: tuple((k, -c) for k, c in row) for i, row in self.rows.items()}
         )
-
-    def __sub__(self, other: "RightOp") -> "RightOp":
-        return self + (-other)
 
 
 def _same_dim(a: RightOp, b: RightOp) -> None:
@@ -92,23 +98,17 @@ def compose(*ops: RightOp) -> RightOp:
     result = ops[0]
     for op in ops[1:]:
         _same_dim(result, op)
-        result = RightOp(result.dim, compose_rows(result.dim, result.rows, op.rows))
+        result = RightOp(result.dim, compose_rows(result.rows, op.rows))
     return result
 
 
 def right_mul_op(A: HomAlgebra, a: Element) -> RightOp:
-    """Right multiplication ``x -> xa`` as a matrix."""
+    """Right multiplication ``x -> xa`` as a matrix: row i, ``e_i a``, is the
+    image of ``a`` under the index row of ``mu`` for left factor ``e_i``."""
     if a.dim != A.dim:
         raise ValueError("dimension mismatch between element and algebra")
-    acc: dict[int, dict[int, Scalar]] = {}
-    for (i, j), row in A.mu.items():
-        aj = a.coords[j]
-        if aj == 0:
-            continue
-        dest = acc.setdefault(i, {})
-        for k, c in row:
-            dest[k] = dest.get(k, 0) + c * aj
-    return RightOp(A.dim, {i: tuple(r.items()) for i, r in acc.items()})
+    v = _sparse(a)
+    return RightOp(A.dim, {i: _image(left, v) for i, left in A._left_mu.items()})
 
 
 def alpha_op(A: HomAlgebra, n: int) -> RightOp:

@@ -201,7 +201,8 @@ def verify_all(
     subset_max: int = 3,
 ) -> list[BatchResult]:
     """Run every registry identity, sharing precondition checks across
-    entries and recording per-entry errors without aborting the batch."""
+    entries and recording per-entry errors without aborting the batch.
+    Entries get the caller's ``beta``: a default one is not normalized."""
     beta_rows = _resolve_beta(A, beta)
     known: dict[str, CheckReport] = {}
     results = []
@@ -210,7 +211,7 @@ def verify_all(
             _check_preconditions(A, inst, beta_rows, known)
             report = verify(
                 A, inst.tag, strategy,
-                seed=seed, points=points, beta=beta_rows, subset_max=subset_max,
+                seed=seed, points=points, beta=beta, subset_max=subset_max,
                 skip_preconditions=True,
             )
             results.append(BatchResult(inst.tag, report=report))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 from typing import Sequence
 
 from .homalgebra import (
@@ -26,6 +27,7 @@ from .homalgebra import (
     CheckReport,
     Element,
     Witness,
+    _element,
     coordinate_name,
     substitute_params,
     substitute_rows,
@@ -43,10 +45,7 @@ def _probe_side(diff: Side, probe: int | None = None) -> tuple[Element, int | No
         return diff, None
     if probe is None:
         probe = min(diff.rows)
-    coords: list = [0] * diff.dim
-    for k, c in diff.rows.get(probe, ()):
-        coords[k] = c
-    return Element(tuple(coords)), probe
+    return _element(diff.dim, dict(diff.rows.get(probe, ()))), probe
 
 
 def _evaluate_at(A, inst, beta, point: dict[str, Rational]) -> list[tuple[Side, Side]]:
@@ -101,11 +100,12 @@ def _grid_witness(A, inst, beta, variables: Sequence[str]) -> Witness:
     raise AssertionError("a nonzero polynomial vanished on its degree grid")
 
 
-def _support_tuples(dim: int, max_size: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for size in range(1, min(max_size, dim) + 1):
-        out.extend(itertools.combinations(range(dim), size))
-    return out
+def _support_rank(dim: int, support: tuple[int, ...]) -> int:
+    """Position of a support among the nonempty subsets of ``range(dim)``
+    ordered by size, then lexicographically (combinatorial number system)."""
+    size = len(support)
+    return (sum(comb(dim, k) for k in range(1, size + 1)) - 1
+            - sum(comb(dim - 1 - i, size - s) for s, i in enumerate(support)))
 
 
 def _coefficients(diff: Side) -> list[Scalar]:
@@ -132,33 +132,35 @@ def _support_patterns(A, inst, pairs) -> set[tuple[frozenset[int], ...]]:
 
 
 def _verify_subset(A, inst, beta, subset_max: int) -> CheckReport:
-    """Sweep the support combos as a view of the one generic evaluation.
+    """Decide the support combos as a view of the one generic evaluation.
 
-    Evaluators are polynomial in the coordinates, so a combo's difference is
-    the generic one with the coordinates outside the combo set to 0: it is
-    nonzero exactly when the combo contains, slot by slot, the support of a
-    monomial.  The cost is one generic evaluation even when the first combo
-    fails, which on dense structure constants is far more than evaluating
-    that combo alone.  When no monomial's support fits within
-    ``subset_max``, no combo can fail and the sweep is not walked: it holds
-    on all ``len(supports) ** arity`` combos.
+    The sweep is every combo of supports of size 1 to ``subset_max`` per
+    slot, in the order of their support ranks.  A combo's difference is the
+    generic one with the coordinates outside it set to 0, so it fails
+    exactly when it contains, slot by slot, the support of a monomial (a
+    pattern).  The first combo holding a pattern takes the pattern's own
+    support in each slot, or ``(0,)`` where it is empty; the least of these
+    is the first failure and ``points`` its position, so no combo is built
+    or walked.  With no pattern that fits, every combo holds.  The cost is
+    one generic evaluation even when the first combo fails, which on dense
+    structure constants is far more than that combo.
     """
     pairs = _generic_pairs(A, inst, beta)
     patterns = [p for p in _support_patterns(A, inst, pairs) if max(map(len, p)) <= subset_max]
-    supports = _support_tuples(A.dim, subset_max)
+    supports = sum(comb(A.dim, k) for k in range(1, min(subset_max, A.dim) + 1))
     if not patterns:
-        return CheckReport(inst.tag, HOLDS, "subset", points=len(supports) ** inst.arity)
-    as_set = {support: frozenset(support) for support in supports}
-    checked = 0
-    for combo in itertools.product(supports, repeat=inst.arity):
-        checked += 1
-        if any(all(need <= as_set[t] for need, t in zip(p, combo)) for p in patterns):
-            variables = list(A.params) + [
-                coordinate_name(v, i) for v, support in zip(inst.var_names, combo) for i in support
-            ]
-            witness = _find_witness(A, inst, beta, variables)
-            return CheckReport(inst.tag, FAILS, "subset", points=checked, witness=witness)
-    return CheckReport(inst.tag, HOLDS, "subset", points=checked)
+        return CheckReport(inst.tag, HOLDS, "subset", points=supports ** inst.arity)
+
+    def position(combo: tuple[tuple[int, ...], ...]) -> int:
+        return sum(_support_rank(A.dim, t) * supports ** (len(combo) - 1 - s)
+                   for s, t in enumerate(combo))
+
+    combo = min((tuple(tuple(sorted(need)) or (0,) for need in p) for p in patterns), key=position)
+    variables = list(A.params) + [
+        coordinate_name(v, i) for v, support in zip(inst.var_names, combo) for i in support
+    ]
+    witness = _find_witness(A, inst, beta, variables)
+    return CheckReport(inst.tag, FAILS, "subset", points=position(combo) + 1, witness=witness)
 
 
 def _verify_random(A, inst, beta, seed: int, points: int) -> CheckReport:

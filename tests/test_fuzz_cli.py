@@ -145,6 +145,7 @@ def test_power_keeps_the_exit_contract(text, expr, n, fmt):
 
 @FUZZ
 @given(expr=EXPRESSIONS, n=st.integers(1, 3))
+@example(expr="--", n=1)  # argparse stores [] for ``--element=--``
 def test_power_expressions_on_a_valid_algebra(expr, n):
     doc = {"dimension": 3, "basis": ["e1", "e2", "t"], "parameters": ["s"],
            "products": [{"left": 0, "right": 1, "result": [{"index": 2, "coeff": "1/2"}]}],

@@ -32,12 +32,20 @@ from homalt.proof_replay import (
     verify,
 )
 from homalt.scalars import Poly
-from homalt.search import _find_witness, _support_tuples
+from homalt.search import _find_witness
+from test_scans import direct_sum
 
 t = Poly.variable("t")
 
 
 # --- the reference sweep ---
+
+def _support_tuples(dim, max_size):
+    out = []
+    for size in range(1, min(max_size, dim) + 1):
+        out.extend(itertools.combinations(range(dim), size))
+    return out
+
 
 def _support_generics(A, prefixes, supports):
     out = []
@@ -250,3 +258,35 @@ def test_sweep_that_cannot_fail_is_not_walked(tmp_path, mikheev):
     # Every combo counts, as when the sweep is walked: 377^3 for linearized.
     report = verify(mikheev, "linearized", "subset", skip_preconditions=True)
     assert (report.status, report.points) == (HOLDS, 53582633)
+
+
+def test_subset_max_64_on_the_dim_64_direct_sum(mikheev):
+    # At the file format's cap each slot has 2^64 - 1 supports: the sweep is
+    # decided from support ranks, never built or walked.
+    supports = 2**64 - 1
+    trivial = HomAlgebra(12, {}, {i: ((i, 1),) for i in range(12)})
+    whole = direct_sum(mikheev, mikheev, mikheev, mikheev, trivial)
+    assert whole.dim == 64
+    report = _subset(whole, "xyy", 64)
+    assert (report.status, report.points) == (HOLDS, supports**2)
+
+    # xyy is linear in x and quadratic in y, so every pattern fits in K = 2,
+    # and the identity-twist block's first failing combo at K = 2 (from the
+    # reference sweep) is its first at any K.  In the sum that block sits at
+    # offset 39 after three holding copies of the base algebra, and the
+    # supports of size at most 2 come first in the sweep of size 64.
+    fam = mikheev_family(FamilyParams.rational(Fraction(2, 3), Fraction(-5, 2)))
+    broken = HomAlgebra(13, dict(fam.mu), {i: ((i, 1),) for i in range(13)})
+    block = _reference(broken, "xyy", 2)
+    block_supports = _support_tuples(13, 2)
+    ranks = divmod(block.points - 1, len(block_supports))
+    combo = [tuple(39 + i for i in block_supports[r]) for r in ranks]
+    order = _support_tuples(64, 2)
+    first, second = (order.index(support) for support in combo)
+
+    A = direct_sum(mikheev, mikheev, mikheev, broken, trivial)
+    report = _subset(A, "xyy", 64)
+    assert report.status == FAILS
+    assert report.points == first * supports + second + 1
+    assert replay_identity_witness(A, report) == report.witness.element
+    assert not report.witness.element.is_zero()
