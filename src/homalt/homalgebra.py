@@ -18,7 +18,7 @@ Hom-alternative when ``(x, x, y) = 0``.  Hom-powers follow
 ``x^n = x^(n-1) * alpha^(n-2)(x)``.  Each algebra keeps a table of twist
 powers: ``twist_power(n)`` composes the rows of ``alpha^n`` once, from
 ``alpha^(n-1)``, and ``shift`` and :func:`homalt.operators.alpha_op` read
-it.
+it; ``twist_by(beta)`` likewise builds the Yau twist by ``beta`` once.
 
 Two sparse kernels do all arithmetic on the tables: :func:`_add_product`
 every bilinear product, reading ``mu`` through the index by left factor
@@ -51,7 +51,6 @@ from .scalars import (
     encode_sparse,
     normalize,
     substitute,
-    degree as scalar_degree,
 )
 
 SparseRow = tuple[tuple[int, Scalar], ...]
@@ -160,7 +159,7 @@ def _norm_sparse_row(dim: int, row: Iterable[tuple[int, Scalar]], what: str) -> 
     for k, c in row:
         if not 0 <= k < dim:
             raise ValueError(f"{what}: index {k} out of range for dimension {dim}")
-        acc[k] = acc.get(k, 0) + c
+        acc[k] = acc[k] + c if k in acc else c
     return tuple((k, normalize(c)) for k, c in sorted(acc.items()) if c != 0)
 
 
@@ -241,8 +240,9 @@ class HomAlgebra(_Record):
     """Hom-algebra with sparse structure constants and twisting map.
 
     Instances are treated as immutable; every operation returns fresh
-    elements or fresh algebras, and the table of twist powers only grows,
-    by whole replacement, so concurrent sweeps over one algebra are safe.
+    elements or fresh algebras, and the tables of twist powers and of Yau
+    twists only grow, by whole replacement, so concurrent sweeps over one
+    algebra are safe.
     """
 
     _fields = ("dim", "mu", "alpha", "params")
@@ -264,6 +264,7 @@ class HomAlgebra(_Record):
         if len(set(self.params)) != len(self.params):
             raise ValueError("duplicate parameter names")
         self._twist_powers = [identity_rows(dim), self.alpha]
+        self._yau_twists: dict[tuple[tuple[int, SparseRow], ...], HomAlgebra] = {}
 
     # -- element constructors ----------------------------------------------
 
@@ -309,6 +310,14 @@ class HomAlgebra(_Record):
             self._twist_powers = powers
         return powers[n]
 
+    def twist_by(self, beta: RowTable) -> "HomAlgebra":
+        """:func:`yau_twist` by the canonical rows ``beta``, unchecked.  Each
+        twist is built once, into the algebra's table of twists by ``beta``."""
+        key = tuple(sorted(beta.items()))
+        if key not in self._yau_twists:
+            self._yau_twists = {**self._yau_twists, key: yau_twist(self, beta, check=False)}
+        return self._yau_twists[key]
+
     def shift(self, x: Element, n: int) -> Element:
         """``alpha^n(x)`` (n >= 0), read from :meth:`twist_power`."""
         rows = self.twist_power(n)
@@ -334,11 +343,6 @@ class HomAlgebra(_Record):
 
     def with_params(self, extra: Iterable[str]) -> "HomAlgebra":
         return HomAlgebra(self.dim, self.mu, self.alpha, self.params + tuple(extra))
-
-    def twist_entry_degree(self) -> int:
-        """Largest parameter degree among stored product/twist coefficients."""
-        rows = (*self.mu.values(), *self.alpha.values())
-        return max((scalar_degree(c) for row in rows for _, c in row), default=0)
 
 
 # -- reports ----------------------------------------------------------------

@@ -3,20 +3,23 @@
 An entry's evaluator ``_ev_<tag>`` lives in :mod:`homalt.element_laws` or
 :mod:`homalt.operator_laws`, by its kind, and is imported on first use;
 :mod:`homalt.proof_replay` checks the hypotheses and runs the strategies.
-This module imports only :mod:`homalt.homalgebra`, which every CLI call
-loads, so the CLI lists the ``--identity`` choices and catches
-:class:`PreconditionError` without loading :mod:`homalt.proof_replay`.
+This module imports only :mod:`homalt.homalgebra` and :mod:`homalt.scalars`,
+which every CLI call loads, so the CLI lists the ``--identity`` choices
+and catches :class:`PreconditionError` without loading
+:mod:`homalt.proof_replay`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
-from .homalgebra import _Record
+from .homalgebra import Element, HomAlgebra, _Record
+from .scalars import degree
 
 if TYPE_CHECKING:
-    from .homalgebra import CheckReport, Element, HomAlgebra, RowTable
+    from .homalgebra import CheckReport, RowTable, SparseRow
     from .operators import RightOp
+    from .scalars import Scalar
 
     Side = Union[Element, RightOp]
     Evaluator = Callable[[HomAlgebra, Sequence[Element], RowTable], list[tuple[Side, Side]]]
@@ -40,26 +43,20 @@ class IdentityInstance(_Record):
     Hom-alternative), ``"weak-morphism"`` (the map ``beta`` of ``beta2`` is a
     weak morphism).  ``evaluate`` returns equation pairs (one per shift for
     the shift-indexed entries), by default those of ``_ev_<tag>`` in the laws
-    module its ``kind`` names.  ``elem_degree`` (the total degree in element
-    coordinates) and ``map_weight`` (a conservative count of product/twist
-    applications) give the random strategy's degree bound.
+    module its ``kind`` names.  :meth:`degree_bound`, the random strategy's
+    total-degree bound, is derived from one run of ``evaluate``.
     """
 
-    __slots__ = (
-        "tag", "label", "var_names", "kind", "requires", "elem_degree", "map_weight", "_evaluate",
-    )
+    __slots__ = ("tag", "label", "var_names", "kind", "requires", "_evaluate")
     _fields = __slots__[:-1] + ("evaluate",)
 
     def __init__(self, tag: str, label: str, var_names: tuple[str, ...], kind: str,
-                 requires: tuple[str, ...], elem_degree: int, map_weight: int,
-                 evaluate: Evaluator | None = None) -> None:
+                 requires: tuple[str, ...], evaluate: Evaluator | None = None) -> None:
         self.tag = tag
         self.label = label
         self.var_names = var_names
         self.kind = kind  # "element" | "operator"
         self.requires = requires
-        self.elem_degree = elem_degree
-        self.map_weight = map_weight
         self._evaluate = evaluate
 
     @property
@@ -80,70 +77,132 @@ class IdentityInstance(_Record):
     def evaluate(self, fn: Evaluator) -> None:
         self._evaluate = fn
 
-    def degree_bound(self, A: HomAlgebra) -> int:
-        return self.elem_degree + self.map_weight * A.twist_entry_degree()
+    def degree_bound(self, A: HomAlgebra, beta: RowTable) -> int:
+        """A bound on the total degree, in the parameters of ``A`` and the
+        argument coordinates, of every coefficient on either side of each
+        pair that ``evaluate`` returns on ``A`` and ``beta``: the largest
+        degree on a side of the entry evaluated on :func:`_degree_model`."""
+        pairs = self.evaluate(*_degree_model(A, beta, self.arity))
+        return max((c.degree for pair in pairs for side in pair for c in _coefficients(side)
+                    if c != 0), default=0)
+
+
+class _Degree:
+    """Tropical scalar: a bound on the total degree of a nonzero polynomial.
+    Sums and differences take the larger bound, products add bounds, a
+    nonzero int has degree 0 and int 0 stays an exact zero.  Nothing
+    cancels, so a bound stays at or above the degree it stands for."""
+
+    __slots__ = ("degree",)
+
+    def __init__(self, degree: int) -> None:
+        self.degree = degree
+
+    def __add__(self, other: object) -> "_Degree":
+        if isinstance(other, _Degree):
+            return self if self.degree >= other.degree else other
+        if isinstance(other, int):
+            return self
+        return NotImplemented
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __neg__(self) -> "_Degree":
+        return self
+
+    def __mul__(self, other: object) -> "_Degree | int":
+        if isinstance(other, _Degree):
+            return _Degree(self.degree + other.degree)
+        if isinstance(other, int):
+            return self if other else 0
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+def _degree_model(A: HomAlgebra, beta: RowTable, arity: int
+                  ) -> tuple[HomAlgebra, list[Element], RowTable]:
+    """The arguments of an evaluator that tracks degrees on ``A``: a
+    1-dimensional algebra over :class:`_Degree` whose product, twist and
+    ``beta`` carry the largest coefficient degree of ``A.mu``, ``A.alpha``
+    and ``beta``, and ``arity`` arguments of degree 1.  Each coordinate of
+    a value there bounds the degree of every coordinate of that value on
+    ``A``."""
+    def top(rows: Mapping[object, SparseRow]) -> SparseRow:
+        return ((0, _Degree(max((degree(c) for row in rows.values() for _, c in row),
+                                default=0))),)
+
+    model = HomAlgebra(1, {(0, 0): top(A.mu)}, {0: top(A.alpha)})
+    return model, [Element((_Degree(1),))] * arity, {0: top(beta)}
+
+
+def _coefficients(side: Side) -> list[Scalar]:
+    """The coordinates of an element, or the entries of an operator."""
+    if isinstance(side, Element):
+        return list(side.coords)
+    return [c for row in side.rows.values() for _, c in row]
 
 
 # The hypotheses an entry can require, in checking order.
 MULT, RALT, WEAK = "multiplicative", "right-alt", "weak-morphism"
 
-# In registry order: tag, label, variables, kind, hypotheses, element degree,
-# map weight.
+# In registry order: tag, label, variables, kind, hypotheses.  No degree is
+# typed here: IdentityInstance.degree_bound derives it from the evaluator.
 REGISTRY: tuple[IdentityInstance, ...] = (
     IdentityInstance("xyy", "right alternativity, expanded: (xy)a(y) = a(x)(yy)",
-                     ("x", "y"), "element", (), 3, 6),
+                     ("x", "y"), "element", ()),
     IdentityInstance("linearized", "Hom-associator is antisymmetric in its last two slots",
-                     ("x", "y", "z"), "element", (RALT,), 3, 6),
+                     ("x", "y", "z"), "element", (RALT,)),
     IdentityInstance("teichmuller", "five-term Hom-Teichmuller identity",
-                     ("w", "x", "y", "z"), "element", (MULT,), 4, 12),
+                     ("w", "x", "y", "z"), "element", (MULT,)),
     IdentityInstance("xyyz", "associator absorption: (a(x), a(y), yz) = (x,y,z) a^2(y)",
-                     ("x", "y", "z"), "element", (MULT, RALT), 3, 12),
+                     ("x", "y", "z"), "element", (MULT, RALT)),
     IdentityInstance("moufang", "right Hom-Moufang identity",
-                     ("x", "y", "z"), "element", (MULT, RALT), 3, 10),
+                     ("x", "y", "z"), "element", (MULT, RALT)),
     IdentityInstance("beta2", "twice-twisted associator equals the associator of the twist",
-                     ("x", "y", "z"), "element", (WEAK,), 3, 18),
+                     ("x", "y", "z"), "element", (WEAK,)),
     IdentityInstance("eq1", "operator right alternativity: a'a_1' = alpha (a^2)'",
-                     ("a",), "operator", (RALT,), 2, 6),
+                     ("a",), "operator", (RALT,)),
     IdentityInstance("eq2", "operator right Hom-Moufang: a'b_1'a_2' = alpha^2 ((ab)a_1)'",
-                     ("a", "b"), "operator", (MULT, RALT), 3, 12),
+                     ("a", "b"), "operator", (MULT, RALT)),
     IdentityInstance("eq2p", "linearized operator right Hom-Moufang",
-                     ("a", "b", "c"), "operator", (MULT, RALT), 3, 12),
+                     ("a", "b", "c"), "operator", (MULT, RALT)),
     IdentityInstance("eq3a", "superscript operator vanishes on the diagonal: a^a = 0",
-                     ("a",), "operator", (RALT,), 2, 6),
+                     ("a",), "operator", (RALT,)),
     IdentityInstance("eq3b", "superscript operator is antisymmetric: a^b + b^a = 0",
-                     ("a", "b"), "operator", (RALT,), 2, 6),
+                     ("a", "b"), "operator", (RALT,)),
     IdentityInstance("eq5",
                      "superscript then shifted subscript annihilates: a^b (a_2)_(b_2) = 0",
-                     ("a", "b"), "operator", (MULT, RALT), 4, 20),
+                     ("a", "b"), "operator", (MULT, RALT)),
     IdentityInstance("eq5p", "linearization of the superscript/subscript annihilation",
-                     ("a", "b", "c"), "operator", (MULT, RALT), 4, 20),
+                     ("a", "b", "c"), "operator", (MULT, RALT)),
     IdentityInstance("eq6", "subscript then shifted superscript is a commutator-associator",
-                     ("a", "b"), "operator", (MULT, RALT), 4, 20),
+                     ("a", "b"), "operator", (MULT, RALT)),
     IdentityInstance("eq7", "subscript, right multiplication, then superscript collapses",
-                     ("a", "b"), "operator", (MULT, RALT), 5, 28),
+                     ("a", "b"), "operator", (MULT, RALT)),
     IdentityInstance("eq8", "shifted (a,a,b) annihilates the commutator associator",
-                     ("a", "b"), "element", (MULT, RALT), 7, 24),
+                     ("a", "b"), "element", (MULT, RALT)),
     IdentityInstance("eq9", "shifted (a,a,b) annihilates the commutator-product associator",
-                     ("a", "b"), "element", (MULT, RALT), 8, 28),
+                     ("a", "b"), "element", (MULT, RALT)),
     IdentityInstance("eq10",
                      "expansion of alpha^2 p_k' through superscript operators (k = 0,1,2)",
-                     ("a", "b"), "operator", (MULT, RALT), 3, 20),
+                     ("a", "b"), "operator", (MULT, RALT)),
     IdentityInstance("eq10p",
                      "expansion of alpha^2 p_k' through subscript operators (k = 0,1,2)",
-                     ("a", "b"), "operator", (MULT, RALT), 3, 20),
+                     ("a", "b"), "operator", (MULT, RALT)),
     IdentityInstance("dpe", "two-term split of the Mikheev operator chain",
-                     ("a", "b"), "operator", (MULT, RALT), 11, 60),
+                     ("a", "b"), "operator", (MULT, RALT)),
     IdentityInstance("d0", "first split term of the Mikheev operator chain vanishes",
-                     ("a", "b"), "operator", (MULT, RALT), 11, 60),
+                     ("a", "b"), "operator", (MULT, RALT)),
     IdentityInstance("e0", "second split term of the Mikheev operator chain vanishes",
-                     ("a", "b"), "operator", (MULT, RALT), 11, 60),
+                     ("a", "b"), "operator", (MULT, RALT)),
     IdentityInstance("prop", "the Mikheev operator chain a^b p'p_1'p_2' alpha^6 vanishes",
-                     ("a", "b"), "operator", (MULT, RALT), 11, 48),
+                     ("a", "b"), "operator", (MULT, RALT)),
     IdentityInstance("theorem", "twisted Mikheev identity: alpha^6((a,a,b)^4) = 0",
-                     ("a", "b"), "element", (MULT, RALT), 12, 24),
+                     ("a", "b"), "element", (MULT, RALT)),
     IdentityInstance("mikheev_classical",
                      "Mikheev identity (a,a,b)^4 = 0 (meaningful for injective twists)",
-                     ("a", "b"), "element", (MULT, RALT), 12, 12),
+                     ("a", "b"), "element", (MULT, RALT)),
 )
 
 

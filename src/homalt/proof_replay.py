@@ -22,8 +22,9 @@ Three strategies are offered:
   some monomial of that difference, so the identity is evaluated once.
 * ``random``   -- exact evaluation at uniformly drawn integer points in
   [-10^6, 10^6] (parameters of symbolic algebras are drawn too); a pass is
-  reported as ``random-pass`` with the seed, point count, and a conservative
-  total-degree bound in the drawn variables.
+  reported as ``random-pass`` with the seed, point count, and a
+  total-degree bound in the drawn variables, derived from the entry's own
+  evaluator (:meth:`IdentityInstance.degree_bound`).
 
 Failing reports carry a replayable witness: a rational point (and for
 operator identities a probe basis index) at which the two sides differ,

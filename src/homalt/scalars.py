@@ -211,6 +211,9 @@ def normalize(s: Scalar) -> Scalar:
     if type(s) is int:
         return s
     if isinstance(s, Poly):
+        # Poly() already made the terms canonical; only a constant collapses.
+        if len(s.terms) > 1 or (s.terms and UNIT_MONO not in s.terms):
+            return s
         return _wrap(s.terms)
     return _norm_rational(s)
 

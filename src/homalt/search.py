@@ -32,8 +32,9 @@ from .homalgebra import (
     substitute_params,
     substitute_rows,
 )
+from .identities import _coefficients
 from .proof_replay import Side, _first_mismatch, _generic_pairs, _variables
-from .scalars import Poly, Rational, Scalar, substitute, variables as scalar_variables
+from .scalars import Poly, Rational, substitute, variables as scalar_variables
 
 RANDOM_BOUND = 10**6
 
@@ -108,13 +109,6 @@ def _support_rank(dim: int, support: tuple[int, ...]) -> int:
             - sum(comb(dim - 1 - i, size - s) for s, i in enumerate(support)))
 
 
-def _coefficients(diff: Side) -> list[Scalar]:
-    """The coordinates of an element, or the entries of an operator."""
-    if isinstance(diff, Element):
-        return list(diff.coords)
-    return [c for row in diff.rows.values() for _, c in row]
-
-
 def _support_patterns(A, inst, pairs) -> set[tuple[frozenset[int], ...]]:
     """Per-slot coordinate supports of the monomials of the differences: slot
     ``s`` holds each ``i`` with ``<var_names[s]>_<i + 1>`` in the monomial."""
@@ -165,7 +159,7 @@ def _verify_subset(A, inst, beta, subset_max: int) -> CheckReport:
 
 def _verify_random(A, inst, beta, seed: int, points: int) -> CheckReport:
     rng = random.Random(seed)
-    sample = {"points": points, "seed": seed, "degree_bound": inst.degree_bound(A)}
+    sample = {"points": points, "seed": seed, "degree_bound": inst.degree_bound(A, beta)}
     names = _variables(A, inst)
     for _ in range(points):
         point = {name: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for name in names}

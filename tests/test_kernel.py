@@ -187,6 +187,26 @@ def test_compose_normalizes_each_entry_once(normalized):
     assert len(normalized) == _entries(difference) == 8
 
 
+def test_normalizing_canonical_tables_adds_nothing(monkeypatch, fam_sym):
+    # Each index is stored once per row and a Poly is canonical from its
+    # constructor, so rebuilding the twisted family from its own tables
+    # makes no Poly addition and keeps every Poly as it is.
+    added = []
+    add = Poly.__add__
+
+    def counting(self, other):
+        added.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(Poly, "__add__", counting)
+    monkeypatch.setattr(Poly, "__radd__", counting)
+    B = HomAlgebra(fam_sym.dim, fam_sym.mu, fam_sym.alpha, fam_sym.params)
+    assert added == []
+    for old, new in ((fam_sym.mu, B.mu), (fam_sym.alpha, B.alpha)):
+        assert new == old
+        assert all(c is d for key, row in old.items() for (_, c), (_, d) in zip(row, new[key]))
+
+
 def test_yau_twist_normalizes_each_table_once(normalized, mikheev):
     beta = {i: ((i, 2),) for i in range(13)}
     normalized.clear()

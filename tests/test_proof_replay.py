@@ -108,7 +108,7 @@ def test_eq5_random_pass(fam23):
     assert report.status == "random-pass"
     assert report.points == 50
     assert report.seed == 1
-    assert report.degree_bound == get_identity("eq5").degree_bound(fam23)
+    assert report.degree_bound == get_identity("eq5").degree_bound(fam23, dict(fam23.alpha))
 
 
 def test_eq6_holds_on_commutative_associative(truncated_poly):
@@ -201,13 +201,23 @@ def test_verify_all_scans_each_failed_precondition_once(monkeypatch):
 
 def _count_work(monkeypatch) -> Counter:
     """Count the algebras built, the twist rows composed (``twist_power``
-    reads ``compose_rows`` from its module) and the parameter substitutions."""
+    and ``yau_twist`` read ``compose_rows`` from their module) and the
+    parameter substitutions.  The random strategy's degree bound evaluates
+    the entry on a 1-dimensional algebra; work on 1-dimensional tables is
+    not counted, so the counts are those of the algebras under test."""
     calls: Counter = Counter()
     init = HomAlgebra.__init__
+    compose_rows = homalt.homalgebra.compose_rows
 
-    def counted_init(self, *args, **kwargs):
-        calls["HomAlgebra"] += 1
-        init(self, *args, **kwargs)
+    def counted_init(self, dim, *args, **kwargs):
+        if dim > 1:
+            calls["HomAlgebra"] += 1
+        init(self, dim, *args, **kwargs)
+
+    def counted_compose(first, then):
+        if any(i > 0 for i in (*first, *then)):  # a row beyond e_0
+            calls["compose_rows"] += 1
+        return compose_rows(first, then)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -216,8 +226,7 @@ def _count_work(monkeypatch) -> Counter:
         return wrapper
 
     monkeypatch.setattr(HomAlgebra, "__init__", counted_init)
-    monkeypatch.setattr(homalt.homalgebra, "compose_rows",
-                        counted("compose_rows", homalt.homalgebra.compose_rows))
+    monkeypatch.setattr(homalt.homalgebra, "compose_rows", counted_compose)
     substitute = counted("substitute_params", homalt.homalgebra.substitute_params)
     for module in (homalt.homalgebra, homalt.search):
         monkeypatch.setattr(module, "substitute_params", substitute)
@@ -241,6 +250,16 @@ def test_random_points_share_the_twist_powers(monkeypatch):
     report = verify(A, "theorem", "random", seed=1, points=20)
     assert report.status == "random-pass"
     assert calls == Counter({"substitute_params": 20, "compose_rows": 5})
+
+
+def test_random_points_share_the_yau_twist(monkeypatch):
+    # beta2 builds its Yau twist once per (algebra, beta): on an algebra
+    # without parameters every point evaluates on A itself, so one twist.
+    A = mikheev_family(FamilyParams.rational(Fraction(7, 3), Fraction(-5, 2)))
+    calls = _count_work(monkeypatch)
+    report = verify(A, "beta2", "random", seed=1, points=20)
+    assert report.status == "random-pass"
+    assert calls == Counter({"substitute_params": 20, "HomAlgebra": 1, "compose_rows": 1})
 
 
 def test_beta2_with_explicit_morphism(mikheev):
@@ -354,12 +373,32 @@ def test_smallest_alpha_exponent(mikheev, fam_sym, zero_algebra):
     assert smallest_alpha_exponent(zero_algebra, z, z) == 0
 
 
-def test_degree_bound_reporting(mikheev, fam_sym):
-    inst = get_identity("theorem")
-    assert inst.degree_bound(mikheev) == inst.elem_degree
-    assert inst.degree_bound(fam_sym) > inst.elem_degree
+# The degree bound on an algebra with rational structure constants: the
+# total degree in the argument coordinates.
+RATIONAL_DEGREE_BOUNDS = {
+    "xyy": 3, "linearized": 3, "teichmuller": 4, "xyyz": 4, "moufang": 4, "beta2": 3,
+    "eq1": 2, "eq2": 3, "eq2p": 3, "eq3a": 2, "eq3b": 2, "eq5": 4, "eq5p": 4, "eq6": 4,
+    "eq7": 5, "eq8": 7, "eq9": 8, "eq10": 3, "eq10p": 3, "dpe": 11, "d0": 11, "e0": 11,
+    "prop": 11, "theorem": 12, "mikheev_classical": 12,
+}
+
+
+def test_degree_bound_reporting(mikheev, fam23, fam_sym):
+    fam = mikheev_family(FamilyParams.rational(Fraction(7, 3), Fraction(-5, 2)))
+    for A in (mikheev, fam23, fam):
+        bounds = {inst.tag: inst.degree_bound(A, dict(A.alpha)) for inst in registry()}
+        assert bounds == RATIONAL_DEGREE_BOUNDS
     report = verify(mikheev, "theorem", strategy="random", seed=0, points=2)
-    assert report.degree_bound == inst.elem_degree
+    assert report.degree_bound == 12
+    # Parameters raise the bound, and the reported bound reads the caller's
+    # beta: the identity twist keeps beta2 at the degree of xyy.
+    inst = get_identity("beta2")
+    assert inst.degree_bound(fam_sym, dict(fam_sym.alpha)) > 12
+    identity = identity_rows(13)
+    report = verify(fam_sym, "beta2", strategy="random", seed=0, points=1, beta=identity)
+    assert report.degree_bound == inst.degree_bound(fam_sym, identity)
+    assert report.degree_bound == get_identity("xyy").degree_bound(fam_sym, identity)
+    assert report.degree_bound < inst.degree_bound(fam_sym, dict(fam_sym.alpha))
 
 
 def test_report_serialization_shape(fam23, plain_twisted):
