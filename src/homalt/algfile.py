@@ -24,14 +24,16 @@ products/alpha, are read and written by :mod:`homalt.morphfile` with the
 helpers here (one row codec serves both), and element expressions by
 :mod:`homalt.text`.  Parsing reports the offending field path on malformed
 input, and serialization emits a canonical, byte-stable form, so parse and
-serialize are mutually inverse on canonical documents.  Dimensions above 64
-and polynomial exponents above 1000 are rejected at load time, to keep
-basis sweeps and polynomial arithmetic tractable.
+serialize are mutually inverse on canonical documents.  Dimensions above 64,
+polynomial exponents above 1000 and numbers of more than 4300 digits are
+rejected at load time, to keep basis sweeps, polynomial arithmetic and
+parsing tractable.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import NamedTuple, Sequence
 
 from .homalgebra import HomAlgebra, MuTable, RowTable
@@ -39,6 +41,8 @@ from .scalars import Poly, Scalar, decode_scalar, encode_sparse, variables
 
 DIMENSION_CAP = 64
 EXPONENT_CAP = 1000
+DIGIT_CAP = 4300  # digits in one run of a document: a coefficient's p or q, or a number
+_OVER_DIGIT_CAP = re.compile(r"(?<!\d)\d{%d,}" % (DIGIT_CAP + 1))
 
 
 class AlgebraFormatError(ValueError):
@@ -56,6 +60,12 @@ class AlgebraDocument(NamedTuple):
 
 
 def _load_json(text: str) -> object:
+    long_run = _OVER_DIGIT_CAP.search(text)
+    if long_run:
+        pos = long_run.start()
+        line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+        raise AlgebraFormatError(f"line {line}, column {column}", f"number of {len(long_run[0])} "
+                                 f"digits exceeds the supported cap of {DIGIT_CAP}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

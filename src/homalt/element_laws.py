@@ -2,11 +2,11 @@
 
 The registry entry of tag ``t`` with kind ``"element"`` (declared in
 :mod:`homalt.identities`) is evaluated by ``_ev_t`` here.  Each evaluator
-takes the algebra, the argument elements and the twisting map ``beta`` of
-the ``beta2`` entry, and returns the equation pairs of the identity as
-elements.  This module imports only :mod:`homalt.homalgebra`; the entry
-imports it when it is first evaluated, so it loads neither
-:mod:`homalt.operators` nor :mod:`homalt.proof_replay`.
+takes the algebra and the argument elements and returns the equation pairs
+of the identity on that algebra as elements; ``beta2`` compares with the Yau
+twist of the algebra by its own alpha.  This module imports only
+:mod:`homalt.homalgebra`; the entry imports it when it is first evaluated,
+so it loads neither :mod:`homalt.operators` nor :mod:`homalt.proof_replay`.
 """
 
 from __future__ import annotations
@@ -14,17 +14,17 @@ from __future__ import annotations
 from .homalgebra import apply_rows
 
 
-def _ev_xyy(A, xs, beta):
+def _ev_xyy(A, xs):
     x, y = xs
     lhs = A.mul(A.mul(x, y), A.twist_apply(y))
     rhs = A.mul(A.twist_apply(x), A.mul(y, y))
     return [(lhs, rhs)]
 
-def _ev_linearized(A, xs, beta):
+def _ev_linearized(A, xs):
     x, y, z = xs
     return [(A.hom_associator(x, y, z), -A.hom_associator(x, z, y))]
 
-def _ev_teichmuller(A, xs, beta):
+def _ev_teichmuller(A, xs):
     w, x, y, z = xs
     aw, ax, ay, az = (A.twist_apply(v) for v in xs)
     total = (
@@ -36,26 +36,26 @@ def _ev_teichmuller(A, xs, beta):
     )
     return [(total, A.zero())]
 
-def _ev_xyyz(A, xs, beta):
+def _ev_xyyz(A, xs):
     x, y, z = xs
     lhs = A.hom_associator(A.twist_apply(x), A.twist_apply(y), A.mul(y, z))
     rhs = A.mul(A.hom_associator(x, y, z), A.shift(y, 2))
     return [(lhs, rhs)]
 
-def _ev_moufang(A, xs, beta):
+def _ev_moufang(A, xs):
     x, y, z = xs
     lhs = A.mul(A.mul(A.mul(x, y), A.twist_apply(z)), A.shift(y, 2))
     rhs = A.mul(A.shift(x, 2), A.mul(A.mul(y, z), A.twist_apply(y)))
     return [(lhs, rhs)]
 
-def _ev_beta2(A, xs, beta):
+def _ev_beta2(A, xs):
     x, y, z = xs
     inner = A.hom_associator(x, y, z)
-    lhs = apply_rows(beta, apply_rows(beta, inner))
-    rhs = A.twist_by(beta).hom_associator(x, y, z)
+    lhs = apply_rows(A.alpha, apply_rows(A.alpha, inner))
+    rhs = A.self_twist().hom_associator(x, y, z)
     return [(lhs, rhs)]
 
-def _ev_eq8(A, xs, beta):
+def _ev_eq8(A, xs):
     a, b = xs
     p3 = A.shift(A.hom_associator(a, a, b), 3)
     inner = A.hom_associator(
@@ -63,7 +63,7 @@ def _ev_eq8(A, xs, beta):
     )
     return [(A.mul(p3, inner), A.zero())]
 
-def _ev_eq9(A, xs, beta):
+def _ev_eq9(A, xs):
     a, b = xs
     p4 = A.shift(A.hom_associator(a, a, b), 4)
     inner = A.hom_associator(
@@ -73,10 +73,10 @@ def _ev_eq9(A, xs, beta):
     )
     return [(A.mul(p4, inner), A.zero())]
 
-def _ev_theorem(A, xs, beta):
+def _ev_theorem(A, xs):
     a, b = xs
     return [(A.shift(A.hom_power(A.hom_associator(a, a, b), 4), 6), A.zero())]
 
-def _ev_mikheev_classical(A, xs, beta):
+def _ev_mikheev_classical(A, xs):
     a, b = xs
     return [(A.hom_power(A.hom_associator(a, a, b), 4), A.zero())]

@@ -18,7 +18,7 @@ Hom-alternative when ``(x, x, y) = 0``.  Hom-powers follow
 ``x^n = x^(n-1) * alpha^(n-2)(x)``.  Each algebra keeps a table of twist
 powers: ``twist_power(n)`` composes the rows of ``alpha^n`` once, from
 ``alpha^(n-1)``, and ``shift`` and :func:`homalt.operators.alpha_op` read
-it; ``twist_by(beta)`` likewise builds the Yau twist by ``beta`` once.
+it; ``self_twist()`` likewise builds the Yau twist by ``alpha`` once.
 
 Two sparse kernels do all arithmetic on the tables: :func:`_add_product`
 every bilinear product, reading ``mu`` through the index by left factor
@@ -41,13 +41,13 @@ the text forms of elements.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .scalars import (
     Poly,
     Rational,
     Scalar,
+    encode_scalar,
     encode_sparse,
     normalize,
     substitute,
@@ -240,9 +240,9 @@ class HomAlgebra(_Record):
     """Hom-algebra with sparse structure constants and twisting map.
 
     Instances are treated as immutable; every operation returns fresh
-    elements or fresh algebras, and the tables of twist powers and of Yau
-    twists only grow, by whole replacement, so concurrent sweeps over one
-    algebra are safe.
+    elements or fresh algebras, the table of twist powers only grows, by
+    whole replacement, and the Yau twist by alpha is stored once it is
+    built, so concurrent sweeps over one algebra are safe.
     """
 
     _fields = ("dim", "mu", "alpha", "params")
@@ -264,7 +264,7 @@ class HomAlgebra(_Record):
         if len(set(self.params)) != len(self.params):
             raise ValueError("duplicate parameter names")
         self._twist_powers = [identity_rows(dim), self.alpha]
-        self._yau_twists: dict[tuple[tuple[int, SparseRow], ...], HomAlgebra] = {}
+        self._self_twist: HomAlgebra | None = None
 
     # -- element constructors ----------------------------------------------
 
@@ -310,13 +310,11 @@ class HomAlgebra(_Record):
             self._twist_powers = powers
         return powers[n]
 
-    def twist_by(self, beta: RowTable) -> "HomAlgebra":
-        """:func:`yau_twist` by the canonical rows ``beta``, unchecked.  Each
-        twist is built once, into the algebra's table of twists by ``beta``."""
-        key = tuple(sorted(beta.items()))
-        if key not in self._yau_twists:
-            self._yau_twists = {**self._yau_twists, key: yau_twist(self, beta, check=False)}
-        return self._yau_twists[key]
+    def self_twist(self) -> "HomAlgebra":
+        """:func:`yau_twist` by the algebra's own alpha, unchecked, built once."""
+        if self._self_twist is None:
+            self._self_twist = yau_twist(self, self.alpha, check=False)
+        return self._self_twist
 
     def shift(self, x: Element, n: int) -> Element:
         """``alpha^n(x)`` (n >= 0), read from :meth:`twist_power`."""
@@ -374,7 +372,7 @@ class Witness(_Record):
         if self.basis is not None:
             out["basis"] = list(self.basis)
         if self.point is not None:
-            out["point"] = {k: str(Fraction(v)) for k, v in sorted(self.point.items())}
+            out["point"] = {k: encode_scalar(v) for k, v in sorted(self.point.items())}
         if self.probe is not None:
             out["probe"] = self.probe
         if self.pair_index is not None:

@@ -17,12 +17,12 @@ from .homalgebra import Element, HomAlgebra, _Record
 from .scalars import degree
 
 if TYPE_CHECKING:
-    from .homalgebra import CheckReport, RowTable, SparseRow
+    from .homalgebra import CheckReport, SparseRow
     from .operators import RightOp
     from .scalars import Scalar
 
     Side = Union[Element, RightOp]
-    Evaluator = Callable[[HomAlgebra, Sequence[Element], RowTable], list[tuple[Side, Side]]]
+    Evaluator = Callable[[HomAlgebra, Sequence[Element]], list[tuple[Side, Side]]]
 
 
 class PreconditionError(Exception):
@@ -40,11 +40,12 @@ class IdentityInstance(_Record):
 
     ``requires`` lists the hypotheses under which it is a theorem, in
     checking order: ``"multiplicative"``, ``"right-alt"`` (right
-    Hom-alternative), ``"weak-morphism"`` (the map ``beta`` of ``beta2`` is a
-    weak morphism).  ``evaluate`` returns equation pairs (one per shift for
-    the shift-indexed entries), by default those of ``_ev_<tag>`` in the laws
-    module its ``kind`` names.  :meth:`degree_bound`, the random strategy's
-    total-degree bound, is derived from one run of ``evaluate``.
+    Hom-alternative), ``"weak-morphism"`` (alpha is a weak morphism of the
+    algebra, so ``beta2`` may twist by it).  ``evaluate(A, xs)`` returns the
+    equation pairs on ``A`` (one per shift for the shift-indexed entries), by
+    default those of ``_ev_<tag>`` in the laws module its ``kind`` names.
+    :meth:`degree_bound`, the random strategy's total-degree bound, is
+    derived from one run of ``evaluate``.
     """
 
     __slots__ = ("tag", "label", "var_names", "kind", "requires", "_evaluate")
@@ -77,12 +78,12 @@ class IdentityInstance(_Record):
     def evaluate(self, fn: Evaluator) -> None:
         self._evaluate = fn
 
-    def degree_bound(self, A: HomAlgebra, beta: RowTable) -> int:
+    def degree_bound(self, A: HomAlgebra) -> int:
         """A bound on the total degree, in the parameters of ``A`` and the
         argument coordinates, of every coefficient on either side of each
-        pair that ``evaluate`` returns on ``A`` and ``beta``: the largest
-        degree on a side of the entry evaluated on :func:`_degree_model`."""
-        pairs = self.evaluate(*_degree_model(A, beta, self.arity))
+        pair that ``evaluate`` returns on ``A``: the largest degree on a side
+        of the entry evaluated on :func:`_degree_model`."""
+        pairs = self.evaluate(*_degree_model(A, self.arity))
         return max((c.degree for pair in pairs for side in pair for c in _coefficients(side)
                     if c != 0), default=0)
 
@@ -120,20 +121,18 @@ class _Degree:
     __rmul__ = __mul__
 
 
-def _degree_model(A: HomAlgebra, beta: RowTable, arity: int
-                  ) -> tuple[HomAlgebra, list[Element], RowTable]:
+def _degree_model(A: HomAlgebra, arity: int) -> tuple[HomAlgebra, list[Element]]:
     """The arguments of an evaluator that tracks degrees on ``A``: a
-    1-dimensional algebra over :class:`_Degree` whose product, twist and
-    ``beta`` carry the largest coefficient degree of ``A.mu``, ``A.alpha``
-    and ``beta``, and ``arity`` arguments of degree 1.  Each coordinate of
-    a value there bounds the degree of every coordinate of that value on
-    ``A``."""
+    1-dimensional algebra over :class:`_Degree` whose product and twist
+    carry the largest coefficient degree of ``A.mu`` and ``A.alpha``, and
+    ``arity`` arguments of degree 1.  Each coordinate of a value there
+    bounds the degree of every coordinate of that value on ``A``."""
     def top(rows: Mapping[object, SparseRow]) -> SparseRow:
         return ((0, _Degree(max((degree(c) for row in rows.values() for _, c in row),
                                 default=0))),)
 
     model = HomAlgebra(1, {(0, 0): top(A.mu)}, {0: top(A.alpha)})
-    return model, [Element((_Degree(1),))] * arity, {0: top(beta)}
+    return model, [Element((_Degree(1),))] * arity
 
 
 def _coefficients(side: Side) -> list[Scalar]:

@@ -15,13 +15,13 @@ from .homalgebra import Element, HomAlgebra
 from .operators import RightOp, alpha_op, compose, op_sub, op_sup, right_mul_op, zero_op
 
 
-def _ev_eq1(A, xs, beta):
+def _ev_eq1(A, xs):
     (a,) = xs
     lhs = compose(right_mul_op(A, a), right_mul_op(A, A.twist_apply(a)))
     rhs = compose(alpha_op(A, 1), right_mul_op(A, A.mul(a, a)))
     return [(lhs, rhs)]
 
-def _ev_eq2(A, xs, beta):
+def _ev_eq2(A, xs):
     a, b = xs
     lhs = compose(
         right_mul_op(A, a),
@@ -33,7 +33,7 @@ def _ev_eq2(A, xs, beta):
     )
     return [(lhs, rhs)]
 
-def _ev_eq2p(A, xs, beta):
+def _ev_eq2p(A, xs):
     a, b, c = xs
     lhs = compose(
         right_mul_op(A, a), right_mul_op(A, A.twist_apply(b)), right_mul_op(A, A.shift(c, 2))
@@ -44,34 +44,34 @@ def _ev_eq2p(A, xs, beta):
     rhs = compose(alpha_op(A, 2), right_mul_op(A, inner))
     return [(lhs, rhs)]
 
-def _ev_eq3a(A, xs, beta):
+def _ev_eq3a(A, xs):
     (a,) = xs
     return [(op_sup(A, a, a), zero_op(A.dim))]
 
-def _ev_eq3b(A, xs, beta):
+def _ev_eq3b(A, xs):
     a, b = xs
     return [(op_sup(A, a, b) + op_sup(A, b, a), zero_op(A.dim))]
 
-def _ev_eq5(A, xs, beta):
+def _ev_eq5(A, xs):
     a, b = xs
     lhs = compose(op_sup(A, a, b), op_sub(A, A.shift(a, 2), A.shift(b, 2)))
     return [(lhs, zero_op(A.dim))]
 
-def _ev_eq5p(A, xs, beta):
+def _ev_eq5p(A, xs):
     a, b, c = xs
     lhs = compose(op_sup(A, a, b), op_sub(A, A.shift(a, 2), A.shift(c, 2))) + compose(
         op_sup(A, a, c), op_sub(A, A.shift(a, 2), A.shift(b, 2))
     )
     return [(lhs, zero_op(A.dim))]
 
-def _ev_eq6(A, xs, beta):
+def _ev_eq6(A, xs):
     a, b = xs
     lhs = compose(op_sub(A, a, b), op_sup(A, A.shift(a, 2), A.shift(b, 2)))
     inner = A.hom_associator(A.commutator(a, b), A.twist_apply(a), A.twist_apply(b))
     rhs = -compose(alpha_op(A, 3), right_mul_op(A, inner))
     return [(lhs, rhs)]
 
-def _ev_eq7(A, xs, beta):
+def _ev_eq7(A, xs):
     a, b = xs
     lhs = compose(
         op_sub(A, a, b),
@@ -84,7 +84,7 @@ def _ev_eq7(A, xs, beta):
     rhs = -compose(alpha_op(A, 4), right_mul_op(A, inner))
     return [(lhs, rhs)]
 
-def _ev_eq10(A, xs, beta):
+def _ev_eq10(A, xs):
     a, b = xs
     p = A.hom_associator(a, a, b)
     ba = A.mul(b, a)
@@ -100,7 +100,7 @@ def _ev_eq10(A, xs, beta):
         pairs.append((lhs, rhs))
     return pairs
 
-def _ev_eq10p(A, xs, beta):
+def _ev_eq10p(A, xs):
     a, b = xs
     p = A.hom_associator(a, a, b)
     ba = A.mul(b, a)
@@ -152,18 +152,18 @@ def _e_term(A: HomAlgebra, a: Element, b: Element) -> RightOp:
         op_sub(A, A.shift(a, 9), A.shift(ba, 8)),
     )
 
-def _ev_dpe(A, xs, beta):
+def _ev_dpe(A, xs):
     a, b = xs
     return [(_mikheev_chain(A, a, b), _d_term(A, a, b) + _e_term(A, a, b))]
 
-def _ev_d0(A, xs, beta):
+def _ev_d0(A, xs):
     a, b = xs
     return [(_d_term(A, a, b), zero_op(A.dim))]
 
-def _ev_e0(A, xs, beta):
+def _ev_e0(A, xs):
     a, b = xs
     return [(_e_term(A, a, b), zero_op(A.dim))]
 
-def _ev_prop(A, xs, beta):
+def _ev_prop(A, xs):
     a, b = xs
     return [(_mikheev_chain(A, a, b), zero_op(A.dim))]

@@ -7,6 +7,8 @@ lists the hypotheses under which it is a theorem (multiplicativity, right
 Hom-alternativity, a weak-morphism twist); they are checked on basis tuples
 before verification, in that order, and a violation raises
 :class:`PreconditionError` rather than producing a meaningless failure.
+Every entry is a statement about the algebra and its own twisting map
+alpha, and is evaluated on the algebra alone.
 
 Three strategies are offered:
 
@@ -49,14 +51,11 @@ from .homalgebra import (
     CheckReport,
     Element,
     HomAlgebra,
-    RowTable,
-    RowsLike,
     _Record,
     coordinate_names,
     is_multiplicative,
     is_right_hom_alternative,
     is_weak_morphism,
-    normalize_rows,
 )
 from .identities import IdentityInstance, PreconditionError, get_identity, identity_tags, registry
 from .scalars import Poly
@@ -86,38 +85,37 @@ def _variables(A: HomAlgebra, inst: IdentityInstance) -> list[str]:
     return list(A.params) + [n for v in inst.var_names for n in coordinate_names(A, v)]
 
 
-def _generic_pairs(A, inst, beta, live: set[str] | None = None) -> list[tuple[Side, Side]]:
+def _generic_pairs(A, inst, live: set[str] | None = None) -> list[tuple[Side, Side]]:
     """The identity's pairs on ``A`` at arguments whose coordinates are the
     indeterminates ``<name>_<i>``; with ``live``, those not in it are 0."""
     xs = [Element(tuple(Poly.variable(n) if live is None or n in live else 0
                         for n in coordinate_names(A, v)))
           for v in inst.var_names]
-    return inst.evaluate(A, xs, beta)
+    return inst.evaluate(A, xs)
 
 
-def _verify_generic(A, inst, beta) -> CheckReport:
-    if _first_mismatch(_generic_pairs(A, inst, beta)) is None:
+def _verify_generic(A, inst) -> CheckReport:
+    if _first_mismatch(_generic_pairs(A, inst)) is None:
         return CheckReport(inst.tag, HOLDS, "generic")
     from .search import _find_witness
 
-    witness = _find_witness(A, inst, beta, _variables(A, inst))
+    witness = _find_witness(A, inst, _variables(A, inst))
     return CheckReport(inst.tag, FAILS, "generic", witness=witness)
 
 
 # Each hypothesis by its precondition cache key: the requirement a
 # PreconditionError names, and its basis scan.  The lambdas look the scans up
 # in this module when they run, so a scan patched here is the one called.
-_HYPOTHESES: dict[str, tuple[str, Callable[[HomAlgebra, RowTable], CheckReport]]] = {
-    "multiplicative": ("multiplicative", lambda A, beta: is_multiplicative(A)),
-    "right-alt": ("right Hom-alternative", lambda A, beta: is_right_hom_alternative(A)),
-    "weak-morphism": ("twisted by a weak morphism", lambda A, beta: is_weak_morphism(A, A, beta)),
+_HYPOTHESES: dict[str, tuple[str, Callable[[HomAlgebra], CheckReport]]] = {
+    "multiplicative": ("multiplicative", lambda A: is_multiplicative(A)),
+    "right-alt": ("right Hom-alternative", lambda A: is_right_hom_alternative(A)),
+    "weak-morphism": ("twisted by a weak morphism", lambda A: is_weak_morphism(A, A, A.alpha)),
 }
 
 
 def _check_preconditions(
     A: HomAlgebra,
     inst: IdentityInstance,
-    beta: RowTable,
     known: dict[str, CheckReport],
 ) -> None:
     """Raise :class:`PreconditionError` at the first hypothesis of ``inst``
@@ -126,15 +124,9 @@ def _check_preconditions(
         requirement, scan = _HYPOTHESES[key]
         report = known.get(key)
         if report is None:
-            report = known[key] = scan(A, beta)
+            report = known[key] = scan(A)
         if not report.passed():
             raise PreconditionError(inst.tag, requirement, report)
-
-
-def _resolve_beta(A: HomAlgebra, beta: RowsLike | None) -> RowTable:
-    if beta is None:
-        return dict(A.alpha)
-    return normalize_rows(A.dim, beta)
 
 
 def verify(
@@ -144,14 +136,11 @@ def verify(
     *,
     seed: int = 0,
     points: int = 50,
-    beta: RowsLike | None = None,
     subset_max: int = 3,
     skip_preconditions: bool = False,
 ) -> CheckReport:
     """Verify one registry identity on an algebra.
 
-    ``beta`` (sparse rows or a dense matrix) is only consulted by the
-    ``beta2`` entry and defaults to the algebra's own twisting map.
     Precondition violations raise :class:`PreconditionError`; a subset cap
     or a random point count below 1, which would check nothing, raises
     ValueError.
@@ -161,19 +150,18 @@ def verify(
     if strategy == "random" and points < 1:
         raise ValueError(f"points must be at least 1, got {points}")
     inst = get_identity(tag)
-    beta_rows = _resolve_beta(A, beta)
     if not skip_preconditions:
-        _check_preconditions(A, inst, beta_rows, {})
+        _check_preconditions(A, inst, {})
     if strategy == "generic":
-        return _verify_generic(A, inst, beta_rows)
+        return _verify_generic(A, inst)
     if strategy == "subset":
         from .search import _verify_subset
 
-        return _verify_subset(A, inst, beta_rows, subset_max)
+        return _verify_subset(A, inst, subset_max)
     if strategy == "random":
         from .search import _verify_random
 
-        return _verify_random(A, inst, beta_rows, seed, points)
+        return _verify_random(A, inst, seed, points)
     raise ValueError(f"unknown strategy {strategy!r} (expected generic, subset, or random)")
 
 
@@ -198,22 +186,18 @@ def verify_all(
     *,
     seed: int = 0,
     points: int = 50,
-    beta: RowsLike | None = None,
     subset_max: int = 3,
 ) -> list[BatchResult]:
     """Run every registry identity, sharing precondition checks across
-    entries and recording per-entry errors without aborting the batch.
-    Entries get the caller's ``beta``: a default one is not normalized."""
-    beta_rows = _resolve_beta(A, beta)
+    entries and recording per-entry errors without aborting the batch."""
     known: dict[str, CheckReport] = {}
     results = []
     for inst in registry():
         try:
-            _check_preconditions(A, inst, beta_rows, known)
+            _check_preconditions(A, inst, known)
             report = verify(
                 A, inst.tag, strategy,
-                seed=seed, points=points, beta=beta, subset_max=subset_max,
-                skip_preconditions=True,
+                seed=seed, points=points, subset_max=subset_max, skip_preconditions=True,
             )
             results.append(BatchResult(inst.tag, report=report))
         except PreconditionError as exc:
@@ -232,9 +216,7 @@ def smallest_alpha_exponent(
     return None
 
 
-def replay_identity_witness(
-    A: HomAlgebra, report: CheckReport, beta: RowsLike | None = None
-) -> Element:
+def replay_identity_witness(A: HomAlgebra, report: CheckReport) -> Element:
     """Re-evaluate a failing identity report at its stored point and return
     the nonzero difference element (probing the recorded basis row for
     operator identities)."""
@@ -243,9 +225,7 @@ def replay_identity_witness(
     if report.witness is None or report.witness.point is None:
         raise ValueError("report carries no point witness")
     inst = get_identity(report.check)
-    lhs, rhs = _evaluate_at(A, inst, _resolve_beta(A, beta), report.witness.point)[
-        report.witness.pair_index or 0
-    ]
+    lhs, rhs = _evaluate_at(A, inst, report.witness.point)[report.witness.pair_index or 0]
     diff = lhs - rhs
     if not isinstance(diff, Element) and report.witness.probe is None:
         raise ValueError("operator witness without probe index")

@@ -235,16 +235,42 @@ def degree(s: Scalar) -> int:
 
 # -- text encoding ---------------------------------------------------------
 
+def _int_str(n: int) -> str:
+    """``str(n)`` at any size: past the interpreter's limit on int-to-str
+    digits, through :mod:`decimal`, which that limit does not cover."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
+def _parse_int(digits: str) -> int:
+    """``int(digits)`` at any size, as :func:`_int_str` writes it."""
+    try:
+        return int(digits)
+    except ValueError:
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        from decimal import Decimal
+
+        return int(Decimal(digits))
+
+
 def encode_scalar(s: Scalar) -> str | dict:
-    """JSON-friendly encoding: rationals as ``"p/q"`` strings, polynomials
-    as ``{"poly": [{"coeff": "p/q", "exps": {name: exponent}}, ...]}``."""
+    """JSON-friendly encoding: rationals as ``"p/q"`` (or ``"p"``) strings,
+    exact at any size, polynomials as
+    ``{"poly": [{"coeff": "p/q", "exps": {name: exponent}}, ...]}``."""
     if isinstance(s, Poly):
         items = [
-            {"coeff": str(Fraction(c)), "exps": {n: e for n, e in m}}
+            {"coeff": encode_scalar(c), "exps": {n: e for n, e in m}}
             for m, c in s.sorted_terms()
         ]
         return {"poly": items}
-    return str(Fraction(s))
+    q = Fraction(s)
+    num = _int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
 
 
 def encode_sparse(vector) -> list[dict]:
@@ -265,9 +291,9 @@ def parse_rational(text: str) -> Rational:
     num, slash, den = body.partition("/")
     if not num.isdigit() or (slash and not den.isdigit()):
         raise ValueError(f"bad rational {text!r} (expected p or p/q)")
-    if slash and int(den) == 0:
+    if slash and _parse_int(den) == 0:
         raise ValueError(f"bad rational {text!r} (zero denominator)")
-    value = Fraction(int(num), int(den)) if slash else int(num)
+    value = Fraction(_parse_int(num), _parse_int(den)) if slash else _parse_int(num)
     return _norm_rational(sign * value)
 
 

@@ -30,7 +30,6 @@ from .homalgebra import (
     _element,
     coordinate_name,
     substitute_params,
-    substitute_rows,
 )
 from .identities import _coefficients
 from .proof_replay import Side, _first_mismatch, _generic_pairs, _variables
@@ -49,19 +48,18 @@ def _probe_side(diff: Side, probe: int | None = None) -> tuple[Element, int | No
     return _element(diff.dim, dict(diff.rows.get(probe, ()))), probe
 
 
-def _evaluate_at(A, inst, beta, point: dict[str, Rational]) -> list[tuple[Side, Side]]:
+def _evaluate_at(A, inst, point: dict[str, Rational]) -> list[tuple[Side, Side]]:
     """The identity's pairs at a point that instantiates the parameters and
     the argument coordinates ``<name>_<i>`` (missing coordinates are 0)."""
     A_pt = substitute_params(A, {p: point[p] for p in A.params if p in point})
-    beta_pt = substitute_rows(beta, point) if beta else beta
     xs = [Element(tuple(point.get(coordinate_name(v, i), 0) for i in range(A.dim)))
           for v in inst.var_names]
-    return inst.evaluate(A_pt, xs, beta_pt)
+    return inst.evaluate(A_pt, xs)
 
 
-def _witness_at(A, inst, beta, point: dict[str, Rational]) -> Witness | None:
+def _witness_at(A, inst, point: dict[str, Rational]) -> Witness | None:
     """The witness at ``point`` if the identity fails there."""
-    hit = _first_mismatch(_evaluate_at(A, inst, beta, point))
+    hit = _first_mismatch(_evaluate_at(A, inst, point))
     if hit is None:
         return None
     idx, diff = hit
@@ -69,26 +67,26 @@ def _witness_at(A, inst, beta, point: dict[str, Rational]) -> Witness | None:
     return Witness(element=element, point=point, probe=probe, pair_index=idx)
 
 
-def _find_witness(A, inst, beta, variables: Sequence[str]) -> Witness:
+def _find_witness(A, inst, variables: Sequence[str]) -> Witness:
     """A concrete integer point where an identity that fails symbolically in
     ``variables`` (every other coordinate 0) still fails: 1000 small random
     points of the generator seeded with 0, then :func:`_grid_witness`."""
     rng = random.Random(0)
     for attempt in range(1000):
         bound = 3 + attempt // 50
-        witness = _witness_at(A, inst, beta, {v: rng.randint(-bound, bound) for v in variables})
+        witness = _witness_at(A, inst, {v: rng.randint(-bound, bound) for v in variables})
         if witness is not None:
             return witness
-    return _grid_witness(A, inst, beta, variables)
+    return _grid_witness(A, inst, variables)
 
 
-def _grid_witness(A, inst, beta, variables: Sequence[str]) -> Witness:
+def _grid_witness(A, inst, variables: Sequence[str]) -> Witness:
     """The first failing point of a grid over the variables of one nonzero
     coefficient of the symbolic difference, each ``v`` running over
     ``{d_v, ..., 0}`` with ``d_v`` the coefficient's degree in ``v``.  A
     polynomial that vanishes on that whole grid is zero (Alon, Combinatorial
     Nullstellensatz, 1999, Lemma 2.1), so the grid holds a witness."""
-    hit = _first_mismatch(_generic_pairs(A, inst, beta, set(variables)))
+    hit = _first_mismatch(_generic_pairs(A, inst, set(variables)))
     if hit is None:
         raise ValueError("the identity holds in these variables: no witness exists")
     coeff = next(c for c in _coefficients(hit[1]) if c != 0)
@@ -97,7 +95,7 @@ def _grid_witness(A, inst, beta, variables: Sequence[str]) -> Witness:
     for values in itertools.product(*(range(d, -1, -1) for d in degrees)):
         at = dict(zip(grid, values))
         if substitute(coeff, at) != 0:
-            return _witness_at(A, inst, beta, {v: at.get(v, 0) for v in variables})
+            return _witness_at(A, inst, {v: at.get(v, 0) for v in variables})
     raise AssertionError("a nonzero polynomial vanished on its degree grid")
 
 
@@ -125,7 +123,7 @@ def _support_patterns(A, inst, pairs) -> set[tuple[frozenset[int], ...]]:
     return patterns
 
 
-def _verify_subset(A, inst, beta, subset_max: int) -> CheckReport:
+def _verify_subset(A, inst, subset_max: int) -> CheckReport:
     """Decide the support combos as a view of the one generic evaluation.
 
     The sweep is every combo of supports of size 1 to ``subset_max`` per
@@ -139,7 +137,7 @@ def _verify_subset(A, inst, beta, subset_max: int) -> CheckReport:
     one generic evaluation even when the first combo fails, which on dense
     structure constants is far more than that combo.
     """
-    pairs = _generic_pairs(A, inst, beta)
+    pairs = _generic_pairs(A, inst)
     patterns = [p for p in _support_patterns(A, inst, pairs) if max(map(len, p)) <= subset_max]
     supports = sum(comb(A.dim, k) for k in range(1, min(subset_max, A.dim) + 1))
     if not patterns:
@@ -153,17 +151,17 @@ def _verify_subset(A, inst, beta, subset_max: int) -> CheckReport:
     variables = list(A.params) + [
         coordinate_name(v, i) for v, support in zip(inst.var_names, combo) for i in support
     ]
-    witness = _find_witness(A, inst, beta, variables)
+    witness = _find_witness(A, inst, variables)
     return CheckReport(inst.tag, FAILS, "subset", points=position(combo) + 1, witness=witness)
 
 
-def _verify_random(A, inst, beta, seed: int, points: int) -> CheckReport:
+def _verify_random(A, inst, seed: int, points: int) -> CheckReport:
     rng = random.Random(seed)
-    sample = {"points": points, "seed": seed, "degree_bound": inst.degree_bound(A, beta)}
+    sample = {"points": points, "seed": seed, "degree_bound": inst.degree_bound(A)}
     names = _variables(A, inst)
     for _ in range(points):
         point = {name: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for name in names}
-        witness = _witness_at(A, inst, beta, point)
+        witness = _witness_at(A, inst, point)
         if witness is not None:
             return CheckReport(inst.tag, FAILS, "random", witness=witness, **sample)
     return CheckReport(inst.tag, RANDOM_PASS, "random", **sample)

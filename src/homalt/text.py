@@ -15,71 +15,57 @@ module: ``str()`` of a ``Poly`` or an ``Element``, a report's witness, and
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .homalgebra import Element
-from .scalars import UNIT_MONO, Mono, Poly, Scalar, _norm_rational, parse_rational
+from .scalars import Mono, Poly, Rational, Scalar, encode_scalar, parse_rational
 
 
 def _mono_str(m: Mono) -> str:
     return "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
 
 
-def _poly_str(p: Poly) -> str:
-    if not p.terms:
-        return "0"
-    pieces: list[str] = []
-    for m, c in p.sorted_terms():
-        neg = c < 0
-        mag = -c if neg else c
-        if m == UNIT_MONO:
-            body = str(_norm_rational(mag))
-        elif mag == 1:
-            body = _mono_str(m)
+def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
+    """``a - b + c`` from (negative?, body) pairs; ``0`` from none."""
+    out = ""
+    for neg, body in terms:
+        if out:
+            out += f" - {body}" if neg else f" + {body}"
         else:
-            body = f"{_norm_rational(mag)}*{_mono_str(m)}"
-        if not pieces:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(pieces)
+            out = f"-{body}" if neg else body
+    return out or "0"
+
+
+def _term(c: Rational, unit: str) -> tuple[bool, str]:
+    """(negative?, body) of the term ``c * unit``; an empty ``unit`` is 1."""
+    mag = encode_scalar(abs(c))
+    if not unit:
+        return c < 0, mag
+    return c < 0, unit if mag == "1" else f"{mag}*{unit}"
 
 
 def scalar_str(s: Scalar) -> str:
     """Human-readable canonical form, e.g. ``5/6`` or ``lambda^2 - xi``."""
     if isinstance(s, Poly):
-        return _poly_str(s)
-    return str(_norm_rational(s))
+        return _signed_sum(_term(c, _mono_str(m)) for m, c in s.sorted_terms())
+    return encode_scalar(s)
 
 
 def element_str(x: Element, names: Sequence[str] | None = None) -> str:
     """Render ``e7 - e8`` style text, parenthesizing polynomial coefficients."""
-    pieces: list[str] = []
+    terms = []
     for i, c in enumerate(x.coords):
         if c == 0:
             continue
         name = names[i] if names is not None else f"e{i + 1}"
-        neg, body = _coeff_parts(c)
-        text = name if body is None else f"{body}*{name}"
-        if not pieces:
-            pieces.append(f"-{text}" if neg else text)
-        else:
-            pieces.append(f"- {text}" if neg else f"+ {text}")
-    return " ".join(pieces) if pieces else "0"
-
-
-def _coeff_parts(c: Scalar) -> tuple[bool, str | None]:
-    """Split a coefficient into (negative?, printable body or None for 1)."""
-    if isinstance(c, Poly):
-        if len(c.terms) == 1:
+        if not isinstance(c, Poly):
+            terms.append(_term(c, name))
+        elif len(c.terms) == 1:
             ((m, coeff),) = c.terms.items()
-            neg, body = _coeff_parts(coeff)
-            head = scalar_str(Poly({m: 1}))
-            return neg, head if body is None else f"{body}*{head}"
-        return False, f"({scalar_str(c)})"
-    neg = c < 0
-    mag = -c if neg else c
-    return neg, None if mag == 1 else scalar_str(mag)
+            terms.append(_term(coeff, f"{_mono_str(m)}*{name}"))
+        else:
+            terms.append((False, f"({scalar_str(c)})*{name}"))
+    return _signed_sum(terms)
 
 
 _TERM_RE = re.compile(r"([+-]?)\s*([^+-]+)")

@@ -1,13 +1,21 @@
 """Command-line interface: flag grammar, exit codes, deterministic reports."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from homalt.algfile import parse_algebra, serialize_algebra
 from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
-from homalt.homalgebra import CheckReport, Element, HomAlgebra, Witness, identity_rows
+from homalt.homalgebra import (
+    CheckReport,
+    Element,
+    HomAlgebra,
+    Witness,
+    identity_rows,
+    replay_structural_witness,
+)
 from homalt.cli import run
 from homalt.morphfile import serialize_morphism
 from homalt.proof_replay import replay_identity_witness
@@ -107,6 +115,22 @@ def test_sweeps_that_check_nothing_exit_2(files, capsys, command, flags):
     assert "Traceback" not in captured.err
 
 
+def _replay_printed(A, rec):
+    """The witness element a JSON record prints, and its replay on ``A`` at
+    the printed point or basis tuple."""
+    data = rec["witness"]
+    coords = [0] * A.dim
+    for entry in data["element"]:
+        coords[entry["index"]] = decode_scalar(entry["coeff"])
+    point = {k: decode_scalar(v) for k, v in data["point"].items()} if "point" in data else None
+    basis = tuple(data["basis"]) if "basis" in data else None
+    witness = Witness(element=Element(tuple(coords)), basis=basis, point=point,
+                      probe=data.get("probe"), pair_index=data.get("pair_index"))
+    report = CheckReport(rec["id"], rec["status"], rec["strategy"], witness=witness)
+    replay = replay_structural_witness if basis else replay_identity_witness
+    return witness.element, replay(A, report)
+
+
 def test_witness_search_never_ends_in_a_traceback(tmp_path, small_roots, capsys):
     path = tmp_path / "small_roots.alg"
     path.write_text(serialize_algebra(small_roots))
@@ -117,17 +141,10 @@ def test_witness_search_never_ends_in_a_traceback(tmp_path, small_roots, capsys)
     assert captured.err == ""
     (rec,) = json.loads(captured.out)
     assert rec["status"] == "fails"
-    # Replay the printed witness: re-evaluate at its point, compare the element.
-    recorded = rec["witness"]
-    coords = [0] * small_roots.dim
-    for entry in recorded["element"]:
-        coords[entry["index"]] = decode_scalar(entry["coeff"])
-    witness = Witness(element=Element(tuple(coords)),
-                      point={k: Fraction(v) for k, v in recorded["point"].items()})
-    report = CheckReport("xyy", "fails", "subset", witness=witness)
-    replayed = replay_identity_witness(small_roots, report)
-    assert replayed == witness.element
+    printed, replayed = _replay_printed(small_roots, rec)
+    assert replayed == printed
     assert not replayed.is_zero()
+
 
 
 def test_random_name_collision_exits_2(tmp_path, coordinate_named_param, capsys):
@@ -308,6 +325,69 @@ def test_power_exponent_is_capped(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == "error: --n must be at most 1000"
     assert run(["power", "--algebra", str(idem), "--element", "e1", "--n", "1000"]) == 0
     assert capsys.readouterr().out.strip() == "e1"
+
+
+# --- exact values of any size ---
+
+# Python refuses int-to-str conversions past 4300 digits by default.
+LONG = 4300
+
+
+@pytest.fixture(scope="module")
+def big_algebras():
+    """The identity-twisted A(7/3, -5/2) with every structure constant times
+    10^3000, so products of two constants pass 6000 digits, and the line
+    ``e1 e1 = 10^4000 e1``."""
+    fam = mikheev_family(FamilyParams.rational(Fraction(7, 3), Fraction(-5, 2)))
+    scaled = {key: tuple((k, c * 10**3000) for k, c in row) for key, row in fam.mu.items()}
+    return {"scaled": HomAlgebra(13, scaled, identity_rows(13)),
+            "line": HomAlgebra(1, {(0, 0): ((0, 10**4000),)}, identity_rows(1))}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--identity", "right-alt"],
+    ["--identity", "xyy", "--strategy", "generic"],
+    ["--identity", "xyy", "--strategy", "subset"],
+    ["--identity", "xyy", "--strategy", "random", "--seed", "1"],
+], ids=["right-alt", "generic", "subset", "random"])
+def test_big_witnesses_print_exactly_and_replay(tmp_path, big_algebras, flags, capsys):
+    A = big_algebras["scaled"]
+    path = tmp_path / "scaled.alg"
+    path.write_text(serialize_algebra(A))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code = run(["check", "--algebra", str(path), *flags, "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    (rec,) = json.loads(captured.out)
+    assert max(len(entry["coeff"]) for entry in rec["witness"]["element"]) > LONG
+    printed, replayed = _replay_printed(parse_algebra(path.read_text()), rec)
+    assert replayed == printed and not printed.is_zero()
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+    assert run(["check", "--algebra", str(path), *flags]) == 1
+    assert "witness value: " in capsys.readouterr().out
+
+
+def test_power_prints_big_values(tmp_path, big_algebras, capsys):
+    path = tmp_path / "line.alg"
+    path.write_text(serialize_algebra(big_algebras["line"]))
+    argv = ["power", "--algebra", str(path), "--element", "e1", "--n", "3"]
+    value = "1" + "0" * 8000
+    assert run(argv) == 0
+    assert capsys.readouterr().out == f"{value}*e1\n"
+    assert run(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"power": [{"index": 0, "coeff": value}]}
+
+
+def test_coefficient_digit_cap(tmp_path, capsys):
+    path = tmp_path / "long.alg"
+    entry = {"index": 0, "coeff": "1" + "0" * 4400}
+    path.write_text(json.dumps({"dimension": 1, "alpha": [],
+                                "products": [{"left": 0, "right": 0, "result": [entry]}]}))
+    assert run(["power", "--algebra", str(path), "--element", "e1", "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(": number of 4401 digits exceeds the supported cap of 4300\n")
 
 
 def test_noniso(capsys):

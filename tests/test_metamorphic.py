@@ -2,7 +2,9 @@
 
 Change of basis.  Conjugating an algebra by an invertible matrix P gives an
 isomorphic algebra, so every structural verdict and every registry status
-stays the same, and every failing report still replays.  P is a seeded
+stays the same, every failing report still replays, and a structural
+witness of A, written in the new basis, is the conjugate's linearized form
+at the same vectors.  P is a seeded
 product of operations ``row_i += row_j`` or ``row_i -= row_j``; its inverse
 applies the inverse operations in reverse order, so both stay integral.
 
@@ -11,7 +13,9 @@ ring operations, so each side of an identity on A(lambda, xi), specialized,
 is the same side on the family member at those values.
 
 Yau twist.  For a morphism beta of a right alternative algebra A, the
-Hom-associator of ``yau_twist(A, beta)`` is beta^2 of A's associator.
+Hom-associator of ``yau_twist(A, beta)`` is beta^2 of A's associator; the
+registry's ``beta2`` checks the twist by alpha, this test a beta that is not
+alpha.
 """
 
 import random
@@ -36,7 +40,7 @@ from homalt.homalgebra import (
 )
 from homalt.identities import get_identity, identity_tags
 from homalt.operators import RightOp
-from homalt.proof_replay import _generic_pairs, _resolve_beta, replay_identity_witness, verify
+from homalt.proof_replay import _generic_pairs, replay_identity_witness, verify
 from homalt.structure import is_left_hom_alternative
 
 SCANS = (is_right_hom_alternative, is_left_hom_alternative, is_multiplicative)
@@ -107,6 +111,49 @@ def test_change_of_basis_keeps_structural_verdicts(request, name, ops, seed):
             assert replay_structural_witness(B, report) == report.witness.element
 
 
+@pytest.fixture(scope="module")
+def doubled(mikheev):
+    # The base product with alpha = 2 * identity: alpha(xy) = 2xy while
+    # alpha(x) alpha(y) = 4xy, so not multiplicative.
+    return HomAlgebra(13, dict(mikheev.mu), {i: ((i, 2),) for i in range(13)})
+
+
+def _form_at(B, check, tup, vector):
+    """The linearized form that the ``check`` scan evaluates at the basis
+    tuple ``tup``, evaluated on B at the vectors ``vector(i)``."""
+    xs = [vector(i) for i in tup]
+    if check == "multiplicative":
+        return B.twist_apply(B.mul(*xs)) - B.mul(*map(B.twist_apply, xs))
+    value = B.hom_associator(*xs)
+    s, t = (0, 1) if check == "left-alt" else (1, 2)
+    if tup[s] != tup[t]:
+        xs[s], xs[t] = xs[t], xs[s]
+        value = value + B.hom_associator(*xs)
+    return value
+
+
+@pytest.mark.parametrize("scan, name", [
+    (is_right_hom_alternative, "identity_twist"),
+    (is_left_hom_alternative, "mikheev"),
+    (is_multiplicative, "doubled"),
+], ids=["right-alt", "left-alt", "multiplicative"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_change_of_basis_carries_structural_witnesses(request, scan, name, seed):
+    # The linearized forms are multilinear, so A's form at basis vectors,
+    # written in the f basis, is B's form at those vectors' f coordinates:
+    # e_i is row i of P_inv.
+    A = request.getfixturevalue(name)
+    P, P_inv = unimodular(13, 20, seed)
+    B = change_basis(A, P, P_inv)
+    report = scan(A)
+    assert report.status == FAILS
+    v = report.witness.element.coords
+    expected = Element(tuple(sum(v[m] * P_inv[m][t] for m in range(13)) for t in range(13)))
+    assert not expected.is_zero()
+    tup = report.witness.basis
+    assert _form_at(B, report.check, tup, lambda i: Element(tuple(P_inv[i]))) == expected
+
+
 # Entries that hold on A(2, 3), among them a dense twist's longest shifts
 # (theorem: alpha^6; dpe: up to alpha^10).
 HOLDING = ("xyy", "linearized", "moufang", "eq1", "eq3b", "eq5", "theorem", "dpe")
@@ -137,8 +184,8 @@ def test_specialization_commutes_with_evaluation(fam_sym, tag):
     point = {"lambda": lam, "xi": xi}
     member = mikheev_family(FamilyParams.rational(lam, xi))
     inst = get_identity(tag)
-    symbolic = _generic_pairs(fam_sym, inst, _resolve_beta(fam_sym, None))
-    direct = _generic_pairs(member, inst, _resolve_beta(member, None))
+    symbolic = _generic_pairs(fam_sym, inst)
+    direct = _generic_pairs(member, inst)
     assert len(symbolic) == len(direct)
     for (lhs, rhs), (lhs_at, rhs_at) in zip(symbolic, direct):
         assert _specialize(lhs, point) == lhs_at

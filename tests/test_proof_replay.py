@@ -97,7 +97,7 @@ def test_sweeps_that_check_nothing_are_rejected(strategy, options):
 def test_prop_evaluator_at_zero(mikheev):
     inst = get_identity("prop")
     zero = mikheev.zero()
-    pairs = inst.evaluate(mikheev, (zero, zero), dict(mikheev.alpha))
+    pairs = inst.evaluate(mikheev, (zero, zero))
     assert len(pairs) == 1
     lhs, rhs = pairs[0]
     assert lhs.is_zero() and rhs.is_zero()
@@ -108,7 +108,7 @@ def test_eq5_random_pass(fam23):
     assert report.status == "random-pass"
     assert report.points == 50
     assert report.seed == 1
-    assert report.degree_bound == get_identity("eq5").degree_bound(fam23, dict(fam23.alpha))
+    assert report.degree_bound == get_identity("eq5").degree_bound(fam23)
 
 
 def test_eq6_holds_on_commutative_associative(truncated_poly):
@@ -117,7 +117,7 @@ def test_eq6_holds_on_commutative_associative(truncated_poly):
     inst = get_identity("eq6")
     x = truncated_poly.element([1, 2, 3])
     y = truncated_poly.element([0, 1, 4])
-    lhs, rhs = inst.evaluate(truncated_poly, (x, y), identity_rows(3))[0]
+    lhs, rhs = inst.evaluate(truncated_poly, (x, y))[0]
     assert lhs.is_zero() and rhs.is_zero()
 
 
@@ -154,6 +154,10 @@ def test_precondition_multiplicative(mikheev):
     with pytest.raises(PreconditionError) as exc:
         verify(broken, "teichmuller", strategy="random", seed=0, points=2)
     assert exc.value.requirement == "multiplicative"
+    # beta2 twists by alpha, so it needs alpha to be a weak morphism.
+    with pytest.raises(PreconditionError) as exc:
+        verify(broken, "beta2", strategy="generic")
+    assert exc.value.requirement == "twisted by a weak morphism"
 
 
 def test_verify_all_records_precondition_errors(plain_twisted):
@@ -253,21 +257,13 @@ def test_random_points_share_the_twist_powers(monkeypatch):
 
 
 def test_random_points_share_the_yau_twist(monkeypatch):
-    # beta2 builds its Yau twist once per (algebra, beta): on an algebra
+    # beta2 builds its Yau twist once per algebra: on an algebra
     # without parameters every point evaluates on A itself, so one twist.
     A = mikheev_family(FamilyParams.rational(Fraction(7, 3), Fraction(-5, 2)))
     calls = _count_work(monkeypatch)
     report = verify(A, "beta2", "random", seed=1, points=20)
     assert report.status == "random-pass"
     assert calls == Counter({"substitute_params": 20, "HomAlgebra": 1, "compose_rows": 1})
-
-
-def test_beta2_with_explicit_morphism(mikheev):
-    beta = mikheev_morphism(FamilyParams.rational(2, 3))
-    report = verify(mikheev, "beta2", strategy="generic", beta=beta)
-    assert report.status == "holds"
-    with pytest.raises(PreconditionError):
-        verify(mikheev, "beta2", strategy="generic", beta={0: ((0, 1),)})
 
 
 def test_generic_failure_carries_replayable_point(plain_twisted):
@@ -333,10 +329,10 @@ def test_eq10_shift_consistency(fam23):
     b = A.element([3, 0, 1, 1] + [0] * 9)
     for tag in ("eq10", "eq10p"):
         inst = get_identity(tag)
-        base_pairs = inst.evaluate(A, (a, b), dict(A.alpha))
+        base_pairs = inst.evaluate(A, (a, b))
         assert len(base_pairs) == 3
         for k in (1, 2):
-            shifted = inst.evaluate(A, (A.shift(a, k), A.shift(b, k)), dict(A.alpha))
+            shifted = inst.evaluate(A, (A.shift(a, k), A.shift(b, k)))
             assert base_pairs[k][0] == shifted[0][0]
             assert base_pairs[k][1] == shifted[0][1]
 
@@ -386,19 +382,14 @@ RATIONAL_DEGREE_BOUNDS = {
 def test_degree_bound_reporting(mikheev, fam23, fam_sym):
     fam = mikheev_family(FamilyParams.rational(Fraction(7, 3), Fraction(-5, 2)))
     for A in (mikheev, fam23, fam):
-        bounds = {inst.tag: inst.degree_bound(A, dict(A.alpha)) for inst in registry()}
+        bounds = {inst.tag: inst.degree_bound(A) for inst in registry()}
         assert bounds == RATIONAL_DEGREE_BOUNDS
     report = verify(mikheev, "theorem", strategy="random", seed=0, points=2)
     assert report.degree_bound == 12
-    # Parameters raise the bound, and the reported bound reads the caller's
-    # beta: the identity twist keeps beta2 at the degree of xyy.
+    # Parameters raise the bound, and a random report carries it.
     inst = get_identity("beta2")
-    assert inst.degree_bound(fam_sym, dict(fam_sym.alpha)) > 12
-    identity = identity_rows(13)
-    report = verify(fam_sym, "beta2", strategy="random", seed=0, points=1, beta=identity)
-    assert report.degree_bound == inst.degree_bound(fam_sym, identity)
-    assert report.degree_bound == get_identity("xyy").degree_bound(fam_sym, identity)
-    assert report.degree_bound < inst.degree_bound(fam_sym, dict(fam_sym.alpha))
+    report = verify(fam_sym, "beta2", strategy="random", seed=0, points=1)
+    assert report.degree_bound == inst.degree_bound(fam_sym) > 12
 
 
 def test_report_serialization_shape(fam23, plain_twisted):

@@ -2,7 +2,7 @@
 
 * Derived degree bounds: every coefficient of a generic evaluation, on
   either side of an entry and in their difference, has total degree at most
-  ``inst.degree_bound(A, beta)``, and the evaluation that derives it stays
+  ``inst.degree_bound(A)``, and the evaluation that derives it stays
   in its ring of degrees.  The random strategy reports that bound.
 * Cross-route agreement: the strategies and the equivalent entries decide
   the same identity the same way, and every failing report replays.
@@ -19,7 +19,6 @@ from homalt.homalgebra import FAILS, HOLDS, is_right_hom_alternative
 from homalt.identities import _coefficients, _Degree, _degree_model
 from homalt.proof_replay import (
     _generic_pairs,
-    _resolve_beta,
     registry,
     replay_identity_witness,
     verify,
@@ -32,9 +31,8 @@ from test_subset import CHAINS, random_algebra as subset_algebra
 # --- derived degree bounds ---
 
 def _assert_degrees_within_bound(A, inst):
-    beta = _resolve_beta(A, None)
-    bound = inst.degree_bound(A, beta)
-    pairs = _generic_pairs(A, inst, beta)
+    bound = inst.degree_bound(A)
+    pairs = _generic_pairs(A, inst)
     for lhs, rhs in pairs:
         for side in (lhs, rhs, lhs - rhs):
             observed = max((degree(c) for c in _coefficients(side)), default=0)
@@ -76,7 +74,7 @@ def test_degree_bound_on_seeded_rational_algebras(inst):
 def test_degree_model_stays_in_its_ring(fam_sym, inst):
     # degree_bound runs the evaluator on _Degree scalars; an operation
     # outside their ring fails here, not in a random run.
-    pairs = inst.evaluate(*_degree_model(fam_sym, dict(fam_sym.alpha), inst.arity))
+    pairs = inst.evaluate(*_degree_model(fam_sym, inst.arity))
     assert pairs
     for lhs, rhs in pairs:
         for c in _coefficients(lhs) + _coefficients(rhs):
@@ -86,10 +84,12 @@ def test_degree_model_stays_in_its_ring(fam_sym, inst):
 # --- cross-route agreement ---
 
 # Short entries of arity 1 to 3, element and operator kinds, on the seeded
-# algebras of test_scans.py; longer entries on the int and fraction algebras
-# of test_subset.py.
+# algebras of test_scans.py; the other 20 entries on the int and fraction
+# algebras of test_subset.py.  Together they are the whole registry.
 AGREEMENT_TAGS = ("xyy", "linearized", "eq1", "eq3a", "eq3b")
-LONG_TAGS = ("teichmuller", "xyyz", "moufang", "beta2", "eq2", "eq5", "eq6", "eq7")
+LONG_TAGS = ("teichmuller", "xyyz", "moufang", "beta2", "eq2", "eq2p", "eq5", "eq5p", "eq6",
+             "eq7", "eq8", "eq9", "eq10", "eq10p", "dpe", "d0", "e0", "prop", "theorem",
+             "mikheev_classical")
 SEEDS = range(120)
 LONG_SEEDS = range(24)
 
@@ -118,6 +118,10 @@ def verdicts(inputs):
             out[label, tag, "random"] = verify(A, tag, "random", seed=seed, points=3,
                                                skip_preconditions=True)
     return out
+
+
+def test_agreement_covers_the_registry():
+    assert sorted(AGREEMENT_TAGS + LONG_TAGS) == sorted(inst.tag for inst in registry())
 
 
 def test_inputs_cover_both_verdicts(verdicts):

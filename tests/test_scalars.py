@@ -183,6 +183,19 @@ def test_encode_shapes():
     assert enc == {"poly": [{"coeff": "1", "exps": {"lambda": 4, "xi": 1}}]}
 
 
+def test_values_of_any_size_encode_exactly():
+    # Past the interpreter's limit on int-to-str conversion (4300 digits by
+    # default): 10^5000 and a denominator of 5071 digits.
+    huge = Fraction(-(10**5000) - 1, 7**6000)
+    digits = "1" + "0" * 4999 + "1"
+    assert encode_scalar(huge).startswith(f"-{digits}/")
+    assert decode_scalar(encode_scalar(huge)) == huge
+    poly = huge * lam + 10**5000
+    assert decode_scalar(encode_scalar(poly)) == poly
+    assert scalar_str(poly).endswith(" + 1" + "0" * 5000)
+    assert parse_rational("-" + digits) == -(10**5000) - 1
+
+
 def test_parse_rational():
     assert parse_rational("5") == 5
     assert parse_rational("-2/7") == Fraction(-2, 7)

@@ -25,7 +25,6 @@ from homalt.algfile import serialize_algebra
 from homalt.homalgebra import FAILS, HOLDS, CheckReport, Element, HomAlgebra
 from homalt.proof_replay import (
     _first_mismatch,
-    _resolve_beta,
     get_identity,
     identity_tags,
     replay_identity_witness,
@@ -57,26 +56,26 @@ def _support_generics(A, prefixes, supports):
     return out
 
 
-def reference_subset(A, inst, beta, subset_max):
+def reference_subset(A, inst, subset_max):
     supports = _support_tuples(A.dim, subset_max)
     checked = 0
     for combo in itertools.product(supports, repeat=inst.arity):
         checked += 1
         xs = _support_generics(A, inst.var_names, combo)
-        hit = _first_mismatch(inst.evaluate(A, xs, beta))
+        hit = _first_mismatch(inst.evaluate(A, xs))
         if hit is not None:
             variables = list(A.params) + [
                 f"{prefix}_{i + 1}"
                 for prefix, support in zip(inst.var_names, combo)
                 for i in support
             ]
-            witness = _find_witness(A, inst, beta, variables)
+            witness = _find_witness(A, inst, variables)
             return CheckReport(inst.tag, FAILS, "subset", points=checked, witness=witness)
     return CheckReport(inst.tag, HOLDS, "subset", points=checked)
 
 
 def _reference(A, tag, subset_max):
-    return reference_subset(A, get_identity(tag), _resolve_beta(A, None), subset_max)
+    return reference_subset(A, get_identity(tag), subset_max)
 
 
 def _subset(A, tag, subset_max):
@@ -181,7 +180,7 @@ def _custom(monkeypatch, tag, evaluate):
 def test_subset_matches_reference_with_empty_slots(monkeypatch, case):
     # Differences whose monomials leave a slot empty: an empty slot of a
     # pattern is contained in every support.
-    def evaluate(A, xs, beta):
+    def evaluate(A, xs):
         x, y = xs
         if case == "x-only":
             return [(A.mul(x, A.twist_apply(x)), A.zero())]
@@ -211,9 +210,9 @@ def _count_evaluations(monkeypatch, tag):
     inst = get_identity(tag)
     calls = []
 
-    def counting(A, xs, beta):
+    def counting(A, xs):
         calls.append(any(isinstance(c, Poly) for x in xs for c in x.coords))
-        return inst.evaluate(A, xs, beta)
+        return inst.evaluate(A, xs)
 
     _custom(monkeypatch, tag, counting)
     return calls
