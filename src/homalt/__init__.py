@@ -21,7 +21,7 @@ import importlib
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "scalars": ("Poly", "Rational", "Scalar"),
     "homalgebra": (
-        "CheckReport", "Element", "HomAlgebra", "Witness", "generic_element",
+        "CheckReport", "Element", "HomAlgebra", "Witness",
         "is_multiplicative", "is_right_hom_alternative", "is_weak_morphism",
         "substitute_params", "yau_twist",
     ),

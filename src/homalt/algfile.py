@@ -178,6 +178,9 @@ def parse_document(text: str) -> AlgebraDocument:
         names = _expect_list(doc["basis"], "basis")
         if len(names) != dim or not all(isinstance(n, str) and n for n in names):
             raise AlgebraFormatError("basis", f"expected {dim} nonempty names")
+        for pos, name in enumerate(names):
+            if name in names[:pos]:
+                raise AlgebraFormatError(f"basis[{pos}]", f"duplicate basis name {name!r}")
         basis_names = list(names)
     else:
         basis_names = [f"e{i + 1}" for i in range(dim)]
@@ -206,6 +209,8 @@ def serialize_algebra(A: HomAlgebra, basis_names: Sequence[str] | None = None) -
     """Canonical JSON text for an algebra (sorted entries, stable bytes)."""
     if basis_names is not None and len(basis_names) != A.dim:
         raise ValueError(f"expected {A.dim} basis names, got {len(basis_names)}")
+    if basis_names is not None and len(set(basis_names)) != A.dim:
+        raise ValueError(f"duplicate basis names in {list(basis_names)}")
     names = list(basis_names) if basis_names is not None else [f"e{i + 1}" for i in range(A.dim)]
     doc = {
         "dimension": A.dim,

@@ -44,7 +44,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .scalars import (
-    Poly,
     Rational,
     Scalar,
     encode_scalar,
@@ -149,9 +148,10 @@ class Element(_Record):
         return element_str(self)
 
 
-def _same_dim(a: Element, b: Element) -> None:
-    if len(a.coords) != len(b.coords):
-        raise ValueError(f"dimension mismatch: {len(a.coords)} vs {len(b.coords)}")
+def _same_dim(a, b) -> None:
+    """Raise ValueError unless two elements, or two right operators, have one dimension."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def _norm_sparse_row(dim: int, row: Iterable[tuple[int, Scalar]], what: str) -> SparseRow:
@@ -589,15 +589,6 @@ def coordinate_names(A: HomAlgebra, prefix: str) -> list[str]:
     if clash:
         raise ValueError(f"name collision with existing parameters: {sorted(clash)}")
     return names
-
-
-def generic_element(A: HomAlgebra, prefix: str) -> tuple[HomAlgebra, Element]:
-    """Adjoin fresh indeterminates ``prefix_1 .. prefix_dim`` and return the
-    element with those coordinates, together with the extended algebra."""
-    names = coordinate_names(A, prefix)
-    extended = A.with_params(names)
-    coords = tuple(Poly.variable(n) for n in names)
-    return extended, Element(coords)
 
 
 def substitute_params(A: HomAlgebra, assignment: Mapping[str, Rational]) -> HomAlgebra:

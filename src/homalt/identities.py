@@ -41,9 +41,11 @@ class IdentityInstance(_Record):
     ``requires`` lists the hypotheses under which it is a theorem, in
     checking order: ``"multiplicative"``, ``"right-alt"`` (right
     Hom-alternative), ``"weak-morphism"`` (alpha is a weak morphism of the
-    algebra, so ``beta2`` may twist by it).  ``evaluate(A, xs)`` returns the
-    equation pairs on ``A`` (one per shift for the shift-indexed entries), by
-    default those of ``_ev_<tag>`` in the laws module its ``kind`` names.
+    algebra, so ``beta2`` may twist by it; that is multiplicativity again,
+    and :mod:`homalt.proof_replay` reads it from the multiplicative scan).
+    ``evaluate(A, xs)`` returns the equation pairs on ``A`` (one per shift
+    for the shift-indexed entries): those of the constructor's ``evaluate``,
+    else of ``_ev_<tag>`` in the laws module its ``kind`` names.
     :meth:`degree_bound`, the random strategy's total-degree bound, is
     derived from one run of ``evaluate``.
     """
@@ -73,10 +75,6 @@ class IdentityInstance(_Record):
                 from . import operator_laws as laws
             self._evaluate = getattr(laws, f"_ev_{self.tag}")
         return self._evaluate
-
-    @evaluate.setter
-    def evaluate(self, fn: Evaluator) -> None:
-        self._evaluate = fn
 
     def degree_bound(self, A: HomAlgebra) -> int:
         """A bound on the total degree, in the parameters of ``A`` and the

@@ -27,6 +27,7 @@ from .homalgebra import (
     RowsLike,
     _Record,
     _image,
+    _same_dim,
     _sparse,
     apply_rows,
     compose_rows,
@@ -73,11 +74,6 @@ class RightOp(_Record):
         return RightOp(
             self.dim, {i: tuple((k, -c) for k, c in row) for i, row in self.rows.items()}
         )
-
-
-def _same_dim(a: RightOp, b: RightOp) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def zero_op(dim: int) -> RightOp:

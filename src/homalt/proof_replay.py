@@ -7,6 +7,9 @@ lists the hypotheses under which it is a theorem (multiplicativity, right
 Hom-alternativity, a weak-morphism twist); they are checked on basis tuples
 before verification, in that order, and a violation raises
 :class:`PreconditionError` rather than producing a meaningless failure.
+alpha is a weak morphism of A exactly when A is multiplicative, so the
+weak-morphism hypothesis is read from the multiplicative scan, which a
+batch runs once.
 Every entry is a statement about the algebra and its own twisting map
 alpha, and is evaluated on the algebra alone.
 
@@ -43,7 +46,7 @@ the search code.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Union
 
 from .homalgebra import (
     FAILS,
@@ -55,7 +58,6 @@ from .homalgebra import (
     coordinate_names,
     is_multiplicative,
     is_right_hom_alternative,
-    is_weak_morphism,
 )
 from .identities import IdentityInstance, PreconditionError, get_identity, identity_tags, registry
 from .scalars import Poly
@@ -103,13 +105,13 @@ def _verify_generic(A, inst) -> CheckReport:
     return CheckReport(inst.tag, FAILS, "generic", witness=witness)
 
 
-# Each hypothesis by its precondition cache key: the requirement a
-# PreconditionError names, and its basis scan.  The lambdas look the scans up
-# in this module when they run, so a scan patched here is the one called.
-_HYPOTHESES: dict[str, tuple[str, Callable[[HomAlgebra], CheckReport]]] = {
-    "multiplicative": ("multiplicative", lambda A: is_multiplicative(A)),
-    "right-alt": ("right Hom-alternative", lambda A: is_right_hom_alternative(A)),
-    "weak-morphism": ("twisted by a weak morphism", lambda A: is_weak_morphism(A, A, A.alpha)),
+# Each hypothesis by its key in ``requires``: the requirement a
+# PreconditionError names, and the name of its basis scan in this module,
+# looked up when it runs, so a scan patched here is the one called.
+_HYPOTHESES: dict[str, tuple[str, str]] = {
+    "multiplicative": ("multiplicative", "is_multiplicative"),
+    "right-alt": ("right Hom-alternative", "is_right_hom_alternative"),
+    "weak-morphism": ("twisted by a weak morphism", "is_multiplicative"),
 }
 
 
@@ -119,12 +121,12 @@ def _check_preconditions(
     known: dict[str, CheckReport],
 ) -> None:
     """Raise :class:`PreconditionError` at the first hypothesis of ``inst``
-    that ``A`` fails; ``known`` caches each scan's report by its key."""
+    that ``A`` fails; ``known`` caches each scan's report by its name."""
     for key in inst.requires:
         requirement, scan = _HYPOTHESES[key]
-        report = known.get(key)
+        report = known.get(scan)
         if report is None:
-            report = known[key] = scan(A)
+            report = known[scan] = globals()[scan](A)
         if not report.passed():
             raise PreconditionError(inst.tag, requirement, report)
 

@@ -14,7 +14,7 @@ from homalt.algfile import (
 )
 from homalt.catalog import FamilyParams, mikheev_morphism
 from homalt.cli import run
-from homalt.homalgebra import Element, substitute_params
+from homalt.homalgebra import Element, HomAlgebra, identity_rows, substitute_params
 from homalt.morphfile import parse_morphism, serialize_morphism
 from homalt.scalars import Poly, encode_sparse as encode_element
 from homalt.text import parse_element_expr
@@ -139,6 +139,17 @@ def test_bad_basis_length():
     doc = {"dimension": 2, "basis": ["x"], "products": [], "alpha": []}
     with pytest.raises(AlgebraFormatError):
         parse_algebra(json.dumps(doc))
+
+
+def test_duplicate_basis_name():
+    # A repeated name would make every element written in the basis ambiguous.
+    doc = {"dimension": 3, "basis": ["a", "b", "a"], "products": [], "alpha": []}
+    with pytest.raises(AlgebraFormatError) as exc:
+        parse_algebra(json.dumps(doc))
+    assert str(exc.value) == "basis[2]: duplicate basis name 'a'"
+    square = HomAlgebra(2, {(0, 0): ((1, 1),)}, identity_rows(2))
+    with pytest.raises(ValueError, match="duplicate basis names"):
+        serialize_algebra(square, ["a", "a"])
 
 
 def test_morphism_round_trip():

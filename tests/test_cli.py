@@ -316,6 +316,18 @@ def test_power_bad_inputs(files, capsys):
                 "--n", "2"]) == 2
 
 
+def test_duplicate_basis_names_are_refused(tmp_path, capsys):
+    # e1 e1 = e2 with both named "a": "a" must not silently mean e2.
+    square = serialize_algebra(HomAlgebra(2, {(0, 0): ((1, 1),)}, identity_rows(2)), ["a", "b"])
+    dup = tmp_path / "dup.alg"
+    dup.write_text(square.replace('"b"', '"a"'))
+    want = "error: basis[1]: duplicate basis name 'a'"
+    assert run(["power", "--algebra", str(dup), "--element", "a", "--n", "2"]) == 2
+    assert want in capsys.readouterr().err
+    assert run(["check", "--algebra", str(dup), "--identity", "xyy"]) == 2
+    assert want in capsys.readouterr().err
+
+
 def test_power_exponent_is_capped(tmp_path, capsys):
     # e1 e1 = e1 with the identity twist: no power vanishes, so the loop
     # would run all n steps.

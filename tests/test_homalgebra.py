@@ -9,7 +9,6 @@ from homalt.homalgebra import (
     Element,
     HomAlgebra,
     apply_rows,
-    generic_element,
     identity_rows,
     is_multiplicative,
     is_right_hom_alternative,
@@ -28,7 +27,7 @@ from homalt.structure import (
     is_morphism,
 )
 from homalt.text import element_str
-from test_metamorphic import change_basis, unimodular
+from test_metamorphic import change_basis, generic_arg, unimodular
 
 lam = Poly.variable("lambda")
 xi = Poly.variable("xi")
@@ -121,12 +120,11 @@ def _reference_alpha_op(A, n):
 
 
 def _twist_table_cases(fam_sym, fam23):
-    ext, x = generic_element(fam_sym, "x")  # diagonal symbolic twist
     dense = change_basis(fam23, *unimodular(13, 10, 4))  # dense rational twist
     # alpha: e1 -> e2 -> -2 e3 -> 0, so the table ends in empty rows.
     nilpotent = HomAlgebra(3, {(0, 1): ((1, 1),)}, {0: ((1, 1),), 1: ((2, -2),)})
     return [
-        (ext, x),
+        (fam_sym, generic_arg(fam_sym, "x")),  # diagonal symbolic twist
         (dense, dense.element([1, -2, 0, 3, Fraction(1, 2)] + [0] * 7 + [5])),
         (nilpotent, nilpotent.element([1, 2, 3])),
     ]
@@ -199,10 +197,10 @@ def test_hom_power_of_associator(mikheev):
 
 
 def test_hom_power_homogeneous(mikheev):
-    A, x = generic_element(mikheev, "x")
-    sq = A.hom_power(x, 2)
+    x = generic_arg(mikheev, "x")
+    sq = mikheev.hom_power(x, 2)
     assert all(c == 0 or degree(c) == 2 for c in sq.coords)
-    cube = A.hom_power(x, 3)
+    cube = mikheev.hom_power(x, 3)
     assert all(c == 0 or degree(c) == 3 for c in cube.coords)
 
 
@@ -345,23 +343,9 @@ def test_twist_check_can_be_skipped(mikheev):
 
 # --- generic elements and parameter substitution ---
 
-def test_generic_element_coordinates(mikheev):
-    A, a = generic_element(mikheev, "a")
-    assert a.coords[0] == Poly.variable("a_1")
-    assert a.coords[12] == Poly.variable("a_13")
-    assert set(A.params) >= {"a_1", "a_13"}
-
-
-def test_generic_element_name_collision(mikheev):
-    A, _ = generic_element(mikheev, "a")
-    with pytest.raises(ValueError):
-        generic_element(A, "a")
-
-
 def test_generic_elements_commute(mikheev):
-    A1, a = generic_element(mikheev, "a")
-    A2, b = generic_element(A1, "b")
-    prod = A2.mul(a, b)
+    a, b = generic_arg(mikheev, "a"), generic_arg(mikheev, "b")
+    prod = mikheev.mul(a, b)
     assert all(c == 0 or degree(c) == 2 for c in prod.coords)
 
 
@@ -384,9 +368,7 @@ def test_substitute_params_without_assignment_is_the_algebra(mikheev, fam_sym):
 
 
 def test_generic_elements_are_hashable(mikheev):
-    _, a = generic_element(mikheev, "a")
-    _, again = generic_element(mikheev, "a")
-    _, b = generic_element(mikheev, "b")
+    a, again, b = (generic_arg(mikheev, v) for v in ("a", "a", "b"))
     assert len({a, again, b, a + b - b}) == 2
 
 

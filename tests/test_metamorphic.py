@@ -30,7 +30,7 @@ from homalt.homalgebra import (
     Element,
     HomAlgebra,
     apply_rows,
-    generic_element,
+    coordinate_names,
     identity_rows,
     is_multiplicative,
     is_right_hom_alternative,
@@ -41,9 +41,16 @@ from homalt.homalgebra import (
 from homalt.identities import get_identity, identity_tags
 from homalt.operators import RightOp
 from homalt.proof_replay import _generic_pairs, replay_identity_witness, verify
+from homalt.scalars import Poly
 from homalt.structure import is_left_hom_alternative
 
 SCANS = (is_right_hom_alternative, is_left_hom_alternative, is_multiplicative)
+
+
+def generic_arg(A, name):
+    """The element of A whose coordinates are the indeterminates ``<name>_<i>``,
+    as the generic strategy builds its arguments."""
+    return Element(tuple(Poly.variable(n) for n in coordinate_names(A, name)))
 
 
 def unimodular(dim, ops, seed):
@@ -200,7 +207,7 @@ def test_yau_twist_associator_is_beta_squared(params):
     base = mikheev_algebra()  # right alternative, identity twist
     beta = mikheev_morphism(params)
     twisted = yau_twist(base.with_params(params.names()), beta)
-    x, y, z = (generic_element(base, v)[1] for v in ("x", "y", "z"))
+    x, y, z = (generic_arg(base, v) for v in ("x", "y", "z"))
     associator = twisted.hom_associator(x, y, z)
     assert not associator.is_zero()
     assert associator == apply_rows(beta, apply_rows(beta, base.hom_associator(x, y, z)))

@@ -5,7 +5,9 @@
   ``inst.degree_bound(A)``, and the evaluation that derives it stays
   in its ring of degrees.  The random strategy reports that bound.
 * Cross-route agreement: the strategies and the equivalent entries decide
-  the same identity the same way, and every failing report replays.
+  the same identity the same way, and every failing report replays; also
+  over algebras that hypothesis draws (dimension 1-3, int and fraction
+  structure constants), with a fixed set of examples.
 
 The seeded algebras are those of ``test_scans.py`` and ``test_subset.py``.
 Few of them satisfy the entries' preconditions, so every verification here
@@ -14,8 +16,9 @@ algebra, whether or not the entry is a theorem on it.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homalt.homalgebra import FAILS, HOLDS, is_right_hom_alternative
+from homalt.homalgebra import FAILS, HOLDS, RANDOM_PASS, HomAlgebra, is_right_hom_alternative
 from homalt.identities import _coefficients, _Degree, _degree_model
 from homalt.proof_replay import (
     _generic_pairs,
@@ -165,3 +168,35 @@ def test_forms_of_right_alternativity_agree(verdicts):
         assert verdicts[seed, "eq1", "generic"].status == xyy, seed
         assert verdicts[seed, "eq3a", "generic"].status == xyy, seed
         assert is_right_hom_alternative(scan_algebra(seed)).status == xyy, seed
+
+
+@st.composite
+def small_algebras(draw):
+    """An algebra of dimension 1-3 with int and fraction structure constants
+    and twist rows; repeated indices in a row add up."""
+    dim = draw(st.integers(1, 3))
+    index = st.integers(0, dim - 1)
+    scalar = st.one_of(st.integers(-3, 3),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    row = st.lists(st.tuples(index, scalar), max_size=dim)
+    mu = draw(st.dictionaries(st.tuples(index, index), row, max_size=dim * dim))
+    alpha = draw(st.dictionaries(index, row, max_size=dim))
+    return HomAlgebra(dim, mu, alpha)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(A=small_algebras(), tag=st.sampled_from(AGREEMENT_TAGS), seed=st.integers(0, 999))
+def test_routes_agree_on_drawn_algebras(A, tag, seed):
+    generic = verify(A, tag, "generic", skip_preconditions=True)
+    subset = verify(A, tag, "subset", subset_max=A.dim, skip_preconditions=True)
+    sampled = verify(A, tag, "random", seed=seed, points=3, skip_preconditions=True)
+    assert subset.status == generic.status
+    # A failing random point proves a failure; so where generic holds,
+    # random passes.
+    if generic.status == HOLDS:
+        assert sampled.status == RANDOM_PASS
+    for report in (generic, subset, sampled):
+        if report.status == FAILS:
+            replayed = replay_identity_witness(A, report)
+            assert replayed == report.witness.element
+            assert not replayed.is_zero()

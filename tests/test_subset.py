@@ -7,7 +7,6 @@ them.  It is kept here as the oracle for ``_verify_subset``, which reads
 every combo off one generic evaluation instead.
 """
 
-import copy
 import itertools
 import json
 import os
@@ -23,6 +22,7 @@ import homalt.identities
 from homalt import FamilyParams, mikheev_algebra, mikheev_family
 from homalt.algfile import serialize_algebra
 from homalt.homalgebra import FAILS, HOLDS, CheckReport, Element, HomAlgebra
+from homalt.identities import IdentityInstance
 from homalt.proof_replay import (
     _first_mismatch,
     get_identity,
@@ -170,8 +170,9 @@ def test_comparison_covers_both_verdicts_and_late_failures(compared):
 
 
 def _custom(monkeypatch, tag, evaluate):
-    inst = copy.copy(get_identity(tag))
-    inst.evaluate = evaluate
+    base = get_identity(tag)
+    inst = IdentityInstance(base.tag, base.label, base.var_names, base.kind, base.requires,
+                            evaluate=evaluate)
     registry = tuple(inst if e.tag == tag else e for e in homalt.identities.REGISTRY)
     monkeypatch.setattr(homalt.identities, "REGISTRY", registry)
 
