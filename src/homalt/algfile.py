@@ -24,7 +24,8 @@ products/alpha, are read and written by :mod:`homalt.morphfile` with the
 helpers here (one row codec serves both), and element expressions by
 :mod:`homalt.text`.  Parsing reports the offending field path on malformed
 input, and serialization emits a canonical, byte-stable form, so parse and
-serialize are mutually inverse on canonical documents.  Dimensions above 64,
+serialize are mutually inverse on canonical documents; both refuse basis
+names that element expressions cannot refer to.  Dimensions above 64,
 polynomial exponents above 1000 and numbers of more than 4300 digits are
 rejected at load time, to keep basis sweeps, polynomial arithmetic and
 parsing tractable.
@@ -157,6 +158,15 @@ def _decode_params(value: object, where: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _check_basis_name(name: str, pos: int) -> None:
+    """Refuse, at ``basis[pos]``, a name no element expression can refer to:
+    expressions split terms at ``+`` and ``-`` and a coefficient at ``*``,
+    and strip names."""
+    if not name or name != name.strip() or any(c in name for c in "+-*"):
+        raise AlgebraFormatError(f"basis[{pos}]", f"basis name {name!r} must be nonempty "
+                                 "and stripped, without '+', '-' or '*'")
+
+
 def _decode_dimension(doc: dict) -> int:
     dim = _expect_int(doc.get("dimension"), "dimension")
     if dim < 0:
@@ -181,6 +191,7 @@ def parse_document(text: str) -> AlgebraDocument:
         for pos, name in enumerate(names):
             if name in names[:pos]:
                 raise AlgebraFormatError(f"basis[{pos}]", f"duplicate basis name {name!r}")
+            _check_basis_name(name, pos)
         basis_names = list(names)
     else:
         basis_names = [f"e{i + 1}" for i in range(dim)]
@@ -212,6 +223,8 @@ def serialize_algebra(A: HomAlgebra, basis_names: Sequence[str] | None = None) -
     if basis_names is not None and len(set(basis_names)) != A.dim:
         raise ValueError(f"duplicate basis names in {list(basis_names)}")
     names = list(basis_names) if basis_names is not None else [f"e{i + 1}" for i in range(A.dim)]
+    for pos, name in enumerate(names):
+        _check_basis_name(name, pos)
     doc = {
         "dimension": A.dim,
         "basis": names,

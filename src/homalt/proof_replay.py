@@ -71,37 +71,25 @@ Side = Union[Element, "RightOp"]
 # -- strategy drivers ----------------------------------------------------------
 
 
-def _first_mismatch(
-    pairs: list[tuple[Side, Side]]
-) -> tuple[int, Side] | None:
-    """Index and difference of the first unequal pair, if any."""
-    for idx, (lhs, rhs) in enumerate(pairs):
-        diff = lhs - rhs
-        if not diff.is_zero():
-            return idx, diff
-    return None
-
-
 def _variables(A: HomAlgebra, inst: IdentityInstance) -> list[str]:
     """The parameters of ``A``, then each argument's coordinates ``<name>_<i>``."""
     return list(A.params) + [n for v in inst.var_names for n in coordinate_names(A, v)]
 
 
-def _generic_pairs(A, inst, live: set[str] | None = None) -> list[tuple[Side, Side]]:
+def _generic_pairs(A, inst) -> list[tuple[Side, Side]]:
     """The identity's pairs on ``A`` at arguments whose coordinates are the
-    indeterminates ``<name>_<i>``; with ``live``, those not in it are 0."""
-    xs = [Element(tuple(Poly.variable(n) if live is None or n in live else 0
-                        for n in coordinate_names(A, v)))
-          for v in inst.var_names]
+    indeterminates ``<name>_<i>``."""
+    xs = [Element(tuple(map(Poly.variable, coordinate_names(A, v)))) for v in inst.var_names]
     return inst.evaluate(A, xs)
 
 
 def _verify_generic(A, inst) -> CheckReport:
-    if _first_mismatch(_generic_pairs(A, inst)) is None:
+    diffs = [lhs - rhs for lhs, rhs in _generic_pairs(A, inst)]
+    if all(diff.is_zero() for diff in diffs):
         return CheckReport(inst.tag, HOLDS, "generic")
     from .search import _find_witness
 
-    witness = _find_witness(A, inst, _variables(A, inst))
+    witness = _find_witness(A, inst, diffs, _variables(A, inst))
     return CheckReport(inst.tag, FAILS, "generic", witness=witness)
 
 

@@ -9,8 +9,9 @@ A witness is a concrete point: a rational value for every parameter and
 argument coordinate ``<name>_<i>`` in play (the others are 0), and for
 operator identities the probe basis index whose image row differs.
 :func:`_find_witness` tries small random integer points and falls back to a
-grid that a nonzero polynomial cannot vanish on; the grid reads the one
-generic evaluation, ``_generic_pairs``, restricted to its variables.
+grid that a nonzero polynomial cannot vanish on; the grid reads the failing
+check's own generic differences, with the coordinates outside its variables
+set to 0, so the identity is evaluated symbolically only once.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .homalgebra import (
     substitute_params,
 )
 from .identities import _coefficients
-from .proof_replay import Side, _first_mismatch, _generic_pairs, _variables
+from .proof_replay import Side, _generic_pairs, _variables
 from .scalars import Poly, Rational, substitute, variables as scalar_variables
 
 RANDOM_BOUND = 10**6
@@ -59,37 +60,33 @@ def _evaluate_at(A, inst, point: dict[str, Rational]) -> list[tuple[Side, Side]]
 
 def _witness_at(A, inst, point: dict[str, Rational]) -> Witness | None:
     """The witness at ``point`` if the identity fails there."""
-    hit = _first_mismatch(_evaluate_at(A, inst, point))
-    if hit is None:
-        return None
-    idx, diff = hit
-    element, probe = _probe_side(diff)
-    return Witness(element=element, point=point, probe=probe, pair_index=idx)
+    for idx, (lhs, rhs) in enumerate(_evaluate_at(A, inst, point)):
+        diff = lhs - rhs
+        if not diff.is_zero():
+            element, probe = _probe_side(diff)
+            return Witness(element=element, point=point, probe=probe, pair_index=idx)
+    return None
 
 
-def _find_witness(A, inst, variables: Sequence[str]) -> Witness:
-    """A concrete integer point where an identity that fails symbolically in
-    ``variables`` (every other coordinate 0) still fails: 1000 small random
-    points of the generator seeded with 0, then :func:`_grid_witness`."""
+def _find_witness(A, inst, diffs: Sequence[Side], variables: Sequence[str]) -> Witness:
+    """A concrete integer point where an identity whose generic differences
+    ``diffs`` fail in ``variables`` (every other coordinate 0) still fails:
+    1000 small random points of the generator seeded with 0, then a grid
+    over the variables of the first coefficient of ``diffs`` nonzero at those
+    zeros, each ``v`` running over ``{d_v, ..., 0}`` with ``d_v`` its degree
+    in ``v``.  A polynomial that vanishes on that whole grid is zero (Alon,
+    Combinatorial Nullstellensatz, 1999, Lemma 2.1)."""
     rng = random.Random(0)
     for attempt in range(1000):
         bound = 3 + attempt // 50
         witness = _witness_at(A, inst, {v: rng.randint(-bound, bound) for v in variables})
         if witness is not None:
             return witness
-    return _grid_witness(A, inst, variables)
-
-
-def _grid_witness(A, inst, variables: Sequence[str]) -> Witness:
-    """The first failing point of a grid over the variables of one nonzero
-    coefficient of the symbolic difference, each ``v`` running over
-    ``{d_v, ..., 0}`` with ``d_v`` the coefficient's degree in ``v``.  A
-    polynomial that vanishes on that whole grid is zero (Alon, Combinatorial
-    Nullstellensatz, 1999, Lemma 2.1), so the grid holds a witness."""
-    hit = _first_mismatch(_generic_pairs(A, inst, set(variables)))
-    if hit is None:
+    zeros = {v: 0 for v in _variables(A, inst) if v not in variables}
+    at_zeros = (substitute(c, zeros) for diff in diffs for c in _coefficients(diff))
+    coeff = next((c for c in at_zeros if c != 0), None)
+    if coeff is None:
         raise ValueError("the identity holds in these variables: no witness exists")
-    coeff = next(c for c in _coefficients(hit[1]) if c != 0)
     grid = [v for v in variables if v in scalar_variables(coeff)]
     degrees = [max(e for m in coeff.terms for n, e in m if n == v) for v in grid]
     for values in itertools.product(*(range(d, -1, -1) for d in degrees)):
@@ -107,14 +104,14 @@ def _support_rank(dim: int, support: tuple[int, ...]) -> int:
             - sum(comb(dim - 1 - i, size - s) for s, i in enumerate(support)))
 
 
-def _support_patterns(A, inst, pairs) -> set[tuple[frozenset[int], ...]]:
+def _support_patterns(A, inst, diffs) -> set[tuple[frozenset[int], ...]]:
     """Per-slot coordinate supports of the monomials of the differences: slot
     ``s`` holds each ``i`` with ``<var_names[s]>_<i + 1>`` in the monomial."""
     slot_of = {coordinate_name(v, i): (s, i)
                for s, v in enumerate(inst.var_names) for i in range(A.dim)}
     patterns = set()
-    for lhs, rhs in pairs:
-        for c in _coefficients(lhs - rhs):
+    for diff in diffs:
+        for c in _coefficients(diff):
             for m in c.terms if isinstance(c, Poly) else ([()] if c != 0 else []):
                 slots: list[set[int]] = [set() for _ in inst.var_names]
                 for s, i in (slot_of[var] for var, _ in m if var in slot_of):
@@ -137,8 +134,8 @@ def _verify_subset(A, inst, subset_max: int) -> CheckReport:
     one generic evaluation even when the first combo fails, which on dense
     structure constants is far more than that combo.
     """
-    pairs = _generic_pairs(A, inst)
-    patterns = [p for p in _support_patterns(A, inst, pairs) if max(map(len, p)) <= subset_max]
+    diffs = [lhs - rhs for lhs, rhs in _generic_pairs(A, inst)]
+    patterns = [p for p in _support_patterns(A, inst, diffs) if max(map(len, p)) <= subset_max]
     supports = sum(comb(A.dim, k) for k in range(1, min(subset_max, A.dim) + 1))
     if not patterns:
         return CheckReport(inst.tag, HOLDS, "subset", points=supports ** inst.arity)
@@ -151,7 +148,7 @@ def _verify_subset(A, inst, subset_max: int) -> CheckReport:
     variables = list(A.params) + [
         coordinate_name(v, i) for v, support in zip(inst.var_names, combo) for i in support
     ]
-    witness = _find_witness(A, inst, variables)
+    witness = _find_witness(A, inst, diffs, variables)
     return CheckReport(inst.tag, FAILS, "subset", points=position(combo) + 1, witness=witness)
 
 

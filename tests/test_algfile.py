@@ -152,6 +152,25 @@ def test_duplicate_basis_name():
         serialize_algebra(square, ["a", "a"])
 
 
+def test_basis_names_read_back_in_element_expressions():
+    # Parse and serialize accept exactly the names an element expression can
+    # refer to, so every witness printed in the basis can be read back.
+    square = HomAlgebra(2, {(0, 0): ((1, 1),)}, identity_rows(2))
+    for name in ("e1", "e_1'", "x y", "3/2", "é"):
+        names = parse_document(serialize_algebra(square, [name, "b"])).basis_names
+        assert names == [name, "b"]
+        assert parse_element_expr(name, names) == Element((1, 0))
+        assert parse_element_expr(f"-1/2*{name} + b", names) == Element((Fraction(-1, 2), 1))
+    for name in ("", "x-y", "x+y", "2*x", " x", "x\t"):
+        with pytest.raises(ValueError):
+            serialize_algebra(square, [name, "b"])
+    for name in ("x-y", "x+y", "2*x", " x", "x\t"):
+        doc = {"dimension": 2, "basis": [name, "b"], "products": [], "alpha": []}
+        with pytest.raises(AlgebraFormatError) as exc:
+            parse_algebra(json.dumps(doc))
+        assert exc.value.where == "basis[0]"
+
+
 def test_morphism_round_trip():
     rows = mikheev_morphism(FamilyParams.symbolic())
     text = serialize_morphism(rows, 13, ("lambda", "xi"))

@@ -328,6 +328,17 @@ def test_duplicate_basis_names_are_refused(tmp_path, capsys):
     assert want in capsys.readouterr().err
 
 
+def test_basis_names_that_expressions_cannot_read_are_refused(tmp_path, capsys):
+    # "x-y" reads as the terms x and -y: no element expression names e1.
+    square = serialize_algebra(HomAlgebra(2, {(0, 0): ((1, 1),)}, identity_rows(2)), ["a", "y"])
+    bad = tmp_path / "minus.alg"
+    bad.write_text(square.replace('"a"', '"x-y"'))
+    assert run(["check", "--algebra", str(bad), "--identity", "left-alt"]) == 2
+    assert "error: basis[0]: basis name 'x-y' must be nonempty" in capsys.readouterr().err
+    assert run(["power", "--algebra", str(bad), "--element", "x-y", "--n", "2"]) == 2
+    assert "error: basis[0]:" in capsys.readouterr().err
+
+
 def test_power_exponent_is_capped(tmp_path, capsys):
     # e1 e1 = e1 with the identity twist: no power vanishes, so the loop
     # would run all n steps.

@@ -1,5 +1,6 @@
 """Identity registry and verification strategies."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,6 +24,7 @@ from homalt.proof_replay import (
     verify_all,
 )
 from test_metamorphic import generic_arg
+from test_subset import _count_evaluations
 
 EXPECTED_TAGS = [
     "xyy", "linearized", "teichmuller", "xyyz", "moufang", "beta2",
@@ -296,19 +298,43 @@ def test_subset_failure_replays(plain_twisted):
     assert not replay_identity_witness(plain_twisted, report).is_zero()
 
 
+# Each grid witness as (point, probe, m, k): its difference is m P(t)^k e2.
+_SUBSET_GRID = {
+    "xyy": ({"t": 90, "x_1": 1, "y_1": 2}, None, 4, 2),
+    "eq1": ({"a_1": 2, "t": 90}, 0, 4, 2),
+    "linearized": ({"t": 90, "x_1": 1, "y_1": 1, "z_1": 1}, None, 2, 2),
+}
+_GENERIC_GRID = {
+    "xyy": ({"t": 90, "x_1": 1, "x_2": 1, "y_1": 2, "y_2": 0}, None, 8, 2),
+    "eq1": ({"a_1": 2, "a_2": 0, "t": 90}, 0, 4, 2),
+    "linearized": ({"t": 90, "x_1": 1, "x_2": 1, "y_1": 1, "y_2": 0, "z_1": 1, "z_2": 0},
+                   None, 4, 2),
+}
+
+
 @pytest.mark.parametrize("algebra, strategy, tags", [
-    ("small_roots", "subset", ("xyy",)),
-    ("small_roots_everywhere", "subset", ("xyy", "eq1", "linearized")),
-    ("small_roots_everywhere", "generic", ("xyy", "eq1", "linearized")),
+    ("small_roots", "subset", {"xyy": ({"t": 45, "x_1": 1, "y_1": 2}, None, 4, 1)}),
+    ("small_roots_everywhere", "subset", _SUBSET_GRID),
+    ("small_roots_everywhere", "generic", _GENERIC_GRID),
 ])
-def test_witness_search_ends_with_a_witness(request, algebra, strategy, tags):
+def test_witness_search_ends_with_a_witness(request, monkeypatch, algebra, strategy, tags):
     # Every random point the search tries has P(t) = 0, so the witness comes
-    # from the grid over the variables of a nonzero coefficient.
+    # from the grid over the variables of a nonzero coefficient.  The grid
+    # reads the check's own generic difference: the evaluator runs on
+    # symbolic arguments once, then at the 1000 random points and the
+    # grid's witness.
     A = request.getfixturevalue(algebra)
-    for tag in tags:
+    for tag, (point, probe, m, k) in tags.items():
+        calls = _count_evaluations(monkeypatch, tag)
         report = verify(A, tag, strategy, subset_max=1, skip_preconditions=True)
         assert report.status == "fails"
-        assert abs(report.witness.point["t"]) > 22
+        assert calls == [True] + [False] * 1001, tag
+        coeff = m * math.prod(point["t"] - r for r in range(-22, 23)) ** k
+        want = {"element": [{"index": 1, "coeff": str(coeff)}],
+                "point": {v: str(value) for v, value in point.items()}, "pair_index": 0}
+        if probe is not None:
+            want["probe"] = probe
+        assert report.witness.to_dict() == want, tag
         replayed = replay_identity_witness(A, report)
         assert replayed == report.witness.element
         assert not replayed.is_zero()

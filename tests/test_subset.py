@@ -24,7 +24,6 @@ from homalt.algfile import serialize_algebra
 from homalt.homalgebra import FAILS, HOLDS, CheckReport, Element, HomAlgebra
 from homalt.identities import IdentityInstance
 from homalt.proof_replay import (
-    _first_mismatch,
     get_identity,
     identity_tags,
     replay_identity_witness,
@@ -62,14 +61,16 @@ def reference_subset(A, inst, subset_max):
     for combo in itertools.product(supports, repeat=inst.arity):
         checked += 1
         xs = _support_generics(A, inst.var_names, combo)
-        hit = _first_mismatch(inst.evaluate(A, xs))
-        if hit is not None:
+        diffs = [lhs - rhs for lhs, rhs in inst.evaluate(A, xs)]
+        if not all(diff.is_zero() for diff in diffs):
             variables = list(A.params) + [
                 f"{prefix}_{i + 1}"
                 for prefix, support in zip(inst.var_names, combo)
                 for i in support
             ]
-            witness = _find_witness(A, inst, variables)
+            # The combo's own differences, where the subset strategy passes
+            # the generic ones: both must lead to the same witness.
+            witness = _find_witness(A, inst, diffs, variables)
             return CheckReport(inst.tag, FAILS, "subset", points=checked, witness=witness)
     return CheckReport(inst.tag, HOLDS, "subset", points=checked)
 
