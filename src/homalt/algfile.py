@@ -148,13 +148,13 @@ def _encode_rows(rows: RowTable) -> list[dict]:
 
 
 def _decode_params(value: object, where: str) -> tuple[str, ...]:
-    names = []
+    names: dict[str, None] = {}  # ordered, with constant-time membership
     for pos, name in enumerate(_expect_list(value, where)):
         if not isinstance(name, str) or not name.isidentifier():
             raise AlgebraFormatError(f"{where}[{pos}]", f"bad parameter name {name!r}")
         if name in names:
             raise AlgebraFormatError(f"{where}[{pos}]", f"duplicate parameter {name!r}")
-        names.append(name)
+        names[name] = None
     return tuple(names)
 
 

@@ -227,7 +227,8 @@ def _cmd_twist(args) -> int:
     doc = _load_algebra(args.algebra)
     rows, params = _load_morphism(args.morphism, doc.algebra)
     base = doc.algebra
-    extra = [p for p in params if p not in base.params]
+    known = set(base.params)
+    extra = [p for p in params if p not in known]
     if extra:
         base = base.with_params(extra)
     twisted = yau_twist(base, rows)

@@ -3,15 +3,14 @@
 The registry entry of tag ``t`` with kind ``"element"`` (declared in
 :mod:`homalt.identities`) is evaluated by ``_ev_t`` here.  Each evaluator
 takes the algebra and the argument elements and returns the equation pairs
-of the identity on that algebra as elements; ``beta2`` compares with the Yau
-twist of the algebra by its own alpha.  This module imports only
-:mod:`homalt.homalgebra`; the entry imports it when it is first evaluated,
-so it loads neither :mod:`homalt.operators` nor :mod:`homalt.proof_replay`.
+of the identity on that algebra as elements.  The evaluators use only the
+algebra's operations ``mul``, ``twist_apply``, ``shift``,
+``hom_associator``, ``commutator``, ``zero`` and ``hom_power``: ``beta2``
+writes the Yau twist of the algebra by its own alpha (product
+``alpha(uv)``, twist ``alpha^2``) with them.  This module imports nothing,
+so the entry that loads it, when it is first evaluated, loads neither
+:mod:`homalt.operators` nor :mod:`homalt.proof_replay`.
 """
-
-from __future__ import annotations
-
-from .homalgebra import apply_rows
 
 
 def _ev_xyy(A, xs):
@@ -50,9 +49,10 @@ def _ev_moufang(A, xs):
 
 def _ev_beta2(A, xs):
     x, y, z = xs
-    inner = A.hom_associator(x, y, z)
-    lhs = apply_rows(A.alpha, apply_rows(A.alpha, inner))
-    rhs = A.self_twist().hom_associator(x, y, z)
+    def twisted(u, v):  # the product alpha(uv) of the Yau twist by alpha
+        return A.twist_apply(A.mul(u, v))
+    lhs = A.shift(A.hom_associator(x, y, z), 2)
+    rhs = twisted(twisted(x, y), A.shift(z, 2)) - twisted(A.shift(x, 2), twisted(y, z))
     return [(lhs, rhs)]
 
 def _ev_eq8(A, xs):

@@ -17,8 +17,7 @@ algebra is right Hom-alternative when ``(x, y, y) = 0`` and left
 Hom-alternative when ``(x, x, y) = 0``.  Hom-powers follow
 ``x^n = x^(n-1) * alpha^(n-2)(x)``.  Each algebra keeps a table of twist
 powers: ``twist_power(n)`` composes the rows of ``alpha^n`` once, from
-``alpha^(n-1)``, and ``shift`` and :func:`homalt.operators.alpha_op` read
-it; ``self_twist()`` likewise builds the Yau twist by ``alpha`` once.
+``alpha^(n-1)``, and ``shift`` and :func:`homalt.operators.alpha_op` read it.
 
 Two sparse kernels do all arithmetic on the tables: :func:`_add_product`
 every bilinear product, reading ``mu`` through the index by left factor
@@ -239,10 +238,10 @@ def identity_rows(dim: int) -> RowTable:
 class HomAlgebra(_Record):
     """Hom-algebra with sparse structure constants and twisting map.
 
-    Instances are treated as immutable; every operation returns fresh
-    elements or fresh algebras, the table of twist powers only grows, by
-    whole replacement, and the Yau twist by alpha is stored once it is
-    built, so concurrent sweeps over one algebra are safe.
+    Instances are treated as immutable: every operation returns fresh
+    elements or fresh algebras, and the table of twist powers, the one
+    table an algebra fills in after construction, only grows, by whole
+    replacement.
     """
 
     _fields = ("dim", "mu", "alpha", "params")
@@ -264,7 +263,6 @@ class HomAlgebra(_Record):
         if len(set(self.params)) != len(self.params):
             raise ValueError("duplicate parameter names")
         self._twist_powers = [identity_rows(dim), self.alpha]
-        self._self_twist: HomAlgebra | None = None
 
     # -- element constructors ----------------------------------------------
 
@@ -309,12 +307,6 @@ class HomAlgebra(_Record):
             powers = powers + [normalize_rows(self.dim, compose_rows(powers[-1], self.alpha))]
             self._twist_powers = powers
         return powers[n]
-
-    def self_twist(self) -> "HomAlgebra":
-        """:func:`yau_twist` by the algebra's own alpha, unchecked, built once."""
-        if self._self_twist is None:
-            self._self_twist = yau_twist(self, self.alpha, check=False)
-        return self._self_twist
 
     def shift(self, x: Element, n: int) -> Element:
         """``alpha^n(x)`` (n >= 0), read from :meth:`twist_power`."""
@@ -558,18 +550,17 @@ def replay_structural_witness(
 # -- constructions ------------------------------------------------------------
 
 
-def yau_twist(A: HomAlgebra, beta: RowsLike, check: bool = True) -> HomAlgebra:
+def yau_twist(A: HomAlgebra, beta: RowsLike) -> HomAlgebra:
     """Twist of A by a weak morphism: product ``beta(xy)``, twist ``beta . alpha``.
 
-    By default the weak-morphism property of ``beta`` is verified first and a
-    ValueError is raised when it does not hold.
+    The weak-morphism property of ``beta`` is checked first, on the rows
+    normalized here, and a ValueError is raised when it does not hold.
     """
     rows = normalize_rows(A.dim, beta)
-    if check:
-        report = is_weak_morphism(A, A, rows)
-        if not report.passed():
-            pair = report.witness.basis if report.witness else None
-            raise ValueError(f"twisting map is not a weak morphism (first failing pair {pair})")
+    report = _pair_scan("weak-morphism", A, rows, A)
+    if not report.passed():
+        pair = report.witness.basis
+        raise ValueError(f"twisting map is not a weak morphism (first failing pair {pair})")
     new_mu = {key: _image(rows, row) for key, row in A.mu.items()}
     return HomAlgebra(A.dim, new_mu, compose_rows(A.alpha, rows), A.params)
 

@@ -41,11 +41,14 @@ class IdentityInstance(_Record):
     ``requires`` lists the hypotheses under which it is a theorem, in
     checking order: ``"multiplicative"``, ``"right-alt"`` (right
     Hom-alternative), ``"weak-morphism"`` (alpha is a weak morphism of the
-    algebra, so ``beta2`` may twist by it; that is multiplicativity again,
-    and :mod:`homalt.proof_replay` reads it from the multiplicative scan).
+    algebra, the hypothesis of the Yau-twist lemma ``beta2``; that is
+    multiplicativity again, and :mod:`homalt.proof_replay` reads it from
+    the multiplicative scan).
     ``evaluate(A, xs)`` returns the equation pairs on ``A`` (one per shift
     for the shift-indexed entries): those of the constructor's ``evaluate``,
-    else of ``_ev_<tag>`` in the laws module its ``kind`` names.
+    else of ``_ev_<tag>`` in the laws module its ``kind`` names.  An element
+    entry's evaluator calls only the operations of ``A`` that
+    :mod:`homalt.element_laws` lists.
     :meth:`degree_bound`, the random strategy's total-degree bound, is
     derived from one run of ``evaluate``.
     """

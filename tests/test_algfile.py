@@ -1,6 +1,7 @@
 """Algebra file format: round-trips, diagnostics, element expressions."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,47 @@ def test_duplicate_basis_name():
     square = HomAlgebra(2, {(0, 0): ((1, 1),)}, identity_rows(2))
     with pytest.raises(ValueError, match="duplicate basis names"):
         serialize_algebra(square, ["a", "a"])
+
+
+def test_duplicate_parameter_is_reported_at_its_first_repeat():
+    names = ["p", "q", "q", "p"]
+    for parse, doc in (
+        (parse_algebra, {"dimension": 1, "parameters": names, "products": [], "alpha": []}),
+        (parse_morphism, {"dimension": 1, "parameters": names, "matrix": []}),
+    ):
+        with pytest.raises(AlgebraFormatError) as exc:
+            parse(json.dumps(doc))
+        assert str(exc.value) == "parameters[2]: duplicate parameter 'q'"
+
+
+# Parameter names are handled in linear time: hundredths of a second at
+# these sizes, where a membership test on a list or tuple per name took
+# seconds.  The budget is generous, in the style of the acceptance gate.
+SCALE_BUDGET_S = 2.0
+
+
+def test_parsing_many_parameter_names_is_fast():
+    names = [f"p{i}" for i in range(40000)]
+    text = serialize_algebra(HomAlgebra(1, {}, identity_rows(1), names))
+    start = time.monotonic()
+    A = parse_algebra(text)
+    elapsed = time.monotonic() - start
+    assert A.params == tuple(names)
+    assert elapsed < SCALE_BUDGET_S, f"parsing {len(names)} parameter names took {elapsed:.1f}s"
+
+
+def test_twist_with_many_shared_parameter_names_is_fast(tmp_path, capsys):
+    names = [f"p{i}" for i in range(20000)]
+    algebra, morphism, out = (tmp_path / n for n in ("a.alg", "beta.mor", "out.alg"))
+    algebra.write_text(serialize_algebra(HomAlgebra(1, {}, identity_rows(1), names)))
+    morphism.write_text(serialize_morphism(identity_rows(1), 1, names))
+    start = time.monotonic()
+    code = run(["twist", "--algebra", str(algebra), "--morphism", str(morphism),
+                "--out", str(out)])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert parse_algebra(out.read_text()).params == tuple(names)
+    assert elapsed < SCALE_BUDGET_S, f"twisting with {len(names)} parameters took {elapsed:.1f}s"
 
 
 def test_basis_names_read_back_in_element_expressions():

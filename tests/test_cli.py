@@ -279,6 +279,9 @@ def test_twist_rejects_non_morphism(files, tmp_path, capsys):
     code = run(["twist", "--algebra", files["mikheev"], "--morphism", str(bad),
                 "--out", str(out)])
     assert code == 2
+    assert capsys.readouterr().err == (
+        "error: twisting map is not a weak morphism (first failing pair (0, 0))\n")
+    assert not out.exists()
 
 
 def test_twist_dimension_mismatch(files, tmp_path, capsys):

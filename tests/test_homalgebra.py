@@ -336,11 +336,6 @@ def test_twist_rejects_non_weak_morphism(mikheev):
         yau_twist(mikheev, {0: ((0, 1),)})
 
 
-def test_twist_check_can_be_skipped(mikheev):
-    T = yau_twist(mikheev, {0: ((0, 1),)}, check=False)
-    assert T.dim == 13
-
-
 # --- generic elements and parameter substitution ---
 
 def test_generic_elements_commute(mikheev):

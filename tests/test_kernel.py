@@ -16,7 +16,7 @@ import pytest
 
 import homalt.operators
 from homalt import homalgebra
-from homalt.catalog import FamilyParams, mikheev_family
+from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
 from homalt.homalgebra import (
     Element,
     HomAlgebra,
@@ -208,8 +208,9 @@ def test_normalizing_canonical_tables_adds_nothing(monkeypatch, fam_sym):
 
 
 def test_yau_twist_normalizes_each_table_once(normalized, mikheev):
-    beta = {i: ((i, 2),) for i in range(13)}
+    # The weak-morphism check scans the rows normalized for the twist.
+    beta = mikheev_morphism(FamilyParams.rational(2, 3))
     normalized.clear()
-    B = yau_twist(mikheev, beta, check=False)
+    B = yau_twist(mikheev, beta)
     stored = sum(map(len, B.mu.values())) + sum(map(len, B.alpha.values()))
     assert len(normalized) == len(beta) + stored

@@ -245,9 +245,9 @@ def _count_work(monkeypatch) -> Counter:
     return calls
 
 
-@pytest.mark.parametrize("tag, algebras", [("theorem", 0), ("beta2", 1)])
+@pytest.mark.parametrize("tag, algebras", [("theorem", 0), ("beta2", 0)])
 def test_generic_evaluates_on_the_given_algebra(monkeypatch, tag, algebras):
-    # No copy of A per argument; beta2's evaluator builds its Yau twist.
+    # No copy of A per argument, and beta2 builds no Yau twist of A.
     A = mikheev_family(FamilyParams.symbolic())
     calls = _count_work(monkeypatch)
     assert verify(A, tag, "generic").status == "holds"
@@ -264,14 +264,43 @@ def test_random_points_share_the_twist_powers(monkeypatch):
     assert calls == Counter({"substitute_params": 20, "compose_rows": 5})
 
 
-def test_random_points_share_the_yau_twist(monkeypatch):
-    # beta2 builds its Yau twist once per algebra: on an algebra
-    # without parameters every point evaluates on A itself, so one twist.
-    A = mikheev_family(FamilyParams.rational(Fraction(7, 3), Fraction(-5, 2)))
+@pytest.mark.parametrize("params, work", [
+    (FamilyParams.rational(Fraction(7, 3), Fraction(-5, 2)),
+     {"substitute_params": 20, "compose_rows": 1}),
+    (FamilyParams.symbolic(), {"substitute_params": 20, "HomAlgebra": 20, "compose_rows": 20}),
+], ids=["rational", "symbolic"])
+def test_random_beta2_points_build_no_twist(monkeypatch, params, work):
+    # beta2 evaluates on A's own operations: on an algebra without
+    # parameters every point evaluates on A itself, so alpha^2 is composed
+    # once; on A(lambda, xi) each point builds only its instance of A.
+    A = mikheev_family(params)
     calls = _count_work(monkeypatch)
     report = verify(A, "beta2", "random", seed=1, points=20)
     assert report.status == "random-pass"
-    assert calls == Counter({"substitute_params": 20, "HomAlgebra": 1, "compose_rows": 1})
+    assert calls == Counter(work)
+
+
+# The operations of A that an element entry's evaluator may call.
+ELEMENT_OPERATIONS = ("mul", "twist_apply", "shift", "hom_associator", "commutator", "zero",
+                      "hom_power")
+
+
+class _Operations:
+    """An algebra seen only through :data:`ELEMENT_OPERATIONS`."""
+
+    __slots__ = ELEMENT_OPERATIONS
+
+    def __init__(self, A):
+        for name in ELEMENT_OPERATIONS:
+            setattr(self, name, getattr(A, name))
+
+
+@pytest.mark.parametrize("tag", [inst.tag for inst in registry() if inst.kind == "element"])
+def test_element_evaluators_need_only_the_operations(fam_sym, tag):
+    inst = get_identity(tag)
+    xs = [generic_arg(fam_sym, name) for name in inst.var_names]
+    assert inst.evaluate(_Operations(fam_sym), xs) == inst.evaluate(fam_sym, xs)
+
 
 
 def test_generic_failure_carries_replayable_point(plain_twisted):
