@@ -28,7 +28,8 @@ serialize are mutually inverse on canonical documents; both refuse basis
 names that element expressions cannot refer to.  Dimensions above 64,
 polynomial exponents above 1000 and numbers of more than 4300 digits are
 rejected at load time, to keep basis sweeps, polynomial arithmetic and
-parsing tractable.
+parsing tractable, and refused when writing, so that every document
+written reads back.
 """
 
 from __future__ import annotations
@@ -37,13 +38,15 @@ import json
 import re
 from typing import NamedTuple, Sequence
 
-from .homalgebra import HomAlgebra, MuTable, RowTable
+from .homalgebra import HomAlgebra, MuTable, RowTable, SparseRow
 from .scalars import Poly, Scalar, decode_scalar, encode_sparse, variables
 
 DIMENSION_CAP = 64
 EXPONENT_CAP = 1000
 DIGIT_CAP = 4300  # digits in one run of a document: a coefficient's p or q, or a number
-_OVER_DIGIT_CAP = re.compile(r"(?<!\d)\d{%d,}" % (DIGIT_CAP + 1))
+# The leftmost match starts a run, so no lookbehind is needed; only ASCII
+# digits make numbers (:func:`homalt.scalars.parse_rational`).
+_OVER_DIGIT_CAP = re.compile(r"[0-9]{%d,}" % (DIGIT_CAP + 1))
 
 
 class AlgebraFormatError(ValueError):
@@ -60,13 +63,25 @@ class AlgebraDocument(NamedTuple):
     basis_names: list[str]
 
 
-def _load_json(text: str) -> object:
+def _check_digits(text: str) -> None:
+    """Refuse, at its line and column, a run of digits in ``text`` over the cap."""
     long_run = _OVER_DIGIT_CAP.search(text)
     if long_run:
         pos = long_run.start()
         line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
         raise AlgebraFormatError(f"line {line}, column {column}", f"number of {len(long_run[0])} "
                                  f"digits exceeds the supported cap of {DIGIT_CAP}")
+
+
+def _check_exponent(value: Scalar, where: str) -> None:
+    """Refuse, at ``where``, a polynomial with an exponent over the cap."""
+    top = max((e for m in value.terms for _, e in m), default=0) if isinstance(value, Poly) else 0
+    if top > EXPONENT_CAP:
+        raise AlgebraFormatError(where, f"exponent {top} exceeds the supported cap of {EXPONENT_CAP}")
+
+
+def _load_json(text: str) -> object:
+    _check_digits(text)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -114,9 +129,7 @@ def _decode_coeff(obj: object, params: set[str], where: str) -> Scalar:
     stray = variables(value) - params
     if stray:
         raise AlgebraFormatError(where, f"undeclared parameters {sorted(stray)}")
-    top = max((e for m in value.terms for _, e in m), default=0) if isinstance(value, Poly) else 0
-    if top > EXPONENT_CAP:
-        raise AlgebraFormatError(where, f"exponent {top} exceeds the supported cap of {EXPONENT_CAP}")
+    _check_exponent(value, where)
     return value
 
 
@@ -143,8 +156,26 @@ def _decode_rows(items: object, dim: int, params: set[str], where: str, what: st
     return rows
 
 
-def _encode_rows(rows: RowTable) -> list[dict]:
-    return [{"from": i, "to": encode_sparse(row)} for i, row in sorted(rows.items())]
+def _encode_sparse(row: SparseRow, where: str) -> list[dict]:
+    """:func:`encode_sparse` of a row written at ``where``, refusing an
+    exponent that parsing refuses."""
+    for pos, (_, c) in enumerate(row):
+        _check_exponent(c, f"{where}[{pos}].coeff")
+    return encode_sparse(row)
+
+
+def _encode_rows(rows: RowTable, where: str) -> list[dict]:
+    return [{"from": i, "to": _encode_sparse(row, f"{where}[{pos}].to")}
+            for pos, (i, row) in enumerate(sorted(rows.items()))]
+
+
+def _dump(doc: dict) -> str:
+    """Canonical text of a document, refusing a dimension or a number that
+    parsing refuses, so that what is written reads back."""
+    _decode_dimension(doc)
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _check_digits(text)
+    return text
 
 
 def _decode_params(value: object, where: str) -> tuple[str, ...]:
@@ -217,7 +248,10 @@ def parse_algebra(text: str) -> HomAlgebra:
 
 
 def serialize_algebra(A: HomAlgebra, basis_names: Sequence[str] | None = None) -> str:
-    """Canonical JSON text for an algebra (sorted entries, stable bytes)."""
+    """Canonical JSON text for an algebra (sorted entries, stable bytes).
+    Raises :class:`AlgebraFormatError` on what :func:`parse_document` would
+    refuse to read back: a basis name, a dimension, an exponent or a number
+    over its cap."""
     if basis_names is not None and len(basis_names) != A.dim:
         raise ValueError(f"expected {A.dim} basis names, got {len(basis_names)}")
     if basis_names is not None and len(set(basis_names)) != A.dim:
@@ -233,10 +267,10 @@ def serialize_algebra(A: HomAlgebra, basis_names: Sequence[str] | None = None) -
             {
                 "left": i,
                 "right": j,
-                "result": encode_sparse(row),
+                "result": _encode_sparse(row, f"products[{pos}].result"),
             }
-            for (i, j), row in sorted(A.mu.items())
+            for pos, ((i, j), row) in enumerate(sorted(A.mu.items()))
         ],
-        "alpha": _encode_rows(A.alpha),
+        "alpha": _encode_rows(A.alpha, "alpha"),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _dump(doc)

@@ -18,6 +18,10 @@ Hom-alternative when ``(x, x, y) = 0``.  Hom-powers follow
 ``x^n = x^(n-1) * alpha^(n-2)(x)``.  Each algebra keeps a table of twist
 powers: ``twist_power(n)`` composes the rows of ``alpha^n`` once, from
 ``alpha^(n-1)``, and ``shift`` and :func:`homalt.operators.alpha_op` read it.
+The operator calculus on an algebra, ``right_mul_op``, ``alpha_op``,
+``compose``, ``zero_op``, ``op_sup`` and ``op_sub``, is a set of methods too:
+each calls the function of its name in :mod:`homalt.operators`, looked up
+when it runs, and imports that module on first use.
 
 Two sparse kernels do all arithmetic on the tables: :func:`_add_product`
 every bilinear product, reading ``mu`` through the index by left factor
@@ -40,7 +44,7 @@ the text forms of elements.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .scalars import (
     Rational,
@@ -50,6 +54,9 @@ from .scalars import (
     normalize,
     substitute,
 )
+
+if TYPE_CHECKING:
+    from .operators import RightOp
 
 SparseRow = tuple[tuple[int, Scalar], ...]
 MuTable = dict[tuple[int, int], SparseRow]
@@ -333,6 +340,36 @@ class HomAlgebra(_Record):
 
     def with_params(self, extra: Iterable[str]) -> "HomAlgebra":
         return HomAlgebra(self.dim, self.mu, self.alpha, self.params + tuple(extra))
+
+    # -- the operator calculus: right operators on A ------------------------
+
+    def right_mul_op(self, a: Element) -> RightOp:
+        return _operators().right_mul_op(self, a)
+
+    def alpha_op(self, n: int) -> RightOp:
+        return _operators().alpha_op(self, n)
+
+    def compose(self, *ops: RightOp) -> RightOp:
+        return _operators().compose(*ops)
+
+    def zero_op(self) -> RightOp:
+        return _operators().zero_op(self.dim)
+
+    def op_sup(self, a: Element, b: Element) -> RightOp:
+        return _operators().op_sup(self, a, b)
+
+    def op_sub(self, a: Element, b: Element) -> RightOp:
+        return _operators().op_sub(self, a, b)
+
+
+def _operators():
+    """:mod:`homalt.operators`, loaded on first use, so element and
+    structural calls never load it.  ``from . import operators`` would load
+    it through the package's ``__getattr__``, which ``-X importtime`` does
+    not record."""
+    import homalt.operators as operators
+
+    return operators
 
 
 # -- reports ----------------------------------------------------------------

@@ -46,9 +46,9 @@ class IdentityInstance(_Record):
     the multiplicative scan).
     ``evaluate(A, xs)`` returns the equation pairs on ``A`` (one per shift
     for the shift-indexed entries): those of the constructor's ``evaluate``,
-    else of ``_ev_<tag>`` in the laws module its ``kind`` names.  An element
+    else of ``_ev_<tag>`` in the laws module its ``kind`` names.  Every
     entry's evaluator calls only the operations of ``A`` that
-    :mod:`homalt.element_laws` lists.
+    :mod:`homalt.element_laws` and :mod:`homalt.operator_laws` list.
     :meth:`degree_bound`, the random strategy's total-degree bound, is
     derived from one run of ``evaluate``.
     """

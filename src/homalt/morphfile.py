@@ -13,11 +13,10 @@ Only the calls that read or write a morphism import this module:
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 from .algfile import (
-    _decode_dimension, _decode_params, _decode_rows, _encode_rows, _expect_obj, _load_json,
+    _decode_dimension, _decode_params, _decode_rows, _dump, _encode_rows, _expect_obj, _load_json,
 )
 from .homalgebra import RowTable
 
@@ -35,9 +34,11 @@ def parse_morphism(text: str) -> tuple[RowTable, int, tuple[str, ...]]:
 
 
 def serialize_morphism(rows: RowTable, dim: int, params: Sequence[str] = ()) -> str:
+    """Canonical JSON text for a morphism; refuses, as
+    :func:`homalt.algfile.serialize_algebra` does, what parsing would."""
     doc = {
         "dimension": dim,
         "parameters": list(params),
-        "matrix": _encode_rows(rows),
+        "matrix": _encode_rows(rows, "matrix"),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _dump(doc)

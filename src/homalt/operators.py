@@ -16,7 +16,12 @@ The derived operators are the two bracketed right multiplications
 written ``a^b`` and ``a_b`` in superscript/subscript notation, together with
 plain right multiplication ``a'`` and powers of the twisting map, which
 ``alpha_op`` reads from the algebra's table (``HomAlgebra.twist_power``).
-``RightOp`` normalizes the table it stores, once.
+``op_sup`` and ``op_sub`` share one body, written on the algebra's own
+operations.  ``RightOp`` normalizes the table it stores, once.
+
+The evaluators reach these functions through the methods of the same names
+on :class:`~homalt.homalgebra.HomAlgebra`, which look each one up here when
+they run and import this module on first use.
 """
 
 from __future__ import annotations
@@ -115,15 +120,17 @@ def alpha_op(A: HomAlgebra, n: int) -> RightOp:
 
 def op_sup(A: HomAlgebra, a: Element, b: Element) -> RightOp:
     """Superscript operator ``a^b``: sends x to ``-(x, a, b)``."""
-    ab = right_mul_op(A, A.mul(a, b))
-    return compose(alpha_op(A, 1), ab) - compose(
-        right_mul_op(A, a), right_mul_op(A, A.twist_apply(b))
-    )
+    return _bracket(A, a, b, a, b)
 
 
 def op_sub(A: HomAlgebra, a: Element, b: Element) -> RightOp:
     """Subscript operator ``a_b``: sends x to ``alpha(x)(ab) - (xb) alpha(a)``."""
-    ab = right_mul_op(A, A.mul(a, b))
-    return compose(alpha_op(A, 1), ab) - compose(
-        right_mul_op(A, b), right_mul_op(A, A.twist_apply(a))
+    return _bracket(A, a, b, b, a)
+
+
+def _bracket(A: HomAlgebra, a: Element, b: Element, u: Element, v: Element) -> RightOp:
+    """``x -> alpha(x)(ab) - (xu) alpha(v)``, on the operations of A."""
+    ab = A.right_mul_op(A.mul(a, b))
+    return A.compose(A.alpha_op(1), ab) - A.compose(
+        A.right_mul_op(u), A.right_mul_op(A.twist_apply(v))
     )

@@ -247,12 +247,11 @@ def _int_str(n: int) -> str:
 
 
 def _parse_int(digits: str) -> int:
-    """``int(digits)`` at any size, as :func:`_int_str` writes it."""
+    """``int(digits)`` of ASCII digits at any size, as :func:`_int_str`
+    writes it."""
     try:
         return int(digits)
-    except ValueError:
-        if not (digits.isascii() and digits.isdigit()):
-            raise
+    except ValueError:  # more digits than ``int`` converts
         from decimal import Decimal
 
         return int(Decimal(digits))
@@ -282,14 +281,15 @@ def encode_sparse(vector) -> list[dict]:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse ``"p"`` or ``"p/q"`` exactly; floats and other forms rejected."""
+    """Parse ``"p"`` or ``"p/q"`` exactly, in ASCII digits; floats and other
+    forms are rejected with a ``bad rational`` ValueError."""
     body = text.strip()
     sign = 1
     if body.startswith(("+", "-")):
         sign = -1 if body[0] == "-" else 1
         body = body[1:]
     num, slash, den = body.partition("/")
-    if not num.isdigit() or (slash and not den.isdigit()):
+    if not body.isascii() or not num.isdigit() or (slash and not den.isdigit()):
         raise ValueError(f"bad rational {text!r} (expected p or p/q)")
     if slash and _parse_int(den) == 0:
         raise ValueError(f"bad rational {text!r} (zero denominator)")

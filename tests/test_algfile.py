@@ -1,12 +1,14 @@
 """Algebra file format: round-trips, diagnostics, element expressions."""
 
 import json
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
 from homalt.algfile import (
+    DIGIT_CAP,
     EXPONENT_CAP,
     AlgebraFormatError,
     parse_algebra,
@@ -344,3 +346,54 @@ def test_exponent_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: products[0].result[0].coeff: exponent")
     assert err.count("\n") == 1
+
+
+def test_writing_refuses_what_reading_refuses():
+    # Each cap of the parser holds for the writers too, so every document
+    # written reads back; a value at the cap is written and read back.
+    t = Poly.variable("t")
+    power = HomAlgebra(1, {(0, 0): ((0, t**1200),)}, identity_rows(1), ("t",))
+    with pytest.raises(AlgebraFormatError, match=r"^products\[0\]\.result\[0\]\.coeff: "
+                       rf"exponent 1200 exceeds the supported cap of {EXPONENT_CAP}$"):
+        serialize_algebra(power)
+    twist = HomAlgebra(1, {}, {0: ((0, t ** (EXPONENT_CAP + 1)),)}, ("t",))
+    with pytest.raises(AlgebraFormatError, match=r"^alpha\[0\]\.to\[0\]\.coeff: exponent"):
+        serialize_algebra(twist)
+    with pytest.raises(AlgebraFormatError, match=r"^matrix\[0\]\.to\[0\]\.coeff: exponent"):
+        serialize_morphism({0: ((0, t ** (EXPONENT_CAP + 1)),)}, 1, ("t",))
+    digits = rf"number of {DIGIT_CAP + 1} digits exceeds the supported cap of {DIGIT_CAP}$"
+    with pytest.raises(AlgebraFormatError, match=rf"^line \d+, column \d+: {digits}"):
+        serialize_algebra(HomAlgebra(1, {(0, 0): ((0, Fraction(1, 10**DIGIT_CAP)),)},
+                                     identity_rows(1)))
+    with pytest.raises(AlgebraFormatError, match=rf"^line \d+, column \d+: {digits}"):
+        serialize_morphism({0: ((0, 10**DIGIT_CAP),)}, 1)
+    with pytest.raises(AlgebraFormatError, match=r"^dimension: 65 exceeds"):
+        serialize_algebra(HomAlgebra(65, {}, {}))
+    with pytest.raises(AlgebraFormatError, match=r"^dimension: 65 exceeds"):
+        serialize_morphism({}, 65)
+    at_cap = HomAlgebra(1, {(0, 0): ((0, (10**DIGIT_CAP - 1) * t**EXPONENT_CAP),)},
+                        identity_rows(1), ("t",))
+    assert parse_algebra(serialize_algebra(at_cap)) == at_cap
+    assert parse_algebra(serialize_algebra(HomAlgebra(64, {}, {}))).dim == 64
+
+
+@pytest.mark.parametrize("command", ["mikheev", "twist"])
+def test_cli_writes_no_document_it_could_not_read(tmp_path, capsys, command):
+    # lambda = 10^1100 puts lambda^4, of 4401 digits, in a product; the
+    # twist of a twisting map 10^4000 e1 by 10^4000 has 10^8000 in alpha.
+    out = tmp_path / "out.alg"
+    if command == "mikheev":
+        argv = ["mikheev", "--lambda", str(10**1100), "--xi", "3", "--out", str(out)]
+    else:
+        big = str(10**4000)
+        (tmp_path / "a.alg").write_text(json.dumps({"dimension": 1, "products": [], "alpha": [
+            {"from": 0, "to": [{"index": 0, "coeff": big}]}]}))
+        (tmp_path / "b.mor").write_text(json.dumps({"dimension": 1, "matrix": [
+            {"from": 0, "to": [{"index": 0, "coeff": big}]}]}))
+        argv = ["twist", "--algebra", str(tmp_path / "a.alg"), "--morphism",
+                str(tmp_path / "b.mor"), "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: line \d+, column \d+: number of \d+ digits exceeds the "
+                        rf"supported cap of {DIGIT_CAP}\n", err), err
+    assert not out.exists()

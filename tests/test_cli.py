@@ -158,6 +158,17 @@ def test_random_name_collision_exits_2(tmp_path, coordinate_named_param, capsys)
         assert captured.err.startswith("error: name collision with existing parameters")
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["mikheev", "--lambda", "\u00b2", "--xi", "3", "--out", "{out}"], "\u00b2"),
+    (["noniso", "--params", "2", "3", "\uff15", "7"], "\uff15"),
+    (["power", "--algebra", "{mikheev}", "--element", "\u0663*e1", "--n", "2"], "\u0663"),
+], ids=["lambda", "noniso", "element"])
+def test_non_ascii_digits_are_bad_rationals(files, tmp_path, capsys, argv, text):
+    argv = [arg.format(out=tmp_path / "out.alg", **files) for arg in argv]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: bad rational {text!r} (expected p or p/q)\n"
+
+
 def test_check_unknown_identity(files, capsys):
     assert run(["check", "--algebra", files["mikheev"], "--identity", "nope"]) == 2
 

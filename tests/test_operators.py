@@ -1,8 +1,12 @@
 """Right-operator calculus: right multiplications, twist operators, compositions."""
 
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homalt.operators
 from homalt.homalgebra import Element, identity_rows
 from homalt.operators import (
     RightOp,
@@ -14,6 +18,7 @@ from homalt.operators import (
     right_mul_op,
     zero_op,
 )
+from homalt.proof_replay import verify, verify_all
 from homalt.scalars import Poly
 from test_metamorphic import generic_arg
 
@@ -169,3 +174,49 @@ def test_sup_antisymmetry_and_sup_self_zero(mikheev):
 def test_sub_self_zero_generic(mikheev):
     a = generic_arg(mikheev, "a")
     assert op_sub(mikheev, a, a).is_zero()
+
+
+# -- the work of the operator layer ----------------------------------------------
+
+COUNTED = ("right_mul_op", "compose", "alpha_op", "op_sup", "op_sub", "zero_op")
+
+
+def _count_operator_calls(monkeypatch) -> Counter:
+    """Count the calls of each function of :data:`COUNTED`, wrapped as the
+    bench tracer wraps it: at every name in a loaded homalt module that is
+    bound to it."""
+    calls: Counter = Counter()
+    for name in COUNTED:
+        original = getattr(homalt.operators, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module is not None and module_name.partition(".")[0] == "homalt":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("tag, work", [
+    ("eq1", {"right_mul_op": 3, "compose": 2, "alpha_op": 1}),
+    ("eq5", {"right_mul_op": 6, "compose": 5, "alpha_op": 2, "op_sup": 1, "op_sub": 1,
+             "zero_op": 1}),
+    ("dpe", {"right_mul_op": 32, "compose": 21, "alpha_op": 14, "op_sup": 5, "op_sub": 4}),
+])
+def test_operator_work_of_an_entry(fam_sym, monkeypatch, tag, work):
+    # The calculus on A runs through the names the tracer patches, each
+    # call once: an operator built by op_sup or op_sub counts its own
+    # right multiplications and compositions too.
+    calls = _count_operator_calls(monkeypatch)
+    assert verify(fam_sym, tag, "generic").status == "holds"
+    assert calls == Counter(work)
+
+
+def test_operator_work_of_the_batch(fam_sym, monkeypatch):
+    calls = _count_operator_calls(monkeypatch)
+    assert all(result.passed() for result in verify_all(fam_sym, "generic"))
+    assert [calls[name] for name in COUNTED] == [168, 124, 70, 24, 19, 7]

@@ -280,27 +280,28 @@ def test_random_beta2_points_build_no_twist(monkeypatch, params, work):
     assert calls == Counter(work)
 
 
-# The operations of A that an element entry's evaluator may call.
-ELEMENT_OPERATIONS = ("mul", "twist_apply", "shift", "hom_associator", "commutator", "zero",
-                      "hom_power")
+# The operations of A that an entry's evaluator may call: seven on elements,
+# then the operator calculus.
+OPERATIONS = ("mul", "twist_apply", "shift", "hom_associator", "commutator", "zero", "hom_power",
+              "right_mul_op", "alpha_op", "compose", "zero_op", "op_sup", "op_sub")
 
 
 class _Operations:
-    """An algebra seen only through :data:`ELEMENT_OPERATIONS`."""
+    """An algebra seen only through :data:`OPERATIONS`."""
 
-    __slots__ = ELEMENT_OPERATIONS
+    __slots__ = OPERATIONS
 
     def __init__(self, A):
-        for name in ELEMENT_OPERATIONS:
+        for name in OPERATIONS:
             setattr(self, name, getattr(A, name))
 
 
-@pytest.mark.parametrize("tag", [inst.tag for inst in registry() if inst.kind == "element"])
+@pytest.mark.parametrize("tag", identity_tags())
 def test_element_evaluators_need_only_the_operations(fam_sym, tag):
+    # Every entry, element or operator, evaluates on the stand-in as on A.
     inst = get_identity(tag)
     xs = [generic_arg(fam_sym, name) for name in inst.var_names]
     assert inst.evaluate(_Operations(fam_sym), xs) == inst.evaluate(fam_sym, xs)
-
 
 
 def test_generic_failure_carries_replayable_point(plain_twisted):

@@ -200,8 +200,12 @@ def test_parse_rational():
     assert parse_rational("5") == 5
     assert parse_rational("-2/7") == Fraction(-2, 7)
     assert parse_rational("4/2") == 2
-    for bad in ("1.5", "x", "1/0", "", "1/2/3"):
-        with pytest.raises(ValueError):
+    # Arabic-Indic, fullwidth and superscript digits are digits to
+    # str.isdigit; only ASCII digits are read, and every refusal is a bad
+    # rational, whatever int() would say.
+    for bad in ("1.5", "x", "1/0", "", "1/2/3", "\u0663", "\uff11\uff12", "3/\u0664", "\u00b2",
+                "-\u00b2/3", "1_000"):
+        with pytest.raises(ValueError, match=r"^bad rational "):
             parse_rational(bad)
 
 

@@ -12,6 +12,7 @@ the subset and random strategies) each load only for the checks that run
 them, and the parser adds arguments only to the subcommand named.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -174,6 +175,46 @@ def test_rows_and_evaluators_are_one_to_one():
     assert len(set(tags)) == len(entries)
     for inst in entries:
         assert inst.evaluate is getattr(modules[inst.kind], f"_ev_{inst.tag}")
+
+
+def _imports(module: str) -> list[tuple[ast.AST, list[ast.AST]]]:
+    """Each import statement of a homalt module, with its enclosing nodes."""
+    found = []
+
+    def walk(node, outer):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((child, outer))
+            walk(child, outer + [child])
+
+    walk(ast.parse((SRC / "homalt" / f"{module}.py").read_text()), [])
+    return found
+
+
+@pytest.mark.parametrize("module", ["element_laws", "operator_laws"])
+def test_laws_import_nothing(module):
+    # An evaluator reaches A through A's operations alone.
+    assert _imports(module) == []
+
+
+def _where(outer: list[ast.AST]) -> str:
+    if any(isinstance(n, ast.FunctionDef) for n in outer):
+        return "function"
+    if any(isinstance(n, ast.If) and ast.unparse(n.test) == "TYPE_CHECKING" for n in outer):
+        return "type checking"
+    return "module"
+
+
+def test_homalgebra_loads_the_operators_only_when_called():
+    # At run time the operator calculus is imported in a function body; a
+    # module-level import of it is for type checkers only.
+    places = set()
+    for node, outer in _imports("homalgebra"):
+        names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        names += [alias.name for alias in node.names]
+        if any(name.rpartition(".")[2] == "operators" for name in names):
+            places.add(_where(outer))
+    assert "function" in places and "module" not in places
 
 
 # argv whose output comes from argparse alone: help, usage errors.
