@@ -10,9 +10,9 @@ strategies) loads only for registry checks.  An entry's evaluator loads
 from :mod:`homalt.element_laws` or :mod:`homalt.operator_laws` by the
 entry's kind, and :mod:`homalt.search` only for the calls that search or
 sample points.  Code that most calls do not run sits in modules of its own:
-:mod:`homalt.structure` (the left-alt and morphism scans, Hom-nilpotency),
-:mod:`homalt.text` (printing and parsing elements) and
-:mod:`homalt.morphfile` (morphism documents).
+:mod:`homalt.structure` (the left-alt and morphism scans, Hom-nilpotency)
+and :mod:`homalt.text` (printing and parsing elements).  Algebra and
+morphism documents are both read and written by :mod:`homalt.algfile`.
 """
 
 import importlib
@@ -38,8 +38,10 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "proof_replay": ("BatchResult", "smallest_alpha_exponent", "verify", "verify_all"),
     "identities": ("IdentityInstance", "PreconditionError", "registry"),
-    "algfile": ("AlgebraFormatError", "parse_algebra", "parse_document", "serialize_algebra"),
-    "morphfile": ("parse_morphism", "serialize_morphism"),
+    "algfile": (
+        "AlgebraFormatError", "parse_algebra", "parse_document", "parse_morphism",
+        "serialize_algebra", "serialize_morphism",
+    ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

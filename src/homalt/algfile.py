@@ -1,4 +1,4 @@
-"""JSON file format for algebras.
+"""JSON documents: algebras and morphisms.
 
 An algebra document looks like::
 
@@ -16,29 +16,34 @@ An algebra document looks like::
       ]
     }
 
-Indices are 0-based; omitted product pairs and twist rows are zero.
+A morphism document gives a linear map by its rows, in the same shape with
+a ``matrix`` list of ``{"from", "to"}`` rows instead of products and a
+twist (one row codec serves both)::
+
+    {"dimension": 2, "parameters": [],
+     "matrix": [{"from": 0, "to": [{"index": 1, "coeff": "1"}]}]}
+
+Indices are 0-based; omitted product pairs and rows are zero.
 Coefficients use the scalar text encoding from :mod:`homalt.scalars` and may
-only mention declared parameters.  Morphism documents, which have the same
-shape with a ``matrix`` list of ``{"from", "to"}`` rows instead of
-products/alpha, are read and written by :mod:`homalt.morphfile` with the
-helpers here (one row codec serves both), and element expressions by
+only mention declared parameters; element expressions are read by
 :mod:`homalt.text`.  Parsing reports the offending field path on malformed
-input, and serialization emits a canonical, byte-stable form, so parse and
-serialize are mutually inverse on canonical documents; both refuse basis
-names that element expressions cannot refer to.  Dimensions above 64,
-polynomial exponents above 1000 and numbers of more than 4300 digits are
-rejected at load time, to keep basis sweeps, polynomial arithmetic and
-parsing tractable, and refused when writing, so that every document
-written reads back.
+input.  Basis names that element expressions cannot refer to, dimensions
+above 64, polynomial exponents above 1000 and numbers of more than 4300
+digits are refused, to keep basis sweeps, polynomial arithmetic and parsing
+tractable.  The parsers hold every rule of the format: each writer emits a
+canonical, byte-stable text and returns it only once the matching parser
+reads it back, so every document written reads back, parse and serialize
+are mutually inverse on canonical documents, and a writer refuses with the
+parser's own message.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .homalgebra import HomAlgebra, MuTable, RowTable, SparseRow
+from .homalgebra import HomAlgebra, MuTable, RowTable
 from .scalars import Poly, Scalar, decode_scalar, encode_sparse, variables
 
 DIMENSION_CAP = 64
@@ -63,25 +68,13 @@ class AlgebraDocument(NamedTuple):
     basis_names: list[str]
 
 
-def _check_digits(text: str) -> None:
-    """Refuse, at its line and column, a run of digits in ``text`` over the cap."""
+def _load_json(text: str) -> object:
     long_run = _OVER_DIGIT_CAP.search(text)
     if long_run:
         pos = long_run.start()
         line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
         raise AlgebraFormatError(f"line {line}, column {column}", f"number of {len(long_run[0])} "
                                  f"digits exceeds the supported cap of {DIGIT_CAP}")
-
-
-def _check_exponent(value: Scalar, where: str) -> None:
-    """Refuse, at ``where``, a polynomial with an exponent over the cap."""
-    top = max((e for m in value.terms for _, e in m), default=0) if isinstance(value, Poly) else 0
-    if top > EXPONENT_CAP:
-        raise AlgebraFormatError(where, f"exponent {top} exceeds the supported cap of {EXPONENT_CAP}")
-
-
-def _load_json(text: str) -> object:
-    _check_digits(text)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -129,7 +122,9 @@ def _decode_coeff(obj: object, params: set[str], where: str) -> Scalar:
     stray = variables(value) - params
     if stray:
         raise AlgebraFormatError(where, f"undeclared parameters {sorted(stray)}")
-    _check_exponent(value, where)
+    top = max((e for m in value.terms for _, e in m), default=0) if isinstance(value, Poly) else 0
+    if top > EXPONENT_CAP:
+        raise AlgebraFormatError(where, f"exponent {top} exceeds the supported cap of {EXPONENT_CAP}")
     return value
 
 
@@ -156,25 +151,15 @@ def _decode_rows(items: object, dim: int, params: set[str], where: str, what: st
     return rows
 
 
-def _encode_sparse(row: SparseRow, where: str) -> list[dict]:
-    """:func:`encode_sparse` of a row written at ``where``, refusing an
-    exponent that parsing refuses."""
-    for pos, (_, c) in enumerate(row):
-        _check_exponent(c, f"{where}[{pos}].coeff")
-    return encode_sparse(row)
+def _encode_rows(rows: RowTable) -> list[dict]:
+    return [{"from": i, "to": encode_sparse(row)} for i, row in sorted(rows.items())]
 
 
-def _encode_rows(rows: RowTable, where: str) -> list[dict]:
-    return [{"from": i, "to": _encode_sparse(row, f"{where}[{pos}].to")}
-            for pos, (i, row) in enumerate(sorted(rows.items()))]
-
-
-def _dump(doc: dict) -> str:
-    """Canonical text of a document, refusing a dimension or a number that
-    parsing refuses, so that what is written reads back."""
-    _decode_dimension(doc)
+def _written(doc: dict, parse: Callable[[str], object]) -> str:
+    """Canonical text of ``doc``, returned once ``parse`` reads it back: the
+    parser is the writer's only check, so its refusal is the writer's."""
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _check_digits(text)
+    parse(text)
     return text
 
 
@@ -187,15 +172,6 @@ def _decode_params(value: object, where: str) -> tuple[str, ...]:
             raise AlgebraFormatError(f"{where}[{pos}]", f"duplicate parameter {name!r}")
         names[name] = None
     return tuple(names)
-
-
-def _check_basis_name(name: str, pos: int) -> None:
-    """Refuse, at ``basis[pos]``, a name no element expression can refer to:
-    expressions split terms at ``+`` and ``-`` and a coefficient at ``*``,
-    and strip names."""
-    if not name or name != name.strip() or any(c in name for c in "+-*"):
-        raise AlgebraFormatError(f"basis[{pos}]", f"basis name {name!r} must be nonempty "
-                                 "and stripped, without '+', '-' or '*'")
 
 
 def _decode_dimension(doc: dict) -> int:
@@ -222,7 +198,11 @@ def parse_document(text: str) -> AlgebraDocument:
         for pos, name in enumerate(names):
             if name in names[:pos]:
                 raise AlgebraFormatError(f"basis[{pos}]", f"duplicate basis name {name!r}")
-            _check_basis_name(name, pos)
+            # Element expressions split terms at + and -, a coefficient at *,
+            # and strip names.
+            if name != name.strip() or any(c in name for c in "+-*"):
+                raise AlgebraFormatError(f"basis[{pos}]", f"basis name {name!r} must be nonempty "
+                                         "and stripped, without '+', '-' or '*'")
         basis_names = list(names)
     else:
         basis_names = [f"e{i + 1}" for i in range(dim)]
@@ -247,30 +227,35 @@ def parse_algebra(text: str) -> HomAlgebra:
     return parse_document(text).algebra
 
 
+def parse_morphism(text: str) -> tuple[RowTable, int, tuple[str, ...]]:
+    """Parse a morphism document into (rows, dimension, parameters)."""
+    doc = _expect_obj(
+        _load_json(text), "document",
+        {"dimension", "parameters", "matrix"},
+        {"dimension", "matrix"},
+    )
+    dim = _decode_dimension(doc)
+    params = _decode_params(doc.get("parameters", []), "parameters")
+    return _decode_rows(doc["matrix"], dim, set(params), "matrix", "matrix"), dim, params
+
+
 def serialize_algebra(A: HomAlgebra, basis_names: Sequence[str] | None = None) -> str:
-    """Canonical JSON text for an algebra (sorted entries, stable bytes).
-    Raises :class:`AlgebraFormatError` on what :func:`parse_document` would
-    refuse to read back: a basis name, a dimension, an exponent or a number
-    over its cap."""
-    if basis_names is not None and len(basis_names) != A.dim:
-        raise ValueError(f"expected {A.dim} basis names, got {len(basis_names)}")
-    if basis_names is not None and len(set(basis_names)) != A.dim:
-        raise ValueError(f"duplicate basis names in {list(basis_names)}")
-    names = list(basis_names) if basis_names is not None else [f"e{i + 1}" for i in range(A.dim)]
-    for pos, name in enumerate(names):
-        _check_basis_name(name, pos)
+    """Canonical JSON text for an algebra (sorted entries, stable bytes);
+    raises :func:`parse_document`'s :class:`AlgebraFormatError` on what it
+    would not read back."""
     doc = {
         "dimension": A.dim,
-        "basis": names,
+        "basis": list(basis_names) if basis_names is not None else [f"e{i + 1}" for i in range(A.dim)],
         "parameters": list(A.params),
-        "products": [
-            {
-                "left": i,
-                "right": j,
-                "result": _encode_sparse(row, f"products[{pos}].result"),
-            }
-            for pos, ((i, j), row) in enumerate(sorted(A.mu.items()))
-        ],
-        "alpha": _encode_rows(A.alpha, "alpha"),
+        "products": [{"left": i, "right": j, "result": encode_sparse(row)}
+                     for (i, j), row in sorted(A.mu.items())],
+        "alpha": _encode_rows(A.alpha),
     }
-    return _dump(doc)
+    return _written(doc, parse_document)
+
+
+def serialize_morphism(rows: RowTable, dim: int, params: Sequence[str] = ()) -> str:
+    """Canonical JSON text for a morphism; raises :func:`parse_morphism`'s
+    :class:`AlgebraFormatError` on what it would not read back."""
+    return _written({"dimension": dim, "parameters": list(params), "matrix": _encode_rows(rows)},
+                    parse_morphism)

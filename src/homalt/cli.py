@@ -26,13 +26,14 @@ commands that build the built-in algebra (``--mikheev``, ``mikheev``,
 on a registry tag, which in turn loads the laws of the entries it evaluates
 (``homalt.operators`` only for operator entries) and the search code only
 for failing checks and the subset and random strategies.  The left-alt and
-morphism scans (``homalt.structure``), morphism files (``homalt.morphfile``)
-and the text forms of elements (``homalt.text``) load for the calls that
-use them.  The ``--identity`` choices come from the registry in
-``homalt.identities``, and :func:`build_parser` adds arguments only to the
-subcommand that the command line names.  :func:`main` flushes the output
-and ends the process with ``os._exit``, skipping interpreter teardown;
-:func:`run` returns the exit code for in-process callers.
+morphism scans (``homalt.structure``) and the text forms of elements
+(``homalt.text``) load for the calls that use them; algebra and morphism
+files are both read by ``homalt.algfile``, which every call loads.  The
+``--identity`` choices come from the registry in ``homalt.identities``, and
+:func:`build_parser` adds arguments only to the subcommand that the command
+line names.  :func:`main` flushes the output and ends the process with
+``os._exit``, skipping interpreter teardown; :func:`run` returns the exit
+code for in-process callers.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .algfile import parse_document, serialize_algebra
+from .algfile import parse_document, parse_morphism, serialize_algebra
 from .homalgebra import (
     CheckReport,
     HomAlgebra,
@@ -83,8 +84,6 @@ def _load_algebra(path: str):
 
 def _load_morphism(path: str, A: HomAlgebra):
     """Rows and parameters of a morphism file on an algebra of ``A``'s dimension."""
-    from .morphfile import parse_morphism
-
     rows, dim, params = parse_morphism(_read_text(path))
     if dim != A.dim:
         raise CliInputError(f"morphism dimension {dim} does not match algebra dimension {A.dim}")

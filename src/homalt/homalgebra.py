@@ -364,9 +364,7 @@ class HomAlgebra(_Record):
 
 def _operators():
     """:mod:`homalt.operators`, loaded on first use, so element and
-    structural calls never load it.  ``from . import operators`` would load
-    it through the package's ``__getattr__``, which ``-X importtime`` does
-    not record."""
+    structural calls never load it."""
     import homalt.operators as operators
 
     return operators
@@ -590,14 +588,18 @@ def replay_structural_witness(
 def yau_twist(A: HomAlgebra, beta: RowsLike) -> HomAlgebra:
     """Twist of A by a weak morphism: product ``beta(xy)``, twist ``beta . alpha``.
 
-    The weak-morphism property of ``beta`` is checked first, on the rows
-    normalized here, and a ValueError is raised when it does not hold.
+    ``beta`` is checked first, by :func:`is_weak_morphism`, which normalizes
+    it, and a ValueError is raised when it is not a weak morphism.  The twist
+    then reads beta's rows as given, since the constructor normalizes the
+    tables it stores; so beta is normalized once.
     """
-    rows = normalize_rows(A.dim, beta)
-    report = _pair_scan("weak-morphism", A, rows, A)
+    if isinstance(beta, Mapping):
+        beta = {i: tuple(row) for i, row in beta.items()}  # read twice
+    report = is_weak_morphism(A, A, beta)
     if not report.passed():
         pair = report.witness.basis
         raise ValueError(f"twisting map is not a weak morphism (first failing pair {pair})")
+    rows = beta if isinstance(beta, dict) else {i: tuple(enumerate(r)) for i, r in enumerate(beta)}
     new_mu = {key: _image(rows, row) for key, row in A.mu.items()}
     return HomAlgebra(A.dim, new_mu, compose_rows(A.alpha, rows), A.params)
 

@@ -13,12 +13,13 @@ from homalt.algfile import (
     AlgebraFormatError,
     parse_algebra,
     parse_document,
+    parse_morphism,
     serialize_algebra,
+    serialize_morphism,
 )
 from homalt.catalog import FamilyParams, mikheev_morphism
 from homalt.cli import run
 from homalt.homalgebra import Element, HomAlgebra, identity_rows, substitute_params
-from homalt.morphfile import parse_morphism, serialize_morphism
 from homalt.scalars import Poly, encode_sparse as encode_element
 from homalt.text import parse_element_expr
 
@@ -151,8 +152,9 @@ def test_duplicate_basis_name():
         parse_algebra(json.dumps(doc))
     assert str(exc.value) == "basis[2]: duplicate basis name 'a'"
     square = HomAlgebra(2, {(0, 0): ((1, 1),)}, identity_rows(2))
-    with pytest.raises(ValueError, match="duplicate basis names"):
+    with pytest.raises(AlgebraFormatError) as exc:
         serialize_algebra(square, ["a", "a"])
+    assert str(exc.value) == "basis[1]: duplicate basis name 'a'"
 
 
 def test_duplicate_parameter_is_reported_at_its_first_repeat():
@@ -349,8 +351,9 @@ def test_exponent_cap(tmp_path, capsys):
 
 
 def test_writing_refuses_what_reading_refuses():
-    # Each cap of the parser holds for the writers too, so every document
-    # written reads back; a value at the cap is written and read back.
+    # Each rule of the parser holds for the writers too, with the parser's
+    # message, so every document written reads back; a value at the cap is
+    # written and read back.
     t = Poly.variable("t")
     power = HomAlgebra(1, {(0, 0): ((0, t**1200),)}, identity_rows(1), ("t",))
     with pytest.raises(AlgebraFormatError, match=r"^products\[0\]\.result\[0\]\.coeff: "
@@ -375,6 +378,23 @@ def test_writing_refuses_what_reading_refuses():
                         identity_rows(1), ("t",))
     assert parse_algebra(serialize_algebra(at_cap)) == at_cap
     assert parse_algebra(serialize_algebra(HomAlgebra(64, {}, {}))).dim == 64
+    for write, message in (
+        (lambda: serialize_morphism({5: ((0, 1),)}, 2),
+         "matrix[0].from: index 5 out of range for dimension 2"),
+        (lambda: serialize_morphism({0: ((7, 1),)}, 2),
+         "matrix[0].to[0].index: index 7 out of range for dimension 2"),
+        (lambda: serialize_morphism({0: ((0, t),)}, 1),
+         "matrix[0].to[0].coeff: undeclared parameters ['t']"),
+        (lambda: serialize_morphism({}, 1, ("1x",)), "parameters[0]: bad parameter name '1x'"),
+        (lambda: serialize_morphism({}, 1, ("t", "t")), "parameters[1]: duplicate parameter 't'"),
+        (lambda: serialize_algebra(HomAlgebra(1, {(0, 0): ((0, t),)}, {0: ((0, 1),)})),
+         "products[0].result[0].coeff: undeclared parameters ['t']"),
+        (lambda: serialize_algebra(HomAlgebra(1, {}, {}, ("1x",))),
+         "parameters[0]: bad parameter name '1x'"),
+    ):
+        with pytest.raises(AlgebraFormatError) as exc:
+            write()
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("command", ["mikheev", "twist"])

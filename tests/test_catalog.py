@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from homalt import homalgebra
 from homalt.catalog import (
     FamilyParams,
     family_nonisomorphism_condition,
@@ -80,6 +81,21 @@ def test_family_at_one_one_is_the_base(mikheev):
     A11 = mikheev_family(FamilyParams.rational(1, 1))
     assert A11.mu == mikheev.mu
     assert A11.alpha == mikheev.alpha
+
+
+def test_family_twist_checks_its_morphism_through_is_weak_morphism(monkeypatch):
+    # The twist's hypothesis is the public scan, so a wrapper of it (as a
+    # tracer installs) counts the scan each catalog twist runs.
+    calls = []
+    scan = homalgebra.is_weak_morphism
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(homalgebra, "is_weak_morphism", counted)
+    mikheev_family(FamilyParams.symbolic())
+    assert len(calls) == 1
 
 
 def test_family_is_right_but_not_left_alternative(fam23):

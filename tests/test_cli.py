@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from homalt.algfile import parse_algebra, serialize_algebra
+from homalt.algfile import parse_algebra, serialize_algebra, serialize_morphism
 from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
 from homalt.homalgebra import (
     CheckReport,
@@ -17,7 +17,6 @@ from homalt.homalgebra import (
     replay_structural_witness,
 )
 from homalt.cli import run
-from homalt.morphfile import serialize_morphism
 from homalt.proof_replay import replay_identity_witness
 from homalt.scalars import decode_scalar
 

@@ -15,11 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from homalt.algfile import serialize_algebra
+from homalt.algfile import serialize_algebra, serialize_morphism
 from homalt.catalog import FamilyParams, mikheev_algebra, mikheev_family, mikheev_morphism
 from homalt.cli import run
 from homalt.homalgebra import HomAlgebra, identity_rows
-from homalt.morphfile import serialize_morphism
 from homalt.proof_replay import verify
 from test_subset import random_algebra
 

@@ -25,27 +25,30 @@ import homalt
 import homalt.element_laws
 import homalt.operator_laws
 import homalt.proof_replay
-from homalt.algfile import parse_algebra, serialize_algebra
+from homalt.algfile import parse_algebra, serialize_algebra, serialize_morphism
 from homalt.cli import _SUBCOMMANDS, STRUCTURAL_IDS, build_parser, run
 from homalt.homalgebra import identity_rows
-from homalt.morphfile import serialize_morphism
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = {"homalt.proof_replay", "homalt.operators"}
 # The code a registry check loads on demand.
 LAWS = {"element": "homalt.element_laws", "operator": "homalt.operator_laws"}
 ON_DEMAND = HEAVY | set(LAWS.values()) | {"homalt.search"}
-# What no holding registry check runs: other scans, text forms, morphism files.
-ASIDE = {"homalt.structure", "homalt.text", "homalt.morphfile"}
+# What no holding registry check runs: other scans, text forms.
+ASIDE = {"homalt.structure", "homalt.text"}
+_LISTING = "-- sys.modules --"
 
 
-def _modules_after(statement: str) -> set[str]:
-    """The modules loaded in a fresh interpreter after ``statement``."""
-    code = f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"
+def _modules_after(statement: str, cwd: Path | None = None) -> set[str]:
+    """The modules loaded in a fresh interpreter after ``statement``, read
+    from its ``sys.modules``, which holds every module however it was
+    imported (``-X importtime`` lists none that ``importlib`` loads)."""
+    code = f"{statement}\nimport sys\nprint({_LISTING!r}, *sys.modules, sep='\\n')"
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    return set(out.stdout.split())
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.rpartition(_LISTING)[2].split())
 
 
 def test_cli_import_skips_dataclasses_and_catalog():
@@ -63,6 +66,12 @@ def test_bare_package_import_loads_no_submodule():
 def test_submodules_stay_reachable_as_attributes():
     loaded = _modules_after("import homalt\nassert homalt.catalog.DIM == 13")
     assert "homalt.catalog" in loaded
+
+
+def test_listing_includes_modules_loaded_through_the_package():
+    # The package's __getattr__ loads ``homalt.text`` with
+    # importlib.import_module: ``-X importtime`` shows no line for it.
+    assert "homalt.text" in _modules_after("import homalt\nhomalt.text")
 
 
 def test_every_public_name_resolves():
@@ -87,25 +96,22 @@ def test_unknown_name_raises_attribute_error():
 # -- what a CLI call loads ---------------------------------------------------------
 
 
-def _child(argv: list[str], cwd: Path, *, flags: tuple[str, ...] = (), stdout=subprocess.PIPE,
+def _child(argv: list[str], cwd: Path, *, stdout=subprocess.PIPE,
            unbuffered: bool = True) -> subprocess.CompletedProcess:
     """``python -m homalt.cli ARGV`` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, *flags, "-m", "homalt.cli", *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", "homalt.cli", *argv], cwd=cwd, env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 def _cli_modules(argv: list[str], cwd: Path, code: int = 0) -> set[str]:
-    """The homalt modules a CLI call that exits ``code`` imports, read from
-    ``-X importtime``."""
-    proc = _child(argv, cwd, flags=("-X", "importtime"))
-    assert proc.returncode == code, proc.stderr
-    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    names = {line.rpartition("|")[2].strip() for line in lines}
-    return {name for name in names if name.startswith("homalt")}
+    """The homalt modules loaded by the end of a CLI call that exits
+    ``code``: ``run``, as ``main`` calls it, in a fresh interpreter."""
+    statement = f"from homalt.cli import run\nassert run({argv!r}) == {code}"
+    return {name for name in _modules_after(statement, cwd) if name.startswith("homalt")}
 
 
 @pytest.fixture(scope="module")
@@ -126,10 +132,11 @@ def inputs(tmp_path_factory, plain_twisted):
     ["mikheev", "--out", "loads.alg"],
     ["power", "--algebra", "base.alg", "--element", "e7 - e8", "--n", "2"],
     ["--help"],
+    ["twist", "--algebra", "base.alg", "--morphism", "id.mor", "--out", "loads-twist.alg"],
 ])
 def test_structural_calls_skip_the_registry(inputs, argv):
     loaded = _cli_modules(argv, inputs)
-    assert "homalt.identities" in loaded  # the command ran: cli runs as __main__
+    assert "homalt.identities" in loaded  # the registry, which every call loads
     assert not ON_DEMAND & loaded
 
 
