@@ -10,7 +10,9 @@ twisting map ``alpha``.  Both are stored sparsely over exact scalars:
 pairs and rows with no nonzero coordinates are simply absent.  Coefficients
 may involve the named parameters in ``params`` (for symbolically
 parametrized families), and elements may have polynomial coordinates, which
-is how generic (indeterminate-coordinate) elements are represented.
+is how generic (indeterminate-coordinate) elements are represented; the
+registry names those indeterminates
+(:meth:`homalt.identities.IdentityInstance.arguments`).
 
 The Hom-associator is ``(x, y, z) = (xy) alpha(z) - alpha(x) (yz)``; an
 algebra is right Hom-alternative when ``(x, y, y) = 0`` and left
@@ -602,23 +604,6 @@ def yau_twist(A: HomAlgebra, beta: RowsLike) -> HomAlgebra:
     rows = beta if isinstance(beta, dict) else {i: tuple(enumerate(r)) for i, r in enumerate(beta)}
     new_mu = {key: _image(rows, row) for key, row in A.mu.items()}
     return HomAlgebra(A.dim, new_mu, compose_rows(A.alpha, rows), A.params)
-
-
-def coordinate_name(prefix: str, i: int) -> str:
-    """``prefix_<i+1>``, the variable of coordinate ``i`` of argument ``prefix``."""
-    return f"{prefix}_{i + 1}"
-
-
-def coordinate_names(A: HomAlgebra, prefix: str) -> list[str]:
-    """``prefix_1 .. prefix_dim``, the coordinates of an element of A as
-    variables; ValueError when one of them already names a parameter."""
-    if not prefix.isidentifier():
-        raise ValueError(f"prefix {prefix!r} is not an identifier")
-    names = [coordinate_name(prefix, i) for i in range(A.dim)]
-    clash = set(names) & set(A.params)
-    if clash:
-        raise ValueError(f"name collision with existing parameters: {sorted(clash)}")
-    return names
 
 
 def substitute_params(A: HomAlgebra, assignment: Mapping[str, Rational]) -> HomAlgebra:

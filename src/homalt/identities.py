@@ -3,6 +3,10 @@
 An entry's evaluator ``_ev_<tag>`` lives in :mod:`homalt.element_laws` or
 :mod:`homalt.operator_laws`, by its kind, and is imported on first use;
 :mod:`homalt.proof_replay` checks the hypotheses and runs the strategies.
+An entry also owns its arguments: their coordinates as variables, and the
+two routes every strategy evaluates it by, on generic arguments
+(:meth:`IdentityInstance.generic_pairs`) or at a point
+(:meth:`IdentityInstance.pairs_at`).
 This module imports only :mod:`homalt.homalgebra` and :mod:`homalt.scalars`,
 which every CLI call loads, so the CLI lists the ``--identity`` choices
 and catches :class:`PreconditionError` without loading
@@ -13,13 +17,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
-from .homalgebra import Element, HomAlgebra, _Record
-from .scalars import degree
+from .homalgebra import Element, HomAlgebra, _element, _Record, substitute_params
+from .scalars import Poly, degree
 
 if TYPE_CHECKING:
     from .homalgebra import CheckReport, SparseRow
     from .operators import RightOp
-    from .scalars import Scalar
+    from .scalars import Rational, Scalar
 
     Side = Union[Element, RightOp]
     Evaluator = Callable[[HomAlgebra, Sequence[Element]], list[tuple[Side, Side]]]
@@ -49,6 +53,8 @@ class IdentityInstance(_Record):
     else of ``_ev_<tag>`` in the laws module its ``kind`` names.  Every
     entry's evaluator calls only the operations of ``A`` that
     :mod:`homalt.element_laws` and :mod:`homalt.operator_laws` list.
+    :meth:`arguments` names the coordinates of each argument on ``A``, and
+    :meth:`generic_pairs` and :meth:`pairs_at` run ``evaluate`` on them.
     :meth:`degree_bound`, the random strategy's total-degree bound, is
     derived from one run of ``evaluate``.
     """
@@ -78,6 +84,36 @@ class IdentityInstance(_Record):
                 from . import operator_laws as laws
             self._evaluate = getattr(laws, f"_ev_{self.tag}")
         return self._evaluate
+
+    def arguments(self, A: HomAlgebra) -> list[list[str]]:
+        """Each argument's coordinates on ``A`` as variables, ``<name>_1 ..
+        <name>_dim`` per slot; ValueError at the first slot where one of
+        them already names a parameter."""
+        out = []
+        for v in self.var_names:
+            names = [f"{v}_{i + 1}" for i in range(A.dim)]
+            clash = set(names) & set(A.params)
+            if clash:
+                raise ValueError(f"name collision with existing parameters: {sorted(clash)}")
+            out.append(names)
+        return out
+
+    def variables(self, A: HomAlgebra) -> list[str]:
+        """The parameters of ``A``, then every argument coordinate."""
+        return list(A.params) + [n for names in self.arguments(A) for n in names]
+
+    def generic_pairs(self, A: HomAlgebra) -> list[tuple[Side, Side]]:
+        """The pairs on ``A`` itself at arguments whose coordinates are the
+        indeterminates of :meth:`arguments`."""
+        return self.evaluate(A, [Element(tuple(map(Poly.variable, names)))
+                                 for names in self.arguments(A)])
+
+    def pairs_at(self, A: HomAlgebra, point: Mapping[str, Rational]) -> list[tuple[Side, Side]]:
+        """The pairs at a point that gives values to parameters of ``A`` and
+        to variables of :meth:`arguments` (a coordinate it omits is 0)."""
+        xs = [Element(tuple(point.get(n, 0) for n in names)) for names in self.arguments(A)]
+        A_pt = substitute_params(A, {p: point[p] for p in A.params if p in point})
+        return self.evaluate(A_pt, xs)
 
     def degree_bound(self, A: HomAlgebra) -> int:
         """A bound on the total degree, in the parameters of ``A`` and the
@@ -141,6 +177,16 @@ def _coefficients(side: Side) -> list[Scalar]:
     if isinstance(side, Element):
         return list(side.coords)
     return [c for row in side.rows.values() for _, c in row]
+
+
+def _probe_side(diff: Side, probe: int | None = None) -> tuple[Element, int | None]:
+    """Nonzero element extracted from a difference: the element itself, or
+    for an operator its row ``probe`` (by default the first nonzero row)."""
+    if isinstance(diff, Element):
+        return diff, None
+    if probe is None:
+        probe = min(diff.rows)
+    return _element(diff.dim, dict(diff.rows.get(probe, ()))), probe
 
 
 # The hypotheses an entry can require, in checking order.

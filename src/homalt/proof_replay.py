@@ -16,7 +16,8 @@ alpha, and is evaluated on the algebra alone.
 Three strategies are offered:
 
 * ``generic``  -- evaluate with fully indeterminate coordinates; complete.
-  The identity is evaluated on the input algebra itself: each argument's
+  The identity is evaluated on the input algebra itself, by
+  :meth:`IdentityInstance.generic_pairs`: each argument's
   coordinates are the indeterminates ``<name>_<i>``, and evaluation never
   reads an algebra's parameter names, so no copy of the algebra is built
   and its table of twist powers is shared by every argument.
@@ -33,20 +34,20 @@ Three strategies are offered:
 
 Failing reports carry a replayable witness: a rational point (and for
 operator identities a probe basis index) at which the two sides differ,
-together with the nonzero difference element.
+together with the nonzero difference element.  A point witness replays
+through :meth:`IdentityInstance.pairs_at`, without the search code.
 
 This module holds the preconditions and the generic strategy; the rest
 loads on first use.  An entry's evaluator lives in
 :mod:`homalt.element_laws` or :mod:`homalt.operator_laws`, by its kind, and
-:mod:`homalt.search` (point evaluation, the witness search, the subset and
-random strategies) is imported only by the calls that run it.  So a holding
-generic check on an element entry loads neither :mod:`homalt.operators` nor
-the search code.
+:mod:`homalt.search` (the witness search, the subset and random
+strategies) is imported only by the calls that run it.  Imports run
+one way, this module -> :mod:`homalt.search` -> :mod:`homalt.identities`.
+So a holding generic check on an element entry loads neither
+:mod:`homalt.operators` nor the search code.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING, Union
 
 from .homalgebra import (
     FAILS,
@@ -55,41 +56,29 @@ from .homalgebra import (
     Element,
     HomAlgebra,
     _Record,
-    coordinate_names,
     is_multiplicative,
     is_right_hom_alternative,
 )
-from .identities import IdentityInstance, PreconditionError, get_identity, identity_tags, registry
-from .scalars import Poly
-
-if TYPE_CHECKING:
-    from .operators import RightOp
-
-Side = Union[Element, "RightOp"]
+from .identities import (
+    IdentityInstance,
+    PreconditionError,
+    _probe_side,
+    get_identity,
+    identity_tags,
+    registry,
+)
 
 
 # -- strategy drivers ----------------------------------------------------------
 
 
-def _variables(A: HomAlgebra, inst: IdentityInstance) -> list[str]:
-    """The parameters of ``A``, then each argument's coordinates ``<name>_<i>``."""
-    return list(A.params) + [n for v in inst.var_names for n in coordinate_names(A, v)]
-
-
-def _generic_pairs(A, inst) -> list[tuple[Side, Side]]:
-    """The identity's pairs on ``A`` at arguments whose coordinates are the
-    indeterminates ``<name>_<i>``."""
-    xs = [Element(tuple(map(Poly.variable, coordinate_names(A, v)))) for v in inst.var_names]
-    return inst.evaluate(A, xs)
-
-
 def _verify_generic(A, inst) -> CheckReport:
-    diffs = [lhs - rhs for lhs, rhs in _generic_pairs(A, inst)]
+    diffs = [lhs - rhs for lhs, rhs in inst.generic_pairs(A)]
     if all(diff.is_zero() for diff in diffs):
         return CheckReport(inst.tag, HOLDS, "generic")
     from .search import _find_witness
 
-    witness = _find_witness(A, inst, diffs, _variables(A, inst))
+    witness = _find_witness(A, inst, diffs, inst.variables(A))
     return CheckReport(inst.tag, FAILS, "generic", witness=witness)
 
 
@@ -210,12 +199,10 @@ def replay_identity_witness(A: HomAlgebra, report: CheckReport) -> Element:
     """Re-evaluate a failing identity report at its stored point and return
     the nonzero difference element (probing the recorded basis row for
     operator identities)."""
-    from .search import _evaluate_at, _probe_side
-
     if report.witness is None or report.witness.point is None:
         raise ValueError("report carries no point witness")
     inst = get_identity(report.check)
-    lhs, rhs = _evaluate_at(A, inst, report.witness.point)[report.witness.pair_index or 0]
+    lhs, rhs = inst.pairs_at(A, report.witness.point)[report.witness.pair_index or 0]
     diff = lhs - rhs
     if not isinstance(diff, Element) and report.witness.probe is None:
         raise ValueError("operator witness without probe index")

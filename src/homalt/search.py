@@ -1,9 +1,13 @@
-"""Point evaluation, witness search, and the subset and random strategies.
+"""Witness search, and the subset and random strategies.
 
 :mod:`homalt.proof_replay` imports this module only for the calls that run
-it: a failing generic check (to find a witness), the ``subset`` and
-``random`` strategies, and the replay of a point witness.  A holding
-generic check never loads it.
+it: a failing generic check (to find a witness) and the ``subset`` and
+``random`` strategies.  A holding generic check and the replay of a point
+witness never load it.  An entry is evaluated through its own
+:meth:`~homalt.identities.IdentityInstance.generic_pairs` and
+:meth:`~homalt.identities.IdentityInstance.pairs_at`, and this module
+imports only :mod:`homalt.homalgebra`, :mod:`homalt.identities` and
+:mod:`homalt.scalars`.
 
 A witness is a concrete point: a rational value for every parameter and
 argument coordinate ``<name>_<i>`` in play (the others are 0), and for
@@ -19,48 +23,21 @@ from __future__ import annotations
 import itertools
 import random
 from math import comb
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .homalgebra import (
-    FAILS,
-    HOLDS,
-    RANDOM_PASS,
-    CheckReport,
-    Element,
-    Witness,
-    _element,
-    coordinate_name,
-    substitute_params,
-)
-from .identities import _coefficients
-from .proof_replay import Side, _generic_pairs, _variables
+from .homalgebra import FAILS, HOLDS, RANDOM_PASS, CheckReport, Witness
+from .identities import _coefficients, _probe_side
 from .scalars import Poly, Rational, substitute, variables as scalar_variables
+
+if TYPE_CHECKING:
+    from .identities import Side
 
 RANDOM_BOUND = 10**6
 
 
-def _probe_side(diff: Side, probe: int | None = None) -> tuple[Element, int | None]:
-    """Nonzero element extracted from a difference: the element itself, or
-    for an operator its row ``probe`` (by default the first nonzero row)."""
-    if isinstance(diff, Element):
-        return diff, None
-    if probe is None:
-        probe = min(diff.rows)
-    return _element(diff.dim, dict(diff.rows.get(probe, ()))), probe
-
-
-def _evaluate_at(A, inst, point: dict[str, Rational]) -> list[tuple[Side, Side]]:
-    """The identity's pairs at a point that instantiates the parameters and
-    the argument coordinates ``<name>_<i>`` (missing coordinates are 0)."""
-    A_pt = substitute_params(A, {p: point[p] for p in A.params if p in point})
-    xs = [Element(tuple(point.get(coordinate_name(v, i), 0) for i in range(A.dim)))
-          for v in inst.var_names]
-    return inst.evaluate(A_pt, xs)
-
-
 def _witness_at(A, inst, point: dict[str, Rational]) -> Witness | None:
     """The witness at ``point`` if the identity fails there."""
-    for idx, (lhs, rhs) in enumerate(_evaluate_at(A, inst, point)):
+    for idx, (lhs, rhs) in enumerate(inst.pairs_at(A, point)):
         diff = lhs - rhs
         if not diff.is_zero():
             element, probe = _probe_side(diff)
@@ -82,7 +59,7 @@ def _find_witness(A, inst, diffs: Sequence[Side], variables: Sequence[str]) -> W
         witness = _witness_at(A, inst, {v: rng.randint(-bound, bound) for v in variables})
         if witness is not None:
             return witness
-    zeros = {v: 0 for v in _variables(A, inst) if v not in variables}
+    zeros = {v: 0 for v in inst.variables(A) if v not in variables}
     at_zeros = (substitute(c, zeros) for diff in diffs for c in _coefficients(diff))
     coeff = next((c for c in at_zeros if c != 0), None)
     if coeff is None:
@@ -106,9 +83,9 @@ def _support_rank(dim: int, support: tuple[int, ...]) -> int:
 
 def _support_patterns(A, inst, diffs) -> set[tuple[frozenset[int], ...]]:
     """Per-slot coordinate supports of the monomials of the differences: slot
-    ``s`` holds each ``i`` with ``<var_names[s]>_<i + 1>`` in the monomial."""
-    slot_of = {coordinate_name(v, i): (s, i)
-               for s, v in enumerate(inst.var_names) for i in range(A.dim)}
+    ``s`` holds each ``i`` with ``inst.arguments(A)[s][i]`` in the monomial."""
+    slot_of = {name: (s, i)
+               for s, names in enumerate(inst.arguments(A)) for i, name in enumerate(names)}
     patterns = set()
     for diff in diffs:
         for c in _coefficients(diff):
@@ -134,7 +111,7 @@ def _verify_subset(A, inst, subset_max: int) -> CheckReport:
     one generic evaluation even when the first combo fails, which on dense
     structure constants is far more than that combo.
     """
-    diffs = [lhs - rhs for lhs, rhs in _generic_pairs(A, inst)]
+    diffs = [lhs - rhs for lhs, rhs in inst.generic_pairs(A)]
     patterns = [p for p in _support_patterns(A, inst, diffs) if max(map(len, p)) <= subset_max]
     supports = sum(comb(A.dim, k) for k in range(1, min(subset_max, A.dim) + 1))
     if not patterns:
@@ -146,7 +123,7 @@ def _verify_subset(A, inst, subset_max: int) -> CheckReport:
 
     combo = min((tuple(tuple(sorted(need)) or (0,) for need in p) for p in patterns), key=position)
     variables = list(A.params) + [
-        coordinate_name(v, i) for v, support in zip(inst.var_names, combo) for i in support
+        names[i] for names, support in zip(inst.arguments(A), combo) for i in support
     ]
     witness = _find_witness(A, inst, diffs, variables)
     return CheckReport(inst.tag, FAILS, "subset", points=position(combo) + 1, witness=witness)
@@ -155,7 +132,7 @@ def _verify_subset(A, inst, subset_max: int) -> CheckReport:
 def _verify_random(A, inst, seed: int, points: int) -> CheckReport:
     rng = random.Random(seed)
     sample = {"points": points, "seed": seed, "degree_bound": inst.degree_bound(A)}
-    names = _variables(A, inst)
+    names = inst.variables(A)
     for _ in range(points):
         point = {name: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for name in names}
         witness = _witness_at(A, inst, point)

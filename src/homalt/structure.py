@@ -36,11 +36,12 @@ def is_left_hom_alternative(A: HomAlgebra) -> CheckReport:
 
 def is_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
     """Weak morphism that also intertwines the twisting maps:
-    ``f(alpha_A(e_i)) = alpha_B(f(e_i))`` on every basis index."""
-    report = is_weak_morphism(A, B, f)
+    ``f(alpha_A(e_i)) = alpha_B(f(e_i))`` on every basis index.  ``f`` is
+    read once, so its rows may be one-shot iterables."""
+    rows = normalize_rows(A.dim, f)
+    report = is_weak_morphism(A, B, rows)
     if report.status == FAILS:
         return CheckReport("morphism", FAILS, "basis", witness=report.witness)
-    rows = normalize_rows(A.dim, f)
 
     def values():
         for i in range(A.dim):

@@ -302,6 +302,17 @@ def test_morphism_twist_condition_fails_at_first_basis_index(fam_sym, plain_twis
     assert replay_structural_witness(fam_sym, report, plain_twisted, f) == report.witness.element
 
 
+def test_morphism_reads_one_shot_rows_once(mikheev):
+    # Same product, twist 2 id on B: the identity is a weak morphism that
+    # does not intertwine the twists, whether its rows are tuples or
+    # iterators that can be read only once.
+    B = HomAlgebra(13, dict(mikheev.mu), {i: ((i, 2),) for i in range(13)})
+    f = identity_rows(13)
+    assert is_morphism(mikheev, B, f).status == "fails"
+    one_shot = {i: iter(row) for i, row in f.items()}
+    assert is_morphism(mikheev, B, one_shot).to_dict() == is_morphism(mikheev, B, f).to_dict()
+
+
 def test_projection_is_not_weak_morphism(mikheev):
     rows = {0: ((0, 1),)}
     report = is_weak_morphism(mikheev, mikheev, rows)

@@ -10,7 +10,9 @@ applies the inverse operations in reverse order, so both stay integral.
 
 Specialization.  Substituting values for the parameters commutes with the
 ring operations, so each side of an identity on A(lambda, xi), specialized,
-is the same side on the family member at those values.
+is the same side on the family member at those values; and each side on
+generic arguments, specialized at a point of parameters and coordinates, is
+the side that point evaluation computes there.
 
 Yau twist.  For a morphism beta of a right alternative algebra A, the
 Hom-associator of ``yau_twist(A, beta)`` is beta^2 of A's associator; the
@@ -30,7 +32,6 @@ from homalt.homalgebra import (
     Element,
     HomAlgebra,
     apply_rows,
-    coordinate_names,
     identity_rows,
     is_multiplicative,
     is_right_hom_alternative,
@@ -40,7 +41,7 @@ from homalt.homalgebra import (
 )
 from homalt.identities import get_identity, identity_tags
 from homalt.operators import RightOp
-from homalt.proof_replay import _generic_pairs, replay_identity_witness, verify
+from homalt.proof_replay import replay_identity_witness, verify
 from homalt.scalars import Poly
 from homalt.structure import is_left_hom_alternative
 
@@ -50,7 +51,7 @@ SCANS = (is_right_hom_alternative, is_left_hom_alternative, is_multiplicative)
 def generic_arg(A, name):
     """The element of A whose coordinates are the indeterminates ``<name>_<i>``,
     as the generic strategy builds its arguments."""
-    return Element(tuple(Poly.variable(n) for n in coordinate_names(A, name)))
+    return Element(tuple(Poly.variable(f"{name}_{i + 1}") for i in range(A.dim)))
 
 
 def unimodular(dim, ops, seed):
@@ -191,10 +192,39 @@ def test_specialization_commutes_with_evaluation(fam_sym, tag):
     point = {"lambda": lam, "xi": xi}
     member = mikheev_family(FamilyParams.rational(lam, xi))
     inst = get_identity(tag)
-    symbolic = _generic_pairs(fam_sym, inst)
-    direct = _generic_pairs(member, inst)
+    symbolic = inst.generic_pairs(fam_sym)
+    direct = inst.generic_pairs(member)
     assert len(symbolic) == len(direct)
     for (lhs, rhs), (lhs_at, rhs_at) in zip(symbolic, direct):
+        assert _specialize(lhs, point) == lhs_at
+        assert _specialize(rhs, point) == rhs_at
+
+
+def _refute_algebra():
+    """The identity-twisted A(7/3, -5/2) of the refute-witness benchmark:
+    not right Hom-alternative, so the differences of xyy and of 13 entries
+    that require right alternativity are nonzero there."""
+    family = mikheev_family(FamilyParams.rational(Fraction(7, 3), Fraction(-5, 2)))
+    return HomAlgebra(13, dict(family.mu), identity_rows(13))
+
+
+@pytest.mark.parametrize("algebra", ["family", "refute"])
+@pytest.mark.parametrize("tag", identity_tags())
+def test_point_evaluation_is_the_generic_one_specialized(fam_sym, algebra, tag):
+    # The two routes to an entry's pairs: the witness search, random and
+    # replay evaluate at a point, the generic and subset strategies on
+    # indeterminates.  Both agree once the point is substituted.
+    inst = get_identity(tag)
+    if algebra == "family":
+        A, point = fam_sym, {"lambda": Fraction(2, 3), "xi": Fraction(-5, 2)}
+    else:
+        A, point = _refute_algebra(), {}
+    rng = random.Random(0)
+    point.update((v, rng.randint(-3, 3)) for v in inst.variables(A) if v not in A.params)
+    generic = inst.generic_pairs(A)
+    at_point = inst.pairs_at(A, point)
+    assert len(generic) == len(at_point)
+    for (lhs, rhs), (lhs_at, rhs_at) in zip(generic, at_point):
         assert _specialize(lhs, point) == lhs_at
         assert _specialize(rhs, point) == rhs_at
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 import homalt.homalgebra
+import homalt.identities
 import homalt.proof_replay
-import homalt.search
-from homalt.homalgebra import HomAlgebra, identity_rows
+from homalt.homalgebra import FAILS, CheckReport, HomAlgebra, Witness, identity_rows
 from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
 from homalt.operators import alpha_op, apply, compose, op_sup, right_mul_op
 from homalt.proof_replay import (
@@ -240,7 +240,7 @@ def _count_work(monkeypatch) -> Counter:
     monkeypatch.setattr(HomAlgebra, "__init__", counted_init)
     monkeypatch.setattr(homalt.homalgebra, "compose_rows", counted_compose)
     substitute = counted("substitute_params", homalt.homalgebra.substitute_params)
-    for module in (homalt.homalgebra, homalt.search):
+    for module in (homalt.homalgebra, homalt.identities):
         monkeypatch.setattr(module, "substitute_params", substitute)
     return calls
 
@@ -376,6 +376,15 @@ def test_random_rejects_a_parameter_named_like_a_coordinate(coordinate_named_par
     for strategy in ("random", "generic", "subset"):
         with pytest.raises(ValueError, match="name collision with existing parameters"):
             verify(coordinate_named_param, "xyy", strategy, seed=1)
+
+
+def test_replay_rejects_a_parameter_named_like_a_coordinate(coordinate_named_param):
+    # Replay names the arguments as the strategies do, so a point cannot
+    # give one value to both the parameter and the coordinate.
+    witness = Witness(None, point={"x_1": 1, "y_1": 1}, pair_index=0)
+    report = CheckReport("xyy", FAILS, "generic", witness=witness)
+    with pytest.raises(ValueError, match="name collision with existing parameters"):
+        replay_identity_witness(coordinate_named_param, report)
 
 
 def test_replay_needs_a_point(mikheev):

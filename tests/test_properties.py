@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from homalt.homalgebra import FAILS, HOLDS, RANDOM_PASS, HomAlgebra, is_right_hom_alternative
 from homalt.identities import _coefficients, _Degree, _degree_model
 from homalt.proof_replay import (
-    _generic_pairs,
     registry,
     replay_identity_witness,
     verify,
@@ -35,7 +34,7 @@ from test_subset import CHAINS, random_algebra as subset_algebra
 
 def _assert_degrees_within_bound(A, inst):
     bound = inst.degree_bound(A)
-    pairs = _generic_pairs(A, inst)
+    pairs = inst.generic_pairs(A)
     for lhs, rhs in pairs:
         for side in (lhs, rhs, lhs - rhs):
             observed = max((degree(c) for c in _coefficients(side)), default=0)

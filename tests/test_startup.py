@@ -7,9 +7,11 @@ ends the process with ``os._exit``; the child runs here check that it
 prints, writes and exits exactly as the in-process ``run()`` does.
 
 Each path loads only its own code: the element and operator laws, the
-operator calculus and the search code (point evaluation, witness search,
-the subset and random strategies) each load only for the checks that run
-them, and the parser adds arguments only to the subcommand named.
+operator calculus and the search code (witness search, the subset and
+random strategies) each load only for the checks that run them, and the
+parser adds arguments only to the subcommand named.  Imports run one way,
+``proof_replay`` -> ``search`` -> ``identities``, so replaying a point
+witness, which evaluates through the registry, loads no search code.
 """
 
 import ast
@@ -170,6 +172,34 @@ def test_failing_check_loads_the_search(inputs, flags):
     loaded = _cli_modules(_check("plain.alg", "xyy", *flags), inputs, code=1)
     assert {"homalt.search", LAWS["element"]} <= loaded
     assert not {"homalt.operators", LAWS["operator"]} & loaded
+
+
+def test_search_loads_no_strategy_driver():
+    # Imports run one way: proof_replay -> search -> identities.
+    loaded = _modules_after("import homalt.search")
+    assert {"homalt.search", "homalt.identities"} <= loaded
+    assert "homalt.proof_replay" not in loaded
+
+
+@pytest.mark.parametrize("tag", ["xyy", "eq1"])
+def test_replaying_a_point_witness_loads_no_search(inputs, plain_twisted, tag):
+    # The witness is found here; the child only re-evaluates it at its point.
+    witness = homalt.proof_replay.verify(plain_twisted, tag, "generic",
+                                         skip_preconditions=True).witness
+    statement = (
+        "from fractions import Fraction\n"
+        "from homalt.algfile import parse_algebra\n"
+        "from homalt.homalgebra import FAILS, CheckReport, Witness\n"
+        "from homalt.proof_replay import replay_identity_witness\n"
+        "A = parse_algebra(open('plain.alg').read())\n"
+        f"witness = Witness(None, point={witness.point!r}, probe={witness.probe!r}, "
+        f"pair_index={witness.pair_index!r})\n"
+        f"report = CheckReport({tag!r}, FAILS, 'generic', witness=witness)\n"
+        "assert not replay_identity_witness(A, report).is_zero()"
+    )
+    loaded = _modules_after(statement, inputs)
+    assert "homalt.proof_replay" in loaded
+    assert "homalt.search" not in loaded
 
 
 def test_rows_and_evaluators_are_one_to_one():
