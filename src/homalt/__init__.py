@@ -4,9 +4,10 @@ The public names below load on first use: ``import homalt`` imports no
 submodule, and ``homalt.verify`` or ``from homalt import verify`` imports
 the module that defines it (PEP 562).  So ``python -m homalt.cli`` loads
 only the modules a command runs.  The identity registry and
-``PreconditionError`` live in :mod:`homalt.identities`, which imports only
-:mod:`homalt.homalgebra`; :mod:`homalt.proof_replay` (preconditions and
-strategies) loads only for registry checks.  An entry's evaluator loads
+``PreconditionError``, a ValueError like every refusal of bad input, live
+in :mod:`homalt.identities`, which imports only :mod:`homalt.homalgebra`;
+:mod:`homalt.proof_replay` (preconditions and strategies) loads only for
+registry checks.  An entry's evaluator loads
 from :mod:`homalt.element_laws` or :mod:`homalt.operator_laws` by the
 entry's kind, and :mod:`homalt.search` only for the calls that search or
 sample points.  Code that most calls do not run sits in modules of its own:

@@ -12,13 +12,11 @@ Subcommands:
 * ``noniso``  -- non-isomorphism certificate for two parameter pairs.
 
 Exit codes: 0 when every check holds (or random-passes), 1 when some check
-fails (a witness is printed), 2 on usage or input errors, including identity
-preconditions the input algebra does not satisfy.  With ``--format json``
-output is byte-deterministic for fixed inputs; the random strategy then
-requires an explicit ``--seed``.
-
-Exit 2 also covers output that cannot be written: an ``--out`` file, or
-stdout closed by its reader.
+fails (a witness is printed), 2 on bad input, a ValueError (identity
+preconditions the algebra does not satisfy included), on usage errors and
+on output that cannot be written: an ``--out`` file, or stdout closed by its
+reader.  With ``--format json`` output is byte-deterministic for fixed
+inputs; the random strategy then requires an explicit ``--seed``.
 
 A call loads only what it runs.  ``homalt.catalog`` is imported only by the
 commands that build the built-in algebra (``--mikheev``, ``mikheev``,
@@ -29,11 +27,11 @@ for failing checks and the subset and random strategies.  The left-alt and
 morphism scans (``homalt.structure``) and the text forms of elements
 (``homalt.text``) load for the calls that use them; algebra and morphism
 files are both read by ``homalt.algfile``, which every call loads.  The
-``--identity`` choices come from the registry in ``homalt.identities``, and
-:func:`build_parser` adds arguments only to the subcommand that the command
-line names.  :func:`main` flushes the output and ends the process with
-``os._exit``, skipping interpreter teardown; :func:`run` returns the exit
-code for in-process callers.
+``--identity`` choices come from the registry in ``homalt.identities``,
+which only ``check`` and ``--help`` load: :func:`build_parser` adds arguments
+only to the subcommand that the command line names.  :func:`main` flushes
+the output and ends the process with ``os._exit``, skipping interpreter
+teardown; :func:`run` returns the exit code for in-process callers.
 """
 
 from __future__ import annotations
@@ -53,29 +51,24 @@ from .homalgebra import (
     is_right_hom_alternative,
     yau_twist,
 )
-from .identities import PreconditionError, identity_tags
 from .scalars import encode_sparse, parse_rational
 
 STRUCTURAL_IDS = ("right-alt", "left-alt", "multiplicative", "morphism")
 POWER_CAP = 1000  # largest ``power --n``: the loop is linear in n
 
 
-class CliInputError(ValueError):
-    pass
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
 
 
 def _write_text(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise CliInputError(f"cannot write {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _load_algebra(path: str):
@@ -86,7 +79,7 @@ def _load_morphism(path: str, A: HomAlgebra):
     """Rows and parameters of a morphism file on an algebra of ``A``'s dimension."""
     rows, dim, params = parse_morphism(_read_text(path))
     if dim != A.dim:
-        raise CliInputError(f"morphism dimension {dim} does not match algebra dimension {A.dim}")
+        raise ValueError(f"morphism dimension {dim} does not match algebra dimension {A.dim}")
     return rows, params
 
 
@@ -96,7 +89,7 @@ def _algebra_for_run(args) -> tuple[HomAlgebra, list[str]]:
         doc = _load_algebra(args.algebra)
         return doc.algebra, doc.basis_names
     if not getattr(args, "mikheev", False):
-        raise CliInputError("an algebra is required (use --algebra FILE or --mikheev)")
+        raise ValueError("an algebra is required (use --algebra FILE or --mikheev)")
     names = [f"e{i + 1}" for i in range(13)]
     return _mikheev_variant(args), names
 
@@ -107,13 +100,13 @@ def _mikheev_variant(args) -> HomAlgebra:
     symbolic = getattr(args, "symbolic", False)
     lam, xi = getattr(args, "lam", None), getattr(args, "xi", None)
     if symbolic and (lam or xi):
-        raise CliInputError("--symbolic cannot be combined with --lambda/--xi")
+        raise ValueError("--symbolic cannot be combined with --lambda/--xi")
     if symbolic:
         return mikheev_family(FamilyParams.symbolic())
     if lam is None and xi is None:
         return mikheev_algebra()
     if lam is None or xi is None:
-        raise CliInputError("--lambda and --xi must be given together")
+        raise ValueError("--lambda and --xi must be given together")
     return mikheev_family(FamilyParams.rational(parse_rational(lam), parse_rational(xi)))
 
 
@@ -121,7 +114,7 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     if args.format == "json" and args.strategy == "random":
-        raise CliInputError("--seed is required for the random strategy with --format json")
+        raise ValueError("--seed is required for the random strategy with --format json")
     return 0
 
 
@@ -189,7 +182,7 @@ def _cmd_check(args) -> int:
         from .proof_replay import verify
 
         if args.strategy == "basis":
-            raise CliInputError(
+            raise ValueError(
                 "the basis strategy applies to structural checks only "
                 f"({', '.join(STRUCTURAL_IDS)})"
             )
@@ -208,7 +201,7 @@ def _cmd_lemmas(args) -> int:
 
     A, names = _algebra_for_run(args)
     if args.strategy == "basis":
-        raise CliInputError("the basis strategy applies to structural checks only")
+        raise ValueError("the basis strategy applies to structural checks only")
     seed = _resolve_seed(args)
     results = verify_all(A, args.strategy, seed=seed, points=args.points, subset_max=args.subset_max)
     records = []
@@ -248,9 +241,9 @@ def _cmd_power(args) -> int:
 
     doc = _load_algebra(args.algebra)
     if args.n < 1:
-        raise CliInputError("--n must be at least 1")
+        raise ValueError("--n must be at least 1")
     if args.n > POWER_CAP:
-        raise CliInputError(f"--n must be at most {POWER_CAP}")
+        raise ValueError(f"--n must be at most {POWER_CAP}")
     # argparse drops the attached value of ``--element=--`` and stores [].
     expr = args.element if isinstance(args.element, str) else "--"
     x = parse_element_expr(expr, doc.basis_names)
@@ -307,6 +300,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_arguments(check: argparse.ArgumentParser) -> None:
+    from .identities import identity_tags
+
     _add_algebra_source(check)
     check.add_argument("--identity", required=True,
                        choices=tuple(identity_tags()) + STRUCTURAL_IDS,
@@ -398,11 +393,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         return _output_error(exc)
     try:
         return args.func(args)
-    except (PreconditionError, ValueError) as exc:
+    except ValueError as exc:  # bad input, a PreconditionError among it
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # Files are read and written through CliInputError: this is stdout.
+        # A file's OSError is raised again as ValueError: this is stdout.
         return _output_error(exc)
 
 

@@ -28,8 +28,8 @@ when it runs, and imports that module on first use.
 Two sparse kernels do all arithmetic on the tables: :func:`_add_product`
 every bilinear product, reading ``mu`` through the index by left factor
 that each algebra builds once, and :func:`_add_image` every linear image.
-A row table is normalized once, by the constructor that stores it.
-Structural checks evaluate
+A linear map enters only as sparse rows, and a row table is normalized
+once, by the constructor that stores it.  Structural checks evaluate
 (multi)linearized forms on basis tuples, which is complete over a field of
 characteristic zero, by two scans over the sparse tables: a pair scan of
 ``f(e_i e_j) = f(e_i) f(e_j)`` (multiplicativity is f = alpha, a weak
@@ -46,7 +46,7 @@ the text forms of elements.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TypeVar
 
 from .scalars import (
     Rational,
@@ -65,7 +65,7 @@ MuTable = dict[tuple[int, int], SparseRow]
 RowTable = dict[int, SparseRow]
 ByLeft = dict[int, dict[int, SparseRow]]  # mu indexed by left factor
 K = TypeVar("K")  # a basis index, or a basis pair in ``mu``
-RowsLike = Union[Mapping[int, Iterable[tuple[int, Scalar]]], Sequence[Sequence[Scalar]]]
+RowsLike = Mapping[int, Iterable[tuple[int, Scalar]]]  # row i: the coordinates of f(e_i)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -171,16 +171,20 @@ def _norm_sparse_row(dim: int, row: Iterable[tuple[int, Scalar]], what: str) -> 
     return tuple((k, normalize(c)) for k, c in sorted(acc.items()) if c != 0)
 
 
+def _read_rows(rows: RowsLike, what: str = "linear map") -> dict[int, tuple]:
+    """A linear map's sparse rows, read once and kept as given; a dense
+    matrix, or any other form, raises TypeError."""
+    if not isinstance(rows, Mapping):
+        raise TypeError(f"{what}: expected sparse rows {{i: ((k, coeff), ...)}}, "
+                        f"got {type(rows).__name__}")
+    return {i: tuple(row) for i, row in rows.items()}
+
+
 def normalize_rows(dim: int, rows: RowsLike, what: str = "linear map") -> RowTable:
-    """Canonical sparse row table from either sparse rows or a dense matrix."""
+    """Canonical row table of a linear map given as sparse rows (see
+    :func:`_read_rows`): indices checked, repeats summed, scalars normalized."""
     out: RowTable = {}
-    if isinstance(rows, Mapping):
-        items = rows.items()
-    else:
-        if len(rows) != dim:
-            raise ValueError(f"{what}: expected {dim} rows, got {len(rows)}")
-        items = ((i, [(k, c) for k, c in enumerate(r)]) for i, r in enumerate(rows))
-    for i, row in items:
+    for i, row in _read_rows(rows, what).items():
         if not 0 <= i < dim:
             raise ValueError(f"{what}: row index {i} out of range for dimension {dim}")
         packed = _norm_sparse_row(dim, row, what)
@@ -590,18 +594,15 @@ def replay_structural_witness(
 def yau_twist(A: HomAlgebra, beta: RowsLike) -> HomAlgebra:
     """Twist of A by a weak morphism: product ``beta(xy)``, twist ``beta . alpha``.
 
-    ``beta`` is checked first, by :func:`is_weak_morphism`, which normalizes
-    it, and a ValueError is raised when it is not a weak morphism.  The twist
-    then reads beta's rows as given, since the constructor normalizes the
-    tables it stores; so beta is normalized once.
+    ``beta`` is read once, then checked by :func:`is_weak_morphism`, which
+    normalizes it (a ValueError when it is not a weak morphism); the twist
+    is built from the rows as given, since the constructor normalizes them.
     """
-    if isinstance(beta, Mapping):
-        beta = {i: tuple(row) for i, row in beta.items()}  # read twice
-    report = is_weak_morphism(A, A, beta)
+    rows = _read_rows(beta)
+    report = is_weak_morphism(A, A, rows)
     if not report.passed():
         pair = report.witness.basis
         raise ValueError(f"twisting map is not a weak morphism (first failing pair {pair})")
-    rows = beta if isinstance(beta, dict) else {i: tuple(enumerate(r)) for i, r in enumerate(beta)}
     new_mu = {key: _image(rows, row) for key, row in A.mu.items()}
     return HomAlgebra(A.dim, new_mu, compose_rows(A.alpha, rows), A.params)
 

@@ -8,9 +8,9 @@ two routes every strategy evaluates it by, on generic arguments
 (:meth:`IdentityInstance.generic_pairs`) or at a point
 (:meth:`IdentityInstance.pairs_at`).
 This module imports only :mod:`homalt.homalgebra` and :mod:`homalt.scalars`,
-which every CLI call loads, so the CLI lists the ``--identity`` choices
-and catches :class:`PreconditionError` without loading
-:mod:`homalt.proof_replay`.
+so the CLI lists the ``--identity`` choices without loading
+:mod:`homalt.proof_replay`; :class:`PreconditionError` is a ValueError, so
+no other CLI call loads this module.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     Evaluator = Callable[[HomAlgebra, Sequence[Element]], list[tuple[Side, Side]]]
 
 
-class PreconditionError(Exception):
+class PreconditionError(ValueError):
     """An identity was requested on an algebra outside its hypothesis class."""
 
     def __init__(self, tag: str, requirement: str, report: CheckReport):

@@ -23,8 +23,8 @@ from .homalgebra import (
     _alternativity_scan,
     _first_failure,
     _hom_powers,
+    _read_rows,
     is_weak_morphism,
-    normalize_rows,
 )
 from .scalars import Scalar
 
@@ -37,8 +37,9 @@ def is_left_hom_alternative(A: HomAlgebra) -> CheckReport:
 def is_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
     """Weak morphism that also intertwines the twisting maps:
     ``f(alpha_A(e_i)) = alpha_B(f(e_i))`` on every basis index.  ``f`` is
-    read once, so its rows may be one-shot iterables."""
-    rows = normalize_rows(A.dim, f)
+    read once and normalized once, by :func:`is_weak_morphism`; the twist
+    scan reads the rows as given."""
+    rows = _read_rows(f)
     report = is_weak_morphism(A, B, rows)
     if report.status == FAILS:
         return CheckReport("morphism", FAILS, "basis", witness=report.witness)

@@ -458,9 +458,24 @@ def test_algebra_drops_zero_entries():
     assert A.mu == {(0, 0): ((1, 2),)}
 
 
-def test_dense_matrix_rows_accepted():
-    A = HomAlgebra(2, {}, [[0, 1], [1, 0]])
+def test_dense_matrix_rows_refused():
+    # A linear map enters as sparse rows only; each entry point refuses a
+    # dense matrix, naming the sparse form.
+    A = HomAlgebra(2, {(0, 0): ((0, 1),)}, {0: ((1, 1),), 1: ((0, 1),)})
     assert A.twist_apply(A.basis_element(0)) == A.basis_element(1)
+    failing = is_weak_morphism(A, A, {0: ((1, 1),)})  # e0 e0 = e0, but e1 e1 = 0
+    assert failing.status == "fails"
+    dense = [[0, 1], [1, 0]]
+    for call in (
+        lambda: HomAlgebra(2, {}, dense),
+        lambda: RightOp(2, dense),
+        lambda: is_weak_morphism(A, A, dense),
+        lambda: is_morphism(A, A, dense),
+        lambda: yau_twist(A, dense),
+        lambda: replay_structural_witness(A, failing, A, dense),
+    ):
+        with pytest.raises(TypeError, match=r"expected sparse rows \{i: \(\(k, coeff\), .*got list$"):
+            call()
 
 
 # --- algebraic laws at random points ---

@@ -29,7 +29,7 @@ from homalt.homalgebra import (
 )
 from homalt.operators import RightOp, compose, right_mul_op
 from homalt.scalars import Poly
-from homalt.structure import is_left_hom_alternative
+from homalt.structure import is_left_hom_alternative, is_morphism
 from test_metamorphic import change_basis, unimodular
 from test_subset import KINDS, random_algebra
 
@@ -176,8 +176,8 @@ def test_compose_normalizes_each_entry_once(normalized):
     # accumulated entry is stored.  In the difference, entry (1, 1) cancels
     # and is neither normalized nor stored.
     half = Fraction(1, 2)
-    M = RightOp(3, [[half, 2, 0], [0, 1, 3], [4, 0, half]])
-    N = RightOp(3, [[2, 0, 1], [1, 1, 0], [0, 5, 2]])
+    M = RightOp(3, {0: ((0, half), (1, 2)), 1: ((1, 1), (2, 3)), 2: ((0, 4), (2, half))})
+    N = RightOp(3, {0: ((0, 2), (2, 1)), 1: ((0, 1), (1, 1)), 2: ((1, 5), (2, 2))})
     normalized.clear()
     MN = compose(M, N)
     assert len(normalized) == _entries(MN) == 9
@@ -214,3 +214,12 @@ def test_yau_twist_normalizes_each_table_once(normalized, mikheev):
     B = yau_twist(mikheev, beta)
     stored = sum(map(len, B.mu.values())) + sum(map(len, B.alpha.values()))
     assert len(normalized) == len(beta) + stored
+
+
+def test_is_morphism_normalizes_each_entry_once(normalized, mikheev):
+    # The weak-morphism check normalizes the map; the twist scan reads the
+    # rows as given.
+    beta = mikheev_morphism(FamilyParams.rational(2, 3))
+    normalized.clear()
+    assert is_morphism(mikheev, mikheev, beta).status == "holds"
+    assert len(normalized) == sum(map(len, beta.values())) == 13

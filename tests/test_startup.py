@@ -135,10 +135,12 @@ def inputs(tmp_path_factory, plain_twisted):
     ["power", "--algebra", "base.alg", "--element", "e7 - e8", "--n", "2"],
     ["--help"],
     ["twist", "--algebra", "base.alg", "--morphism", "id.mor", "--out", "loads-twist.alg"],
+    ["noniso", "--params", "2", "3", "5", "7"],
 ])
 def test_structural_calls_skip_the_registry(inputs, argv):
     loaded = _cli_modules(argv, inputs)
-    assert "homalt.identities" in loaded  # the registry, which every call loads
+    # Only the calls that list the --identity choices load the registry.
+    assert ("homalt.identities" in loaded) == (argv[0] in ("check", "--help"))
     assert not ON_DEMAND & loaded
 
 
@@ -293,6 +295,7 @@ def test_identity_choices_follow_the_registry():
 
 
 def test_precondition_error_is_one_class():
+    assert issubclass(homalt.PreconditionError, ValueError)
     assert homalt.PreconditionError is homalt.proof_replay.PreconditionError
     assert homalt.PreconditionError is homalt.identities.PreconditionError
 
