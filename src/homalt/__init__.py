@@ -10,10 +10,11 @@ in :mod:`homalt.identities`, which imports only :mod:`homalt.homalgebra`;
 registry checks.  An entry's evaluator loads
 from :mod:`homalt.element_laws` or :mod:`homalt.operator_laws` by the
 entry's kind, and :mod:`homalt.search` only for the calls that search or
-sample points.  Code that most calls do not run sits in modules of its own:
-:mod:`homalt.structure` (the left-alt and morphism scans, Hom-nilpotency)
-and :mod:`homalt.text` (printing and parsing elements).  Algebra and
-morphism documents are both read and written by :mod:`homalt.algfile`.
+sample points.  Every basis scan and element test sits in
+:mod:`homalt.homalgebra`, beside the replay of its witnesses; printing and
+parsing elements, which no holding check runs, sits in :mod:`homalt.text`.
+Algebra and morphism documents are both read and written by
+:mod:`homalt.algfile`.
 """
 
 import importlib
@@ -22,12 +23,10 @@ import importlib
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "scalars": ("Poly", "Rational", "Scalar"),
     "homalgebra": (
-        "CheckReport", "Element", "HomAlgebra", "Witness",
-        "is_multiplicative", "is_right_hom_alternative", "is_weak_morphism",
+        "CheckReport", "Element", "HomAlgebra", "Witness", "basis_left_zero_divisors",
+        "is_hom_nilpotent", "is_left_hom_alternative", "is_morphism", "is_multiplicative",
+        "is_right_hom_alternative", "is_weak_morphism", "smallest_alpha_exponent",
         "substitute_params", "yau_twist",
-    ),
-    "structure": (
-        "basis_left_zero_divisors", "is_hom_nilpotent", "is_left_hom_alternative", "is_morphism",
     ),
     "text": ("element_str", "parse_element_expr", "scalar_str"),
     "operators": (
@@ -37,7 +36,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "FamilyParams", "family_nonisomorphism_condition", "mikheev_algebra", "mikheev_family",
         "mikheev_morphism", "spectrum_certificate",
     ),
-    "proof_replay": ("BatchResult", "smallest_alpha_exponent", "verify", "verify_all"),
+    "proof_replay": ("BatchResult", "verify", "verify_all"),
     "identities": ("IdentityInstance", "PreconditionError", "registry"),
     "algfile": (
         "AlgebraFormatError", "parse_algebra", "parse_document", "parse_morphism",

@@ -23,13 +23,14 @@ commands that build the built-in algebra (``--mikheev``, ``mikheev``,
 ``noniso``), and ``homalt.proof_replay`` only by ``lemmas`` and by ``check``
 on a registry tag, which in turn loads the laws of the entries it evaluates
 (``homalt.operators`` only for operator entries) and the search code only
-for failing checks and the subset and random strategies.  The left-alt and
-morphism scans (``homalt.structure``) and the text forms of elements
-(``homalt.text``) load for the calls that use them; algebra and morphism
-files are both read by ``homalt.algfile``, which every call loads.  The
-``--identity`` choices come from the registry in ``homalt.identities``,
-which only ``check`` and ``--help`` load: :func:`build_parser` adds arguments
-only to the subcommand that the command line names.  :func:`main` flushes
+for failing checks and the subset and random strategies.  The structural
+scans are all in ``homalt.homalgebra``, and the text forms of elements
+(``homalt.text``) load only for the calls that print them; algebra and
+morphism files are both read by ``homalt.algfile``, which every call
+loads.  The ``--identity`` choices come from the registry in
+``homalt.identities``, which only ``check`` and ``--help`` load:
+:func:`build_parser` adds arguments only to the subcommand that the
+command line names.  :func:`main` flushes
 the output and ends the process with ``os._exit``, skipping interpreter
 teardown; :func:`run` returns the exit code for in-process callers.
 """
@@ -47,6 +48,8 @@ from .algfile import parse_document, parse_morphism, serialize_algebra
 from .homalgebra import (
     CheckReport,
     HomAlgebra,
+    is_left_hom_alternative,
+    is_morphism,
     is_multiplicative,
     is_right_hom_alternative,
     yau_twist,
@@ -168,14 +171,10 @@ def _cmd_check(args) -> int:
         if identity == "right-alt":
             report = is_right_hom_alternative(A)
         elif identity == "left-alt":
-            from .structure import is_left_hom_alternative
-
             report = is_left_hom_alternative(A)
         elif identity == "multiplicative":
             report = is_multiplicative(A)
         else:
-            from .structure import is_morphism
-
             rows = _load_morphism(args.morphism, A)[0] if args.morphism else A.alpha
             report = is_morphism(A, A, rows)
     else:

@@ -38,10 +38,14 @@ is symmetric in slots 1-2 (right) or 0-1 (left) and so scans only triples
 with that pair ordered.  Each reports the first failing tuple in
 lexicographic order with the nonzero element there, which
 :func:`replay_structural_witness` recomputes independently through ``mul``,
-``twist_apply`` and ``hom_associator``.  The checks a registry check runs
-live here; :mod:`homalt.structure` holds left Hom-alternativity (a call of
-the triple scan here), morphisms and element tests, and :mod:`homalt.text`
-the text forms of elements.
+``twist_apply`` and ``hom_associator``.  A morphism is a weak morphism
+whose rows also pass a table scan of ``f(alpha(e_i)) = alpha(f(e_i))``.
+
+The paper's corollary adds conditions on single elements, tested here
+beside the Hom-power loop they share: :func:`is_hom_nilpotent`,
+:func:`smallest_alpha_exponent` (the least twist that kills
+``(a, a, b)^4``) and :func:`basis_left_zero_divisors`.  The text forms of
+elements live in :mod:`homalt.text`.
 """
 
 from __future__ import annotations
@@ -234,14 +238,9 @@ def compose_rows(first: RowTable, then: RowTable) -> RowTable:
 def substitute_rows(
     rows: Mapping[K, SparseRow], assignment: Mapping[str, Rational]
 ) -> dict[K, SparseRow]:
-    """Instantiate parameters in a sparse table (twist rows or products)."""
-    out: dict[K, SparseRow] = {}
-    for i, row in rows.items():
-        packed = tuple((k, substitute(c, assignment)) for k, c in row)
-        packed = tuple((k, c) for k, c in packed if c != 0)
-        if packed:
-            out[i] = packed
-    return out
+    """Instantiate parameters in a sparse table (twist rows or products),
+    unnormalized: the constructor that stores it drops the zeros."""
+    return {i: tuple((k, substitute(c, assignment)) for k, c in row) for i, row in rows.items()}
 
 
 def identity_rows(dim: int) -> RowTable:
@@ -545,11 +544,36 @@ def is_right_hom_alternative(A: HomAlgebra) -> CheckReport:
     return _alternativity_scan(A, "right-alt")
 
 
+def is_left_hom_alternative(A: HomAlgebra) -> CheckReport:
+    """Check ``(x, x, y) = 0`` on basis triples (see :func:`_alternativity_scan`)."""
+    return _alternativity_scan(A, "left-alt")
+
+
 def is_weak_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
     """Does ``f`` carry products of A to products of B on all basis pairs?"""
     if A.dim != B.dim:
         raise ValueError("dimension mismatch between algebras")
     return _pair_scan("weak-morphism", A, normalize_rows(A.dim, f), B)
+
+
+def is_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
+    """Weak morphism that also intertwines the twisting maps:
+    ``f(alpha_A(e_i)) = alpha_B(f(e_i))`` on every basis index.  ``f`` is
+    read once and normalized once, by :func:`is_weak_morphism`; the twist
+    scan reads the rows as given."""
+    rows = _read_rows(f)
+    report = is_weak_morphism(A, B, rows)
+    if report.status == FAILS:
+        return CheckReport("morphism", FAILS, "basis", witness=report.witness)
+
+    def values():
+        for i in range(A.dim):
+            acc: dict[int, Scalar] = {}
+            _add_image(acc, rows, A.alpha.get(i, ()))
+            _add_image(acc, B.alpha, tuple((a, -c) for a, c in rows.get(i, ())))
+            yield (i,), acc
+
+    return _first_failure("morphism", A.dim, values())
 
 
 def replay_structural_witness(
@@ -621,7 +645,7 @@ def substitute_params(A: HomAlgebra, assignment: Mapping[str, Rational]) -> HomA
     return HomAlgebra(A.dim, mu, alpha, params)
 
 
-# -- pointwise utilities -------------------------------------------------------
+# -- Hom-powers and element tests ----------------------------------------------
 
 
 def _hom_powers(A: HomAlgebra, x: Element, n: int) -> Iterator[tuple[int, Element]]:
@@ -635,3 +659,39 @@ def _hom_powers(A: HomAlgebra, x: Element, n: int) -> Iterator[tuple[int, Elemen
         yield m, power
         if power.is_zero():
             return
+
+
+def is_hom_nilpotent(A: HomAlgebra, x: Element, nmax: int) -> int | None:
+    """Least ``2 <= n <= nmax`` with ``x^n = 0`` for nonzero x, else None."""
+    if nmax < 2:
+        raise ValueError("nmax must be at least 2")
+    if x.is_zero():
+        return None
+    for n, power in _hom_powers(A, x, nmax):
+        if power.is_zero():
+            return n
+    return None
+
+
+def smallest_alpha_exponent(
+    A: HomAlgebra, a: Element, b: Element, max_m: int = 6
+) -> int | None:
+    """Least ``0 <= m <= max_m`` with ``alpha^m((a,a,b)^4) = 0``, else None."""
+    q = A.hom_power(A.hom_associator(a, a, b), 4)
+    for m in range(max_m + 1):
+        if A.shift(q, m).is_zero():
+            return m
+    return None
+
+
+def basis_left_zero_divisors(A: HomAlgebra) -> list[int]:
+    """Basis indices i with ``e_i e_j = 0`` for at least one basis j.
+
+    Sound witnesses for left zero-divisors among basis elements; the scan
+    only considers basis pairs, so it is not a complete zero-divisor test.
+    """
+    out = []
+    for i in range(A.dim):
+        if any((i, j) not in A.mu for j in range(A.dim)):
+            out.append(i)
+    return out

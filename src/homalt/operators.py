@@ -66,14 +66,13 @@ class RightOp(_Record):
         return self._merge(other, negate=True)
 
     def _merge(self, other: "RightOp", negate: bool) -> "RightOp":
-        """``self + other``, or ``self - other`` when ``negate``."""
+        """``self + other``, or ``self - other`` when ``negate``: the two row
+        tables side by side, which the constructor sums where they overlap."""
         _same_dim(self, other)
-        acc: dict[int, dict[int, Scalar]] = {i: dict(r) for i, r in self.rows.items()}
+        rows = dict(self.rows)
         for i, row in other.rows.items():
-            dest = acc.setdefault(i, {})
-            for k, c in row:
-                dest[k] = dest.get(k, 0) - c if negate else dest.get(k, 0) + c
-        return RightOp(self.dim, {i: tuple(r.items()) for i, r in acc.items()})
+            rows[i] = rows.get(i, ()) + (tuple((k, -c) for k, c in row) if negate else row)
+        return RightOp(self.dim, rows)
 
     def __neg__(self) -> "RightOp":
         return RightOp(

@@ -37,8 +37,10 @@ operator identities a probe basis index) at which the two sides differ,
 together with the nonzero difference element.  A point witness replays
 through :meth:`IdentityInstance.pairs_at`, without the search code.
 
-This module holds the preconditions and the generic strategy; the rest
-loads on first use.  An entry's evaluator lives in
+This module holds the preconditions, the generic strategy and the replay
+of point witnesses; the rest loads on first use, and the corollary's
+element tests (:func:`homalt.homalgebra.smallest_alpha_exponent` among
+them) are checks on the algebra alone, in :mod:`homalt.homalgebra`.  An entry's evaluator lives in
 :mod:`homalt.element_laws` or :mod:`homalt.operator_laws`, by its kind, and
 :mod:`homalt.search` (the witness search, the subset and random
 strategies) is imported only by the calls that run it.  Imports run
@@ -182,17 +184,6 @@ def verify_all(
         except PreconditionError as exc:
             results.append(BatchResult(inst.tag, error=str(exc)))
     return results
-
-
-def smallest_alpha_exponent(
-    A: HomAlgebra, a: Element, b: Element, max_m: int = 6
-) -> int | None:
-    """Least ``0 <= m <= max_m`` with ``alpha^m((a,a,b)^4) = 0``, else None."""
-    q = A.hom_power(A.hom_associator(a, a, b), 4)
-    for m in range(max_m + 1):
-        if A.shift(q, m).is_zero():
-            return m
-    return None
 
 
 def replay_identity_witness(A: HomAlgebra, report: CheckReport) -> Element:

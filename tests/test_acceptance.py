@@ -27,7 +27,7 @@ from homalt.homalgebra import (
 )
 from homalt.proof_replay import replay_identity_witness, verify, verify_all
 from homalt.scalars import Poly
-from homalt.structure import is_hom_nilpotent, is_left_hom_alternative, is_morphism
+from homalt.homalgebra import is_hom_nilpotent, is_left_hom_alternative, is_morphism
 
 lam = Poly.variable("lambda")
 xi = Poly.variable("xi")

@@ -9,7 +9,11 @@ from homalt.homalgebra import (
     Element,
     HomAlgebra,
     apply_rows,
+    basis_left_zero_divisors,
     identity_rows,
+    is_hom_nilpotent,
+    is_left_hom_alternative,
+    is_morphism,
     is_multiplicative,
     is_right_hom_alternative,
     is_weak_morphism,
@@ -20,12 +24,6 @@ from homalt.homalgebra import (
 from homalt.catalog import FamilyParams, mikheev_morphism
 from homalt.operators import RightOp, alpha_op, compose
 from homalt.scalars import Poly, degree
-from homalt.structure import (
-    basis_left_zero_divisors,
-    is_hom_nilpotent,
-    is_left_hom_alternative,
-    is_morphism,
-)
 from homalt.text import element_str
 from test_metamorphic import change_basis, generic_arg, unimodular
 

@@ -29,7 +29,7 @@ from homalt.homalgebra import (
 )
 from homalt.operators import RightOp, compose, right_mul_op
 from homalt.scalars import Poly
-from homalt.structure import is_left_hom_alternative, is_morphism
+from homalt.homalgebra import is_left_hom_alternative, is_morphism
 from test_metamorphic import change_basis, unimodular
 from test_subset import KINDS, random_algebra
 
@@ -205,6 +205,14 @@ def test_normalizing_canonical_tables_adds_nothing(monkeypatch, fam_sym):
     for old, new in ((fam_sym.mu, B.mu), (fam_sym.alpha, B.alpha)):
         assert new == old
         assert all(c is d for key, row in old.items() for (_, c), (_, d) in zip(row, new[key]))
+    # A sum or difference of operators with disjoint entries only places
+    # (or negates) each entry: the constructor sums where rows overlap.
+    lam = Poly.variable("lambda")
+    M = RightOp(2, {0: ((0, lam),)})
+    N = RightOp(2, {0: ((1, lam),), 1: ((0, lam),)})
+    assert (M + N).rows == {0: ((0, lam), (1, lam)), 1: ((0, lam),)}
+    assert (M - N).rows == {0: ((0, lam), (1, -lam)), 1: ((0, -lam),)}
+    assert added == []
 
 
 def test_yau_twist_normalizes_each_table_once(normalized, mikheev):

@@ -43,7 +43,7 @@ from homalt.identities import get_identity, identity_tags
 from homalt.operators import RightOp
 from homalt.proof_replay import replay_identity_witness, verify
 from homalt.scalars import Poly
-from homalt.structure import is_left_hom_alternative
+from homalt.homalgebra import is_left_hom_alternative
 
 SCANS = (is_right_hom_alternative, is_left_hom_alternative, is_multiplicative)
 

@@ -10,7 +10,14 @@ import pytest
 import homalt.homalgebra
 import homalt.identities
 import homalt.proof_replay
-from homalt.homalgebra import FAILS, CheckReport, HomAlgebra, Witness, identity_rows
+from homalt.homalgebra import (
+    FAILS,
+    CheckReport,
+    HomAlgebra,
+    Witness,
+    identity_rows,
+    smallest_alpha_exponent,
+)
 from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
 from homalt.operators import alpha_op, apply, compose, op_sup, right_mul_op
 from homalt.proof_replay import (
@@ -19,7 +26,6 @@ from homalt.proof_replay import (
     identity_tags,
     registry,
     replay_identity_witness,
-    smallest_alpha_exponent,
     verify,
     verify_all,
 )

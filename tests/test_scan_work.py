@@ -19,7 +19,7 @@ from homalt.homalgebra import (
     is_right_hom_alternative,
     is_weak_morphism,
 )
-from homalt.structure import is_left_hom_alternative
+from homalt.homalgebra import is_left_hom_alternative
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from homalt.homalgebra import (
     replay_structural_witness,
 )
 from homalt.scalars import Poly
-from homalt.structure import is_left_hom_alternative
+from homalt.homalgebra import is_left_hom_alternative
 
 lam = Poly.variable("lambda")
 xi = Poly.variable("xi")

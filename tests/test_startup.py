@@ -36,8 +36,8 @@ HEAVY = {"homalt.proof_replay", "homalt.operators"}
 # The code a registry check loads on demand.
 LAWS = {"element": "homalt.element_laws", "operator": "homalt.operator_laws"}
 ON_DEMAND = HEAVY | set(LAWS.values()) | {"homalt.search"}
-# What no holding registry check runs: other scans, text forms.
-ASIDE = {"homalt.structure", "homalt.text"}
+# What no holding registry check runs: the text forms of elements.
+ASIDE = {"homalt.text"}
 _LISTING = "-- sys.modules --"
 
 
@@ -142,6 +142,20 @@ def test_structural_calls_skip_the_registry(inputs, argv):
     # Only the calls that list the --identity choices load the registry.
     assert ("homalt.identities" in loaded) == (argv[0] in ("check", "--help"))
     assert not ON_DEMAND & loaded
+
+
+def test_every_structural_check_loads_the_same_code(inputs):
+    # Each basis scan sits in homalgebra beside the others.  A failing check
+    # prints its witness through the text forms, so the left-alt check, which
+    # fails on base.alg, is set beside right-alt failing on plain.alg.
+    def loads(algebra, identity, *flags, code=0):
+        return _cli_modules(["check", "--algebra", algebra, "--identity", identity, *flags],
+                            inputs, code=code)
+
+    holding = loads("base.alg", "right-alt")
+    assert loads("base.alg", "morphism", "--morphism", "id.mor") == holding
+    failing = loads("plain.alg", "right-alt", code=1)
+    assert loads("base.alg", "left-alt", code=1) == failing == holding | {"homalt.text"}
 
 
 def _check(algebra: str, tag: str, *flags: str) -> list[str]:
