@@ -6,11 +6,11 @@ the module that defines it (PEP 562).  So ``python -m homalt.cli`` loads
 only the modules a command runs.  The identity registry and
 ``PreconditionError``, a ValueError like every refusal of bad input, live
 in :mod:`homalt.identities`, which imports only :mod:`homalt.homalgebra`;
-:mod:`homalt.proof_replay` (preconditions and strategies) loads only for
-registry checks.  An entry's evaluator loads
-from :mod:`homalt.element_laws` or :mod:`homalt.operator_laws` by the
-entry's kind, and :mod:`homalt.search` only for the calls that search or
-sample points.  Every basis scan and element test sits in
+what each entry says, its evaluator, is in :mod:`homalt.laws`, and how it
+is checked (preconditions, strategies, witness search and replay) in
+:mod:`homalt.proof_replay`, which loads only for registry checks.  The
+operator calculus, :mod:`homalt.operators`, loads only for operator
+entries.  Every basis scan and element test sits in
 :mod:`homalt.homalgebra`, beside the replay of its witnesses; printing and
 parsing elements, which no holding check runs, sits in :mod:`homalt.text`.
 Algebra and morphism documents are both read and written by

@@ -20,19 +20,18 @@ inputs; the random strategy then requires an explicit ``--seed``.
 
 A call loads only what it runs.  ``homalt.catalog`` is imported only by the
 commands that build the built-in algebra (``--mikheev``, ``mikheev``,
-``noniso``), and ``homalt.proof_replay`` only by ``lemmas`` and by ``check``
-on a registry tag, which in turn loads the laws of the entries it evaluates
-(``homalt.operators`` only for operator entries) and the search code only
-for failing checks and the subset and random strategies.  The structural
-scans are all in ``homalt.homalgebra``, and the text forms of elements
-(``homalt.text``) load only for the calls that print them; algebra and
-morphism files are both read by ``homalt.algfile``, which every call
-loads.  The ``--identity`` choices come from the registry in
-``homalt.identities``, which only ``check`` and ``--help`` load:
-:func:`build_parser` adds arguments only to the subcommand that the
-command line names.  :func:`main` flushes
-the output and ends the process with ``os._exit``, skipping interpreter
-teardown; :func:`run` returns the exit code for in-process callers.
+``noniso``), and ``homalt.proof_replay`` only by ``lemmas`` and by
+``check`` on a registry tag, which in turn loads the evaluators in
+``homalt.laws`` and, only for operator entries, the operator calculus in
+``homalt.operators``.  The structural scans are all in
+``homalt.homalgebra``, and the text forms of elements (``homalt.text``)
+load only for the calls that print them; algebra and morphism files are
+both read by ``homalt.algfile``, which every call loads.  The ``--identity``
+choices come from the registry in ``homalt.identities``, which only
+``check`` and ``--help`` load: :func:`build_parser` adds arguments only to
+the subcommand that the command line names.  :func:`main` flushes the output
+and ends the process with ``os._exit``, skipping interpreter teardown;
+:func:`run` returns the exit code for in-process callers.
 """
 
 from __future__ import annotations
@@ -87,11 +86,16 @@ def _load_morphism(path: str, A: HomAlgebra):
 
 
 def _algebra_for_run(args) -> tuple[HomAlgebra, list[str]]:
-    """Resolve --algebra / --mikheev / --lambda / --xi / --symbolic flags."""
-    if getattr(args, "algebra", None):
+    """Resolve --algebra / --mikheev / --lambda / --xi / --symbolic flags:
+    a file, or the built-in algebra, never both."""
+    if args.algebra is not None:
+        if args.mikheev or args.symbolic or args.lam is not None or args.xi is not None:
+            raise ValueError("--algebra cannot be combined with --mikheev/--lambda/--xi/--symbolic")
+        if not args.algebra:
+            raise ValueError("--algebra needs a file name")
         doc = _load_algebra(args.algebra)
         return doc.algebra, doc.basis_names
-    if not getattr(args, "mikheev", False):
+    if not args.mikheev:
         raise ValueError("an algebra is required (use --algebra FILE or --mikheev)")
     names = [f"e{i + 1}" for i in range(13)]
     return _mikheev_variant(args), names
@@ -100,9 +104,8 @@ def _algebra_for_run(args) -> tuple[HomAlgebra, list[str]]:
 def _mikheev_variant(args) -> HomAlgebra:
     from .catalog import FamilyParams, mikheev_algebra, mikheev_family
 
-    symbolic = getattr(args, "symbolic", False)
-    lam, xi = getattr(args, "lam", None), getattr(args, "xi", None)
-    if symbolic and (lam or xi):
+    symbolic, lam, xi = args.symbolic, args.lam, args.xi
+    if symbolic and (lam is not None or xi is not None):
         raise ValueError("--symbolic cannot be combined with --lambda/--xi")
     if symbolic:
         return mikheev_family(FamilyParams.symbolic())

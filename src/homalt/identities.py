@@ -1,8 +1,8 @@
 """The identity registry: each entry declared once, with its hypotheses.
 
-An entry's evaluator ``_ev_<tag>`` lives in :mod:`homalt.element_laws` or
-:mod:`homalt.operator_laws`, by its kind, and is imported on first use;
-:mod:`homalt.proof_replay` checks the hypotheses and runs the strategies.
+What an entry says is its evaluator ``_ev_<tag>`` in :mod:`homalt.laws`,
+read on first use; how it is checked, the hypotheses and the strategies,
+is :mod:`homalt.proof_replay`.
 An entry also owns its arguments: their coordinates as variables, and the
 two routes every strategy evaluates it by, on generic arguments
 (:meth:`IdentityInstance.generic_pairs`) or at a point
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
-from .homalgebra import Element, HomAlgebra, _element, _Record, substitute_params
+from .homalgebra import Element, HomAlgebra, _Record, substitute_params
 from .scalars import Poly, degree
 
 if TYPE_CHECKING:
@@ -50,24 +50,22 @@ class IdentityInstance(_Record):
     the multiplicative scan).
     ``evaluate(A, xs)`` returns the equation pairs on ``A`` (one per shift
     for the shift-indexed entries): those of the constructor's ``evaluate``,
-    else of ``_ev_<tag>`` in the laws module its ``kind`` names.  Every
-    entry's evaluator calls only the operations of ``A`` that
-    :mod:`homalt.element_laws` and :mod:`homalt.operator_laws` list.
+    else of ``_ev_<tag>`` in :mod:`homalt.laws`.  Every entry's evaluator
+    calls only the operations of ``A`` that :mod:`homalt.laws` lists.
     :meth:`arguments` names the coordinates of each argument on ``A``, and
     :meth:`generic_pairs` and :meth:`pairs_at` run ``evaluate`` on them.
     :meth:`degree_bound`, the random strategy's total-degree bound, is
     derived from one run of ``evaluate``.
     """
 
-    __slots__ = ("tag", "label", "var_names", "kind", "requires", "_evaluate")
+    __slots__ = ("tag", "label", "var_names", "requires", "_evaluate")
     _fields = __slots__[:-1] + ("evaluate",)
 
-    def __init__(self, tag: str, label: str, var_names: tuple[str, ...], kind: str,
+    def __init__(self, tag: str, label: str, var_names: tuple[str, ...],
                  requires: tuple[str, ...], evaluate: Evaluator | None = None) -> None:
         self.tag = tag
         self.label = label
         self.var_names = var_names
-        self.kind = kind  # "element" | "operator"
         self.requires = requires
         self._evaluate = evaluate
 
@@ -78,10 +76,8 @@ class IdentityInstance(_Record):
     @property
     def evaluate(self) -> Evaluator:
         if self._evaluate is None:
-            if self.kind == "element":
-                from . import element_laws as laws
-            else:
-                from . import operator_laws as laws
+            from . import laws
+
             self._evaluate = getattr(laws, f"_ev_{self.tag}")
         return self._evaluate
 
@@ -179,76 +175,66 @@ def _coefficients(side: Side) -> list[Scalar]:
     return [c for row in side.rows.values() for _, c in row]
 
 
-def _probe_side(diff: Side, probe: int | None = None) -> tuple[Element, int | None]:
-    """Nonzero element extracted from a difference: the element itself, or
-    for an operator its row ``probe`` (by default the first nonzero row)."""
-    if isinstance(diff, Element):
-        return diff, None
-    if probe is None:
-        probe = min(diff.rows)
-    return _element(diff.dim, dict(diff.rows.get(probe, ()))), probe
-
-
 # The hypotheses an entry can require, in checking order.
 MULT, RALT, WEAK = "multiplicative", "right-alt", "weak-morphism"
 
-# In registry order: tag, label, variables, kind, hypotheses.  No degree is
+# In registry order: tag, label, variables, hypotheses.  No degree is
 # typed here: IdentityInstance.degree_bound derives it from the evaluator.
 REGISTRY: tuple[IdentityInstance, ...] = (
     IdentityInstance("xyy", "right alternativity, expanded: (xy)a(y) = a(x)(yy)",
-                     ("x", "y"), "element", ()),
+                     ("x", "y"), ()),
     IdentityInstance("linearized", "Hom-associator is antisymmetric in its last two slots",
-                     ("x", "y", "z"), "element", (RALT,)),
+                     ("x", "y", "z"), (RALT,)),
     IdentityInstance("teichmuller", "five-term Hom-Teichmuller identity",
-                     ("w", "x", "y", "z"), "element", (MULT,)),
+                     ("w", "x", "y", "z"), (MULT,)),
     IdentityInstance("xyyz", "associator absorption: (a(x), a(y), yz) = (x,y,z) a^2(y)",
-                     ("x", "y", "z"), "element", (MULT, RALT)),
+                     ("x", "y", "z"), (MULT, RALT)),
     IdentityInstance("moufang", "right Hom-Moufang identity",
-                     ("x", "y", "z"), "element", (MULT, RALT)),
+                     ("x", "y", "z"), (MULT, RALT)),
     IdentityInstance("beta2", "twice-twisted associator equals the associator of the twist",
-                     ("x", "y", "z"), "element", (WEAK,)),
+                     ("x", "y", "z"), (WEAK,)),
     IdentityInstance("eq1", "operator right alternativity: a'a_1' = alpha (a^2)'",
-                     ("a",), "operator", (RALT,)),
+                     ("a",), (RALT,)),
     IdentityInstance("eq2", "operator right Hom-Moufang: a'b_1'a_2' = alpha^2 ((ab)a_1)'",
-                     ("a", "b"), "operator", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("eq2p", "linearized operator right Hom-Moufang",
-                     ("a", "b", "c"), "operator", (MULT, RALT)),
+                     ("a", "b", "c"), (MULT, RALT)),
     IdentityInstance("eq3a", "superscript operator vanishes on the diagonal: a^a = 0",
-                     ("a",), "operator", (RALT,)),
+                     ("a",), (RALT,)),
     IdentityInstance("eq3b", "superscript operator is antisymmetric: a^b + b^a = 0",
-                     ("a", "b"), "operator", (RALT,)),
+                     ("a", "b"), (RALT,)),
     IdentityInstance("eq5",
                      "superscript then shifted subscript annihilates: a^b (a_2)_(b_2) = 0",
-                     ("a", "b"), "operator", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("eq5p", "linearization of the superscript/subscript annihilation",
-                     ("a", "b", "c"), "operator", (MULT, RALT)),
+                     ("a", "b", "c"), (MULT, RALT)),
     IdentityInstance("eq6", "subscript then shifted superscript is a commutator-associator",
-                     ("a", "b"), "operator", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("eq7", "subscript, right multiplication, then superscript collapses",
-                     ("a", "b"), "operator", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("eq8", "shifted (a,a,b) annihilates the commutator associator",
-                     ("a", "b"), "element", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("eq9", "shifted (a,a,b) annihilates the commutator-product associator",
-                     ("a", "b"), "element", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("eq10",
                      "expansion of alpha^2 p_k' through superscript operators (k = 0,1,2)",
-                     ("a", "b"), "operator", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("eq10p",
                      "expansion of alpha^2 p_k' through subscript operators (k = 0,1,2)",
-                     ("a", "b"), "operator", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("dpe", "two-term split of the Mikheev operator chain",
-                     ("a", "b"), "operator", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("d0", "first split term of the Mikheev operator chain vanishes",
-                     ("a", "b"), "operator", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("e0", "second split term of the Mikheev operator chain vanishes",
-                     ("a", "b"), "operator", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("prop", "the Mikheev operator chain a^b p'p_1'p_2' alpha^6 vanishes",
-                     ("a", "b"), "operator", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("theorem", "twisted Mikheev identity: alpha^6((a,a,b)^4) = 0",
-                     ("a", "b"), "element", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
     IdentityInstance("mikheev_classical",
                      "Mikheev identity (a,a,b)^4 = 0 (meaningful for injective twists)",
-                     ("a", "b"), "element", (MULT, RALT)),
+                     ("a", "b"), (MULT, RALT)),
 )
 
 

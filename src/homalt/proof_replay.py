@@ -1,9 +1,11 @@
-"""Verification strategies over the identity registry.
+"""How a registry entry is checked: the hypotheses, the strategies, the
+witness search and the replay of point witnesses.
 
 The registry (:mod:`homalt.identities`, whose lookups are importable from
 here too) runs from the defining alternativity law up to the twisted Mikheev
-identity ``alpha^6((a,a,b)^4) = 0`` and its untwisted corollary.  Each entry
-lists the hypotheses under which it is a theorem (multiplicativity, right
+identity ``alpha^6((a,a,b)^4) = 0`` and its untwisted corollary; what each
+entry says is its evaluator in :mod:`homalt.laws`.  Each entry lists the
+hypotheses under which it is a theorem (multiplicativity, right
 Hom-alternativity, a weak-morphism twist); they are checked on basis tuples
 before verification, in that order, and a violation raises
 :class:`PreconditionError` rather than producing a meaningless failure.
@@ -13,11 +15,12 @@ batch runs once.
 Every entry is a statement about the algebra and its own twisting map
 alpha, and is evaluated on the algebra alone.
 
-Three strategies are offered:
+Three strategies are offered, each a view of the entry's two evaluation
+routes, :meth:`IdentityInstance.generic_pairs` and
+:meth:`IdentityInstance.pairs_at`:
 
 * ``generic``  -- evaluate with fully indeterminate coordinates; complete.
-  The identity is evaluated on the input algebra itself, by
-  :meth:`IdentityInstance.generic_pairs`: each argument's
+  The identity is evaluated on the input algebra itself: each argument's
   coordinates are the indeterminates ``<name>_<i>``, and evaluation never
   reads an algebra's parameter names, so no copy of the algebra is built
   and its table of twist powers is shared by every argument.
@@ -32,31 +35,38 @@ Three strategies are offered:
   total-degree bound in the drawn variables, derived from the entry's own
   evaluator (:meth:`IdentityInstance.degree_bound`).
 
-Failing reports carry a replayable witness: a rational point (and for
-operator identities a probe basis index) at which the two sides differ,
-together with the nonzero difference element.  A point witness replays
-through :meth:`IdentityInstance.pairs_at`, without the search code.
+Failing reports carry a replayable witness: a rational point (a value for
+every parameter and argument coordinate in play, the others 0) and for
+operator identities the probe basis index whose image row differs,
+together with the nonzero difference element.  :func:`_find_witness`
+tries small random integer points and falls back to a grid that a nonzero
+polynomial cannot vanish on; the grid reads the failing check's own
+generic differences, so the identity is evaluated symbolically only once.
+A point witness replays through :meth:`IdentityInstance.pairs_at`.
 
-This module holds the preconditions, the generic strategy and the replay
-of point witnesses; the rest loads on first use, and the corollary's
-element tests (:func:`homalt.homalgebra.smallest_alpha_exponent` among
-them) are checks on the algebra alone, in :mod:`homalt.homalgebra`.  An entry's evaluator lives in
-:mod:`homalt.element_laws` or :mod:`homalt.operator_laws`, by its kind, and
-:mod:`homalt.search` (the witness search, the subset and random
-strategies) is imported only by the calls that run it.  Imports run
-one way, this module -> :mod:`homalt.search` -> :mod:`homalt.identities`.
-So a holding generic check on an element entry loads neither
-:mod:`homalt.operators` nor the search code.
+The corollary's element tests
+(:func:`homalt.homalgebra.smallest_alpha_exponent` among them) are checks
+on the algebra alone, in :mod:`homalt.homalgebra`.  Imports run one way,
+this module -> :mod:`homalt.identities` -> :mod:`homalt.homalgebra`, and
+checking an element entry never loads :mod:`homalt.operators`.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
+from math import comb
+from typing import TYPE_CHECKING, Sequence
+
 from .homalgebra import (
     FAILS,
     HOLDS,
+    RANDOM_PASS,
     CheckReport,
     Element,
     HomAlgebra,
+    Witness,
+    _element,
     _Record,
     is_multiplicative,
     is_right_hom_alternative,
@@ -64,11 +74,68 @@ from .homalgebra import (
 from .identities import (
     IdentityInstance,
     PreconditionError,
-    _probe_side,
+    _coefficients,
     get_identity,
     identity_tags,
     registry,
 )
+from .scalars import Poly, Rational, substitute, variables as scalar_variables
+
+if TYPE_CHECKING:
+    from .identities import Side
+
+RANDOM_BOUND = 10**6
+
+
+# -- witness search ------------------------------------------------------------
+
+
+def _probe_side(diff: Side, probe: int | None = None) -> tuple[Element, int | None]:
+    """Nonzero element extracted from a difference: the element itself, or
+    for an operator its row ``probe`` (by default the first nonzero row)."""
+    if isinstance(diff, Element):
+        return diff, None
+    if probe is None:
+        probe = min(diff.rows)
+    return _element(diff.dim, dict(diff.rows.get(probe, ()))), probe
+
+
+def _witness_at(A, inst, point: dict[str, Rational]) -> Witness | None:
+    """The witness at ``point`` if the identity fails there."""
+    for idx, (lhs, rhs) in enumerate(inst.pairs_at(A, point)):
+        diff = lhs - rhs
+        if not diff.is_zero():
+            element, probe = _probe_side(diff)
+            return Witness(element=element, point=point, probe=probe, pair_index=idx)
+    return None
+
+
+def _find_witness(A, inst, diffs: Sequence[Side], variables: Sequence[str]) -> Witness:
+    """A concrete integer point where an identity whose generic differences
+    ``diffs`` fail in ``variables`` (every other coordinate 0) still fails:
+    1000 small random points of the generator seeded with 0, then a grid
+    over the variables of the first coefficient of ``diffs`` nonzero at those
+    zeros, each ``v`` running over ``{d_v, ..., 0}`` with ``d_v`` its degree
+    in ``v``.  A polynomial that vanishes on that whole grid is zero (Alon,
+    Combinatorial Nullstellensatz, 1999, Lemma 2.1)."""
+    rng = random.Random(0)
+    for attempt in range(1000):
+        bound = 3 + attempt // 50
+        witness = _witness_at(A, inst, {v: rng.randint(-bound, bound) for v in variables})
+        if witness is not None:
+            return witness
+    zeros = {v: 0 for v in inst.variables(A) if v not in variables}
+    at_zeros = (substitute(c, zeros) for diff in diffs for c in _coefficients(diff))
+    coeff = next((c for c in at_zeros if c != 0), None)
+    if coeff is None:
+        raise ValueError("the identity holds in these variables: no witness exists")
+    grid = [v for v in variables if v in scalar_variables(coeff)]
+    degrees = [max(e for m in coeff.terms for n, e in m if n == v) for v in grid]
+    for values in itertools.product(*(range(d, -1, -1) for d in degrees)):
+        at = dict(zip(grid, values))
+        if substitute(coeff, at) != 0:
+            return _witness_at(A, inst, {v: at.get(v, 0) for v in variables})
+    raise AssertionError("a nonzero polynomial vanished on its degree grid")
 
 
 # -- strategy drivers ----------------------------------------------------------
@@ -78,10 +145,76 @@ def _verify_generic(A, inst) -> CheckReport:
     diffs = [lhs - rhs for lhs, rhs in inst.generic_pairs(A)]
     if all(diff.is_zero() for diff in diffs):
         return CheckReport(inst.tag, HOLDS, "generic")
-    from .search import _find_witness
-
     witness = _find_witness(A, inst, diffs, inst.variables(A))
     return CheckReport(inst.tag, FAILS, "generic", witness=witness)
+
+
+def _support_rank(dim: int, support: tuple[int, ...]) -> int:
+    """Position of a support among the nonempty subsets of ``range(dim)``
+    ordered by size, then lexicographically (combinatorial number system)."""
+    size = len(support)
+    return (sum(comb(dim, k) for k in range(1, size + 1)) - 1
+            - sum(comb(dim - 1 - i, size - s) for s, i in enumerate(support)))
+
+
+def _support_patterns(A, inst, diffs) -> set[tuple[frozenset[int], ...]]:
+    """Per-slot coordinate supports of the monomials of the differences: slot
+    ``s`` holds each ``i`` with ``inst.arguments(A)[s][i]`` in the monomial."""
+    slot_of = {name: (s, i)
+               for s, names in enumerate(inst.arguments(A)) for i, name in enumerate(names)}
+    patterns = set()
+    for diff in diffs:
+        for c in _coefficients(diff):
+            for m in c.terms if isinstance(c, Poly) else ([()] if c != 0 else []):
+                slots: list[set[int]] = [set() for _ in inst.var_names]
+                for s, i in (slot_of[var] for var, _ in m if var in slot_of):
+                    slots[s].add(i)
+                patterns.add(tuple(map(frozenset, slots)))
+    return patterns
+
+
+def _verify_subset(A, inst, subset_max: int) -> CheckReport:
+    """Decide the support combos as a view of the one generic evaluation.
+
+    The sweep is every combo of supports of size 1 to ``subset_max`` per
+    slot, in the order of their support ranks.  A combo's difference is the
+    generic one with the coordinates outside it set to 0, so it fails
+    exactly when it contains, slot by slot, the support of a monomial (a
+    pattern).  The first combo holding a pattern takes the pattern's own
+    support in each slot, or ``(0,)`` where it is empty; the least of these
+    is the first failure and ``points`` its position, so no combo is built
+    or walked.  With no pattern that fits, every combo holds.  The cost is
+    one generic evaluation even when the first combo fails, which on dense
+    structure constants is far more than that combo.
+    """
+    diffs = [lhs - rhs for lhs, rhs in inst.generic_pairs(A)]
+    patterns = [p for p in _support_patterns(A, inst, diffs) if max(map(len, p)) <= subset_max]
+    supports = sum(comb(A.dim, k) for k in range(1, min(subset_max, A.dim) + 1))
+    if not patterns:
+        return CheckReport(inst.tag, HOLDS, "subset", points=supports ** inst.arity)
+
+    def position(combo: tuple[tuple[int, ...], ...]) -> int:
+        return sum(_support_rank(A.dim, t) * supports ** (len(combo) - 1 - s)
+                   for s, t in enumerate(combo))
+
+    combo = min((tuple(tuple(sorted(need)) or (0,) for need in p) for p in patterns), key=position)
+    variables = list(A.params) + [
+        names[i] for names, support in zip(inst.arguments(A), combo) for i in support
+    ]
+    witness = _find_witness(A, inst, diffs, variables)
+    return CheckReport(inst.tag, FAILS, "subset", points=position(combo) + 1, witness=witness)
+
+
+def _verify_random(A, inst, seed: int, points: int) -> CheckReport:
+    rng = random.Random(seed)
+    sample = {"points": points, "seed": seed, "degree_bound": inst.degree_bound(A)}
+    names = inst.variables(A)
+    for _ in range(points):
+        point = {name: rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for name in names}
+        witness = _witness_at(A, inst, point)
+        if witness is not None:
+            return CheckReport(inst.tag, FAILS, "random", witness=witness, **sample)
+    return CheckReport(inst.tag, RANDOM_PASS, "random", **sample)
 
 
 # Each hypothesis by its key in ``requires``: the requirement a
@@ -136,12 +269,8 @@ def verify(
     if strategy == "generic":
         return _verify_generic(A, inst)
     if strategy == "subset":
-        from .search import _verify_subset
-
         return _verify_subset(A, inst, subset_max)
     if strategy == "random":
-        from .search import _verify_random
-
         return _verify_random(A, inst, seed, points)
     raise ValueError(f"unknown strategy {strategy!r} (expected generic, subset, or random)")
 
@@ -189,12 +318,19 @@ def verify_all(
 def replay_identity_witness(A: HomAlgebra, report: CheckReport) -> Element:
     """Re-evaluate a failing identity report at its stored point and return
     the nonzero difference element (probing the recorded basis row for
-    operator identities)."""
-    if report.witness is None or report.witness.point is None:
+    operator identities).  ValueError for a witness that names no pair of
+    the entry or a probe outside ``range(A.dim)``."""
+    witness = report.witness
+    if witness is None or witness.point is None:
         raise ValueError("report carries no point witness")
-    inst = get_identity(report.check)
-    lhs, rhs = inst.pairs_at(A, report.witness.point)[report.witness.pair_index or 0]
+    if witness.probe is not None and witness.probe not in range(A.dim):
+        raise ValueError(f"probe {witness.probe} is not a basis index: not in range({A.dim})")
+    pairs = get_identity(report.check).pairs_at(A, witness.point)
+    index = witness.pair_index or 0
+    if index not in range(len(pairs)):
+        raise ValueError(f"pair_index {index} is not in range({len(pairs)}) for {report.check!r}")
+    lhs, rhs = pairs[index]
     diff = lhs - rhs
-    if not isinstance(diff, Element) and report.witness.probe is None:
+    if not isinstance(diff, Element) and witness.probe is None:
         raise ValueError("operator witness without probe index")
-    return _probe_side(diff, report.witness.probe)[0]
+    return _probe_side(diff, witness.probe)[0]

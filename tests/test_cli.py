@@ -267,6 +267,11 @@ def test_mikheev_flag_conflicts(tmp_path, capsys):
     assert run(["mikheev", "--symbolic", "--lambda", "2", "--xi", "3",
                 "--out", str(out)]) == 2
     assert run(["mikheev", "--lambda", "2", "--out", str(out)]) == 2
+    # An empty --lambda or --xi is still given, so it conflicts with --symbolic.
+    for flags in (["--lambda="], ["--xi="], ["--lambda=", "--xi=2"]):
+        assert run(["mikheev", "--symbolic", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 5
+    assert not out.exists()
 
 
 def test_twist_command(files, tmp_path, fam_sym, capsys):
@@ -442,3 +447,29 @@ def test_missing_file(capsys):
 
 def test_check_needs_algebra_source(capsys):
     assert run(["check", "--identity", "right-alt"]) == 2
+    capsys.readouterr()
+    # An empty file name is refused, not read as no --algebra at all.
+    assert run(["check", "--algebra=", "--identity", "right-alt"]) == 2
+    assert capsys.readouterr().err == "error: --algebra needs a file name\n"
+    assert run(["check", "--algebra=", "--mikheev", "--identity", "right-alt"]) == 2
+    assert capsys.readouterr().err.startswith("error: --algebra cannot be combined")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mikheev"],
+    ["--mikheev", "--lambda", "2", "--xi", "3"],
+    ["--mikheev", "--symbolic"],
+    ["--lambda", "2"],
+    ["--xi", "3"],
+    ["--symbolic"],
+], ids=" ".join)
+@pytest.mark.parametrize("command", ["check", "lemmas"])
+def test_algebra_file_excludes_the_built_in_algebra(files, capsys, command, flags):
+    # Two algebra sources are refused, not resolved by dropping one.
+    argv = [command, "--algebra", files["mikheev"], *flags,
+            "--strategy", "random", "--seed", "1", "--points", "1"]
+    assert run(argv + (["--identity", "xyy"] if command == "check" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --algebra cannot be combined with "
+                            "--mikheev/--lambda/--xi/--symbolic\n")

@@ -13,13 +13,14 @@ import homalt.proof_replay
 from homalt.homalgebra import (
     FAILS,
     CheckReport,
+    Element,
     HomAlgebra,
     Witness,
     identity_rows,
     smallest_alpha_exponent,
 )
 from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
-from homalt.operators import alpha_op, apply, compose, op_sup, right_mul_op
+from homalt.operators import RightOp, alpha_op, apply, compose, op_sup, right_mul_op
 from homalt.proof_replay import (
     PreconditionError,
     get_identity,
@@ -64,14 +65,19 @@ def test_registry_arities():
         assert arity[tag] == 2
 
 
-def test_registry_kinds():
-    kind = {inst.tag: inst.kind for inst in registry()}
-    for tag in ("xyy", "linearized", "teichmuller", "xyyz", "moufang",
-                "beta2", "eq8", "eq9", "theorem", "mikheev_classical"):
-        assert kind[tag] == "element"
-    for tag in ("eq1", "eq2", "eq2p", "eq3a", "eq3b", "eq5", "eq5p", "eq6",
-                "eq7", "eq10", "eq10p", "dpe", "d0", "e0", "prop"):
-        assert kind[tag] == "operator"
+def test_registry_kinds(mikheev):
+    # An entry's kind is what its evaluator returns on the base algebra.
+    x = mikheev.basis_element(0)
+    kind = {}
+    for inst in registry():
+        sides = {type(side) for pair in inst.evaluate(mikheev, [x] * inst.arity) for side in pair}
+        (kind[inst.tag],) = sides
+    assert {tag for tag, side in kind.items() if side is Element} == {
+        "xyy", "linearized", "teichmuller", "xyyz", "moufang",
+        "beta2", "eq8", "eq9", "theorem", "mikheev_classical"}
+    assert {tag for tag, side in kind.items() if side is RightOp} == {
+        "eq1", "eq2", "eq2p", "eq3a", "eq3b", "eq5", "eq5p", "eq6",
+        "eq7", "eq10", "eq10p", "dpe", "d0", "e0", "prop"}
 
 
 def test_unknown_tag_rejected(mikheev):
@@ -398,6 +404,24 @@ def test_replay_needs_a_point(mikheev):
     assert report.status == "holds"
     with pytest.raises(ValueError):
         replay_identity_witness(mikheev, report)
+
+
+@pytest.mark.parametrize("tag, pair_index, probe, match", [
+    ("xyy", 3, None, "pair_index 3"),
+    ("xyy", -1, None, "pair_index -1"),
+    ("eq10", 3, 0, "pair_index 3"),
+    ("eq1", 0, 99, "probe 99"),
+    ("eq1", 0, -1, "probe -1"),
+])
+def test_replay_rejects_a_malformed_witness(plain_twisted, tag, pair_index, probe, match):
+    # A real witness's point, with a pair the entry does not have or a
+    # probe outside the basis.
+    found = verify(plain_twisted, tag, "random", seed=1, points=5, skip_preconditions=True)
+    assert found.status == FAILS
+    witness = Witness(None, point=found.witness.point, probe=probe, pair_index=pair_index)
+    report = CheckReport(tag, FAILS, "random", witness=witness)
+    with pytest.raises(ValueError, match=match):
+        replay_identity_witness(plain_twisted, report)
 
 
 def test_eq10_shift_consistency(fam23):

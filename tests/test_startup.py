@@ -6,12 +6,11 @@ for on every call.  These checks run the imports in a child process, where
 ends the process with ``os._exit``; the child runs here check that it
 prints, writes and exits exactly as the in-process ``run()`` does.
 
-Each path loads only its own code: the element and operator laws, the
-operator calculus and the search code (witness search, the subset and
-random strategies) each load only for the checks that run them, and the
-parser adds arguments only to the subcommand named.  Imports run one way,
-``proof_replay`` -> ``search`` -> ``identities``, so replaying a point
-witness, which evaluates through the registry, loads no search code.
+Each path loads only its own code: the strategies and the evaluators of
+the registry load only for registry checks, the operator calculus only for
+the operator entries, and the parser adds arguments only to the subcommand
+named.  Imports run one way, ``proof_replay`` -> ``identities`` ->
+``homalgebra``, and the evaluators in ``laws`` import nothing.
 """
 
 import ast
@@ -24,18 +23,16 @@ from pathlib import Path
 import pytest
 
 import homalt
-import homalt.element_laws
-import homalt.operator_laws
+import homalt.laws
 import homalt.proof_replay
 from homalt.algfile import parse_algebra, serialize_algebra, serialize_morphism
 from homalt.cli import _SUBCOMMANDS, STRUCTURAL_IDS, build_parser, run
-from homalt.homalgebra import identity_rows
+from homalt.homalgebra import Element, identity_rows
+from homalt.operators import RightOp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-HEAVY = {"homalt.proof_replay", "homalt.operators"}
 # The code a registry check loads on demand.
-LAWS = {"element": "homalt.element_laws", "operator": "homalt.operator_laws"}
-ON_DEMAND = HEAVY | set(LAWS.values()) | {"homalt.search"}
+ON_DEMAND = {"homalt.proof_replay", "homalt.laws", "homalt.operators"}
 # What no holding registry check runs: the text forms of elements.
 ASIDE = {"homalt.text"}
 _LISTING = "-- sys.modules --"
@@ -165,17 +162,17 @@ def _check(algebra: str, tag: str, *flags: str) -> list[str]:
 @pytest.mark.parametrize("tag", ["xyy", "moufang", "theorem"])
 def test_holding_element_check_loads_no_operator_code(inputs, tag):
     loaded = _cli_modules(_check("base.alg", tag, "--strategy", "generic"), inputs)
-    assert {"homalt.proof_replay", LAWS["element"]} <= loaded
-    assert not {"homalt.operators", LAWS["operator"], "homalt.search"} & loaded
+    assert {"homalt.proof_replay", "homalt.laws"} <= loaded
+    assert "homalt.operators" not in loaded
     assert not ASIDE & loaded
 
 
 @pytest.mark.parametrize("tag", ["eq1", "eq5"])
 def test_holding_operator_check_loads_only_the_operator_laws(inputs, tag):
+    # Beyond what an element check loads, only the operator calculus.
     loaded = _cli_modules(_check("base.alg", tag, "--strategy", "generic"), inputs)
-    assert {"homalt.proof_replay", "homalt.operators", LAWS["operator"]} <= loaded
-    assert not {LAWS["element"], "homalt.search"} & loaded
-    assert not ASIDE & loaded
+    element = _cli_modules(_check("base.alg", "xyy", "--strategy", "generic"), inputs)
+    assert loaded == element | {"homalt.operators"}
 
 
 @pytest.mark.parametrize("flags", [
@@ -183,22 +180,23 @@ def test_holding_operator_check_loads_only_the_operator_laws(inputs, tag):
     ("--strategy", "subset", "--subset-max", "1"),
     ("--strategy", "random", "--seed", "1", "--points", "2"),
 ], ids=["generic", "subset", "random"])
-def test_failing_check_loads_the_search(inputs, flags):
-    # xyy fails on the identity-twist algebra: exit 1.
+def test_failing_element_check_loads_no_operator_code(inputs, flags):
+    # xyy fails on the identity-twist algebra: exit 1.  The witness search
+    # evaluates the entry at points, on elements only.
     loaded = _cli_modules(_check("plain.alg", "xyy", *flags), inputs, code=1)
-    assert {"homalt.search", LAWS["element"]} <= loaded
-    assert not {"homalt.operators", LAWS["operator"]} & loaded
+    assert {"homalt.proof_replay", "homalt.laws"} <= loaded
+    assert "homalt.operators" not in loaded
 
 
-def test_search_loads_no_strategy_driver():
-    # Imports run one way: proof_replay -> search -> identities.
-    loaded = _modules_after("import homalt.search")
-    assert {"homalt.search", "homalt.identities"} <= loaded
-    assert "homalt.proof_replay" not in loaded
+def test_registry_loads_no_strategy_driver():
+    # Imports run one way: proof_replay -> identities -> homalgebra.
+    loaded = _modules_after("import homalt.identities")
+    assert {"homalt.identities", "homalt.homalgebra"} <= loaded
+    assert not ON_DEMAND & loaded
 
 
 @pytest.mark.parametrize("tag", ["xyy", "eq1"])
-def test_replaying_a_point_witness_loads_no_search(inputs, plain_twisted, tag):
+def test_replaying_a_point_witness_in_a_fresh_interpreter(inputs, plain_twisted, tag):
     # The witness is found here; the child only re-evaluates it at its point.
     witness = homalt.proof_replay.verify(plain_twisted, tag, "generic",
                                          skip_preconditions=True).witness
@@ -214,20 +212,16 @@ def test_replaying_a_point_witness_loads_no_search(inputs, plain_twisted, tag):
         "assert not replay_identity_witness(A, report).is_zero()"
     )
     loaded = _modules_after(statement, inputs)
-    assert "homalt.proof_replay" in loaded
-    assert "homalt.search" not in loaded
+    assert {"homalt.proof_replay", "homalt.laws"} <= loaded
 
 
 def test_rows_and_evaluators_are_one_to_one():
     entries = homalt.proof_replay.registry()
     tags = [inst.tag for inst in entries]
-    modules = {kind: sys.modules[name] for kind, name in LAWS.items()}
-    evaluators = {(kind, name) for kind, module in modules.items()
-                  for name in vars(module) if name.startswith("_ev_")}
-    assert evaluators == {(inst.kind, f"_ev_{inst.tag}") for inst in entries}
-    assert len(set(tags)) == len(entries)
+    evaluators = [name for name in vars(homalt.laws) if name.startswith("_ev_")]
+    assert evaluators == [f"_ev_{tag}" for tag in tags]
     for inst in entries:
-        assert inst.evaluate is getattr(modules[inst.kind], f"_ev_{inst.tag}")
+        assert inst.evaluate is getattr(homalt.laws, f"_ev_{inst.tag}")
 
 
 def _imports(module: str) -> list[tuple[ast.AST, list[ast.AST]]]:
@@ -244,10 +238,46 @@ def _imports(module: str) -> list[tuple[ast.AST, list[ast.AST]]]:
     return found
 
 
-@pytest.mark.parametrize("module", ["element_laws", "operator_laws"])
-def test_laws_import_nothing(module):
-    # An evaluator reaches A through A's operations alone.
-    assert _imports(module) == []
+# The operations of A that ``laws`` lists, by the half of it that may call them.
+ELEMENT_OPS = {"mul", "twist_apply", "shift", "hom_associator", "commutator", "zero",
+               "hom_power"}
+OPERATOR_OPS = {"right_mul_op", "alpha_op", "compose", "zero_op", "op_sup", "op_sub"}
+
+
+def _operations_of_a(name: str, functions: dict[str, ast.FunctionDef]) -> set[str]:
+    """The attributes of ``A`` that the ``laws`` function ``name`` reads,
+    with those of the ``laws`` helpers it calls."""
+    ops, seen, todo = set(), {name}, [name]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "A":
+                ops.add(node.attr)
+            elif isinstance(node, ast.Name) and node.id in functions and node.id not in seen:
+                seen.add(node.id)
+                todo.append(node.id)
+    return ops
+
+
+@pytest.mark.parametrize("half", ["element_laws", "operator_laws"])
+def test_laws_import_nothing(half, mikheev):
+    # An evaluator reaches A through A's operations alone: an element
+    # entry's through those on elements, so it never needs the operator
+    # calculus, and an operator entry's through the operator calculus too.
+    assert _imports("laws") == []
+    tree = ast.parse((SRC / "homalt" / "laws.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    side = Element if half == "element_laws" else RightOp
+    x = mikheev.basis_element(0)
+    tags = [inst.tag for inst in homalt.proof_replay.registry()
+            if type(inst.evaluate(mikheev, [x] * inst.arity)[0][0]) is side]
+    assert tags
+    for tag in tags:
+        ops = _operations_of_a(f"_ev_{tag}", functions)
+        if side is Element:
+            assert ops <= ELEMENT_OPS, tag
+        else:
+            assert ops <= ELEMENT_OPS | OPERATOR_OPS and ops & OPERATOR_OPS, tag
 
 
 def _where(outer: list[ast.AST]) -> str:

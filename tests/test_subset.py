@@ -24,13 +24,13 @@ from homalt.algfile import serialize_algebra
 from homalt.homalgebra import FAILS, HOLDS, CheckReport, Element, HomAlgebra
 from homalt.identities import IdentityInstance
 from homalt.proof_replay import (
+    _find_witness,
     get_identity,
     identity_tags,
     replay_identity_witness,
     verify,
 )
 from homalt.scalars import Poly
-from homalt.search import _find_witness
 from test_scans import direct_sum
 
 t = Poly.variable("t")
@@ -172,7 +172,7 @@ def test_comparison_covers_both_verdicts_and_late_failures(compared):
 
 def _custom(monkeypatch, tag, evaluate):
     base = get_identity(tag)
-    inst = IdentityInstance(base.tag, base.label, base.var_names, base.kind, base.requires,
+    inst = IdentityInstance(base.tag, base.label, base.var_names, base.requires,
                             evaluate=evaluate)
     registry = tuple(inst if e.tag == tag else e for e in homalt.identities.REGISTRY)
     monkeypatch.setattr(homalt.identities, "REGISTRY", registry)
