@@ -168,8 +168,10 @@ def _exit_code(records: list[dict]) -> int:
 
 
 def _cmd_check(args) -> int:
-    A, names = _algebra_for_run(args)
     identity = args.identity
+    if args.morphism is not None and identity != "morphism":
+        raise ValueError(f"--morphism applies to --identity morphism only, not {identity!r}")
+    A, names = _algebra_for_run(args)
     if identity in STRUCTURAL_IDS:
         if identity == "right-alt":
             report = is_right_hom_alternative(A)

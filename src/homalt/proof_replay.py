@@ -20,6 +20,7 @@ routes, :meth:`IdentityInstance.generic_pairs` and
 :meth:`IdentityInstance.pairs_at`:
 
 * ``generic``  -- evaluate with fully indeterminate coordinates; complete.
+  It is ``subset`` at cap ``A.dim``, which every support pattern fits.
   The identity is evaluated on the input algebra itself: each argument's
   coordinates are the indeterminates ``<name>_<i>``, and evaluation never
   reads an algebra's parameter names, so no copy of the algebra is built
@@ -38,11 +39,10 @@ routes, :meth:`IdentityInstance.generic_pairs` and
 Failing reports carry a replayable witness: a rational point (a value for
 every parameter and argument coordinate in play, the others 0) and for
 operator identities the probe basis index whose image row differs,
-together with the nonzero difference element.  :func:`_find_witness`
-tries small random integer points and falls back to a grid that a nonzero
-polynomial cannot vanish on; the grid reads the failing check's own
-generic differences, so the identity is evaluated symbolically only once.
-A point witness replays through :meth:`IdentityInstance.pairs_at`.
+together with the nonzero difference element.  A failing ``generic`` or
+``subset`` check puts it on the first failing combo, at a point of
+:func:`_find_witness`'s grid; every point witness replays through
+:meth:`IdentityInstance.pairs_at`.
 
 The corollary's element tests
 (:func:`homalt.homalgebra.smallest_alpha_exponent` among them) are checks
@@ -111,19 +111,13 @@ def _witness_at(A, inst, point: dict[str, Rational]) -> Witness | None:
 
 
 def _find_witness(A, inst, diffs: Sequence[Side], variables: Sequence[str]) -> Witness:
-    """A concrete integer point where an identity whose generic differences
-    ``diffs`` fail in ``variables`` (every other coordinate 0) still fails:
-    1000 small random points of the generator seeded with 0, then a grid
-    over the variables of the first coefficient of ``diffs`` nonzero at those
-    zeros, each ``v`` running over ``{d_v, ..., 0}`` with ``d_v`` its degree
-    in ``v``.  A polynomial that vanishes on that whole grid is zero (Alon,
-    Combinatorial Nullstellensatz, 1999, Lemma 2.1)."""
-    rng = random.Random(0)
-    for attempt in range(1000):
-        bound = 3 + attempt // 50
-        witness = _witness_at(A, inst, {v: rng.randint(-bound, bound) for v in variables})
-        if witness is not None:
-            return witness
+    """An integer point where an identity whose generic differences ``diffs``
+    fail in ``variables`` (every other coordinate 0) still fails: take the
+    first coefficient of ``diffs`` nonzero at those zeros, and the first
+    point where it is nonzero on the grid of its variables, each ``v`` over
+    ``{d_v, ..., 0}`` with ``d_v`` its degree in ``v``; a polynomial that
+    vanishes on that grid is zero (Alon, Combinatorial Nullstellensatz,
+    1999, Lemma 2.1).  The identity is evaluated at that point only."""
     zeros = {v: 0 for v in inst.variables(A) if v not in variables}
     at_zeros = (substitute(c, zeros) for diff in diffs for c in _coefficients(diff))
     coeff = next((c for c in at_zeros if c != 0), None)
@@ -139,14 +133,6 @@ def _find_witness(A, inst, diffs: Sequence[Side], variables: Sequence[str]) -> W
 
 
 # -- strategy drivers ----------------------------------------------------------
-
-
-def _verify_generic(A, inst) -> CheckReport:
-    diffs = [lhs - rhs for lhs, rhs in inst.generic_pairs(A)]
-    if all(diff.is_zero() for diff in diffs):
-        return CheckReport(inst.tag, HOLDS, "generic")
-    witness = _find_witness(A, inst, diffs, inst.variables(A))
-    return CheckReport(inst.tag, FAILS, "generic", witness=witness)
 
 
 def _support_rank(dim: int, support: tuple[int, ...]) -> int:
@@ -203,6 +189,11 @@ def _verify_subset(A, inst, subset_max: int) -> CheckReport:
     ]
     witness = _find_witness(A, inst, diffs, variables)
     return CheckReport(inst.tag, FAILS, "subset", points=position(combo) + 1, witness=witness)
+
+
+def _verify_generic(A, inst) -> CheckReport:
+    report = _verify_subset(A, inst, A.dim)
+    return CheckReport(inst.tag, report.status, "generic", witness=report.witness)
 
 
 def _verify_random(A, inst, seed: int, points: int) -> CheckReport:
@@ -318,19 +309,25 @@ def verify_all(
 def replay_identity_witness(A: HomAlgebra, report: CheckReport) -> Element:
     """Re-evaluate a failing identity report at its stored point and return
     the nonzero difference element (probing the recorded basis row for
-    operator identities).  ValueError for a witness that names no pair of
-    the entry or a probe outside ``range(A.dim)``."""
+    operator identities).  ValueError for a point variable or a pair the
+    entry does not have on ``A``, or a probe off the basis or on an element."""
     witness = report.witness
     if witness is None or witness.point is None:
         raise ValueError("report carries no point witness")
     if witness.probe is not None and witness.probe not in range(A.dim):
         raise ValueError(f"probe {witness.probe} is not a basis index: not in range({A.dim})")
-    pairs = get_identity(report.check).pairs_at(A, witness.point)
+    inst = get_identity(report.check)
+    unknown = sorted(set(witness.point) - set(inst.variables(A)))
+    if unknown:
+        raise ValueError(f"point names {', '.join(unknown)}, not variables of {report.check!r}")
+    pairs = inst.pairs_at(A, witness.point)
     index = witness.pair_index or 0
     if index not in range(len(pairs)):
         raise ValueError(f"pair_index {index} is not in range({len(pairs)}) for {report.check!r}")
     lhs, rhs = pairs[index]
     diff = lhs - rhs
+    if isinstance(diff, Element) and witness.probe is not None:
+        raise ValueError(f"probe {witness.probe} given for the element entry {report.check!r}")
     if not isinstance(diff, Element) and witness.probe is None:
         raise ValueError("operator witness without probe index")
     return _probe_side(diff, witness.probe)[0]

@@ -72,8 +72,9 @@ def zero_algebra():
 
 
 def _small_roots(every_product):
-    # P(t) = prod_{k=-22}^{22} (t - k) vanishes at every integer the
-    # witness search's 1000 random points draw t from (|t| <= 22).
+    # P(t) = prod_{k=-22}^{22} (t - k) vanishes at every small integer,
+    # |t| <= 22.  The witness grid runs t down from its degree d_t (45, or
+    # 90 for P(t)^2), so it steps over those roots to a point at once.
     t = Poly.variable("t")
     P = 1
     for k in range(-22, 23):

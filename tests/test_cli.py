@@ -200,6 +200,20 @@ def test_check_morphism_dimension_mismatch(files, tmp_path, capsys):
     assert captured.err == "error: morphism dimension 2 does not match algebra dimension 13\n"
 
 
+@pytest.mark.parametrize("identity", ["right-alt", "xyy"])
+@pytest.mark.parametrize("morphism", ["beta", "missing"])
+def test_check_refuses_a_morphism_it_would_not_read(files, tmp_path, capsys, identity, morphism):
+    # Only the morphism check reads --morphism; any other check would drop
+    # the file unread, so it is refused before any file is opened.
+    path = files["beta"] if morphism == "beta" else str(tmp_path / "missing.mor")
+    code = run(["check", "--algebra", files["mikheev"], "--identity", identity,
+                "--morphism", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"error: --morphism applies to --identity morphism only, not '{identity}'\n")
+
+
 def test_lemmas_random_on_family(files, capsys):
     code = run(["lemmas", "--mikheev", "--lambda", "2/1", "--xi", "3/1",
                 "--strategy", "random", "--points", "5", "--seed", "7"])

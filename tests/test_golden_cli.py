@@ -7,6 +7,15 @@ was declared in one place, and is never regenerated: a refactoring that
 changes a report, an error text or the order of either fails here.  The file
 also holds the ``to_dict()`` of one failing operator report with a probe
 index, which no CLI call on valid input prints.
+
+Five records were rewritten once, as a declared change of witnesses, when
+the witness search dropped its random points for the degree grid alone and
+a failing ``generic`` check took the witness of ``subset`` at cap dim:
+``lemmas-twist-generic``, ``lemmas-scaled-generic`` and
+``check-xyy-generic`` (xyy's witness point went from 21 nonzero
+coordinates to 3), ``lemmas-twist-subset`` (the point and value on the same
+combo) and ``probe_report`` (the point and value; the probe is still 2).
+Verdicts, ``points`` and exit codes did not change.
 """
 
 import json

@@ -341,36 +341,30 @@ def test_subset_failure_replays(plain_twisted):
 
 
 # Each grid witness as (point, probe, m, k): its difference is m P(t)^k e2.
-_SUBSET_GRID = {
+# generic is subset at cap dim = 2, whose first failing combo is K = 1's.
+_GRID = {
     "xyy": ({"t": 90, "x_1": 1, "y_1": 2}, None, 4, 2),
     "eq1": ({"a_1": 2, "t": 90}, 0, 4, 2),
     "linearized": ({"t": 90, "x_1": 1, "y_1": 1, "z_1": 1}, None, 2, 2),
-}
-_GENERIC_GRID = {
-    "xyy": ({"t": 90, "x_1": 1, "x_2": 1, "y_1": 2, "y_2": 0}, None, 8, 2),
-    "eq1": ({"a_1": 2, "a_2": 0, "t": 90}, 0, 4, 2),
-    "linearized": ({"t": 90, "x_1": 1, "x_2": 1, "y_1": 1, "y_2": 0, "z_1": 1, "z_2": 0},
-                   None, 4, 2),
 }
 
 
 @pytest.mark.parametrize("algebra, strategy, tags", [
     ("small_roots", "subset", {"xyy": ({"t": 45, "x_1": 1, "y_1": 2}, None, 4, 1)}),
-    ("small_roots_everywhere", "subset", _SUBSET_GRID),
-    ("small_roots_everywhere", "generic", _GENERIC_GRID),
+    ("small_roots_everywhere", "subset", _GRID),
+    ("small_roots_everywhere", "generic", _GRID),
 ])
 def test_witness_search_ends_with_a_witness(request, monkeypatch, algebra, strategy, tags):
-    # Every random point the search tries has P(t) = 0, so the witness comes
-    # from the grid over the variables of a nonzero coefficient.  The grid
-    # reads the check's own generic difference: the evaluator runs on
-    # symbolic arguments once, then at the 1000 random points and the
-    # grid's witness.
+    # P(t) vanishes at every integer in [-22, 22], and the grid, which starts
+    # at t = d_t, steps over those roots to a point where the coefficient is
+    # nonzero.  The grid reads the check's own generic difference: the
+    # evaluator runs on symbolic arguments once, then at the grid's witness.
     A = request.getfixturevalue(algebra)
     for tag, (point, probe, m, k) in tags.items():
         calls = _count_evaluations(monkeypatch, tag)
         report = verify(A, tag, strategy, subset_max=1, skip_preconditions=True)
         assert report.status == "fails"
-        assert calls == [True] + [False] * 1001, tag
+        assert calls == [True, False], tag
         coeff = m * math.prod(point["t"] - r for r in range(-22, 23)) ** k
         want = {"element": [{"index": 1, "coeff": str(coeff)}],
                 "point": {v: str(value) for v, value in point.items()}, "pair_index": 0}
@@ -406,19 +400,31 @@ def test_replay_needs_a_point(mikheev):
         replay_identity_witness(mikheev, report)
 
 
-@pytest.mark.parametrize("tag, pair_index, probe, match", [
-    ("xyy", 3, None, "pair_index 3"),
-    ("xyy", -1, None, "pair_index -1"),
-    ("eq10", 3, 0, "pair_index 3"),
-    ("eq1", 0, 99, "probe 99"),
-    ("eq1", 0, -1, "probe -1"),
+_MALFORMED = [
+    ("xyy", 3, None, {}, "pair_index 3"),
+    ("xyy", -1, None, {}, "pair_index -1"),
+    ("eq10", 3, 0, {}, "pair_index 3"),
+    ("eq1", 0, 99, {}, "probe 99"),
+    ("eq1", 0, -1, {}, "probe -1"),
+    ("xyy", 0, 5, {}, "probe 5 given for the element entry 'xyy'"),
+    ("xyy", 0, None, {"zz_9": 4}, "point names zz_9, not variables of 'xyy'"),
+    ("xyy", 0, None, {"y_14": 1}, "point names y_14, not variables of 'xyy'"),
+    ("eq1", 0, 0, {"x_1": 1, "a_14": 2}, "point names a_14, x_1, not variables of 'eq1'"),
+]
+
+
+# Each case is named by its tag, pair_index, probe and message.
+@pytest.mark.parametrize("tag, pair_index, probe, extra, match", [
+    pytest.param(*case, id="-".join(map(str, case[:3] + case[4:]))) for case in _MALFORMED
 ])
-def test_replay_rejects_a_malformed_witness(plain_twisted, tag, pair_index, probe, match):
-    # A real witness's point, with a pair the entry does not have or a
-    # probe outside the basis.
+def test_replay_rejects_a_malformed_witness(plain_twisted, tag, pair_index, probe, extra, match):
+    # A real witness's point, with a pair the entry does not have, a probe
+    # outside the basis or on an element entry, or a variable the entry
+    # does not have on this 13-dimensional algebra.
     found = verify(plain_twisted, tag, "random", seed=1, points=5, skip_preconditions=True)
     assert found.status == FAILS
-    witness = Witness(None, point=found.witness.point, probe=probe, pair_index=pair_index)
+    witness = Witness(None, point={**found.witness.point, **extra}, probe=probe,
+                      pair_index=pair_index)
     report = CheckReport(tag, FAILS, "random", witness=witness)
     with pytest.raises(ValueError, match=match):
         replay_identity_witness(plain_twisted, report)

@@ -5,9 +5,12 @@
   ``inst.degree_bound(A)``, and the evaluation that derives it stays
   in its ring of degrees.  The random strategy reports that bound.
 * Cross-route agreement: the strategies and the equivalent entries decide
-  the same identity the same way, and every failing report replays; also
-  over algebras that hypothesis draws (dimension 1-3, int and fraction
+  the same identity the same way, a failing generic report carries the
+  witness of subset with every support, and every failing report replays;
+  also over algebras that hypothesis draws (dimension 1-3, int and fraction
   structure constants), with a fixed set of examples.
+* Small witnesses: on the identity-twisted A(7/3, -5/2) every failing
+  generic witness sets at most 4 coordinates.
 
 The seeded algebras are those of ``test_scans.py`` and ``test_subset.py``.
 Few of them satisfy the entries' preconditions, so every verification here
@@ -26,6 +29,7 @@ from homalt.proof_replay import (
     verify,
 )
 from homalt.scalars import degree
+from test_metamorphic import _refute_algebra
 from test_scans import random_algebra as scan_algebra
 from test_subset import CHAINS, random_algebra as subset_algebra
 
@@ -136,10 +140,13 @@ def test_inputs_cover_both_verdicts(verdicts):
 
 
 def test_subset_with_every_support_agrees_with_generic(verdicts):
-    # K = dim admits every support, so subset covers what generic covers.
+    # K = dim admits every support, so subset covers what generic covers,
+    # and a failing generic check carries that sweep's witness.
     for (label, tag, route), report in verdicts.items():
         if route == "subset":
-            assert report.status == verdicts[label, tag, "generic"].status, (label, tag)
+            generic = verdicts[label, tag, "generic"]
+            assert report.status == generic.status, (label, tag)
+            assert report.witness == generic.witness, (label, tag)
 
 
 def test_random_never_fails_where_generic_holds(verdicts):
@@ -190,6 +197,7 @@ def test_routes_agree_on_drawn_algebras(A, tag, seed):
     subset = verify(A, tag, "subset", subset_max=A.dim, skip_preconditions=True)
     sampled = verify(A, tag, "random", seed=seed, points=3, skip_preconditions=True)
     assert subset.status == generic.status
+    assert subset.witness == generic.witness
     # A failing random point proves a failure; so where generic holds,
     # random passes.
     if generic.status == HOLDS:
@@ -199,3 +207,25 @@ def test_routes_agree_on_drawn_algebras(A, tag, seed):
             replayed = replay_identity_witness(A, report)
             assert replayed == report.witness.element
             assert not replayed.is_zero()
+
+
+# --- small witnesses ---
+
+# The 14 entries whose generic difference is nonzero on the identity-twisted
+# A(7/3, -5/2), which is not right Hom-alternative.
+REFUTED_TAGS = ("xyy", "linearized", "xyyz", "moufang", "eq1", "eq2", "eq2p", "eq3a", "eq3b",
+                "eq5", "eq5p", "eq6", "eq10", "eq10p")
+
+
+@pytest.fixture(scope="module")
+def refute():
+    return _refute_algebra()
+
+
+@pytest.mark.parametrize("tag", REFUTED_TAGS)
+def test_generic_witness_sets_few_coordinates(refute, tag):
+    # The witness sits on the first failing support combo, the least in
+    # support size, so a reader can check it by hand.
+    report = verify(refute, tag, "generic", skip_preconditions=True)
+    assert report.status == FAILS
+    assert 1 <= sum(value != 0 for value in report.witness.point.values()) <= 4
