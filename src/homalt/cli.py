@@ -61,14 +61,14 @@ POWER_CAP = 1000  # largest ``power --n``: the loop is linear in n
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
 
 
 def _write_text(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}")
 

@@ -1,8 +1,10 @@
-"""The identity registry: each entry declared once, with its hypotheses.
+"""The identity registry: each entry declared once, by its tag and its
+hypotheses.
 
 What an entry says is its evaluator ``_ev_<tag>`` in :mod:`homalt.laws`,
-read on first use; how it is checked, the hypotheses and the strategies,
-is :mod:`homalt.proof_replay`.
+read on first use: its docstring is the entry's statement, and its
+parameters after ``A`` name the entry's arguments.  How an entry is
+checked, the hypotheses and the strategies, is :mod:`homalt.proof_replay`.
 An entry also owns its arguments: their coordinates as variables, and the
 two routes every strategy evaluates it by, on generic arguments
 (:meth:`IdentityInstance.generic_pairs`) or at a point
@@ -15,7 +17,7 @@ no other CLI call loads this module.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Union
 
 from .homalgebra import Element, HomAlgebra, _Record, substitute_params
 from .scalars import Poly, degree
@@ -26,7 +28,7 @@ if TYPE_CHECKING:
     from .scalars import Rational, Scalar
 
     Side = Union[Element, RightOp]
-    Evaluator = Callable[[HomAlgebra, Sequence[Element]], list[tuple[Side, Side]]]
+    Evaluator = Callable[..., list[tuple[Side, Side]]]
 
 
 class PreconditionError(ValueError):
@@ -48,26 +50,33 @@ class IdentityInstance(_Record):
     algebra, the hypothesis of the Yau-twist lemma ``beta2``; that is
     multiplicativity again, and :mod:`homalt.proof_replay` reads it from
     the multiplicative scan).
-    ``evaluate(A, xs)`` returns the equation pairs on ``A`` (one per shift
-    for the shift-indexed entries): those of the constructor's ``evaluate``,
-    else of ``_ev_<tag>`` in :mod:`homalt.laws`.  Every entry's evaluator
-    calls only the operations of ``A`` that :mod:`homalt.laws` lists.
-    :meth:`arguments` names the coordinates of each argument on ``A``, and
-    :meth:`generic_pairs` and :meth:`pairs_at` run ``evaluate`` on them.
+    ``evaluate(A, x, y, ...)`` returns the equation pairs on ``A`` at one
+    element per argument (one pair per shift for the shift-indexed
+    entries): those of the constructor's ``evaluate``, else of
+    ``_ev_<tag>`` in :mod:`homalt.laws`.  Every entry's evaluator calls
+    only the operations of ``A`` that :mod:`homalt.laws` lists.
+    :attr:`var_names` are the names of its parameters after ``A``;
+    :meth:`arguments` names each argument's coordinates on ``A`` after its
+    name, and :meth:`generic_pairs` and :meth:`pairs_at` run ``evaluate``
+    on them.
     :meth:`degree_bound`, the random strategy's total-degree bound, is
     derived from one run of ``evaluate``.
     """
 
-    __slots__ = ("tag", "label", "var_names", "requires", "_evaluate")
+    __slots__ = ("tag", "requires", "_evaluate")
     _fields = __slots__[:-1] + ("evaluate",)
 
-    def __init__(self, tag: str, label: str, var_names: tuple[str, ...],
-                 requires: tuple[str, ...], evaluate: Evaluator | None = None) -> None:
+    def __init__(self, tag: str, requires: tuple[str, ...],
+                 evaluate: Evaluator | None = None) -> None:
         self.tag = tag
-        self.label = label
-        self.var_names = var_names
         self.requires = requires
         self._evaluate = evaluate
+
+    @property
+    def var_names(self) -> tuple[str, ...]:
+        """The names of ``evaluate``'s parameters after ``A``, one per argument."""
+        code = self.evaluate.__code__
+        return code.co_varnames[1:code.co_argcount]
 
     @property
     def arity(self) -> int:
@@ -101,15 +110,15 @@ class IdentityInstance(_Record):
     def generic_pairs(self, A: HomAlgebra) -> list[tuple[Side, Side]]:
         """The pairs on ``A`` itself at arguments whose coordinates are the
         indeterminates of :meth:`arguments`."""
-        return self.evaluate(A, [Element(tuple(map(Poly.variable, names)))
-                                 for names in self.arguments(A)])
+        return self.evaluate(A, *[Element(tuple(map(Poly.variable, names)))
+                                  for names in self.arguments(A)])
 
     def pairs_at(self, A: HomAlgebra, point: Mapping[str, Rational]) -> list[tuple[Side, Side]]:
         """The pairs at a point that gives values to parameters of ``A`` and
         to variables of :meth:`arguments` (a coordinate it omits is 0)."""
         xs = [Element(tuple(point.get(n, 0) for n in names)) for names in self.arguments(A)]
         A_pt = substitute_params(A, {p: point[p] for p in A.params if p in point})
-        return self.evaluate(A_pt, xs)
+        return self.evaluate(A_pt, *xs)
 
     def degree_bound(self, A: HomAlgebra) -> int:
         """A bound on the total degree, in the parameters of ``A`` and the
@@ -154,18 +163,18 @@ class _Degree:
     __rmul__ = __mul__
 
 
-def _degree_model(A: HomAlgebra, arity: int) -> tuple[HomAlgebra, list[Element]]:
+def _degree_model(A: HomAlgebra, arity: int) -> tuple[HomAlgebra | Element, ...]:
     """The arguments of an evaluator that tracks degrees on ``A``: a
     1-dimensional algebra over :class:`_Degree` whose product and twist
-    carry the largest coefficient degree of ``A.mu`` and ``A.alpha``, and
-    ``arity`` arguments of degree 1.  Each coordinate of a value there
+    carry the largest coefficient degree of ``A.mu`` and ``A.alpha``, then
+    ``arity`` elements of degree 1.  Each coordinate of a value there
     bounds the degree of every coordinate of that value on ``A``."""
     def top(rows: Mapping[object, SparseRow]) -> SparseRow:
         return ((0, _Degree(max((degree(c) for row in rows.values() for _, c in row),
                                 default=0))),)
 
     model = HomAlgebra(1, {(0, 0): top(A.mu)}, {0: top(A.alpha)})
-    return model, [Element((_Degree(1),))] * arity
+    return (model,) + (Element((_Degree(1),)),) * arity
 
 
 def _coefficients(side: Side) -> list[Scalar]:
@@ -178,63 +187,35 @@ def _coefficients(side: Side) -> list[Scalar]:
 # The hypotheses an entry can require, in checking order.
 MULT, RALT, WEAK = "multiplicative", "right-alt", "weak-morphism"
 
-# In registry order: tag, label, variables, hypotheses.  No degree is
-# typed here: IdentityInstance.degree_bound derives it from the evaluator.
+# In registry order: tag and hypotheses.  The statement and the argument
+# names are the evaluator's docstring and parameters in homalt.laws, and
+# IdentityInstance.degree_bound derives the degree from the evaluator.
 REGISTRY: tuple[IdentityInstance, ...] = (
-    IdentityInstance("xyy", "right alternativity, expanded: (xy)a(y) = a(x)(yy)",
-                     ("x", "y"), ()),
-    IdentityInstance("linearized", "Hom-associator is antisymmetric in its last two slots",
-                     ("x", "y", "z"), (RALT,)),
-    IdentityInstance("teichmuller", "five-term Hom-Teichmuller identity",
-                     ("w", "x", "y", "z"), (MULT,)),
-    IdentityInstance("xyyz", "associator absorption: (a(x), a(y), yz) = (x,y,z) a^2(y)",
-                     ("x", "y", "z"), (MULT, RALT)),
-    IdentityInstance("moufang", "right Hom-Moufang identity",
-                     ("x", "y", "z"), (MULT, RALT)),
-    IdentityInstance("beta2", "twice-twisted associator equals the associator of the twist",
-                     ("x", "y", "z"), (WEAK,)),
-    IdentityInstance("eq1", "operator right alternativity: a'a_1' = alpha (a^2)'",
-                     ("a",), (RALT,)),
-    IdentityInstance("eq2", "operator right Hom-Moufang: a'b_1'a_2' = alpha^2 ((ab)a_1)'",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("eq2p", "linearized operator right Hom-Moufang",
-                     ("a", "b", "c"), (MULT, RALT)),
-    IdentityInstance("eq3a", "superscript operator vanishes on the diagonal: a^a = 0",
-                     ("a",), (RALT,)),
-    IdentityInstance("eq3b", "superscript operator is antisymmetric: a^b + b^a = 0",
-                     ("a", "b"), (RALT,)),
-    IdentityInstance("eq5",
-                     "superscript then shifted subscript annihilates: a^b (a_2)_(b_2) = 0",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("eq5p", "linearization of the superscript/subscript annihilation",
-                     ("a", "b", "c"), (MULT, RALT)),
-    IdentityInstance("eq6", "subscript then shifted superscript is a commutator-associator",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("eq7", "subscript, right multiplication, then superscript collapses",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("eq8", "shifted (a,a,b) annihilates the commutator associator",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("eq9", "shifted (a,a,b) annihilates the commutator-product associator",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("eq10",
-                     "expansion of alpha^2 p_k' through superscript operators (k = 0,1,2)",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("eq10p",
-                     "expansion of alpha^2 p_k' through subscript operators (k = 0,1,2)",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("dpe", "two-term split of the Mikheev operator chain",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("d0", "first split term of the Mikheev operator chain vanishes",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("e0", "second split term of the Mikheev operator chain vanishes",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("prop", "the Mikheev operator chain a^b p'p_1'p_2' alpha^6 vanishes",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("theorem", "twisted Mikheev identity: alpha^6((a,a,b)^4) = 0",
-                     ("a", "b"), (MULT, RALT)),
-    IdentityInstance("mikheev_classical",
-                     "Mikheev identity (a,a,b)^4 = 0 (meaningful for injective twists)",
-                     ("a", "b"), (MULT, RALT)),
+    IdentityInstance("xyy", ()),
+    IdentityInstance("linearized", (RALT,)),
+    IdentityInstance("teichmuller", (MULT,)),
+    IdentityInstance("xyyz", (MULT, RALT)),
+    IdentityInstance("moufang", (MULT, RALT)),
+    IdentityInstance("beta2", (WEAK,)),
+    IdentityInstance("eq1", (RALT,)),
+    IdentityInstance("eq2", (MULT, RALT)),
+    IdentityInstance("eq2p", (MULT, RALT)),
+    IdentityInstance("eq3a", (RALT,)),
+    IdentityInstance("eq3b", (RALT,)),
+    IdentityInstance("eq5", (MULT, RALT)),
+    IdentityInstance("eq5p", (MULT, RALT)),
+    IdentityInstance("eq6", (MULT, RALT)),
+    IdentityInstance("eq7", (MULT, RALT)),
+    IdentityInstance("eq8", (MULT, RALT)),
+    IdentityInstance("eq9", (MULT, RALT)),
+    IdentityInstance("eq10", (MULT, RALT)),
+    IdentityInstance("eq10p", (MULT, RALT)),
+    IdentityInstance("dpe", (MULT, RALT)),
+    IdentityInstance("d0", (MULT, RALT)),
+    IdentityInstance("e0", (MULT, RALT)),
+    IdentityInstance("prop", (MULT, RALT)),
+    IdentityInstance("theorem", (MULT, RALT)),
+    IdentityInstance("mikheev_classical", (MULT, RALT)),
 )
 
 

@@ -146,13 +146,13 @@ def _support_rank(dim: int, support: tuple[int, ...]) -> int:
 def _support_patterns(A, inst, diffs) -> set[tuple[frozenset[int], ...]]:
     """Per-slot coordinate supports of the monomials of the differences: slot
     ``s`` holds each ``i`` with ``inst.arguments(A)[s][i]`` in the monomial."""
-    slot_of = {name: (s, i)
-               for s, names in enumerate(inst.arguments(A)) for i, name in enumerate(names)}
+    arguments = inst.arguments(A)
+    slot_of = {name: (s, i) for s, names in enumerate(arguments) for i, name in enumerate(names)}
     patterns = set()
     for diff in diffs:
         for c in _coefficients(diff):
             for m in c.terms if isinstance(c, Poly) else ([()] if c != 0 else []):
-                slots: list[set[int]] = [set() for _ in inst.var_names]
+                slots: list[set[int]] = [set() for _ in arguments]
                 for s, i in (slot_of[var] for var, _ in m if var in slot_of):
                     slots[s].add(i)
                 patterns.add(tuple(map(frozenset, slots)))

@@ -1,8 +1,11 @@
 """Command-line interface: flag grammar, exit codes, deterministic reports."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +299,30 @@ def test_twist_command(files, tmp_path, fam_sym, capsys):
     T = parse_algebra(out.read_text())
     assert T.mu == fam_sym.mu
     assert T.alpha == fam_sym.alpha
+
+
+def test_documents_are_utf8_under_any_locale(files, tmp_path, mikheev, fam_sym):
+    # A document is JSON, so UTF-8 whatever the locale: under the C locale
+    # a basis name written outside ASCII is read, and no read or write
+    # falls back on the locale's encoding (EncodingWarning).
+    names = ["\u00e91"] + [f"e{i}" for i in range(2, mikheev.dim + 1)]
+    doc = json.loads(serialize_algebra(mikheev, names))
+    (tmp_path / "base.alg").write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for argv in (["check", "--algebra", "base.alg", "--identity", "right-alt"],
+                 ["twist", "--algebra", "base.alg", "--morphism", files["beta"],
+                  "--out", "twisted.alg"],
+                 ["mikheev", "--out", "mikheev.alg"]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "homalt.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+    twisted = (tmp_path / "twisted.alg").read_text(encoding="utf-8")
+    assert twisted == serialize_algebra(fam_sym, names)
+    written = (tmp_path / "mikheev.alg").read_text(encoding="utf-8")
+    assert written == serialize_algebra(mikheev)
 
 
 def test_twist_rejects_non_morphism(files, tmp_path, capsys):

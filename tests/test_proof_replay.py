@@ -70,7 +70,7 @@ def test_registry_kinds(mikheev):
     x = mikheev.basis_element(0)
     kind = {}
     for inst in registry():
-        sides = {type(side) for pair in inst.evaluate(mikheev, [x] * inst.arity) for side in pair}
+        sides = {type(side) for pair in inst.evaluate(mikheev, *[x] * inst.arity) for side in pair}
         (kind[inst.tag],) = sides
     assert {tag for tag, side in kind.items() if side is Element} == {
         "xyy", "linearized", "teichmuller", "xyyz", "moufang",
@@ -112,7 +112,7 @@ def test_sweeps_that_check_nothing_are_rejected(strategy, options):
 def test_prop_evaluator_at_zero(mikheev):
     inst = get_identity("prop")
     zero = mikheev.zero()
-    pairs = inst.evaluate(mikheev, (zero, zero))
+    pairs = inst.evaluate(mikheev, zero, zero)
     assert len(pairs) == 1
     lhs, rhs = pairs[0]
     assert lhs.is_zero() and rhs.is_zero()
@@ -132,7 +132,7 @@ def test_eq6_holds_on_commutative_associative(truncated_poly):
     inst = get_identity("eq6")
     x = truncated_poly.element([1, 2, 3])
     y = truncated_poly.element([0, 1, 4])
-    lhs, rhs = inst.evaluate(truncated_poly, (x, y))[0]
+    lhs, rhs = inst.evaluate(truncated_poly, x, y)[0]
     assert lhs.is_zero() and rhs.is_zero()
 
 
@@ -313,7 +313,7 @@ def test_element_evaluators_need_only_the_operations(fam_sym, tag):
     # Every entry, element or operator, evaluates on the stand-in as on A.
     inst = get_identity(tag)
     xs = [generic_arg(fam_sym, name) for name in inst.var_names]
-    assert inst.evaluate(_Operations(fam_sym), xs) == inst.evaluate(fam_sym, xs)
+    assert inst.evaluate(_Operations(fam_sym), *xs) == inst.evaluate(fam_sym, *xs)
 
 
 def test_generic_failure_carries_replayable_point(plain_twisted):
@@ -436,10 +436,10 @@ def test_eq10_shift_consistency(fam23):
     b = A.element([3, 0, 1, 1] + [0] * 9)
     for tag in ("eq10", "eq10p"):
         inst = get_identity(tag)
-        base_pairs = inst.evaluate(A, (a, b))
+        base_pairs = inst.evaluate(A, a, b)
         assert len(base_pairs) == 3
         for k in (1, 2):
-            shifted = inst.evaluate(A, (A.shift(a, k), A.shift(b, k)))
+            shifted = inst.evaluate(A, A.shift(a, k), A.shift(b, k))
             assert base_pairs[k][0] == shifted[0][0]
             assert base_pairs[k][1] == shifted[0][1]
 

@@ -215,13 +215,48 @@ def test_replaying_a_point_witness_in_a_fresh_interpreter(inputs, plain_twisted,
     assert {"homalt.proof_replay", "homalt.laws"} <= loaded
 
 
+# Each entry's argument names, its evaluator's parameters after ``A``.  A
+# witness prints coordinate ``x_1`` of argument ``x``, so renaming a
+# parameter renames printed output.
+ARGUMENT_NAMES = {
+    "xyy": ("x", "y"),
+    "linearized": ("x", "y", "z"),
+    "teichmuller": ("w", "x", "y", "z"),
+    "xyyz": ("x", "y", "z"),
+    "moufang": ("x", "y", "z"),
+    "beta2": ("x", "y", "z"),
+    "eq1": ("a",),
+    "eq2": ("a", "b"),
+    "eq2p": ("a", "b", "c"),
+    "eq3a": ("a",),
+    "eq3b": ("a", "b"),
+    "eq5": ("a", "b"),
+    "eq5p": ("a", "b", "c"),
+    "eq6": ("a", "b"),
+    "eq7": ("a", "b"),
+    "eq8": ("a", "b"),
+    "eq9": ("a", "b"),
+    "eq10": ("a", "b"),
+    "eq10p": ("a", "b"),
+    "dpe": ("a", "b"),
+    "d0": ("a", "b"),
+    "e0": ("a", "b"),
+    "prop": ("a", "b"),
+    "theorem": ("a", "b"),
+    "mikheev_classical": ("a", "b"),
+}
+
+
 def test_rows_and_evaluators_are_one_to_one():
     entries = homalt.proof_replay.registry()
     tags = [inst.tag for inst in entries]
     evaluators = [name for name in vars(homalt.laws) if name.startswith("_ev_")]
     assert evaluators == [f"_ev_{tag}" for tag in tags]
+    assert tags == list(ARGUMENT_NAMES)
     for inst in entries:
         assert inst.evaluate is getattr(homalt.laws, f"_ev_{inst.tag}")
+        assert inst.evaluate.__doc__, inst.tag
+        assert inst.var_names == ARGUMENT_NAMES[inst.tag], inst.tag
 
 
 def _imports(module: str) -> list[tuple[ast.AST, list[ast.AST]]]:
@@ -270,7 +305,7 @@ def test_laws_import_nothing(half, mikheev):
     side = Element if half == "element_laws" else RightOp
     x = mikheev.basis_element(0)
     tags = [inst.tag for inst in homalt.proof_replay.registry()
-            if type(inst.evaluate(mikheev, [x] * inst.arity)[0][0]) is side]
+            if type(inst.evaluate(mikheev, *[x] * inst.arity)[0][0]) is side]
     assert tags
     for tag in tags:
         ops = _operations_of_a(f"_ev_{tag}", functions)

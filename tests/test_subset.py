@@ -61,7 +61,7 @@ def reference_subset(A, inst, subset_max):
     for combo in itertools.product(supports, repeat=inst.arity):
         checked += 1
         xs = _support_generics(A, inst.var_names, combo)
-        diffs = [lhs - rhs for lhs, rhs in inst.evaluate(A, xs)]
+        diffs = [lhs - rhs for lhs, rhs in inst.evaluate(A, *xs)]
         if not all(diff.is_zero() for diff in diffs):
             variables = list(A.params) + [
                 f"{prefix}_{i + 1}"
@@ -172,8 +172,7 @@ def test_comparison_covers_both_verdicts_and_late_failures(compared):
 
 def _custom(monkeypatch, tag, evaluate):
     base = get_identity(tag)
-    inst = IdentityInstance(base.tag, base.label, base.var_names, base.requires,
-                            evaluate=evaluate)
+    inst = IdentityInstance(base.tag, base.requires, evaluate=evaluate)
     registry = tuple(inst if e.tag == tag else e for e in homalt.identities.REGISTRY)
     monkeypatch.setattr(homalt.identities, "REGISTRY", registry)
 
@@ -182,8 +181,7 @@ def _custom(monkeypatch, tag, evaluate):
 def test_subset_matches_reference_with_empty_slots(monkeypatch, case):
     # Differences whose monomials leave a slot empty: an empty slot of a
     # pattern is contained in every support.
-    def evaluate(A, xs):
-        x, y = xs
+    def evaluate(A, x, y):
         if case == "x-only":
             return [(A.mul(x, A.twist_apply(x)), A.zero())]
         if case == "y-only":
@@ -208,15 +206,22 @@ def test_subset_matches_reference_with_empty_slots(monkeypatch, case):
 
 def _count_evaluations(monkeypatch, tag):
     """Record, for every call of the entry's evaluator, whether its
-    arguments have symbolic coordinates."""
+    arguments have symbolic coordinates.  The stand-in names the entry's
+    own arguments, so its coordinates keep their names in a witness."""
     inst = get_identity(tag)
     calls = []
 
-    def counting(A, xs):
+    def counted(A, *xs):
         calls.append(any(isinstance(c, Poly) for x in xs for c in x.coords))
-        return inst.evaluate(A, xs)
+        return inst.evaluate(A, *xs)
 
-    _custom(monkeypatch, tag, counting)
+    stand_ins = {
+        ("a",): lambda A, a: counted(A, a),
+        ("a", "b"): lambda A, a, b: counted(A, a, b),
+        ("x", "y"): lambda A, x, y: counted(A, x, y),
+        ("x", "y", "z"): lambda A, x, y, z: counted(A, x, y, z),
+    }
+    _custom(monkeypatch, tag, stand_ins[inst.var_names])
     return calls
 
 
