@@ -16,7 +16,8 @@ fails (a witness is printed), 2 on bad input, a ValueError (identity
 preconditions the algebra does not satisfy included), on usage errors and
 on output that cannot be written: an ``--out`` file, or stdout closed by its
 reader.  With ``--format json`` output is byte-deterministic for fixed
-inputs; the random strategy then requires an explicit ``--seed``.
+inputs; the random strategy then requires an explicit ``--seed``.  Files,
+printed text and ``--element`` are UTF-8 whatever the locale.
 
 A call loads only what it runs.  ``homalt.catalog`` is imported only by the
 commands that build the built-in algebra (``--mikheev``, ``mikheev``,
@@ -64,6 +65,19 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _utf8_argument(value: str) -> str:
+    """A command-line value read as UTF-8, the encoding of documents.  The
+    interpreter decodes argv in the locale's encoding and keeps each byte it
+    cannot decode as a lone surrogate, so the value is encoded back to its
+    bytes first; a value the locale cannot encode was passed to :func:`run`
+    as text, not read from argv."""
+    try:
+        raw = os.fsencode(value)
+    except UnicodeEncodeError:
+        return value
+    return raw.decode("utf-8", "surrogateescape")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -249,7 +263,7 @@ def _cmd_power(args) -> int:
     if args.n > POWER_CAP:
         raise ValueError(f"--n must be at most {POWER_CAP}")
     # argparse drops the attached value of ``--element=--`` and stores [].
-    expr = args.element if isinstance(args.element, str) else "--"
+    expr = _utf8_argument(args.element) if isinstance(args.element, str) else "--"
     x = parse_element_expr(expr, doc.basis_names)
     result = doc.algebra.hom_power(x, args.n)
     if args.format == "json":
@@ -413,8 +427,11 @@ def _output_error(exc: OSError) -> int:
 def main() -> None:
     """Run the command line, flush its output and end the process with
     ``os._exit``: freeing every object at interpreter teardown would only
-    cost time.  An exception escaping :func:`run` still ends in a traceback
-    and exit 1."""
+    cost time.  Output is UTF-8, as documents are, whatever the locale; each
+    stream keeps its error handler.  An exception escaping :func:`run`
+    still ends in a traceback and exit 1."""
+    for stream in (sys.stdout, sys.stderr):
+        stream.reconfigure(encoding="utf-8", errors=stream.errors)
     code = run(sys.argv[1:])
     try:
         sys.stdout.flush()

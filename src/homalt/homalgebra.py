@@ -21,9 +21,9 @@ Hom-alternative when ``(x, x, y) = 0``.  Hom-powers follow
 powers: ``twist_power(n)`` composes the rows of ``alpha^n`` once, from
 ``alpha^(n-1)``, and ``shift`` and :func:`homalt.operators.alpha_op` read it.
 The operator calculus on an algebra, ``right_mul_op``, ``alpha_op``,
-``compose``, ``zero_op``, ``op_sup`` and ``op_sub``, is a set of methods too:
-each calls the function of its name in :mod:`homalt.operators`, looked up
-when it runs, and imports that module on first use.
+``compose``, ``op_sup`` and ``op_sub``, is a set of methods too: each
+calls the function of its name in :mod:`homalt.operators`, looked up when
+it runs, and imports that module on first use.
 
 Two sparse kernels do all arithmetic on the tables: :func:`_add_product`
 every bilinear product, reading ``mu`` through the index by left factor
@@ -357,9 +357,6 @@ class HomAlgebra(_Record):
     def compose(self, *ops: RightOp) -> RightOp:
         return _operators().compose(*ops)
 
-    def zero_op(self) -> RightOp:
-        return _operators().zero_op(self.dim)
-
     def op_sup(self, a: Element, b: Element) -> RightOp:
         return _operators().op_sup(self, a, b)
 
@@ -383,9 +380,9 @@ class Witness(_Record):
 
     Exactly one of ``basis`` (a tuple of basis indices) or ``point`` (an
     assignment of rationals to variable names) locates the failure; for
-    operator identities ``probe`` is the basis index whose image row differs,
-    and for multi-equation entries ``pair_index`` selects the equation.
-    ``element`` is the nonzero difference observed there.
+    operator identities ``probe`` is the basis index whose image row is
+    nonzero, and for entries with several values ``pair_index`` selects the
+    value.  ``element`` is the nonzero element observed there.
     """
 
     _fields = ("element", "basis", "point", "probe", "pair_index")

@@ -7,8 +7,9 @@ parameters after ``A`` name the entry's arguments.  How an entry is
 checked, the hypotheses and the strategies, is :mod:`homalt.proof_replay`.
 An entry also owns its arguments: their coordinates as variables, and the
 two routes every strategy evaluates it by, on generic arguments
-(:meth:`IdentityInstance.generic_pairs`) or at a point
-(:meth:`IdentityInstance.pairs_at`).
+(:meth:`IdentityInstance.generic_values`) or at a point
+(:meth:`IdentityInstance.values_at`).  Either returns the entry's values,
+each zero exactly where the entry holds.
 This module imports only :mod:`homalt.homalgebra` and :mod:`homalt.scalars`,
 so the CLI lists the ``--identity`` choices without loading
 :mod:`homalt.proof_replay`; :class:`PreconditionError` is a ValueError, so
@@ -27,8 +28,8 @@ if TYPE_CHECKING:
     from .operators import RightOp
     from .scalars import Rational, Scalar
 
-    Side = Union[Element, RightOp]
-    Evaluator = Callable[..., list[tuple[Side, Side]]]
+    Value = Union[Element, RightOp]
+    Evaluator = Callable[..., list[Value]]
 
 
 class PreconditionError(ValueError):
@@ -50,14 +51,15 @@ class IdentityInstance(_Record):
     algebra, the hypothesis of the Yau-twist lemma ``beta2``; that is
     multiplicativity again, and :mod:`homalt.proof_replay` reads it from
     the multiplicative scan).
-    ``evaluate(A, x, y, ...)`` returns the equation pairs on ``A`` at one
-    element per argument (one pair per shift for the shift-indexed
-    entries): those of the constructor's ``evaluate``, else of
-    ``_ev_<tag>`` in :mod:`homalt.laws`.  Every entry's evaluator calls
-    only the operations of ``A`` that :mod:`homalt.laws` lists.
+    ``evaluate(A, x, y, ...)`` returns the values on ``A`` at one element
+    per argument, each zero exactly where the entry holds (one value per
+    shift for the shift-indexed entries): those of the constructor's
+    ``evaluate``, else of ``_ev_<tag>`` in :mod:`homalt.laws`.  Every
+    entry's evaluator calls only the operations of ``A`` that
+    :mod:`homalt.laws` lists.
     :attr:`var_names` are the names of its parameters after ``A``;
     :meth:`arguments` names each argument's coordinates on ``A`` after its
-    name, and :meth:`generic_pairs` and :meth:`pairs_at` run ``evaluate``
+    name, and :meth:`generic_values` and :meth:`values_at` run ``evaluate``
     on them.
     :meth:`degree_bound`, the random strategy's total-degree bound, is
     derived from one run of ``evaluate``.
@@ -107,14 +109,14 @@ class IdentityInstance(_Record):
         """The parameters of ``A``, then every argument coordinate."""
         return list(A.params) + [n for names in self.arguments(A) for n in names]
 
-    def generic_pairs(self, A: HomAlgebra) -> list[tuple[Side, Side]]:
-        """The pairs on ``A`` itself at arguments whose coordinates are the
+    def generic_values(self, A: HomAlgebra) -> list[Value]:
+        """The values on ``A`` itself at arguments whose coordinates are the
         indeterminates of :meth:`arguments`."""
         return self.evaluate(A, *[Element(tuple(map(Poly.variable, names)))
                                   for names in self.arguments(A)])
 
-    def pairs_at(self, A: HomAlgebra, point: Mapping[str, Rational]) -> list[tuple[Side, Side]]:
-        """The pairs at a point that gives values to parameters of ``A`` and
+    def values_at(self, A: HomAlgebra, point: Mapping[str, Rational]) -> list[Value]:
+        """The values at a point that gives values to parameters of ``A`` and
         to variables of :meth:`arguments` (a coordinate it omits is 0)."""
         xs = [Element(tuple(point.get(n, 0) for n in names)) for names in self.arguments(A)]
         A_pt = substitute_params(A, {p: point[p] for p in A.params if p in point})
@@ -122,12 +124,12 @@ class IdentityInstance(_Record):
 
     def degree_bound(self, A: HomAlgebra) -> int:
         """A bound on the total degree, in the parameters of ``A`` and the
-        argument coordinates, of every coefficient on either side of each
-        pair that ``evaluate`` returns on ``A``: the largest degree on a side
-        of the entry evaluated on :func:`_degree_model`."""
-        pairs = self.evaluate(*_degree_model(A, self.arity))
-        return max((c.degree for pair in pairs for side in pair for c in _coefficients(side)
-                    if c != 0), default=0)
+        argument coordinates, of every coefficient of each value that
+        ``evaluate`` returns on ``A``: the largest degree of a coefficient of
+        a value of the entry evaluated on :func:`_degree_model`."""
+        values = self.evaluate(*_degree_model(A, self.arity))
+        return max((c.degree for value in values for c in _coefficients(value) if c != 0),
+                   default=0)
 
 
 class _Degree:
@@ -177,11 +179,11 @@ def _degree_model(A: HomAlgebra, arity: int) -> tuple[HomAlgebra | Element, ...]
     return (model,) + (Element((_Degree(1),)),) * arity
 
 
-def _coefficients(side: Side) -> list[Scalar]:
+def _coefficients(value: Value) -> list[Scalar]:
     """The coordinates of an element, or the entries of an operator."""
-    if isinstance(side, Element):
-        return list(side.coords)
-    return [c for row in side.rows.values() for _, c in row]
+    if isinstance(value, Element):
+        return list(value.coords)
+    return [c for row in value.rows.values() for _, c in row]
 
 
 # The hypotheses an entry can require, in checking order.

@@ -16,8 +16,9 @@ Every entry is a statement about the algebra and its own twisting map
 alpha, and is evaluated on the algebra alone.
 
 Three strategies are offered, each a view of the entry's two evaluation
-routes, :meth:`IdentityInstance.generic_pairs` and
-:meth:`IdentityInstance.pairs_at`:
+routes, :meth:`IdentityInstance.generic_values` and
+:meth:`IdentityInstance.values_at`, whose values are zero exactly where
+the entry holds:
 
 * ``generic``  -- evaluate with fully indeterminate coordinates; complete.
   It is ``subset`` at cap ``A.dim``, which every support pattern fits.
@@ -27,9 +28,9 @@ routes, :meth:`IdentityInstance.generic_pairs` and
   and its table of twist powers is shared by every argument.
 * ``subset``   -- fully generic coordinates restricted to every support
   tuple of size at most ``subset_max`` per argument slot; complete for
-  elements of small support.  Every combo is decided from the one generic
-  difference: it fails exactly when it contains the per-slot support of
-  some monomial of that difference, so the identity is evaluated once.
+  elements of small support.  Every combo is decided from the generic
+  values: it fails exactly when it contains the per-slot support of some
+  monomial of a value, so the identity is evaluated once.
 * ``random``   -- exact evaluation at uniformly drawn integer points in
   [-10^6, 10^6] (parameters of symbolic algebras are drawn too); a pass is
   reported as ``random-pass`` with the seed, point count, and a
@@ -38,11 +39,11 @@ routes, :meth:`IdentityInstance.generic_pairs` and
 
 Failing reports carry a replayable witness: a rational point (a value for
 every parameter and argument coordinate in play, the others 0) and for
-operator identities the probe basis index whose image row differs,
-together with the nonzero difference element.  A failing ``generic`` or
-``subset`` check puts it on the first failing combo, at a point of
-:func:`_find_witness`'s grid; every point witness replays through
-:meth:`IdentityInstance.pairs_at`.
+operator identities the probe basis index whose image row is nonzero,
+together with the nonzero element of the value there.  A failing
+``generic`` or ``subset`` check puts it on the first failing combo, at a
+point of :func:`_find_witness`'s grid; every point witness replays
+through :meth:`IdentityInstance.values_at`.
 
 The corollary's element tests
 (:func:`homalt.homalgebra.smallest_alpha_exponent` among them) are checks
@@ -82,7 +83,7 @@ from .identities import (
 from .scalars import Poly, Rational, substitute, variables as scalar_variables
 
 if TYPE_CHECKING:
-    from .identities import Side
+    from .identities import Value
 
 RANDOM_BOUND = 10**6
 
@@ -90,36 +91,35 @@ RANDOM_BOUND = 10**6
 # -- witness search ------------------------------------------------------------
 
 
-def _probe_side(diff: Side, probe: int | None = None) -> tuple[Element, int | None]:
-    """Nonzero element extracted from a difference: the element itself, or
-    for an operator its row ``probe`` (by default the first nonzero row)."""
-    if isinstance(diff, Element):
-        return diff, None
+def _probe_value(value: Value, probe: int | None = None) -> tuple[Element, int | None]:
+    """The element a value points at: the value itself, or for an operator
+    its row ``probe`` (by default the first nonzero row)."""
+    if isinstance(value, Element):
+        return value, None
     if probe is None:
-        probe = min(diff.rows)
-    return _element(diff.dim, dict(diff.rows.get(probe, ()))), probe
+        probe = min(value.rows)
+    return _element(value.dim, dict(value.rows.get(probe, ()))), probe
 
 
 def _witness_at(A, inst, point: dict[str, Rational]) -> Witness | None:
     """The witness at ``point`` if the identity fails there."""
-    for idx, (lhs, rhs) in enumerate(inst.pairs_at(A, point)):
-        diff = lhs - rhs
-        if not diff.is_zero():
-            element, probe = _probe_side(diff)
+    for idx, value in enumerate(inst.values_at(A, point)):
+        if not value.is_zero():
+            element, probe = _probe_value(value)
             return Witness(element=element, point=point, probe=probe, pair_index=idx)
     return None
 
 
-def _find_witness(A, inst, diffs: Sequence[Side], variables: Sequence[str]) -> Witness:
-    """An integer point where an identity whose generic differences ``diffs``
-    fail in ``variables`` (every other coordinate 0) still fails: take the
-    first coefficient of ``diffs`` nonzero at those zeros, and the first
+def _find_witness(A, inst, values: Sequence[Value], variables: Sequence[str]) -> Witness:
+    """An integer point where an identity whose generic ``values`` fail in
+    ``variables`` (every other coordinate 0) still fails: take the first
+    coefficient of ``values`` nonzero at those zeros, and the first
     point where it is nonzero on the grid of its variables, each ``v`` over
     ``{d_v, ..., 0}`` with ``d_v`` its degree in ``v``; a polynomial that
     vanishes on that grid is zero (Alon, Combinatorial Nullstellensatz,
     1999, Lemma 2.1).  The identity is evaluated at that point only."""
     zeros = {v: 0 for v in inst.variables(A) if v not in variables}
-    at_zeros = (substitute(c, zeros) for diff in diffs for c in _coefficients(diff))
+    at_zeros = (substitute(c, zeros) for value in values for c in _coefficients(value))
     coeff = next((c for c in at_zeros if c != 0), None)
     if coeff is None:
         raise ValueError("the identity holds in these variables: no witness exists")
@@ -143,14 +143,14 @@ def _support_rank(dim: int, support: tuple[int, ...]) -> int:
             - sum(comb(dim - 1 - i, size - s) for s, i in enumerate(support)))
 
 
-def _support_patterns(A, inst, diffs) -> set[tuple[frozenset[int], ...]]:
-    """Per-slot coordinate supports of the monomials of the differences: slot
+def _support_patterns(A, inst, values) -> set[tuple[frozenset[int], ...]]:
+    """Per-slot coordinate supports of the monomials of the values: slot
     ``s`` holds each ``i`` with ``inst.arguments(A)[s][i]`` in the monomial."""
     arguments = inst.arguments(A)
     slot_of = {name: (s, i) for s, names in enumerate(arguments) for i, name in enumerate(names)}
     patterns = set()
-    for diff in diffs:
-        for c in _coefficients(diff):
+    for value in values:
+        for c in _coefficients(value):
             for m in c.terms if isinstance(c, Poly) else ([()] if c != 0 else []):
                 slots: list[set[int]] = [set() for _ in arguments]
                 for s, i in (slot_of[var] for var, _ in m if var in slot_of):
@@ -163,8 +163,8 @@ def _verify_subset(A, inst, subset_max: int) -> CheckReport:
     """Decide the support combos as a view of the one generic evaluation.
 
     The sweep is every combo of supports of size 1 to ``subset_max`` per
-    slot, in the order of their support ranks.  A combo's difference is the
-    generic one with the coordinates outside it set to 0, so it fails
+    slot, in the order of their support ranks.  A combo's values are the
+    generic ones with the coordinates outside it set to 0, so it fails
     exactly when it contains, slot by slot, the support of a monomial (a
     pattern).  The first combo holding a pattern takes the pattern's own
     support in each slot, or ``(0,)`` where it is empty; the least of these
@@ -173,8 +173,8 @@ def _verify_subset(A, inst, subset_max: int) -> CheckReport:
     one generic evaluation even when the first combo fails, which on dense
     structure constants is far more than that combo.
     """
-    diffs = [lhs - rhs for lhs, rhs in inst.generic_pairs(A)]
-    patterns = [p for p in _support_patterns(A, inst, diffs) if max(map(len, p)) <= subset_max]
+    values = inst.generic_values(A)
+    patterns = [p for p in _support_patterns(A, inst, values) if max(map(len, p)) <= subset_max]
     supports = sum(comb(A.dim, k) for k in range(1, min(subset_max, A.dim) + 1))
     if not patterns:
         return CheckReport(inst.tag, HOLDS, "subset", points=supports ** inst.arity)
@@ -187,7 +187,7 @@ def _verify_subset(A, inst, subset_max: int) -> CheckReport:
     variables = list(A.params) + [
         names[i] for names, support in zip(inst.arguments(A), combo) for i in support
     ]
-    witness = _find_witness(A, inst, diffs, variables)
+    witness = _find_witness(A, inst, values, variables)
     return CheckReport(inst.tag, FAILS, "subset", points=position(combo) + 1, witness=witness)
 
 
@@ -308,9 +308,10 @@ def verify_all(
 
 def replay_identity_witness(A: HomAlgebra, report: CheckReport) -> Element:
     """Re-evaluate a failing identity report at its stored point and return
-    the nonzero difference element (probing the recorded basis row for
-    operator identities).  ValueError for a point variable or a pair the
-    entry does not have on ``A``, or a probe off the basis or on an element."""
+    the nonzero element of the value its ``pair_index`` names (probing the
+    recorded basis row for operator identities).  ValueError for a point
+    variable or a value the entry does not have on ``A``, or a probe off the
+    basis or on an element."""
     witness = report.witness
     if witness is None or witness.point is None:
         raise ValueError("report carries no point witness")
@@ -320,14 +321,13 @@ def replay_identity_witness(A: HomAlgebra, report: CheckReport) -> Element:
     unknown = sorted(set(witness.point) - set(inst.variables(A)))
     if unknown:
         raise ValueError(f"point names {', '.join(unknown)}, not variables of {report.check!r}")
-    pairs = inst.pairs_at(A, witness.point)
+    values = inst.values_at(A, witness.point)
     index = witness.pair_index or 0
-    if index not in range(len(pairs)):
-        raise ValueError(f"pair_index {index} is not in range({len(pairs)}) for {report.check!r}")
-    lhs, rhs = pairs[index]
-    diff = lhs - rhs
-    if isinstance(diff, Element) and witness.probe is not None:
+    if index not in range(len(values)):
+        raise ValueError(f"pair_index {index} is not in range({len(values)}) for {report.check!r}")
+    value = values[index]
+    if isinstance(value, Element) and witness.probe is not None:
         raise ValueError(f"probe {witness.probe} given for the element entry {report.check!r}")
-    if not isinstance(diff, Element) and witness.probe is None:
+    if not isinstance(value, Element) and witness.probe is None:
         raise ValueError("operator witness without probe index")
-    return _probe_side(diff, witness.probe)[0]
+    return _probe_value(value, witness.probe)[0]

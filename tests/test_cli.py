@@ -191,6 +191,27 @@ def test_check_morphism_from_file(files, capsys):
     assert code == 0
 
 
+def test_check_morphism_fails_at_the_product_condition(files, tmp_path, capsys):
+    # f doubles e1 and kills the rest, so f(e1 e1) - f(e1) f(e1) = -4 e3: the
+    # weak-morphism scan fails first, and its witness is the morphism's.
+    path = tmp_path / "double.mor"
+    path.write_text(serialize_morphism({0: ((0, 2),)}, 13))
+    code = run(["check", "--algebra", files["mikheev"], "--identity", "morphism",
+                "--morphism", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert captured.out == (f"{'morphism':<20} {'fails':<12} strategy=basis\n"
+                            "    witness basis: (e1, e1)\n"
+                            "    witness value: -4*e3\n")
+
+
+def test_lemmas_refuses_the_basis_strategy(files, capsys):
+    code = run(["lemmas", "--algebra", files["mikheev"], "--strategy", "basis"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: the basis strategy applies to structural checks only\n"
+
+
 def test_check_morphism_dimension_mismatch(files, tmp_path, capsys):
     # check and twist share one morphism loader: a 2-dim morphism is no map
     # on a 13-dim algebra.
@@ -301,24 +322,32 @@ def test_twist_command(files, tmp_path, fam_sym, capsys):
     assert T.alpha == fam_sym.alpha
 
 
-def test_documents_are_utf8_under_any_locale(files, tmp_path, mikheev, fam_sym):
+def test_documents_are_utf8_under_any_locale(files, tmp_path, mikheev, fam_sym,
+                                             monkeypatch, capsys):
     # A document is JSON, so UTF-8 whatever the locale: under the C locale
-    # a basis name written outside ASCII is read, and no read or write
-    # falls back on the locale's encoding (EncodingWarning).
+    # a basis name written outside ASCII is read, printed as UTF-8 and read
+    # from --element as UTF-8, and no read or write falls back on the
+    # locale's encoding (EncodingWarning).  What a child prints there is the
+    # UTF-8 of what the same call prints in process.
     names = ["\u00e91"] + [f"e{i}" for i in range(2, mikheev.dim + 1)]
     doc = json.loads(serialize_algebra(mikheev, names))
     (tmp_path / "base.alg").write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
     env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    for argv in (["check", "--algebra", "base.alg", "--identity", "right-alt"],
-                 ["twist", "--algebra", "base.alg", "--morphism", files["beta"],
-                  "--out", "twisted.alg"],
-                 ["mikheev", "--out", "mikheev.alg"]):
+    monkeypatch.chdir(tmp_path)
+    for argv, code in ((["check", "--algebra", "base.alg", "--identity", "right-alt"], 0),
+                       (["check", "--algebra", "base.alg", "--identity", "left-alt"], 1),
+                       (["power", "--algebra", "base.alg", "--element", names[0], "--n", "2"], 0),
+                       (["twist", "--algebra", "base.alg", "--morphism", files["beta"],
+                         "--out", "twisted.alg"], 0),
+                       (["mikheev", "--out", "mikheev.alg"], 0)):
         proc = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
              "-m", "homalt.cli", *argv],
             cwd=tmp_path, env=env, capture_output=True, timeout=120)
-        assert (proc.returncode, proc.stderr) == (0, b""), argv
+        assert (proc.returncode, proc.stderr) == (code, b""), argv
+        assert run(argv) == code
+        assert proc.stdout == capsys.readouterr().out.encode("utf-8"), argv
     twisted = (tmp_path / "twisted.alg").read_text(encoding="utf-8")
     assert twisted == serialize_algebra(fam_sym, names)
     written = (tmp_path / "mikheev.alg").read_text(encoding="utf-8")

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homalt.homalgebra import (
+    FAILS,
+    CheckReport,
     Element,
     HomAlgebra,
     apply_rows,
@@ -317,6 +319,29 @@ def test_projection_is_not_weak_morphism(mikheev):
     assert report.status == "fails"
     assert report.witness.basis == (0, 0)
     assert replay_structural_witness(mikheev, report, mikheev, rows) == report.witness.element
+
+
+def test_morphism_fails_at_the_product_condition(mikheev):
+    # f doubles e1 and kills the rest: f(e1 e1) - f(e1) f(e1) = -4 e3.
+    f = {0: ((0, 2),)}
+    report = is_morphism(mikheev, mikheev, f)
+    assert (report.check, report.status) == ("morphism", FAILS)
+    assert report.witness.basis == (0, 0)
+    assert report.witness.element == Element((0, 0, -4) + (0,) * 10)
+    assert replay_structural_witness(mikheev, report, mikheev, f) == report.witness.element
+
+
+def test_structural_replay_refuses_what_it_cannot_replay(mikheev):
+    left = is_left_hom_alternative(mikheev)
+    assert left.status == FAILS
+    with pytest.raises(ValueError, match="no basis witness"):
+        replay_structural_witness(mikheev, CheckReport("left-alt", FAILS, "basis"))
+    with pytest.raises(ValueError, match="unknown structural check 'xyy'"):
+        replay_structural_witness(mikheev, CheckReport("xyy", FAILS, "basis",
+                                                       witness=left.witness))
+    morphism = is_morphism(mikheev, mikheev, {0: ((0, 2),)})
+    with pytest.raises(ValueError, match="replaying a morphism report needs the map"):
+        replay_structural_witness(mikheev, morphism, mikheev)
 
 
 def test_morphism_dimension_mismatch(mikheev, zero_algebra):

@@ -9,10 +9,11 @@ product of operations ``row_i += row_j`` or ``row_i -= row_j``; its inverse
 applies the inverse operations in reverse order, so both stay integral.
 
 Specialization.  Substituting values for the parameters commutes with the
-ring operations, so each side of an identity on A(lambda, xi), specialized,
-is the same side on the family member at those values; and each side on
-generic arguments, specialized at a point of parameters and coordinates, is
-the side that point evaluation computes there.
+ring operations, so each value of an identity on the identity twist of
+A(lambda, xi), specialized, is the same value on the identity twist of the
+family member at those values; and each value on generic arguments,
+specialized at a point of parameters and coordinates, is the value that
+point evaluation computes there.
 
 Yau twist.  For a morphism beta of a right alternative algebra A, the
 Hom-associator of ``yau_twist(A, beta)`` is beta^2 of A's associator; the
@@ -179,30 +180,31 @@ def test_change_of_basis_keeps_registry_statuses(fam23, identity_twist, ops, see
     assert replay_identity_witness(broken, report) == report.witness.element
 
 
-def _specialize(side, point):
-    if isinstance(side, Element):
-        return side.substitute(point)
-    return RightOp(side.dim, substitute_rows(side.rows, point))
+def _specialize(value, point):
+    if isinstance(value, Element):
+        return value.substitute(point)
+    return RightOp(value.dim, substitute_rows(value.rows, point))
 
 
 @pytest.mark.parametrize("tag", identity_tags())
-def test_specialization_commutes_with_evaluation(fam_sym, tag):
-    # Sides, not differences: on A(lambda, xi) every difference is zero.
+def test_specialization_commutes_with_evaluation(plain_twisted, tag):
+    # On A(lambda, xi) every value is zero, so this runs on its identity
+    # twist, where xyy and 14 more entries have nonzero values.
     lam, xi = Fraction(2, 3), Fraction(-5, 2)
     point = {"lambda": lam, "xi": xi}
-    member = mikheev_family(FamilyParams.rational(lam, xi))
+    family = mikheev_family(FamilyParams.rational(lam, xi))
+    member = HomAlgebra(13, dict(family.mu), identity_rows(13))
     inst = get_identity(tag)
-    symbolic = inst.generic_pairs(fam_sym)
-    direct = inst.generic_pairs(member)
+    symbolic = inst.generic_values(plain_twisted)
+    direct = inst.generic_values(member)
     assert len(symbolic) == len(direct)
-    for (lhs, rhs), (lhs_at, rhs_at) in zip(symbolic, direct):
-        assert _specialize(lhs, point) == lhs_at
-        assert _specialize(rhs, point) == rhs_at
+    for value, value_at in zip(symbolic, direct):
+        assert _specialize(value, point) == value_at
 
 
 def _refute_algebra():
     """The identity-twisted A(7/3, -5/2) of the refute-witness benchmark:
-    not right Hom-alternative, so the differences of xyy and of 13 entries
+    not right Hom-alternative, so the values of xyy and of 13 entries
     that require right alternativity are nonzero there."""
     family = mikheev_family(FamilyParams.rational(Fraction(7, 3), Fraction(-5, 2)))
     return HomAlgebra(13, dict(family.mu), identity_rows(13))
@@ -210,23 +212,24 @@ def _refute_algebra():
 
 @pytest.mark.parametrize("algebra", ["family", "refute"])
 @pytest.mark.parametrize("tag", identity_tags())
-def test_point_evaluation_is_the_generic_one_specialized(fam_sym, algebra, tag):
-    # The two routes to an entry's pairs: the witness search, random and
+def test_point_evaluation_is_the_generic_one_specialized(plain_twisted, algebra, tag):
+    # The two routes to an entry's values: the witness search, random and
     # replay evaluate at a point, the generic and subset strategies on
-    # indeterminates.  Both agree once the point is substituted.
+    # indeterminates.  Both agree once the point is substituted.  "family"
+    # is the identity twist of A(lambda, xi), whose parameters the point
+    # sets too: on A(lambda, xi) itself every value is zero.
     inst = get_identity(tag)
     if algebra == "family":
-        A, point = fam_sym, {"lambda": Fraction(2, 3), "xi": Fraction(-5, 2)}
+        A, point = plain_twisted, {"lambda": Fraction(2, 3), "xi": Fraction(-5, 2)}
     else:
         A, point = _refute_algebra(), {}
     rng = random.Random(0)
     point.update((v, rng.randint(-3, 3)) for v in inst.variables(A) if v not in A.params)
-    generic = inst.generic_pairs(A)
-    at_point = inst.pairs_at(A, point)
+    generic = inst.generic_values(A)
+    at_point = inst.values_at(A, point)
     assert len(generic) == len(at_point)
-    for (lhs, rhs), (lhs_at, rhs_at) in zip(generic, at_point):
-        assert _specialize(lhs, point) == lhs_at
-        assert _specialize(rhs, point) == rhs_at
+    for value, value_at in zip(generic, at_point):
+        assert _specialize(value, point) == value_at
 
 
 @pytest.mark.parametrize("params", [

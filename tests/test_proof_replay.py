@@ -18,6 +18,7 @@ from homalt.homalgebra import (
     Witness,
     identity_rows,
     smallest_alpha_exponent,
+    yau_twist,
 )
 from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
 from homalt.operators import RightOp, alpha_op, apply, compose, op_sup, right_mul_op
@@ -70,12 +71,12 @@ def test_registry_kinds(mikheev):
     x = mikheev.basis_element(0)
     kind = {}
     for inst in registry():
-        sides = {type(side) for pair in inst.evaluate(mikheev, *[x] * inst.arity) for side in pair}
-        (kind[inst.tag],) = sides
-    assert {tag for tag, side in kind.items() if side is Element} == {
+        types = {type(value) for value in inst.evaluate(mikheev, *[x] * inst.arity)}
+        (kind[inst.tag],) = types
+    assert {tag for tag, t in kind.items() if t is Element} == {
         "xyy", "linearized", "teichmuller", "xyyz", "moufang",
         "beta2", "eq8", "eq9", "theorem", "mikheev_classical"}
-    assert {tag for tag, side in kind.items() if side is RightOp} == {
+    assert {tag for tag, t in kind.items() if t is RightOp} == {
         "eq1", "eq2", "eq2p", "eq3a", "eq3b", "eq5", "eq5p", "eq6",
         "eq7", "eq10", "eq10p", "dpe", "d0", "e0", "prop"}
 
@@ -112,10 +113,9 @@ def test_sweeps_that_check_nothing_are_rejected(strategy, options):
 def test_prop_evaluator_at_zero(mikheev):
     inst = get_identity("prop")
     zero = mikheev.zero()
-    pairs = inst.evaluate(mikheev, zero, zero)
-    assert len(pairs) == 1
-    lhs, rhs = pairs[0]
-    assert lhs.is_zero() and rhs.is_zero()
+    values = inst.evaluate(mikheev, zero, zero)
+    assert len(values) == 1
+    assert values[0].is_zero()
 
 
 def test_eq5_random_pass(fam23):
@@ -132,8 +132,7 @@ def test_eq6_holds_on_commutative_associative(truncated_poly):
     inst = get_identity("eq6")
     x = truncated_poly.element([1, 2, 3])
     y = truncated_poly.element([0, 1, 4])
-    lhs, rhs = inst.evaluate(truncated_poly, x, y)[0]
-    assert lhs.is_zero() and rhs.is_zero()
+    assert inst.evaluate(truncated_poly, x, y)[0].is_zero()
 
 
 def test_theorem_generic_on_small_algebras(truncated_poly, upper_triangular):
@@ -292,10 +291,10 @@ def test_random_beta2_points_build_no_twist(monkeypatch, params, work):
     assert calls == Counter(work)
 
 
-# The operations of A that an entry's evaluator may call: seven on elements,
+# The operations of A that an entry's evaluator may call: six on elements,
 # then the operator calculus.
-OPERATIONS = ("mul", "twist_apply", "shift", "hom_associator", "commutator", "zero", "hom_power",
-              "right_mul_op", "alpha_op", "compose", "zero_op", "op_sup", "op_sub")
+OPERATIONS = ("mul", "twist_apply", "shift", "hom_associator", "commutator", "hom_power",
+              "right_mul_op", "alpha_op", "compose", "op_sup", "op_sub")
 
 
 class _Operations:
@@ -406,6 +405,7 @@ _MALFORMED = [
     ("eq10", 3, 0, {}, "pair_index 3"),
     ("eq1", 0, 99, {}, "probe 99"),
     ("eq1", 0, -1, {}, "probe -1"),
+    ("eq1", 0, None, {}, "operator witness without probe index"),
     ("xyy", 0, 5, {}, "probe 5 given for the element entry 'xyy'"),
     ("xyy", 0, None, {"zz_9": 4}, "point names zz_9, not variables of 'xyy'"),
     ("xyy", 0, None, {"y_14": 1}, "point names y_14, not variables of 'xyy'"),
@@ -431,17 +431,19 @@ def test_replay_rejects_a_malformed_witness(plain_twisted, tag, pair_index, prob
 
 
 def test_eq10_shift_consistency(fam23):
-    A = fam23
+    # On a multiplicative algebra the value for shift k at (a, b) is the
+    # first value at (alpha^k(a), alpha^k(b)).  Every value is zero on
+    # A(2, 3), so this runs on the Yau twist of its product by its alpha:
+    # multiplicative, not right Hom-alternative, and no value is zero here.
+    A = yau_twist(HomAlgebra(13, dict(fam23.mu), identity_rows(13)), fam23.alpha)
     a = A.element([1, 2, 0, 0, 1] + [0] * 8)
     b = A.element([3, 0, 1, 1] + [0] * 9)
     for tag in ("eq10", "eq10p"):
         inst = get_identity(tag)
-        base_pairs = inst.evaluate(A, a, b)
-        assert len(base_pairs) == 3
+        values = inst.evaluate(A, a, b)
+        assert len(values) == 3 and not any(value.is_zero() for value in values)
         for k in (1, 2):
-            shifted = inst.evaluate(A, A.shift(a, k), A.shift(b, k))
-            assert base_pairs[k][0] == shifted[0][0]
-            assert base_pairs[k][1] == shifted[0][1]
+            assert values[k] == inst.evaluate(A, A.shift(a, k), A.shift(b, k))[0]
 
 
 def test_theorem_agrees_with_operator_route(fam23):
@@ -470,6 +472,16 @@ def test_smallest_alpha_exponent(mikheev, fam_sym, zero_algebra):
 
     z = zero_algebra.element([1, 2, 3])
     assert smallest_alpha_exponent(zero_algebra, z, z) == 0
+
+
+def test_smallest_alpha_exponent_is_none_when_no_twist_kills():
+    # e1 e1 = -e1 + e2, e1 e2 = e2 e1 = -e1 and the identity twist: there
+    # (e2, e2, e1)^4 = e1, which no power of the twist kills.
+    mu = {(0, 0): ((0, -1), (1, 1)), (0, 1): ((0, -1),), (1, 0): ((0, -1),)}
+    A = HomAlgebra(2, mu, identity_rows(2))
+    e1, e2 = A.basis()
+    assert A.hom_power(A.hom_associator(e2, e2, e1), 4) == e1
+    assert smallest_alpha_exponent(A, e2, e1) is None
 
 
 # The degree bound on an algebra with rational structure constants: the

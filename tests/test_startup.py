@@ -274,9 +274,8 @@ def _imports(module: str) -> list[tuple[ast.AST, list[ast.AST]]]:
 
 
 # The operations of A that ``laws`` lists, by the half of it that may call them.
-ELEMENT_OPS = {"mul", "twist_apply", "shift", "hom_associator", "commutator", "zero",
-               "hom_power"}
-OPERATOR_OPS = {"right_mul_op", "alpha_op", "compose", "zero_op", "op_sup", "op_sub"}
+ELEMENT_OPS = {"mul", "twist_apply", "shift", "hom_associator", "commutator", "hom_power"}
+OPERATOR_OPS = {"right_mul_op", "alpha_op", "compose", "op_sup", "op_sub"}
 
 
 def _operations_of_a(name: str, functions: dict[str, ast.FunctionDef]) -> set[str]:
@@ -302,14 +301,14 @@ def test_laws_import_nothing(half, mikheev):
     assert _imports("laws") == []
     tree = ast.parse((SRC / "homalt" / "laws.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    side = Element if half == "element_laws" else RightOp
+    kind = Element if half == "element_laws" else RightOp
     x = mikheev.basis_element(0)
     tags = [inst.tag for inst in homalt.proof_replay.registry()
-            if type(inst.evaluate(mikheev, *[x] * inst.arity)[0][0]) is side]
+            if type(inst.evaluate(mikheev, *[x] * inst.arity)[0]) is kind]
     assert tags
     for tag in tags:
         ops = _operations_of_a(f"_ev_{tag}", functions)
-        if side is Element:
+        if kind is Element:
             assert ops <= ELEMENT_OPS, tag
         else:
             assert ops <= ELEMENT_OPS | OPERATOR_OPS and ops & OPERATOR_OPS, tag
