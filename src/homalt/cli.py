@@ -70,14 +70,9 @@ def _read_text(path: str) -> str:
 def _utf8_argument(value: str) -> str:
     """A command-line value read as UTF-8, the encoding of documents.  The
     interpreter decodes argv in the locale's encoding and keeps each byte it
-    cannot decode as a lone surrogate, so the value is encoded back to its
-    bytes first; a value the locale cannot encode was passed to :func:`run`
-    as text, not read from argv."""
-    try:
-        raw = os.fsencode(value)
-    except UnicodeEncodeError:
-        return value
-    return raw.decode("utf-8", "surrogateescape")
+    cannot decode as a lone surrogate; those bytes are read again as UTF-8,
+    and text the locale did decode is returned as it is."""
+    return value.encode("utf-8", "surrogateescape").decode("utf-8", "surrogateescape")
 
 
 def _write_text(path: str, text: str) -> None:

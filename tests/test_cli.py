@@ -354,6 +354,21 @@ def test_documents_are_utf8_under_any_locale(files, tmp_path, mikheev, fam_sym,
     assert written == serialize_algebra(mikheev)
 
 
+def test_element_text_decoded_by_the_locale_is_kept(tmp_path, mikheev, monkeypatch, capsys):
+    # Under a non-UTF-8 locale that is not ASCII, such as ISO-8859-1, the
+    # interpreter decodes --element é1 correctly; it must not be re-encoded
+    # in the locale's codec and read as UTF-8.  No such locale need be
+    # installed: the filesystem codec is replaced by Latin-1 in process.
+    names = ["é1"] + [f"e{i}" for i in range(2, mikheev.dim + 1)]
+    (tmp_path / "base.alg").write_text(serialize_algebra(mikheev, names), encoding="utf-8")
+    argv = ["power", "--algebra", str(tmp_path / "base.alg"), "--element", names[0], "--n", "2"]
+    assert run(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(os, "fsencode", lambda value: value.encode("latin-1", "surrogateescape"))
+    assert run(argv) == 0
+    assert capsys.readouterr() == expected
+
+
 def test_twist_rejects_non_morphism(files, tmp_path, capsys):
     bad = tmp_path / "bad.mor"
     bad.write_text(json.dumps({

@@ -9,11 +9,11 @@ product of operations ``row_i += row_j`` or ``row_i -= row_j``; its inverse
 applies the inverse operations in reverse order, so both stay integral.
 
 Specialization.  Substituting values for the parameters commutes with the
-ring operations, so each value of an identity on the identity twist of
-A(lambda, xi), specialized, is the same value on the identity twist of the
-family member at those values; and each value on generic arguments,
-specialized at a point of parameters and coordinates, is the value that
-point evaluation computes there.
+ring operations, so each value of an identity on the Yau twist of the
+identity twist of A(lambda, xi) by the diagonal morphism, specialized, is
+the same value on the same twist of the family member at those values; and
+each value on generic arguments, specialized at a point of parameters and
+coordinates, is the value that point evaluation computes there.
 
 Yau twist.  For a morphism beta of a right alternative algebra A, the
 Hom-associator of ``yau_twist(A, beta)`` is beta^2 of A's associator; the
@@ -186,16 +186,28 @@ def _specialize(value, point):
     return RightOp(value.dim, substitute_rows(value.rows, point))
 
 
+def _twice_twisted(params):
+    """The Yau twist of the identity twist of A(params) by the diagonal
+    morphism: its twist is that morphism, symbolic in A(lambda, xi), and its
+    Hom-associator is the morphism squared of the identity twist's, so not
+    zero.  On A(params) itself every value is zero."""
+    family = mikheev_family(params)
+    plain = HomAlgebra(13, dict(family.mu), identity_rows(13), params=family.params)
+    return yau_twist(plain, mikheev_morphism(params))
+
+
+@pytest.fixture(scope="module")
+def twice_twisted():
+    return _twice_twisted(FamilyParams.symbolic())
+
+
 @pytest.mark.parametrize("tag", identity_tags())
-def test_specialization_commutes_with_evaluation(plain_twisted, tag):
-    # On A(lambda, xi) every value is zero, so this runs on its identity
-    # twist, where xyy and 14 more entries have nonzero values.
+def test_specialization_commutes_with_evaluation(twice_twisted, tag):
     lam, xi = Fraction(2, 3), Fraction(-5, 2)
     point = {"lambda": lam, "xi": xi}
-    family = mikheev_family(FamilyParams.rational(lam, xi))
-    member = HomAlgebra(13, dict(family.mu), identity_rows(13))
+    member = _twice_twisted(FamilyParams.rational(lam, xi))
     inst = get_identity(tag)
-    symbolic = inst.generic_values(plain_twisted)
+    symbolic = inst.generic_values(twice_twisted)
     direct = inst.generic_values(member)
     assert len(symbolic) == len(direct)
     for value, value_at in zip(symbolic, direct):
@@ -212,15 +224,14 @@ def _refute_algebra():
 
 @pytest.mark.parametrize("algebra", ["family", "refute"])
 @pytest.mark.parametrize("tag", identity_tags())
-def test_point_evaluation_is_the_generic_one_specialized(plain_twisted, algebra, tag):
+def test_point_evaluation_is_the_generic_one_specialized(twice_twisted, algebra, tag):
     # The two routes to an entry's values: the witness search, random and
     # replay evaluate at a point, the generic and subset strategies on
     # indeterminates.  Both agree once the point is substituted.  "family"
-    # is the identity twist of A(lambda, xi), whose parameters the point
-    # sets too: on A(lambda, xi) itself every value is zero.
+    # is the twice twisted A(lambda, xi), whose parameters the point sets too.
     inst = get_identity(tag)
     if algebra == "family":
-        A, point = plain_twisted, {"lambda": Fraction(2, 3), "xi": Fraction(-5, 2)}
+        A, point = twice_twisted, {"lambda": Fraction(2, 3), "xi": Fraction(-5, 2)}
     else:
         A, point = _refute_algebra(), {}
     rng = random.Random(0)
