@@ -69,25 +69,14 @@ DIM = 13
 
 
 class FamilyParams(_Record):
-    """Parameter pair for the twisted family.
+    """Parameter pair for the twisted family, rational or symbolic.
+    Degenerate pairs (a parameter zero, or both equal) are allowed."""
 
-    ``validity`` records whether the family's distinguishing conditions
-    (both parameters nonzero and distinct) are certifiable: ``certified`` or
-    ``violated`` for rational parameters, ``assumed`` when either parameter
-    is symbolic.  Degenerate pairs are allowed; the flag just tracks them.
-    """
-
-    _fields = ("lam", "xi", "validity")
+    _fields = ("lam", "xi")
 
     def __init__(self, lam: Scalar, xi: Scalar) -> None:
         self.lam = lam
         self.xi = xi
-        if isinstance(lam, Poly) or isinstance(xi, Poly):
-            self.validity = "assumed"
-        elif lam != 0 and xi != 0 and lam != xi:
-            self.validity = "certified"
-        else:
-            self.validity = "violated"
 
     @classmethod
     def symbolic(cls) -> "FamilyParams":

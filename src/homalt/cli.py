@@ -4,7 +4,7 @@ Subcommands:
 
 * ``check``   -- verify one identity (registry tag or a structural check:
   right-alt, left-alt, multiplicative, morphism) on an algebra file.
-* ``lemmas``  -- run the whole identity registry on an algebra.
+* ``lemmas``  -- run the whole identity registry on an algebra file.
 * ``twist``   -- twist an algebra file along a morphism file.
 * ``mikheev`` -- write the built-in 13-dimensional algebra or its twisted
   family (rational or symbolic parameters) to a file.
@@ -15,29 +15,33 @@ Exit codes: 0 when every check holds (or random-passes), 1 when some check
 fails (a witness is printed), 2 on bad input, a ValueError (identity
 preconditions the algebra does not satisfy included), on usage errors and
 on output that cannot be written: an ``--out`` file, or stdout closed by its
-reader.  With ``--format json`` output is byte-deterministic for fixed
-inputs; the random strategy then requires an explicit ``--seed``.  Files,
-printed text and ``--element`` are UTF-8 whatever the locale.
+reader or before the call starts.  A stderr that cannot be written loses the
+error lines, not the exit code.  With ``--format json`` output is
+byte-deterministic for fixed inputs; the random strategy then requires an
+explicit ``--seed``.  Files, printed text, ``--element`` and the file names
+in error lines are UTF-8 whatever the locale.
 
-A call loads only what it runs.  ``homalt.catalog`` is imported only by the
-commands that build the built-in algebra (``--mikheev``, ``mikheev``,
-``noniso``), and ``homalt.proof_replay`` only by ``lemmas`` and by
-``check`` on a registry tag, which in turn loads the evaluators in
-``homalt.laws`` and, only for operator entries, the operator calculus in
-``homalt.operators``.  The structural scans are all in
-``homalt.homalgebra``, and the text forms of elements (``homalt.text``)
-load only for the calls that print them; algebra and morphism files are
-both read by ``homalt.algfile``, which every call loads.  The ``--identity``
-choices come from the registry in ``homalt.identities``, which only
-``check`` and ``--help`` load: :func:`build_parser` adds arguments only to
-the subcommand that the command line names.  :func:`main` flushes the output
-and ends the process with ``os._exit``, skipping interpreter teardown;
-:func:`run` returns the exit code for in-process callers.
+Every algebra a command reads is a file named by ``--algebra``; the built-in
+one is written to a file by ``mikheev``.  A call loads only what it runs.
+``homalt.catalog`` is imported only by ``mikheev`` and ``noniso``, and
+``homalt.proof_replay`` only by ``lemmas`` and by ``check`` on a registry
+tag, which in turn loads the evaluators in ``homalt.laws`` and, only for
+operator entries, the operator calculus in ``homalt.operators``.  The
+structural scans are all in ``homalt.homalgebra``, and the text forms of
+elements (``homalt.text``) load only for the calls that print them; algebra
+and morphism files are both read by ``homalt.algfile``, which every call
+loads.  The ``--identity`` choices come from the registry in
+``homalt.identities``, which only ``check`` and ``--help`` load:
+:func:`build_parser` adds arguments only to the subcommand that the command
+line names.  :func:`main` flushes the output and ends the process with
+``os._exit``, skipping interpreter teardown; :func:`run` returns the exit
+code for in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -64,7 +68,7 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot read {_utf8_argument(path)}: {exc.strerror or exc}")
 
 
 def _utf8_argument(value: str) -> str:
@@ -79,10 +83,12 @@ def _write_text(path: str, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot write {_utf8_argument(path)}: {exc.strerror or exc}")
 
 
 def _load_algebra(path: str):
+    if not path:
+        raise ValueError("--algebra needs a file name")
     return parse_document(_read_text(path))
 
 
@@ -92,37 +98,6 @@ def _load_morphism(path: str, A: HomAlgebra):
     if dim != A.dim:
         raise ValueError(f"morphism dimension {dim} does not match algebra dimension {A.dim}")
     return rows, params
-
-
-def _algebra_for_run(args) -> tuple[HomAlgebra, list[str]]:
-    """Resolve --algebra / --mikheev / --lambda / --xi / --symbolic flags:
-    a file, or the built-in algebra, never both."""
-    if args.algebra is not None:
-        if args.mikheev or args.symbolic or args.lam is not None or args.xi is not None:
-            raise ValueError("--algebra cannot be combined with --mikheev/--lambda/--xi/--symbolic")
-        if not args.algebra:
-            raise ValueError("--algebra needs a file name")
-        doc = _load_algebra(args.algebra)
-        return doc.algebra, doc.basis_names
-    if not args.mikheev:
-        raise ValueError("an algebra is required (use --algebra FILE or --mikheev)")
-    names = [f"e{i + 1}" for i in range(13)]
-    return _mikheev_variant(args), names
-
-
-def _mikheev_variant(args) -> HomAlgebra:
-    from .catalog import FamilyParams, mikheev_algebra, mikheev_family
-
-    symbolic, lam, xi = args.symbolic, args.lam, args.xi
-    if symbolic and (lam is not None or xi is not None):
-        raise ValueError("--symbolic cannot be combined with --lambda/--xi")
-    if symbolic:
-        return mikheev_family(FamilyParams.symbolic())
-    if lam is None and xi is None:
-        return mikheev_algebra()
-    if lam is None or xi is None:
-        raise ValueError("--lambda and --xi must be given together")
-    return mikheev_family(FamilyParams.rational(parse_rational(lam), parse_rational(xi)))
 
 
 def _resolve_seed(args) -> int:
@@ -180,7 +155,8 @@ def _cmd_check(args) -> int:
     identity = args.identity
     if args.morphism is not None and identity != "morphism":
         raise ValueError(f"--morphism applies to --identity morphism only, not {identity!r}")
-    A, names = _algebra_for_run(args)
+    doc = _load_algebra(args.algebra)
+    A, names = doc.algebra, doc.basis_names
     if identity in STRUCTURAL_IDS:
         if identity == "right-alt":
             report = is_right_hom_alternative(A)
@@ -212,7 +188,8 @@ def _cmd_check(args) -> int:
 def _cmd_lemmas(args) -> int:
     from .proof_replay import verify_all
 
-    A, names = _algebra_for_run(args)
+    doc = _load_algebra(args.algebra)
+    A, names = doc.algebra, doc.basis_names
     if args.strategy == "basis":
         raise ValueError("the basis strategy applies to structural checks only")
     seed = _resolve_seed(args)
@@ -243,7 +220,19 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_mikheev(args) -> int:
-    A = _mikheev_variant(args)
+    from .catalog import FamilyParams, mikheev_algebra, mikheev_family
+
+    symbolic, lam, xi = args.symbolic, args.lam, args.xi
+    if symbolic and (lam is not None or xi is not None):
+        raise ValueError("--symbolic cannot be combined with --lambda/--xi")
+    if symbolic:
+        A = mikheev_family(FamilyParams.symbolic())
+    elif lam is None and xi is None:
+        A = mikheev_algebra()
+    elif lam is None or xi is None:
+        raise ValueError("--lambda and --xi must be given together")
+    else:
+        A = mikheev_family(FamilyParams.rational(parse_rational(lam), parse_rational(xi)))
     _write_text(args.out, serialize_algebra(A))
     print(f"wrote {args.out}")
     return 0
@@ -277,17 +266,6 @@ def _cmd_noniso(args) -> int:
     return 0 if certified else 1
 
 
-def _add_algebra_source(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--algebra", metavar="FILE", help="algebra document to load")
-    sub.add_argument("--mikheev", action="store_true",
-                     help="use the built-in 13-dimensional algebra (or its family)")
-    sub.add_argument("--lambda", dest="lam", metavar="P/Q",
-                     help="first family parameter (with --mikheev)")
-    sub.add_argument("--xi", metavar="P/Q", help="second family parameter (with --mikheev)")
-    sub.add_argument("--symbolic", action="store_true",
-                     help="symbolic family parameters (with --mikheev)")
-
-
 def _add_strategy_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--strategy", choices=("basis", "generic", "subset", "random"),
                      default="random", help="verification strategy (default: random)")
@@ -315,7 +293,8 @@ class _Parser(argparse.ArgumentParser):
 def _check_arguments(check: argparse.ArgumentParser) -> None:
     from .identities import identity_tags
 
-    _add_algebra_source(check)
+    check.add_argument("--algebra", metavar="FILE", required=True,
+                       help="algebra document to load")
     check.add_argument("--identity", required=True,
                        choices=tuple(identity_tags()) + STRUCTURAL_IDS,
                        help="registry tag or structural check")
@@ -326,7 +305,8 @@ def _check_arguments(check: argparse.ArgumentParser) -> None:
 
 
 def _lemmas_arguments(lemmas: argparse.ArgumentParser) -> None:
-    _add_algebra_source(lemmas)
+    lemmas.add_argument("--algebra", metavar="FILE", required=True,
+                        help="algebra document to load")
     _add_strategy_flags(lemmas)
     lemmas.set_defaults(func=_cmd_lemmas)
 
@@ -407,24 +387,38 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:  # bad input, a PreconditionError among it
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     except OSError as exc:
         # A file's OSError is raised again as ValueError: this is stdout.
         return _output_error(exc)
 
 
-def _output_error(exc: OSError) -> int:
-    print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+def _error(message: str) -> int:
+    """Print ``error: MESSAGE`` on stderr and return the exit code, 2.  A
+    stderr whose reader is gone loses the line, not the exit code."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
     return 2
+
+
+def _output_error(exc: OSError) -> int:
+    return _error(f"cannot write output: {exc.strerror or exc}")
 
 
 def main() -> None:
     """Run the command line, flush its output and end the process with
     ``os._exit``: freeing every object at interpreter teardown would only
     cost time.  Output is UTF-8, as documents are, whatever the locale; each
-    stream keeps its error handler.  An exception escaping :func:`run`
+    stream keeps its error handler.  A process started with stdout closed
+    runs no command and exits 2; one started with stderr closed runs as
+    usual, its error lines dropped.  An exception escaping :func:`run`
     still ends in a traceback and exit 1."""
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
+    if sys.stdout is None:
+        os._exit(_output_error(OSError(errno.EBADF, os.strerror(errno.EBADF))))
     for stream in (sys.stdout, sys.stderr):
         stream.reconfigure(encoding="utf-8", errors=stream.errors)
     code = run(sys.argv[1:])
@@ -432,7 +426,10 @@ def main() -> None:
         sys.stdout.flush()
     except OSError as exc:
         code = _output_error(exc)
-    sys.stderr.flush()
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
     os._exit(code)
 
 

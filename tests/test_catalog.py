@@ -68,13 +68,9 @@ def test_morphism_at_one_one_is_identity():
     assert mikheev_morphism(FamilyParams.rational(1, 1)) == identity_rows(13)
 
 
-def test_family_params_validity():
-    assert FamilyParams.symbolic().validity == "assumed"
-    assert FamilyParams.rational(2, 3).validity == "certified"
-    assert FamilyParams.rational(Fraction(1, 2), 3).validity == "certified"
-    assert FamilyParams.rational(1, 1).validity == "violated"
-    assert FamilyParams.rational(0, 2).validity == "violated"
+def test_family_params_names():
     assert FamilyParams.symbolic().names() == ("lambda", "xi")
+    assert FamilyParams.rational(Fraction(1, 2), 3).names() == ()
 
 
 def test_family_at_one_one_is_the_base(mikheev):

@@ -239,7 +239,7 @@ def test_check_refuses_a_morphism_it_would_not_read(files, tmp_path, capsys, ide
 
 
 def test_lemmas_random_on_family(files, capsys):
-    code = run(["lemmas", "--mikheev", "--lambda", "2/1", "--xi", "3/1",
+    code = run(["lemmas", "--algebra", files["fam23"],
                 "--strategy", "random", "--points", "5", "--seed", "7"])
     assert code == 0
     out = capsys.readouterr().out
@@ -352,6 +352,18 @@ def test_documents_are_utf8_under_any_locale(files, tmp_path, mikheev, fam_sym,
     assert twisted == serialize_algebra(fam_sym, names)
     written = (tmp_path / "mikheev.alg").read_text(encoding="utf-8")
     assert written == serialize_algebra(mikheev)
+    # A file name outside ASCII is named in an error as the name's own
+    # UTF-8, not as the escapes of the bytes the locale could not decode.
+    for argv, error in (
+            (["check", "--algebra", "n\u00f6.alg", "--identity", "left-alt"],
+             "error: cannot read n\u00f6.alg: No such file or directory\n"),
+            (["mikheev", "--out", "n\u00f6/x.alg"],
+             "error: cannot write n\u00f6/x.alg: No such file or directory\n")):
+        proc = subprocess.run([sys.executable, "-m", "homalt.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", error.encode("utf-8"))
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", error)
 
 
 def test_element_text_decoded_by_the_locale_is_kept(tmp_path, mikheev, monkeypatch, capsys):
@@ -531,13 +543,20 @@ def test_missing_file(capsys):
 
 
 def test_check_needs_algebra_source(capsys):
+    # --algebra FILE is the one algebra source, and a required one.
     assert run(["check", "--identity", "right-alt"]) == 2
-    capsys.readouterr()
-    # An empty file name is refused, not read as no --algebra at all.
-    assert run(["check", "--algebra=", "--identity", "right-alt"]) == 2
-    assert capsys.readouterr().err == "error: --algebra needs a file name\n"
-    assert run(["check", "--algebra=", "--mikheev", "--identity", "right-alt"]) == 2
-    assert capsys.readouterr().err.startswith("error: --algebra cannot be combined")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "homalt check: error: the following arguments are required: --algebra\n")
+    # An empty file name is refused by every command that reads --algebra,
+    # not read as no --algebra at all nor opened as the current directory.
+    for argv in (["check", "--algebra=", "--identity", "right-alt"],
+                 ["lemmas", "--algebra="],
+                 ["twist", "--algebra=", "--morphism", "x.mor", "--out", "x.alg"],
+                 ["power", "--algebra=", "--element", "e1", "--n", "2"]):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: --algebra needs a file name\n")
 
 
 @pytest.mark.parametrize("flags", [
@@ -550,11 +569,11 @@ def test_check_needs_algebra_source(capsys):
 ], ids=" ".join)
 @pytest.mark.parametrize("command", ["check", "lemmas"])
 def test_algebra_file_excludes_the_built_in_algebra(files, capsys, command, flags):
-    # Two algebra sources are refused, not resolved by dropping one.
+    # The built-in algebra is written by `homalt mikheev`; its flags are no
+    # options of check or lemmas, so nothing runs beside an --algebra file.
     argv = [command, "--algebra", files["mikheev"], *flags,
             "--strategy", "random", "--seed", "1", "--points", "1"]
     assert run(argv + (["--identity", "xyy"] if command == "check" else [])) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: --algebra cannot be combined with "
-                            "--mikheev/--lambda/--xi/--symbolic\n")
+    assert captured.err.endswith(f"homalt: error: unrecognized arguments: {' '.join(flags)}\n")

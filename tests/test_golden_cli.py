@@ -35,7 +35,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 
 # name -> argv; a word in braces is the path of that input file.
 CASES = {
-    "lemmas-mikheev-generic": ["lemmas", "--mikheev", "--strategy", "generic", "--format", "json"],
+    "lemmas-mikheev-generic": ["lemmas", "--algebra", "{base}", "--strategy", "generic",
+                               "--format", "json"],
     "lemmas-twist-generic": ["lemmas", "--algebra", "{twist}", "--strategy", "generic"],
     "lemmas-twist-subset": ["lemmas", "--algebra", "{twist}", "--strategy", "subset",
                             "--subset-max", "1", "--format", "json"],

@@ -14,6 +14,8 @@ named.  Imports run one way, ``proof_replay`` -> ``identities`` ->
 """
 
 import ast
+import errno
+import functools
 import json
 import os
 import subprocess
@@ -95,15 +97,18 @@ def test_unknown_name_raises_attribute_error():
 # -- what a CLI call loads ---------------------------------------------------------
 
 
-def _child(argv: list[str], cwd: Path, *, stdout=subprocess.PIPE,
-           unbuffered: bool = True) -> subprocess.CompletedProcess:
-    """``python -m homalt.cli ARGV`` in a fresh interpreter."""
+def _child(argv: list[str], cwd: Path, *, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+           unbuffered: bool = True, closed: int | None = None) -> subprocess.CompletedProcess:
+    """``python -m homalt.cli ARGV`` in a fresh interpreter, started with
+    descriptor ``closed`` closed if one is given (as ``>&-`` or ``2>&-``
+    start it in a shell)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    close = None if closed is None else functools.partial(os.close, closed)
     return subprocess.run([sys.executable, "-m", "homalt.cli", *argv], cwd=cwd, env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+                          stdout=stdout, stderr=stderr, text=True, preexec_fn=close)
 
 
 def _cli_modules(argv: list[str], cwd: Path, code: int = 0) -> set[str]:
@@ -462,6 +467,63 @@ def test_closed_stdout_is_exit_2(inputs, fmt, unbuffered):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write output: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--algebra", "base.alg", "--identity", "right-alt"],
+    ["lemmas", "--algebra", "base.alg", "--strategy", "generic"],
+    ["mikheev", "--out", "closed.alg"],
+    ["twist", "--algebra", "base.alg", "--morphism", "id.mor", "--out", "closed.alg"],
+    ["power", "--algebra", "base.alg", "--element", "e1", "--n", "2"],
+    ["noniso", "--params", "2", "3", "2", "3"],
+    ["check", "--help"],
+], ids=["check", "lemmas", "mikheev", "twist", "power", "noniso", "help"])
+def test_closed_stdout_descriptor_is_exit_2(inputs, argv):
+    # Started with no stdout at all (``>&-``), a call has nowhere to report
+    # its result: it runs nothing, whatever its exit code would have been.
+    proc = _child(argv, inputs, closed=1)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write output: {os.strerror(errno.EBADF)}\n"
+    assert not (inputs / "closed.alg").exists()
+
+
+# name: (argv, exit code) of calls whose stderr is closed or unread.
+STDERR_CASES = {
+    "holds": (["check", "--algebra", "base.alg", "--identity", "right-alt"], 0),
+    "fails": (["check", "--algebra", "base.alg", "--identity", "left-alt"], 1),
+    "missing": (["check", "--algebra", "missing.alg", "--identity", "left-alt"], 2),
+    "precondition": (["check", "--algebra", "plain.alg", "--identity", "eq1", "--seed", "1"], 2),
+    "usage": (["check", "--algebra", "base.alg", "--identity", "nope"], 2),
+}
+
+
+def _assert_stderr_lost(proc: subprocess.CompletedProcess, case: str, cwd: Path) -> None:
+    """Errors are lost with stderr, never printed on stdout: the exit code
+    and stdout are those of the same call with stderr."""
+    argv, code = STDERR_CASES[case]
+    full = _child(argv, cwd)
+    assert (proc.returncode, proc.stdout) == (full.returncode, full.stdout)
+    assert proc.returncode == code
+
+
+@pytest.mark.parametrize("case", sorted(STDERR_CASES))
+def test_closed_stderr_descriptor_keeps_the_exit_code(inputs, case):
+    # ``2>&-``: the interpreter starts with no stderr at all.
+    _assert_stderr_lost(_child(STDERR_CASES[case][0], inputs, closed=2), case, inputs)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("case", ["missing", "precondition"])
+def test_unread_stderr_keeps_the_exit_code(inputs, case, unbuffered):
+    # The reader of stderr is gone before the error line is printed; a
+    # buffered stderr fails again when it is flushed at the end.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _child(STDERR_CASES[case][0], inputs, stderr=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    _assert_stderr_lost(proc, case, inputs)
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
