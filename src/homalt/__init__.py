@@ -11,7 +11,8 @@ is checked (preconditions, strategies, witness search and replay) in
 :mod:`homalt.proof_replay`, which loads only for registry checks.  The
 operator calculus, :mod:`homalt.operators`, loads only for operator
 entries.  Every basis scan and element test sits in
-:mod:`homalt.homalgebra`, beside the replay of its witnesses; printing and
+:mod:`homalt.homalgebra`, beside the replay of its witnesses; a morphism
+there is a map of one algebra into itself.  Printing and
 parsing elements, which no holding check runs, sits in :mod:`homalt.text`.
 Algebra and morphism documents are both read and written by
 :mod:`homalt.algfile`.
@@ -23,14 +24,13 @@ import importlib
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "scalars": ("Poly", "Rational", "Scalar"),
     "homalgebra": (
-        "CheckReport", "Element", "HomAlgebra", "Witness", "basis_left_zero_divisors",
-        "is_hom_nilpotent", "is_left_hom_alternative", "is_morphism", "is_multiplicative",
-        "is_right_hom_alternative", "is_weak_morphism", "smallest_alpha_exponent",
-        "substitute_params", "yau_twist",
+        "CheckReport", "Element", "HomAlgebra", "Witness", "is_hom_nilpotent",
+        "is_left_hom_alternative", "is_morphism", "is_multiplicative", "is_right_hom_alternative",
+        "is_weak_morphism", "smallest_alpha_exponent", "substitute_params", "yau_twist",
     ),
     "text": ("element_str", "parse_element_expr", "scalar_str"),
     "operators": (
-        "RightOp", "alpha_op", "apply", "compose", "op_sub", "op_sup", "right_mul_op", "zero_op",
+        "RightOp", "alpha_op", "apply", "compose", "op_sub", "op_sup", "right_mul_op",
     ),
     "catalog": (
         "FamilyParams", "family_nonisomorphism_condition", "mikheev_algebra", "mikheev_family",
@@ -39,8 +39,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "proof_replay": ("BatchResult", "verify", "verify_all"),
     "identities": ("IdentityInstance", "PreconditionError", "registry"),
     "algfile": (
-        "AlgebraFormatError", "parse_algebra", "parse_document", "parse_morphism",
-        "serialize_algebra", "serialize_morphism",
+        "AlgebraFormatError", "parse_document", "parse_morphism", "serialize_algebra",
+        "serialize_morphism",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -223,10 +223,6 @@ def parse_document(text: str) -> AlgebraDocument:
     return AlgebraDocument(HomAlgebra(dim, mu, alpha, params), basis_names)
 
 
-def parse_algebra(text: str) -> HomAlgebra:
-    return parse_document(text).algebra
-
-
 def parse_morphism(text: str) -> tuple[RowTable, int, tuple[str, ...]]:
     """Parse a morphism document into (rows, dimension, parameters)."""
     doc = _expect_obj(

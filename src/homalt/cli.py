@@ -3,7 +3,11 @@
 Subcommands:
 
 * ``check``   -- verify one identity (registry tag or a structural check:
-  right-alt, left-alt, multiplicative, morphism) on an algebra file.
+  right-alt, left-alt, multiplicative, morphism) on an algebra file.  The
+  morphism check needs ``--morphism FILE``, a map of the algebra into
+  itself, which no other check reads; ``--strategy`` (generic, subset or
+  random) is read by registry checks only, and a structural check reports
+  ``strategy=basis``.
 * ``lemmas``  -- run the whole identity registry on an algebra file.
 * ``twist``   -- twist an algebra file along a morphism file.
 * ``mikheev`` -- write the built-in 13-dimensional algebra or its twisted
@@ -22,7 +26,9 @@ explicit ``--seed``.  Files, printed text, ``--element`` and the file names
 in error lines are UTF-8 whatever the locale.
 
 Every algebra a command reads is a file named by ``--algebra``; the built-in
-one is written to a file by ``mikheev``.  A call loads only what it runs.
+one is written to a file by ``mikheev``.  An empty name given to a file
+option, ``--algebra``, ``--morphism`` or ``--out``, is bad input.  A call
+loads only what it runs.
 ``homalt.catalog`` is imported only by ``mikheev`` and ``noniso``, and
 ``homalt.proof_replay`` only by ``lemmas`` and by ``check`` on a registry
 tag, which in turn loads the evaluators in ``homalt.laws`` and, only for
@@ -64,7 +70,10 @@ STRUCTURAL_IDS = ("right-alt", "left-alt", "multiplicative", "morphism")
 POWER_CAP = 1000  # largest ``power --n``: the loop is linear in n
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, option: str) -> str:
+    """The UTF-8 text of the file an option names; an empty name is refused."""
+    if not path:
+        raise ValueError(f"{option} needs a file name")
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -80,6 +89,9 @@ def _utf8_argument(value: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write the ``--out`` file; an empty name is refused."""
+    if not path:
+        raise ValueError("--out needs a file name")
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -87,14 +99,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_algebra(path: str):
-    if not path:
-        raise ValueError("--algebra needs a file name")
-    return parse_document(_read_text(path))
+    return parse_document(_read_text(path, "--algebra"))
 
 
 def _load_morphism(path: str, A: HomAlgebra):
     """Rows and parameters of a morphism file on an algebra of ``A``'s dimension."""
-    rows, dim, params = parse_morphism(_read_text(path))
+    rows, dim, params = parse_morphism(_read_text(path, "--morphism"))
     if dim != A.dim:
         raise ValueError(f"morphism dimension {dim} does not match algebra dimension {A.dim}")
     return rows, params
@@ -153,7 +163,10 @@ def _exit_code(records: list[dict]) -> int:
 
 def _cmd_check(args) -> int:
     identity = args.identity
-    if args.morphism is not None and identity != "morphism":
+    if identity == "morphism":
+        if args.morphism is None:
+            raise ValueError("--identity morphism needs --morphism FILE")
+    elif args.morphism is not None:
         raise ValueError(f"--morphism applies to --identity morphism only, not {identity!r}")
     doc = _load_algebra(args.algebra)
     A, names = doc.algebra, doc.basis_names
@@ -165,16 +178,10 @@ def _cmd_check(args) -> int:
         elif identity == "multiplicative":
             report = is_multiplicative(A)
         else:
-            rows = _load_morphism(args.morphism, A)[0] if args.morphism else A.alpha
-            report = is_morphism(A, A, rows)
+            report = is_morphism(A, _load_morphism(args.morphism, A)[0])
     else:
         from .proof_replay import verify
 
-        if args.strategy == "basis":
-            raise ValueError(
-                "the basis strategy applies to structural checks only "
-                f"({', '.join(STRUCTURAL_IDS)})"
-            )
         seed = _resolve_seed(args)
         report = verify(
             A, identity, args.strategy, seed=seed, points=args.points,
@@ -190,8 +197,6 @@ def _cmd_lemmas(args) -> int:
 
     doc = _load_algebra(args.algebra)
     A, names = doc.algebra, doc.basis_names
-    if args.strategy == "basis":
-        raise ValueError("the basis strategy applies to structural checks only")
     seed = _resolve_seed(args)
     results = verify_all(A, args.strategy, seed=seed, points=args.points, subset_max=args.subset_max)
     records = []
@@ -267,8 +272,9 @@ def _cmd_noniso(args) -> int:
 
 
 def _add_strategy_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--strategy", choices=("basis", "generic", "subset", "random"),
-                     default="random", help="verification strategy (default: random)")
+    sub.add_argument("--strategy", choices=("generic", "subset", "random"), default="random",
+                     help="strategy of a registry check (default: random); "
+                          "structural checks scan the basis")
     sub.add_argument("--points", type=int, default=50,
                      help="sample count for the random strategy (default: 50)")
     sub.add_argument("--seed", type=int, default=None,
@@ -299,7 +305,8 @@ def _check_arguments(check: argparse.ArgumentParser) -> None:
                        choices=tuple(identity_tags()) + STRUCTURAL_IDS,
                        help="registry tag or structural check")
     check.add_argument("--morphism", metavar="FILE",
-                       help="morphism to check (identity 'morphism'; default: the twisting map)")
+                       help="map of the algebra into itself (required by, and only read for, "
+                            "identity 'morphism')")
     _add_strategy_flags(check)
     check.set_defaults(func=_cmd_check)
 

@@ -33,7 +33,8 @@ once, by the constructor that stores it.  Structural checks evaluate
 (multi)linearized forms on basis tuples, which is complete over a field of
 characteristic zero, by two scans over the sparse tables: a pair scan of
 ``f(e_i e_j) = f(e_i) f(e_j)`` (multiplicativity is f = alpha, a weak
-morphism any f) and a triple scan of the linearized alternative law, which
+morphism any linear map f of A into itself, as the paper's twisting maps
+and Yau twists are) and a triple scan of the linearized alternative law, which
 is symmetric in slots 1-2 (right) or 0-1 (left) and so scans only triples
 with that pair ordered.  Each reports the first failing tuple in
 lexicographic order with the nonzero element there, which
@@ -42,10 +43,9 @@ lexicographic order with the nonzero element there, which
 whose rows also pass a table scan of ``f(alpha(e_i)) = alpha(f(e_i))``.
 
 The paper's corollary adds conditions on single elements, tested here
-beside the Hom-power loop they share: :func:`is_hom_nilpotent`,
+beside the Hom-power loop they share: :func:`is_hom_nilpotent` and
 :func:`smallest_alpha_exponent` (the least twist that kills
-``(a, a, b)^4``) and :func:`basis_left_zero_divisors`.  The text forms of
-elements live in :mod:`homalt.text`.
+``(a, a, b)^4``).  The text forms of elements live in :mod:`homalt.text`.
 """
 
 from __future__ import annotations
@@ -123,9 +123,6 @@ class Element(_Record):
 
     def __hash__(self) -> int:
         return hash(self.coords)
-
-    def __reduce__(self):
-        return Element, (self.coords,)
 
     @property
     def dim(self) -> int:
@@ -491,16 +488,16 @@ def _first_failure(
     return CheckReport(check_id, HOLDS, "basis")
 
 
-def _pair_scan(check_id: str, A: HomAlgebra, rows: RowTable, B: HomAlgebra) -> CheckReport:
+def _pair_scan(check_id: str, A: HomAlgebra, rows: RowTable) -> CheckReport:
     """Check ``f(e_i e_j) = f(e_i) f(e_j)`` on all basis pairs of A, where f
-    has the sparse rows ``rows`` and the right-hand product is taken in B."""
+    has the sparse rows ``rows``."""
     def values():
         for i in range(A.dim):
             fi = rows.get(i, ())
             for j in range(A.dim):
                 acc: dict[int, Scalar] = {}
                 _add_image(acc, rows, A.mu.get((i, j), ()))
-                _add_product(acc, B._left_mu, fi, rows.get(j, ()), negate=True)
+                _add_product(acc, A._left_mu, fi, rows.get(j, ()), negate=True)
                 yield (i, j), acc
 
     return _first_failure(check_id, A.dim, values())
@@ -533,7 +530,7 @@ def _alternativity_scan(A: HomAlgebra, check_id: str) -> CheckReport:
 
 def is_multiplicative(A: HomAlgebra) -> CheckReport:
     """Does the twisting map preserve products on all basis pairs?"""
-    return _pair_scan("multiplicative", A, A.alpha, A)
+    return _pair_scan("multiplicative", A, A.alpha)
 
 
 def is_right_hom_alternative(A: HomAlgebra) -> CheckReport:
@@ -546,20 +543,19 @@ def is_left_hom_alternative(A: HomAlgebra) -> CheckReport:
     return _alternativity_scan(A, "left-alt")
 
 
-def is_weak_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
-    """Does ``f`` carry products of A to products of B on all basis pairs?"""
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch between algebras")
-    return _pair_scan("weak-morphism", A, normalize_rows(A.dim, f), B)
+def is_weak_morphism(A: HomAlgebra, f: RowsLike) -> CheckReport:
+    """Does the linear map ``f`` of A into itself preserve products on all
+    basis pairs?"""
+    return _pair_scan("weak-morphism", A, normalize_rows(A.dim, f))
 
 
-def is_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
-    """Weak morphism that also intertwines the twisting maps:
-    ``f(alpha_A(e_i)) = alpha_B(f(e_i))`` on every basis index.  ``f`` is
+def is_morphism(A: HomAlgebra, f: RowsLike) -> CheckReport:
+    """Weak morphism of A into itself that also commutes with the twisting
+    map: ``f(alpha(e_i)) = alpha(f(e_i))`` on every basis index.  ``f`` is
     read once and normalized once, by :func:`is_weak_morphism`; the twist
     scan reads the rows as given."""
     rows = _read_rows(f)
-    report = is_weak_morphism(A, B, rows)
+    report = is_weak_morphism(A, rows)
     if report.status == FAILS:
         return CheckReport("morphism", FAILS, "basis", witness=report.witness)
 
@@ -567,22 +563,20 @@ def is_morphism(A: HomAlgebra, B: HomAlgebra, f: RowsLike) -> CheckReport:
         for i in range(A.dim):
             acc: dict[int, Scalar] = {}
             _add_image(acc, rows, A.alpha.get(i, ()))
-            _add_image(acc, B.alpha, tuple((a, -c) for a, c in rows.get(i, ())))
+            _add_image(acc, A.alpha, tuple((a, -c) for a, c in rows.get(i, ())))
             yield (i,), acc
 
     return _first_failure("morphism", A.dim, values())
 
 
 def replay_structural_witness(
-    A: HomAlgebra,
-    report: CheckReport,
-    B: HomAlgebra | None = None,
-    f: RowsLike | None = None,
+    A: HomAlgebra, report: CheckReport, f: RowsLike | None = None
 ) -> Element:
     """Recompute the element a failing structural report points at, through
     ``mul``, ``twist_apply`` and ``hom_associator`` on basis elements,
-    independently of the scans.  A multiplicative report is replayed as a
-    weak-morphism report of alpha from A to A."""
+    independently of the scans.  A (weak-)morphism report needs its map
+    ``f``; a multiplicative report is replayed as a weak-morphism report of
+    alpha."""
     if report.witness is None or report.witness.basis is None:
         raise ValueError("report carries no basis witness")
     tup = report.witness.basis
@@ -595,18 +589,17 @@ def replay_structural_witness(
             value = value + A.hom_associator(*map(e, swapped))
         return value
     if report.check == "multiplicative":
-        B, f = A, A.alpha
+        f = A.alpha
     elif report.check not in ("weak-morphism", "morphism"):
         raise ValueError(f"unknown structural check {report.check!r}")
     elif f is None:
         raise ValueError("replaying a morphism report needs the map")
-    other = B if B is not None else A
     rows = normalize_rows(A.dim, f)
     if len(tup) == 1:
         x = e(tup[0])
-        return apply_rows(rows, A.twist_apply(x)) - other.twist_apply(apply_rows(rows, x))
+        return apply_rows(rows, A.twist_apply(x)) - A.twist_apply(apply_rows(rows, x))
     x, y = map(e, tup)
-    return apply_rows(rows, A.mul(x, y)) - other.mul(apply_rows(rows, x), apply_rows(rows, y))
+    return apply_rows(rows, A.mul(x, y)) - A.mul(apply_rows(rows, x), apply_rows(rows, y))
 
 
 # -- constructions ------------------------------------------------------------
@@ -620,7 +613,7 @@ def yau_twist(A: HomAlgebra, beta: RowsLike) -> HomAlgebra:
     is built from the rows as given, since the constructor normalizes them.
     """
     rows = _read_rows(beta)
-    report = is_weak_morphism(A, A, rows)
+    report = is_weak_morphism(A, rows)
     if not report.passed():
         pair = report.witness.basis
         raise ValueError(f"twisting map is not a weak morphism (first failing pair {pair})")
@@ -647,7 +640,11 @@ def substitute_params(A: HomAlgebra, assignment: Mapping[str, Rational]) -> HomA
 
 def _hom_powers(A: HomAlgebra, x: Element, n: int) -> Iterator[tuple[int, Element]]:
     """``(m, x^m)`` for ``m = 2 .. n``, ending after the first zero power;
-    ``alpha^(m-2)(x)`` is carried along, so alpha is applied ``n - 2`` times."""
+    ``alpha^(m-2)(x)`` is carried along, so alpha is applied ``n - 2`` times.
+    An element of another dimension raises ValueError on the first step,
+    also when ``n < 2``."""
+    if x.dim != A.dim:
+        raise ValueError("dimension mismatch between element and algebra")
     power, shifted = x, x
     for m in range(2, n + 1):
         if m > 2:
@@ -662,11 +659,9 @@ def is_hom_nilpotent(A: HomAlgebra, x: Element, nmax: int) -> int | None:
     """Least ``2 <= n <= nmax`` with ``x^n = 0`` for nonzero x, else None."""
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
-    if x.is_zero():
-        return None
     for n, power in _hom_powers(A, x, nmax):
         if power.is_zero():
-            return n
+            return None if x.is_zero() else n
     return None
 
 
@@ -679,16 +674,3 @@ def smallest_alpha_exponent(
         if A.shift(q, m).is_zero():
             return m
     return None
-
-
-def basis_left_zero_divisors(A: HomAlgebra) -> list[int]:
-    """Basis indices i with ``e_i e_j = 0`` for at least one basis j.
-
-    Sound witnesses for left zero-divisors among basis elements; the scan
-    only considers basis pairs, so it is not a complete zero-divisor test.
-    """
-    out = []
-    for i in range(A.dim):
-        if any((i, j) not in A.mu for j in range(A.dim)):
-            out.append(i)
-    return out

@@ -80,10 +80,6 @@ class RightOp(_Record):
         )
 
 
-def zero_op(dim: int) -> RightOp:
-    return RightOp(dim, {})
-
-
 def apply(x: Element, op: RightOp) -> Element:
     """Right action: the image of x under op."""
     if x.dim != op.dim:

@@ -9,7 +9,7 @@ import time
 
 from conftest import record_acceptance
 
-from homalt.algfile import parse_algebra, serialize_algebra
+from homalt.algfile import parse_document, serialize_algebra
 from homalt.catalog import (
     FamilyParams,
     family_nonisomorphism_condition,
@@ -77,7 +77,7 @@ def test_criterion_2_family_construction(mikheev, fam_sym, plain_twisted):
     def body():
         base = mikheev.with_params(("lambda", "xi"))
         rows = mikheev_morphism(FamilyParams.symbolic())
-        assert is_morphism(base, base, rows).status == "holds"
+        assert is_morphism(base, rows).status == "holds"
         assert is_multiplicative(fam_sym).status == "holds"
         assert is_right_hom_alternative(fam_sym).status == "holds"
         report = is_right_hom_alternative(plain_twisted)
@@ -161,12 +161,12 @@ def test_criterion_7_nonisomorphism(fam23):
 def test_criterion_8_serialization(mikheev, fam_sym, fam23):
     def body():
         for A in (mikheev, fam_sym):
-            again = parse_algebra(serialize_algebra(A))
+            again = parse_document(serialize_algebra(A)).algebra
             assert again.dim == A.dim
             assert again.mu == A.mu
             assert again.alpha == A.alpha
             assert again.params == A.params
-        parsed = parse_algebra(serialize_algebra(fam_sym))
+        parsed = parse_document(serialize_algebra(fam_sym)).algebra
         sub = substitute_params(parsed, {"lambda": 2, "xi": 3})
         assert sub.mu == fam23.mu
         assert sub.alpha == fam23.alpha
@@ -177,18 +177,18 @@ def test_criterion_8_serialization(mikheev, fam_sym, fam23):
 def test_criterion_9_witness_replay(mikheev, fam23, plain_twisted):
     def body():
         structural = [
-            (mikheev, is_left_hom_alternative(mikheev), None, None),
-            (plain_twisted, is_right_hom_alternative(plain_twisted), None, None),
+            (mikheev, is_left_hom_alternative(mikheev), None),
+            (plain_twisted, is_right_hom_alternative(plain_twisted), None),
         ]
         rows = dict(mikheev_morphism(FamilyParams.rational(2, 3)))
         rows[2] = ((2, 2),)
         broken_twist = HomAlgebra(13, dict(mikheev.mu), rows)
-        structural.append((broken_twist, is_multiplicative(broken_twist), None, None))
+        structural.append((broken_twist, is_multiplicative(broken_twist), None))
         proj = {0: ((0, 1),)}
-        structural.append((mikheev, is_weak_morphism(mikheev, mikheev, proj), mikheev, proj))
-        for A, report, B, f in structural:
+        structural.append((mikheev, is_weak_morphism(mikheev, proj), proj))
+        for A, report, f in structural:
             assert report.status == "fails"
-            replayed = replay_structural_witness(A, report, B, f)
+            replayed = replay_structural_witness(A, report, f)
             assert replayed == report.witness.element
             assert not replayed.is_zero()
 

@@ -11,7 +11,6 @@ from homalt.algfile import (
     DIGIT_CAP,
     EXPONENT_CAP,
     AlgebraFormatError,
-    parse_algebra,
     parse_document,
     parse_morphism,
     serialize_algebra,
@@ -26,7 +25,7 @@ from homalt.text import parse_element_expr
 
 def test_round_trip_base_algebra(mikheev):
     text = serialize_algebra(mikheev)
-    again = parse_algebra(text)
+    again = parse_document(text).algebra
     assert again.dim == mikheev.dim
     assert again.mu == mikheev.mu
     assert again.alpha == mikheev.alpha
@@ -36,14 +35,14 @@ def test_round_trip_base_algebra(mikheev):
 
 def test_round_trip_symbolic_family(fam_sym):
     text = serialize_algebra(fam_sym)
-    again = parse_algebra(text)
+    again = parse_document(text).algebra
     assert again.mu == fam_sym.mu
     assert again.alpha == fam_sym.alpha
     assert again.params == ("lambda", "xi")
 
 
 def test_substitution_after_parse_matches_direct(fam_sym, fam23):
-    parsed = parse_algebra(serialize_algebra(fam_sym))
+    parsed = parse_document(serialize_algebra(fam_sym)).algebra
     sub = substitute_params(parsed, {"lambda": 2, "xi": 3})
     assert sub.mu == fam23.mu
     assert sub.alpha == fam23.alpha
@@ -57,14 +56,14 @@ def test_basis_names_round_trip(mikheev):
 
 
 def test_serialization_is_canonical(fam23):
-    assert serialize_algebra(fam23) == serialize_algebra(parse_algebra(serialize_algebra(fam23)))
+    assert serialize_algebra(fam23) == serialize_algebra(parse_document(serialize_algebra(fam23)).algebra)
 
 
 def test_product_index_out_of_range(mikheev):
     doc = json.loads(serialize_algebra(mikheev))
     doc["products"][0]["left"] = 13
     with pytest.raises(AlgebraFormatError) as exc:
-        parse_algebra(json.dumps(doc))
+        parse_document(json.dumps(doc)).algebra
     assert "index 13 out of range" in str(exc.value)
     assert "products[0].left" in str(exc.value)
 
@@ -73,20 +72,20 @@ def test_result_index_out_of_range(mikheev):
     doc = json.loads(serialize_algebra(mikheev))
     doc["products"][0]["result"][0]["index"] = 40
     with pytest.raises(AlgebraFormatError) as exc:
-        parse_algebra(json.dumps(doc))
+        parse_document(json.dumps(doc)).algebra
     assert "out of range" in str(exc.value)
 
 
 def test_invalid_json_reports_position():
     with pytest.raises(AlgebraFormatError) as exc:
-        parse_algebra("{\n  broken")
+        parse_document("{\n  broken").algebra
     assert "line 2" in str(exc.value)
     assert "invalid JSON" in str(exc.value)
 
 
 def test_deeply_nested_json_is_a_format_error():
     with pytest.raises(AlgebraFormatError, match="document: invalid JSON: nested too deeply"):
-        parse_algebra("[" * 100_000)
+        parse_document("[" * 100_000).algebra
 
 
 def test_poly_term_coefficient_must_be_text():
@@ -94,14 +93,14 @@ def test_poly_term_coefficient_must_be_text():
         {"left": 0, "right": 0, "result": [{"index": 0, "coeff": {"poly": [{"coeff": 3}]}}]}]}
     with pytest.raises(AlgebraFormatError, match=r"products\[0\]\.result\[0\]\.coeff: bad "
                                                  r"scalar encoding: term 0: coeff must be a string"):
-        parse_algebra(json.dumps(doc))
+        parse_document(json.dumps(doc)).algebra
 
 
 def test_duplicate_product_pair(mikheev):
     doc = json.loads(serialize_algebra(mikheev))
     doc["products"].append(dict(doc["products"][0]))
     with pytest.raises(AlgebraFormatError) as exc:
-        parse_algebra(json.dumps(doc))
+        parse_document(json.dumps(doc)).algebra
     assert "duplicate product" in str(exc.value)
 
 
@@ -109,7 +108,7 @@ def test_duplicate_alpha_row(mikheev):
     doc = json.loads(serialize_algebra(mikheev))
     doc["alpha"].append(dict(doc["alpha"][0]))
     with pytest.raises(AlgebraFormatError) as exc:
-        parse_algebra(json.dumps(doc))
+        parse_document(json.dumps(doc)).algebra
     assert "duplicate twist row" in str(exc.value)
 
 
@@ -117,39 +116,39 @@ def test_undeclared_parameter_rejected(fam_sym):
     doc = json.loads(serialize_algebra(fam_sym))
     doc["parameters"] = ["lambda"]
     with pytest.raises(AlgebraFormatError) as exc:
-        parse_algebra(json.dumps(doc))
+        parse_document(json.dumps(doc)).algebra
     assert "xi" in str(exc.value)
 
 
 def test_dimension_cap():
     doc = {"dimension": 65, "products": [], "alpha": []}
     with pytest.raises(AlgebraFormatError) as exc:
-        parse_algebra(json.dumps(doc))
+        parse_document(json.dumps(doc)).algebra
     assert "cap" in str(exc.value)
     big = {"dimension": 64, "products": [], "alpha": []}
-    assert parse_algebra(json.dumps(big)).dim == 64
+    assert parse_document(json.dumps(big)).algebra.dim == 64
 
 
 def test_unknown_and_missing_keys():
     with pytest.raises(AlgebraFormatError) as exc:
-        parse_algebra(json.dumps({"dimension": 2, "products": [], "alpha": [], "extra": 1}))
+        parse_document(json.dumps({"dimension": 2, "products": [], "alpha": [], "extra": 1})).algebra
     assert "extra" in str(exc.value)
     with pytest.raises(AlgebraFormatError) as exc:
-        parse_algebra(json.dumps({"dimension": 2, "products": []}))
+        parse_document(json.dumps({"dimension": 2, "products": []})).algebra
     assert "alpha" in str(exc.value)
 
 
 def test_bad_basis_length():
     doc = {"dimension": 2, "basis": ["x"], "products": [], "alpha": []}
     with pytest.raises(AlgebraFormatError):
-        parse_algebra(json.dumps(doc))
+        parse_document(json.dumps(doc)).algebra
 
 
 def test_duplicate_basis_name():
     # A repeated name would make every element written in the basis ambiguous.
     doc = {"dimension": 3, "basis": ["a", "b", "a"], "products": [], "alpha": []}
     with pytest.raises(AlgebraFormatError) as exc:
-        parse_algebra(json.dumps(doc))
+        parse_document(json.dumps(doc)).algebra
     assert str(exc.value) == "basis[2]: duplicate basis name 'a'"
     square = HomAlgebra(2, {(0, 0): ((1, 1),)}, identity_rows(2))
     with pytest.raises(AlgebraFormatError) as exc:
@@ -160,7 +159,7 @@ def test_duplicate_basis_name():
 def test_duplicate_parameter_is_reported_at_its_first_repeat():
     names = ["p", "q", "q", "p"]
     for parse, doc in (
-        (parse_algebra, {"dimension": 1, "parameters": names, "products": [], "alpha": []}),
+        (parse_document, {"dimension": 1, "parameters": names, "products": [], "alpha": []}),
         (parse_morphism, {"dimension": 1, "parameters": names, "matrix": []}),
     ):
         with pytest.raises(AlgebraFormatError) as exc:
@@ -178,7 +177,7 @@ def test_parsing_many_parameter_names_is_fast():
     names = [f"p{i}" for i in range(40000)]
     text = serialize_algebra(HomAlgebra(1, {}, identity_rows(1), names))
     start = time.monotonic()
-    A = parse_algebra(text)
+    A = parse_document(text).algebra
     elapsed = time.monotonic() - start
     assert A.params == tuple(names)
     assert elapsed < SCALE_BUDGET_S, f"parsing {len(names)} parameter names took {elapsed:.1f}s"
@@ -194,7 +193,7 @@ def test_twist_with_many_shared_parameter_names_is_fast(tmp_path, capsys):
                 "--out", str(out)])
     elapsed = time.monotonic() - start
     assert code == 0
-    assert parse_algebra(out.read_text()).params == tuple(names)
+    assert parse_document(out.read_text()).algebra.params == tuple(names)
     assert elapsed < SCALE_BUDGET_S, f"twisting with {len(names)} parameters took {elapsed:.1f}s"
 
 
@@ -213,7 +212,7 @@ def test_basis_names_read_back_in_element_expressions():
     for name in ("x-y", "x+y", "2*x", " x", "x\t"):
         doc = {"dimension": 2, "basis": [name, "b"], "products": [], "alpha": []}
         with pytest.raises(AlgebraFormatError) as exc:
-            parse_algebra(json.dumps(doc))
+            parse_document(json.dumps(doc)).algebra
         assert exc.value.where == "basis[0]"
 
 
@@ -274,9 +273,9 @@ def test_parse_element_expr_rejects_garbage():
 
 def test_nonneg_dimension_required():
     with pytest.raises(AlgebraFormatError):
-        parse_algebra(json.dumps({"dimension": -1, "products": [], "alpha": []}))
+        parse_document(json.dumps({"dimension": -1, "products": [], "alpha": []})).algebra
     with pytest.raises(AlgebraFormatError):
-        parse_algebra(json.dumps({"dimension": "two", "products": [], "alpha": []}))
+        parse_document(json.dumps({"dimension": "two", "products": [], "alpha": []})).algebra
 
 
 def test_file_coeff_shapes():
@@ -289,7 +288,7 @@ def test_file_coeff_shapes():
         ],
         "alpha": [{"from": 0, "to": [{"index": 0, "coeff": "1/2"}]}],
     }
-    A = parse_algebra(json.dumps(doc))
+    A = parse_document(json.dumps(doc)).algebra
     t = Poly.variable("t")
     assert A.mul(A.basis_element(0), A.basis_element(0)) == A.basis_element(1).scale(2 * t**3)
     assert A.twist_apply(A.basis_element(0)) == A.basis_element(0).scale(Fraction(1, 2))
@@ -309,7 +308,7 @@ def test_boolean_exponent_is_rejected(tmp_path, capsys):
     }
     with pytest.raises(AlgebraFormatError, match=r"^products\[0\]\.result\[0\]\.coeff: "
                        r"bad scalar encoding: term 0: exponent of t must be a positive integer$"):
-        parse_algebra(json.dumps(doc))
+        parse_document(json.dumps(doc)).algebra
     path = tmp_path / "bool.alg"
     path.write_text(json.dumps(doc))
     assert run(["check", "--algebra", str(path), "--identity", "right-alt"]) == 2
@@ -332,11 +331,11 @@ def _power_document(exponent: int) -> dict:
 def test_exponent_cap(tmp_path, capsys):
     # A large exponent makes every product of a check slow, so it is refused
     # at load time, for algebra and morphism documents alike.
-    A = parse_algebra(json.dumps(_power_document(EXPONENT_CAP)))
+    A = parse_document(json.dumps(_power_document(EXPONENT_CAP))).algebra
     assert A.mu[(0, 0)] == ((0, Poly.variable("t") ** EXPONENT_CAP),)
     with pytest.raises(AlgebraFormatError, match=r"^products\[0\]\.result\[0\]\.coeff: "
                        rf"exponent {EXPONENT_CAP + 1} exceeds the supported cap of {EXPONENT_CAP}$"):
-        parse_algebra(json.dumps(_power_document(EXPONENT_CAP + 1)))
+        parse_document(json.dumps(_power_document(EXPONENT_CAP + 1))).algebra
     morphism = {"dimension": 1, "parameters": ["t"], "matrix": [
         {"from": 0, "to": [{"index": 0, "coeff": {"poly": [{"exps": {"t": EXPONENT_CAP + 1}}]}}]}]}
     with pytest.raises(AlgebraFormatError, match=r"^matrix\[0\]\.to\[0\]\.coeff: exponent"):
@@ -376,8 +375,8 @@ def test_writing_refuses_what_reading_refuses():
         serialize_morphism({}, 65)
     at_cap = HomAlgebra(1, {(0, 0): ((0, (10**DIGIT_CAP - 1) * t**EXPONENT_CAP),)},
                         identity_rows(1), ("t",))
-    assert parse_algebra(serialize_algebra(at_cap)) == at_cap
-    assert parse_algebra(serialize_algebra(HomAlgebra(64, {}, {}))).dim == 64
+    assert parse_document(serialize_algebra(at_cap)).algebra == at_cap
+    assert parse_document(serialize_algebra(HomAlgebra(64, {}, {}))).algebra.dim == 64
     for write, message in (
         (lambda: serialize_morphism({5: ((0, 1),)}, 2),
          "matrix[0].from: index 5 out of range for dimension 2"),

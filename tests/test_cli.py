@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from homalt.algfile import parse_algebra, serialize_algebra, serialize_morphism
+from homalt.algfile import parse_document, serialize_algebra, serialize_morphism
 from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
 from homalt.homalgebra import (
     CheckReport,
@@ -181,8 +181,23 @@ def test_check_rejects_basis_strategy_for_registry_ids(files, capsys):
     assert code == 2
 
 
-def test_check_morphism_defaults_to_twist_map(files, capsys):
-    assert run(["check", "--algebra", files["fam23"], "--identity", "morphism"]) == 0
+def test_basis_is_no_strategy_of_a_structural_check(files, capsys):
+    # A structural check always scans the basis and reports strategy=basis,
+    # but "basis" is no value of --strategy, which only registry checks read.
+    code = run(["check", "--algebra", files["mikheev"], "--identity", "right-alt",
+                "--strategy", "basis"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "argument --strategy: invalid choice: 'basis'" in captured.err
+
+
+def test_check_morphism_needs_its_map(files, capsys):
+    # alpha always commutes with itself, so a morphism check of alpha would
+    # be the multiplicative scan under another name: the map is required.
+    code = run(["check", "--algebra", files["fam23"], "--identity", "morphism"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: --identity morphism needs --morphism FILE\n"
 
 
 def test_check_morphism_from_file(files, capsys):
@@ -209,7 +224,7 @@ def test_lemmas_refuses_the_basis_strategy(files, capsys):
     code = run(["lemmas", "--algebra", files["mikheev"], "--strategy", "basis"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == "error: the basis strategy applies to structural checks only\n"
+    assert "argument --strategy: invalid choice: 'basis'" in captured.err
 
 
 def test_check_morphism_dimension_mismatch(files, tmp_path, capsys):
@@ -289,7 +304,7 @@ def test_json_witness_record(files, capsys):
 def test_mikheev_write_and_parse(tmp_path, fam_sym, capsys):
     out = tmp_path / "sym.alg"
     assert run(["mikheev", "--symbolic", "--out", str(out)]) == 0
-    written = parse_algebra(out.read_text())
+    written = parse_document(out.read_text()).algebra
     assert written.mu == fam_sym.mu
     assert written.alpha == fam_sym.alpha
 
@@ -297,7 +312,7 @@ def test_mikheev_write_and_parse(tmp_path, fam_sym, capsys):
 def test_mikheev_rational_variant(tmp_path, fam23, capsys):
     out = tmp_path / "a23.alg"
     assert run(["mikheev", "--lambda", "2", "--xi", "3", "--out", str(out)]) == 0
-    assert parse_algebra(out.read_text()).mu == fam23.mu
+    assert parse_document(out.read_text()).algebra.mu == fam23.mu
 
 
 def test_mikheev_flag_conflicts(tmp_path, capsys):
@@ -317,7 +332,7 @@ def test_twist_command(files, tmp_path, fam_sym, capsys):
     code = run(["twist", "--algebra", files["mikheev"], "--morphism", files["beta"],
                 "--out", str(out)])
     assert code == 0
-    T = parse_algebra(out.read_text())
+    T = parse_document(out.read_text()).algebra
     assert T.mu == fam_sym.mu
     assert T.alpha == fam_sym.alpha
 
@@ -498,7 +513,7 @@ def test_big_witnesses_print_exactly_and_replay(tmp_path, big_algebras, flags, c
     assert (code, captured.err) == (1, "")
     (rec,) = json.loads(captured.out)
     assert max(len(entry["coeff"]) for entry in rec["witness"]["element"]) > LONG
-    printed, replayed = _replay_printed(parse_algebra(path.read_text()), rec)
+    printed, replayed = _replay_printed(parse_document(path.read_text()).algebra, rec)
     assert replayed == printed and not printed.is_zero()
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
@@ -557,6 +572,24 @@ def test_check_needs_algebra_source(capsys):
                  ["power", "--algebra=", "--element", "e1", "--n", "2"]):
         assert run(argv) == 2
         assert capsys.readouterr() == ("", "error: --algebra needs a file name\n")
+
+
+@pytest.mark.parametrize("command, option", [
+    ("check", "--morphism"), ("twist", "--morphism"), ("twist", "--out"), ("mikheev", "--out"),
+], ids=["check-morphism", "twist-morphism", "twist-out", "mikheev-out"])
+def test_empty_file_names_are_refused(files, tmp_path, capsys, command, option):
+    # An empty --morphism or --out is refused as an empty --algebra is: not
+    # read as no file at all (check would test alpha), nor opened as the
+    # current directory.
+    given = {"--algebra": files["mikheev"], "--morphism": files["beta"],
+             "--out": str(tmp_path / "out.alg"), option: ""}
+    argv = {"check": ["check", "--algebra", given["--algebra"], "--identity", "morphism",
+                      "--morphism=" + given["--morphism"]],
+            "twist": ["twist", *(f"{name}={value}" for name, value in given.items())],
+            "mikheev": ["mikheev", "--out=" + given["--out"]]}[command]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {option} needs a file name\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [

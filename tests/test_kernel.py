@@ -145,7 +145,7 @@ def test_products_read_the_index_built_with_the_algebra(monkeypatch, mikheev):
     A.mul(e[0], e[1])
     for scan in (is_right_hom_alternative, is_left_hom_alternative, is_multiplicative):
         scan(A)
-    is_weak_morphism(A, A, identity_rows(A.dim))
+    is_weak_morphism(A, identity_rows(A.dim))
     assert len(seen) > 13**3 and all(by_left is index for by_left in seen)
     seen.clear()
     right_mul_op(A, e[0] + e[1])
@@ -229,5 +229,5 @@ def test_is_morphism_normalizes_each_entry_once(normalized, mikheev):
     # rows as given.
     beta = mikheev_morphism(FamilyParams.rational(2, 3))
     normalized.clear()
-    assert is_morphism(mikheev, mikheev, beta).status == "holds"
+    assert is_morphism(mikheev, beta).status == "holds"
     assert len(normalized) == sum(map(len, beta.values())) == 13

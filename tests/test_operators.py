@@ -16,7 +16,6 @@ from homalt.operators import (
     op_sub,
     op_sup,
     right_mul_op,
-    zero_op,
 )
 from homalt.proof_replay import verify, verify_all
 from homalt.scalars import Poly
@@ -114,15 +113,15 @@ def test_operator_arithmetic(mikheev):
     both = right_mul_op(mikheev, e[0] + e[1])
     assert r0 + r1 == both
     assert (r0 - r0).is_zero()
-    assert -zero_op(13) == zero_op(13)
-    assert r0 + zero_op(13) == r0
+    assert -RightOp(13, {}) == RightOp(13, {})
+    assert r0 + RightOp(13, {}) == r0
 
 
 def test_operator_dimension_mismatch(mikheev):
     with pytest.raises(ValueError):
-        compose(zero_op(2), zero_op(3))
+        compose(RightOp(2, {}), RightOp(3, {}))
     with pytest.raises(ValueError):
-        apply(Element((1, 0)), zero_op(3))
+        apply(Element((1, 0)), RightOp(3, {}))
 
 
 def test_rightop_validation():

@@ -76,6 +76,6 @@ def test_pair_scans_visit_every_pair(work, request, name):
     assert is_multiplicative(A).status == HOLDS
     assert visited == pairs
     visited.clear()
-    assert is_weak_morphism(A, A, identity_rows(A.dim)).status == HOLDS
+    assert is_weak_morphism(A, identity_rows(A.dim)).status == HOLDS
     assert visited == pairs
     assert associators == []

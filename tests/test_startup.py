@@ -27,7 +27,7 @@ import pytest
 import homalt
 import homalt.laws
 import homalt.proof_replay
-from homalt.algfile import parse_algebra, serialize_algebra, serialize_morphism
+from homalt.algfile import parse_document, serialize_algebra, serialize_morphism
 from homalt.cli import _SUBCOMMANDS, STRUCTURAL_IDS, build_parser, run
 from homalt.homalgebra import Element, identity_rows
 from homalt.operators import RightOp
@@ -73,6 +73,23 @@ def test_listing_includes_modules_loaded_through_the_package():
     # The package's __getattr__ loads ``homalt.text`` with
     # importlib.import_module: ``-X importtime`` shows no line for it.
     assert "homalt.text" in _modules_after("import homalt\nhomalt.text")
+
+
+def test_public_names_are_pinned():
+    # The public API, in full: a name is added or removed by editing this
+    # list, never as a side effect.
+    assert homalt.__all__ == [
+        "AlgebraFormatError", "BatchResult", "CheckReport", "Element", "FamilyParams",
+        "HomAlgebra", "IdentityInstance", "Poly", "PreconditionError", "Rational", "RightOp",
+        "Scalar", "Witness", "alpha_op", "apply", "compose", "element_str",
+        "family_nonisomorphism_condition", "is_hom_nilpotent", "is_left_hom_alternative",
+        "is_morphism", "is_multiplicative", "is_right_hom_alternative", "is_weak_morphism",
+        "mikheev_algebra", "mikheev_family", "mikheev_morphism", "op_sub", "op_sup",
+        "parse_document", "parse_element_expr", "parse_morphism", "registry", "right_mul_op",
+        "scalar_str", "serialize_algebra", "serialize_morphism", "smallest_alpha_exponent",
+        "spectrum_certificate", "substitute_params", "verify", "verify_all", "yau_twist",
+        "__version__",
+    ]
 
 
 def test_every_public_name_resolves():
@@ -207,10 +224,10 @@ def test_replaying_a_point_witness_in_a_fresh_interpreter(inputs, plain_twisted,
                                          skip_preconditions=True).witness
     statement = (
         "from fractions import Fraction\n"
-        "from homalt.algfile import parse_algebra\n"
+        "from homalt.algfile import parse_document\n"
         "from homalt.homalgebra import FAILS, CheckReport, Witness\n"
         "from homalt.proof_replay import replay_identity_witness\n"
-        "A = parse_algebra(open('plain.alg').read())\n"
+        "A = parse_document(open('plain.alg').read()).algebra\n"
         f"witness = Witness(None, point={witness.point!r}, probe={witness.probe!r}, "
         f"pair_index={witness.pair_index!r})\n"
         f"report = CheckReport({tag!r}, FAILS, 'generic', witness=witness)\n"
@@ -423,7 +440,7 @@ def test_child_matches_in_process_run(case, inputs, tmp_path, monkeypatch, capsy
     for name in written:
         text = (tmp_path / "child" / name).read_text()
         assert text == (tmp_path / "here" / name).read_text()
-        parse_algebra(text)
+        parse_document(text)
 
 
 def test_escaping_exception_keeps_its_traceback(tmp_path):
