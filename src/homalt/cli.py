@@ -2,12 +2,14 @@
 
 Subcommands:
 
-* ``check``   -- verify one identity (registry tag or a structural check:
-  right-alt, left-alt, multiplicative, morphism) on an algebra file.  The
-  morphism check needs ``--morphism FILE``, a map of the algebra into
-  itself, which no other check reads; ``--strategy`` (generic, subset or
-  random) is read by registry checks only, and a structural check reports
-  ``strategy=basis``.
+* ``check``   -- verify one identity on an algebra file: a registry tag,
+  or a structural check, which is morphism or a basis law of
+  :data:`homalt.homalgebra.BASIS_LAWS` (right-alt, left-alt,
+  multiplicative).  The morphism check needs ``--morphism FILE``, a map of
+  the algebra into itself, which no other check reads.  A structural check
+  scans the basis and reports ``strategy=basis``; it refuses
+  ``--strategy`` (generic, subset or random), ``--points``, ``--seed`` and
+  ``--subset-max``, which only registry checks read.
 * ``lemmas``  -- run the whole identity registry on an algebra file.
 * ``twist``   -- twist an algebra file along a morphism file.
 * ``mikheev`` -- write the built-in 13-dimensional algebra or its twisted
@@ -56,6 +58,7 @@ from typing import Sequence
 
 from .algfile import parse_document, parse_morphism, serialize_algebra
 from .homalgebra import (
+    BASIS_LAWS,
     CheckReport,
     HomAlgebra,
     is_left_hom_alternative,
@@ -66,7 +69,10 @@ from .homalgebra import (
 )
 from .scalars import encode_sparse, parse_rational
 
-STRUCTURAL_IDS = ("right-alt", "left-alt", "multiplicative", "morphism")
+STRUCTURAL_IDS = (*BASIS_LAWS, "morphism")
+# The options of a registry check and a batch, each with the value it takes
+# when not given; a structural check refuses every one of them.
+REGISTRY_DEFAULTS = {"strategy": "random", "points": 50, "seed": 0, "subset_max": 3}
 POWER_CAP = 1000  # largest ``power --n``: the loop is linear in n
 
 
@@ -110,12 +116,15 @@ def _load_morphism(path: str, A: HomAlgebra):
     return rows, params
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    if args.format == "json" and args.strategy == "random":
+def _registry_options(args) -> dict:
+    """The registry options of ``args``, those not given at their defaults,
+    as keywords of ``verify`` and ``verify_all``.  The random strategy
+    printing JSON must be given its seed."""
+    options = {key: default if getattr(args, key) is None else getattr(args, key)
+               for key, default in REGISTRY_DEFAULTS.items()}
+    if args.seed is None and args.format == "json" and options["strategy"] == "random":
         raise ValueError("--seed is required for the random strategy with --format json")
-    return 0
+    return options
 
 
 def _print_reports(reports: list[dict], fmt: str, names: list[str]) -> None:
@@ -168,25 +177,22 @@ def _cmd_check(args) -> int:
             raise ValueError("--identity morphism needs --morphism FILE")
     elif args.morphism is not None:
         raise ValueError(f"--morphism applies to --identity morphism only, not {identity!r}")
+    given = [key for key in REGISTRY_DEFAULTS if getattr(args, key) is not None]
+    if given and identity in STRUCTURAL_IDS:
+        flag = given[0].replace("_", "-")
+        raise ValueError(f"--{flag} applies to registry checks only, not {identity!r}")
     doc = _load_algebra(args.algebra)
     A, names = doc.algebra, doc.basis_names
-    if identity in STRUCTURAL_IDS:
-        if identity == "right-alt":
-            report = is_right_hom_alternative(A)
-        elif identity == "left-alt":
-            report = is_left_hom_alternative(A)
-        elif identity == "multiplicative":
-            report = is_multiplicative(A)
-        else:
-            report = is_morphism(A, _load_morphism(args.morphism, A)[0])
+    if identity == "morphism":
+        report = is_morphism(A, _load_morphism(args.morphism, A)[0])
+    elif identity in BASIS_LAWS:
+        # The scan by its name in this module, looked up when it runs, so a
+        # scan patched here is the one called.
+        report = globals()[BASIS_LAWS[identity][1]](A)
     else:
         from .proof_replay import verify
 
-        seed = _resolve_seed(args)
-        report = verify(
-            A, identity, args.strategy, seed=seed, points=args.points,
-            subset_max=args.subset_max,
-        )
+        report = verify(A, identity, **_registry_options(args))
     records = [_report_record(report, names)]
     _print_reports(records, args.format, names)
     return _exit_code(records)
@@ -197,14 +203,13 @@ def _cmd_lemmas(args) -> int:
 
     doc = _load_algebra(args.algebra)
     A, names = doc.algebra, doc.basis_names
-    seed = _resolve_seed(args)
-    results = verify_all(A, args.strategy, seed=seed, points=args.points, subset_max=args.subset_max)
+    options = _registry_options(args)
     records = []
-    for result in results:
+    for result in verify_all(A, **options):
         if result.report is not None:
             records.append(_report_record(result.report, names))
         else:
-            records.append({"id": result.tag, "status": "error", "strategy": args.strategy,
+            records.append({"id": result.tag, "status": "error", "strategy": options["strategy"],
                             "error": result.error})
     _print_reports(records, args.format, names)
     return _exit_code(records)
@@ -272,14 +277,16 @@ def _cmd_noniso(args) -> int:
 
 
 def _add_strategy_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--strategy", choices=("generic", "subset", "random"), default="random",
+    # Defaults are None, so a check can tell a flag given; REGISTRY_DEFAULTS
+    # holds the values they stand for.
+    sub.add_argument("--strategy", choices=("generic", "subset", "random"),
                      help="strategy of a registry check (default: random); "
                           "structural checks scan the basis")
-    sub.add_argument("--points", type=int, default=50,
+    sub.add_argument("--points", type=int,
                      help="sample count for the random strategy (default: 50)")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=int,
                      help="random seed (required for random strategy with --format json)")
-    sub.add_argument("--subset-max", type=int, default=3,
+    sub.add_argument("--subset-max", type=int,
                      help="support size cap for the subset strategy (default: 3)")
     sub.add_argument("--format", choices=("text", "json"), default="text",
                      help="output format (default: text)")

@@ -41,6 +41,11 @@ lexicographic order with the nonzero element there, which
 :func:`replay_structural_witness` recomputes independently through ``mul``,
 ``twist_apply`` and ``hom_associator``.  A morphism is a weak morphism
 whose rows also pass a table scan of ``f(alpha(e_i)) = alpha(f(e_i))``.
+The three basis laws, right and left Hom-alternativity and
+multiplicativity, are named once, in :data:`BASIS_LAWS`: a law's check id
+is also its key as a hypothesis of a registry entry, and the table gives
+the phrase a violated hypothesis is reported with and the name of the
+law's scan.
 
 The paper's corollary adds conditions on single elements, tested here
 beside the Hom-power loop they share: :func:`is_hom_nilpotent` and
@@ -541,6 +546,17 @@ def is_right_hom_alternative(A: HomAlgebra) -> CheckReport:
 def is_left_hom_alternative(A: HomAlgebra) -> CheckReport:
     """Check ``(x, x, y) = 0`` on basis triples (see :func:`_alternativity_scan`)."""
     return _alternativity_scan(A, "left-alt")
+
+
+# The basis laws of A, by check id, which is also the key of the law as a
+# hypothesis in an entry's ``requires``: the phrase a PreconditionError
+# completes ("algebra is not ...") and the name of the law's scan, which
+# each caller looks up among its own module-level names when it runs.
+BASIS_LAWS = {
+    "right-alt": ("right Hom-alternative", "is_right_hom_alternative"),
+    "left-alt": ("left Hom-alternative", "is_left_hom_alternative"),
+    "multiplicative": ("multiplicative", "is_multiplicative"),
+}
 
 
 def is_weak_morphism(A: HomAlgebra, f: RowsLike) -> CheckReport:

@@ -4,7 +4,9 @@ hypotheses.
 What an entry says is its evaluator ``_ev_<tag>`` in :mod:`homalt.laws`,
 read on first use: its docstring is the entry's statement, and its
 parameters after ``A`` name the entry's arguments.  How an entry is
-checked, the hypotheses and the strategies, is :mod:`homalt.proof_replay`.
+checked, the hypotheses and the strategies, is :mod:`homalt.proof_replay`;
+a hypothesis is a basis law of :data:`homalt.homalgebra.BASIS_LAWS`, by its
+check id.
 An entry also owns its arguments: their coordinates as variables, and the
 two routes every strategy evaluates it by, on generic arguments
 (:meth:`IdentityInstance.generic_values`) or at a point
@@ -46,11 +48,11 @@ class IdentityInstance(_Record):
     """One verifiable identity.
 
     ``requires`` lists the hypotheses under which it is a theorem, in
-    checking order: ``"multiplicative"``, ``"right-alt"`` (right
-    Hom-alternative), ``"weak-morphism"`` (alpha is a weak morphism of the
-    algebra, the hypothesis of the Yau-twist lemma ``beta2``; that is
-    multiplicativity again, and :mod:`homalt.proof_replay` reads it from
-    the multiplicative scan).
+    checking order, each the id of a basis law in
+    :data:`homalt.homalgebra.BASIS_LAWS`: ``"multiplicative"`` (also the
+    hypothesis of the Yau-twist lemma ``beta2``, that alpha is a weak
+    morphism of the algebra), ``"right-alt"`` (right Hom-alternative) or
+    ``"left-alt"``.
     ``evaluate(A, x, y, ...)`` returns the values on ``A`` at one element
     per argument, each zero exactly where the entry holds (one value per
     shift for the shift-indexed entries): those of the constructor's
@@ -186,38 +188,36 @@ def _coefficients(value: Value) -> list[Scalar]:
     return [c for row in value.rows.values() for _, c in row]
 
 
-# The hypotheses an entry can require, in checking order.
-MULT, RALT, WEAK = "multiplicative", "right-alt", "weak-morphism"
-
-# In registry order: tag and hypotheses.  The statement and the argument
+# In registry order: tag and hypotheses, each the check id of a basis law in
+# homalgebra.BASIS_LAWS, in checking order.  The statement and the argument
 # names are the evaluator's docstring and parameters in homalt.laws, and
 # IdentityInstance.degree_bound derives the degree from the evaluator.
 REGISTRY: tuple[IdentityInstance, ...] = (
     IdentityInstance("xyy", ()),
-    IdentityInstance("linearized", (RALT,)),
-    IdentityInstance("teichmuller", (MULT,)),
-    IdentityInstance("xyyz", (MULT, RALT)),
-    IdentityInstance("moufang", (MULT, RALT)),
-    IdentityInstance("beta2", (WEAK,)),
-    IdentityInstance("eq1", (RALT,)),
-    IdentityInstance("eq2", (MULT, RALT)),
-    IdentityInstance("eq2p", (MULT, RALT)),
-    IdentityInstance("eq3a", (RALT,)),
-    IdentityInstance("eq3b", (RALT,)),
-    IdentityInstance("eq5", (MULT, RALT)),
-    IdentityInstance("eq5p", (MULT, RALT)),
-    IdentityInstance("eq6", (MULT, RALT)),
-    IdentityInstance("eq7", (MULT, RALT)),
-    IdentityInstance("eq8", (MULT, RALT)),
-    IdentityInstance("eq9", (MULT, RALT)),
-    IdentityInstance("eq10", (MULT, RALT)),
-    IdentityInstance("eq10p", (MULT, RALT)),
-    IdentityInstance("dpe", (MULT, RALT)),
-    IdentityInstance("d0", (MULT, RALT)),
-    IdentityInstance("e0", (MULT, RALT)),
-    IdentityInstance("prop", (MULT, RALT)),
-    IdentityInstance("theorem", (MULT, RALT)),
-    IdentityInstance("mikheev_classical", (MULT, RALT)),
+    IdentityInstance("linearized", ("right-alt",)),
+    IdentityInstance("teichmuller", ("multiplicative",)),
+    IdentityInstance("xyyz", ("multiplicative", "right-alt")),
+    IdentityInstance("moufang", ("multiplicative", "right-alt")),
+    IdentityInstance("beta2", ("multiplicative",)),
+    IdentityInstance("eq1", ("right-alt",)),
+    IdentityInstance("eq2", ("multiplicative", "right-alt")),
+    IdentityInstance("eq2p", ("multiplicative", "right-alt")),
+    IdentityInstance("eq3a", ("right-alt",)),
+    IdentityInstance("eq3b", ("right-alt",)),
+    IdentityInstance("eq5", ("multiplicative", "right-alt")),
+    IdentityInstance("eq5p", ("multiplicative", "right-alt")),
+    IdentityInstance("eq6", ("multiplicative", "right-alt")),
+    IdentityInstance("eq7", ("multiplicative", "right-alt")),
+    IdentityInstance("eq8", ("multiplicative", "right-alt")),
+    IdentityInstance("eq9", ("multiplicative", "right-alt")),
+    IdentityInstance("eq10", ("multiplicative", "right-alt")),
+    IdentityInstance("eq10p", ("multiplicative", "right-alt")),
+    IdentityInstance("dpe", ("multiplicative", "right-alt")),
+    IdentityInstance("d0", ("multiplicative", "right-alt")),
+    IdentityInstance("e0", ("multiplicative", "right-alt")),
+    IdentityInstance("prop", ("multiplicative", "right-alt")),
+    IdentityInstance("theorem", ("multiplicative", "right-alt")),
+    IdentityInstance("mikheev_classical", ("multiplicative", "right-alt")),
 )
 
 

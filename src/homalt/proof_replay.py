@@ -5,13 +5,12 @@ The registry (:mod:`homalt.identities`, whose lookups are importable from
 here too) runs from the defining alternativity law up to the twisted Mikheev
 identity ``alpha^6((a,a,b)^4) = 0`` and its untwisted corollary; what each
 entry says is its evaluator in :mod:`homalt.laws`.  Each entry lists the
-hypotheses under which it is a theorem (multiplicativity, right
-Hom-alternativity, a weak-morphism twist); they are checked on basis tuples
-before verification, in that order, and a violation raises
-:class:`PreconditionError` rather than producing a meaningless failure.
-alpha is a weak morphism of A exactly when A is multiplicative, so the
-weak-morphism hypothesis is read from the multiplicative scan, which a
-batch runs once.
+hypotheses under which it is a theorem, each a basis law of A named in
+:data:`homalt.homalgebra.BASIS_LAWS` (multiplicativity, right
+Hom-alternativity; left Hom-alternativity is one too); they are checked by
+the law's basis scan before verification, in the entry's order, and a
+violation raises :class:`PreconditionError` rather than producing a
+meaningless failure.  A batch scans each law once.
 Every entry is a statement about the algebra and its own twisting map
 alpha, and is evaluated on the algebra alone.
 
@@ -60,6 +59,7 @@ from math import comb
 from typing import TYPE_CHECKING, Sequence
 
 from .homalgebra import (
+    BASIS_LAWS,
     FAILS,
     HOLDS,
     RANDOM_PASS,
@@ -69,6 +69,7 @@ from .homalgebra import (
     Witness,
     _element,
     _Record,
+    is_left_hom_alternative,
     is_multiplicative,
     is_right_hom_alternative,
 )
@@ -208,28 +209,20 @@ def _verify_random(A, inst, seed: int, points: int) -> CheckReport:
     return CheckReport(inst.tag, RANDOM_PASS, "random", **sample)
 
 
-# Each hypothesis by its key in ``requires``: the requirement a
-# PreconditionError names, and the name of its basis scan in this module,
-# looked up when it runs, so a scan patched here is the one called.
-_HYPOTHESES: dict[str, tuple[str, str]] = {
-    "multiplicative": ("multiplicative", "is_multiplicative"),
-    "right-alt": ("right Hom-alternative", "is_right_hom_alternative"),
-    "weak-morphism": ("twisted by a weak morphism", "is_multiplicative"),
-}
-
-
 def _check_preconditions(
     A: HomAlgebra,
     inst: IdentityInstance,
     known: dict[str, CheckReport],
 ) -> None:
     """Raise :class:`PreconditionError` at the first hypothesis of ``inst``
-    that ``A`` fails; ``known`` caches each scan's report by its name."""
-    for key in inst.requires:
-        requirement, scan = _HYPOTHESES[key]
-        report = known.get(scan)
+    that ``A`` fails; ``known`` caches each law's report by its id.  Each
+    law's scan is called by its name in this module, looked up when it
+    runs, so a scan patched here is the one called."""
+    for law in inst.requires:
+        requirement, scan = BASIS_LAWS[law]
+        report = known.get(law)
         if report is None:
-            report = known[scan] = globals()[scan](A)
+            report = known[law] = globals()[scan](A)
         if not report.passed():
             raise PreconditionError(inst.tag, requirement, report)
 

@@ -253,6 +253,46 @@ def test_check_refuses_a_morphism_it_would_not_read(files, tmp_path, capsys, ide
         f"error: --morphism applies to --identity morphism only, not '{identity}'\n")
 
 
+@pytest.mark.parametrize("identity", ["right-alt", "left-alt", "multiplicative", "morphism"])
+@pytest.mark.parametrize("flag, value", [("--strategy", "subset"), ("--strategy", "random"),
+                                         ("--points", "7"), ("--seed", "3"),
+                                         ("--subset-max", "2")])
+def test_structural_check_refuses_registry_flags(files, tmp_path, capsys, identity, flag, value):
+    # A structural check scans the basis and would drop these flags unread,
+    # so each is refused, a default value too, before any file is opened.
+    missing = str(tmp_path / "missing.mor")
+    extra = ["--morphism", missing] if identity == "morphism" else []
+    code = run(["check", "--algebra", str(tmp_path / "missing.alg"), "--identity", identity,
+                *extra, flag, value])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {flag} applies to registry checks only, not '{identity}'\n"
+
+
+def test_structural_check_names_the_first_registry_flag(files, capsys):
+    code = run(["check", "--algebra", files["mikheev"], "--identity", "right-alt",
+                "--strategy", "subset", "--seed", "3", "--points", "7", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: --strategy applies to registry checks only, not 'right-alt'\n")
+
+
+def test_registry_check_defaults(files, capsys):
+    # Not given, the registry flags are random, 50 points, seed 0, cap 3.
+    assert run(["check", "--algebra", files["mikheev"], "--identity", "xyy"]) == 0
+    assert capsys.readouterr().out == (
+        f"{'xyy':<20} {'random-pass':<12} strategy=random points=50 seed=0\n")
+    assert run(["check", "--algebra", files["mikheev"], "--identity", "xyy",
+                "--strategy", "subset"]) == 0
+    # Supports of size 1 to 3 in each of xyy's two slots: (13 + 78 + 286)^2.
+    assert capsys.readouterr().out == f"{'xyy':<20} {'holds':<12} strategy=subset points=142129\n"
+    assert run(["check", "--algebra", files["mikheev"], "--identity", "xyy",
+                "--format", "json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --seed is required for the random strategy with --format json\n")
+
+
 def test_lemmas_random_on_family(files, capsys):
     code = run(["lemmas", "--algebra", files["fam23"],
                 "--strategy", "random", "--points", "5", "--seed", "7"])

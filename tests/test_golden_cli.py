@@ -16,6 +16,12 @@ a failing ``generic`` check took the witness of ``subset`` at cap dim:
 coordinates to 3), ``lemmas-twist-subset`` (the point and value on the same
 combo) and ``probe_report`` (the point and value; the probe is still 2).
 Verdicts, ``points`` and exit codes did not change.
+
+One line of ``lemmas-scaled-generic`` was rewritten once, as a declared
+change of an error text, when ``beta2``'s hypothesis became the
+multiplicative law itself: its precondition error reads ``algebra is not
+multiplicative``, where it read ``algebra is not twisted by a weak
+morphism``.
 """
 
 import json

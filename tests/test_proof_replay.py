@@ -169,10 +169,10 @@ def test_precondition_multiplicative(mikheev):
         verify(broken, "teichmuller", strategy="random", seed=0, points=2)
     assert exc.value.requirement == "multiplicative"
     # beta2 twists by alpha, so it needs alpha to be a weak morphism, which
-    # is what the multiplicative scan checks.
+    # is multiplicativity: beta2 requires that law.
     with pytest.raises(PreconditionError) as exc:
         verify(broken, "beta2", strategy="generic")
-    assert exc.value.requirement == "twisted by a weak morphism"
+    assert exc.value.requirement == "multiplicative"
     assert exc.value.report.check == "multiplicative"
 
 
@@ -185,8 +185,26 @@ def test_verify_all_records_precondition_errors(plain_twisted):
     assert by_tag["beta2"].passed()
 
 
-# A batch runs each scan once; the weak-morphism hypothesis reads the
-# multiplicative scan.
+def test_every_hypothesis_is_a_basis_law():
+    laws = {law for inst in registry() for law in inst.requires}
+    assert laws <= set(homalt.homalgebra.BASIS_LAWS)
+
+
+def test_left_alt_hypothesis_is_a_table_row(monkeypatch, mikheev):
+    # No entry requires left Hom-alternativity, but the law is a row of the
+    # table, so an entry that did would be checked by its scan.
+    inst = homalt.identities.IdentityInstance("xyy", ("left-alt",))
+    registry_ = tuple(inst if e.tag == "xyy" else e for e in homalt.identities.REGISTRY)
+    monkeypatch.setattr(homalt.identities, "REGISTRY", registry_)
+    with pytest.raises(PreconditionError) as exc:
+        verify(mikheev, "xyy", strategy="generic")
+    assert exc.value.requirement == "left Hom-alternative"
+    assert exc.value.report.check == "left-alt"
+    assert str(exc.value) == (
+        "precondition for 'xyy' not satisfied: algebra is not left Hom-alternative")
+
+
+# A batch runs each law's scan once, however many entries require it.
 ONE_SCAN_EACH = Counter({"is_multiplicative": 1, "is_right_hom_alternative": 1})
 
 
