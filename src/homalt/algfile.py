@@ -122,7 +122,7 @@ def _decode_coeff(obj: object, params: set[str], where: str) -> Scalar:
     stray = variables(value) - params
     if stray:
         raise AlgebraFormatError(where, f"undeclared parameters {sorted(stray)}")
-    top = max((e for m in value.terms for _, e in m), default=0) if isinstance(value, Poly) else 0
+    top = max(e for m in value.terms for _, e in m) if isinstance(value, Poly) else 0
     if top > EXPONENT_CAP:
         raise AlgebraFormatError(where, f"exponent {top} exceeds the supported cap of {EXPONENT_CAP}")
     return value

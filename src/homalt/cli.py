@@ -9,7 +9,9 @@ Subcommands:
   the algebra into itself, which no other check reads.  A structural check
   scans the basis and reports ``strategy=basis``; it refuses
   ``--strategy`` (generic, subset or random), ``--points``, ``--seed`` and
-  ``--subset-max``, which only registry checks read.
+  ``--subset-max``, which only registry checks read.  A registry check,
+  like ``lemmas``, refuses ``--points`` and ``--seed`` unless the strategy
+  is random, and ``--subset-max`` unless it is subset.
 * ``lemmas``  -- run the whole identity registry on an algebra file.
 * ``twist``   -- twist an algebra file along a morphism file.
 * ``mikheev`` -- write the built-in 13-dimensional algebra or its twisted
@@ -73,6 +75,8 @@ STRUCTURAL_IDS = (*BASIS_LAWS, "morphism")
 # The options of a registry check and a batch, each with the value it takes
 # when not given; a structural check refuses every one of them.
 REGISTRY_DEFAULTS = {"strategy": "random", "points": 50, "seed": 0, "subset_max": 3}
+# The strategy each of the other registry options applies to.
+STRATEGY_OF = {"points": "random", "seed": "random", "subset_max": "subset"}
 POWER_CAP = 1000  # largest ``power --n``: the loop is linear in n
 
 
@@ -118,10 +122,15 @@ def _load_morphism(path: str, A: HomAlgebra):
 
 def _registry_options(args) -> dict:
     """The registry options of ``args``, those not given at their defaults,
-    as keywords of ``verify`` and ``verify_all``.  The random strategy
+    as keywords of ``verify`` and ``verify_all``.  An option given beside a
+    strategy it does not apply to is refused, and the random strategy
     printing JSON must be given its seed."""
     options = {key: default if getattr(args, key) is None else getattr(args, key)
                for key, default in REGISTRY_DEFAULTS.items()}
+    for key, strategy in STRATEGY_OF.items():
+        if getattr(args, key) is not None and options["strategy"] != strategy:
+            raise ValueError(f"--{key.replace('_', '-')} applies to the {strategy} strategy only, "
+                             f"not {options['strategy']!r}")
     if args.seed is None and args.format == "json" and options["strategy"] == "random":
         raise ValueError("--seed is required for the random strategy with --format json")
     return options
@@ -177,10 +186,13 @@ def _cmd_check(args) -> int:
             raise ValueError("--identity morphism needs --morphism FILE")
     elif args.morphism is not None:
         raise ValueError(f"--morphism applies to --identity morphism only, not {identity!r}")
-    given = [key for key in REGISTRY_DEFAULTS if getattr(args, key) is not None]
-    if given and identity in STRUCTURAL_IDS:
-        flag = given[0].replace("_", "-")
-        raise ValueError(f"--{flag} applies to registry checks only, not {identity!r}")
+    if identity not in STRUCTURAL_IDS:
+        options = _registry_options(args)
+    else:
+        given = [key for key in REGISTRY_DEFAULTS if getattr(args, key) is not None]
+        if given:
+            flag = given[0].replace("_", "-")
+            raise ValueError(f"--{flag} applies to registry checks only, not {identity!r}")
     doc = _load_algebra(args.algebra)
     A, names = doc.algebra, doc.basis_names
     if identity == "morphism":
@@ -192,7 +204,7 @@ def _cmd_check(args) -> int:
     else:
         from .proof_replay import verify
 
-        report = verify(A, identity, **_registry_options(args))
+        report = verify(A, identity, **options)
     records = [_report_record(report, names)]
     _print_reports(records, args.format, names)
     return _exit_code(records)
@@ -201,9 +213,9 @@ def _cmd_check(args) -> int:
 def _cmd_lemmas(args) -> int:
     from .proof_replay import verify_all
 
+    options = _registry_options(args)
     doc = _load_algebra(args.algebra)
     A, names = doc.algebra, doc.basis_names
-    options = _registry_options(args)
     records = []
     for result in verify_all(A, **options):
         if result.report is not None:

@@ -10,12 +10,14 @@ rational coefficients, where a monomial is a sorted tuple of
     lambda^4 * xi^2   ->   (("lambda", 4), ("xi", 2))
     1 (unit monomial) ->   ()
 
-All operations normalize their results: zero terms are dropped and a
-polynomial that collapses to the unit monomial (or to nothing) becomes a
-plain rational.  Mixed arithmetic works through the usual operators, so code
-elsewhere can write ``x * y + z`` without caring which branch of the union
-each value is in.  Everything here is immutable by convention and uses exact
-arithmetic only; no floats appear anywhere.
+A scalar has one form, made by ``Poly(...)``: it drops zero terms and
+returns a plain rational when no non-unit monomial is left, so a ``Poly``
+always has at least one non-unit monomial and no zero or integral-Fraction
+coefficient, and every operation builds its result that way.  Mixed
+arithmetic works through the usual operators, so code elsewhere can write
+``x * y + z`` without caring which branch of the union each value is in.
+Everything here is immutable by convention and uses exact arithmetic only;
+no floats appear anywhere.
 """
 
 from __future__ import annotations
@@ -68,19 +70,25 @@ def _mono_sort_key(m: Mono) -> tuple:
 class Poly:
     """Sparse multivariate polynomial over the rationals.
 
-    ``terms`` maps canonical monomials to nonzero rationals.  Arithmetic
-    returns a plain rational whenever the result is constant, so canonical
-    polynomials always have at least one non-unit monomial.
+    ``Poly(terms)`` is the one way to turn raw terms into a scalar: it drops
+    zero coefficients, normalizes the rest, and returns the plain rational
+    (0 when no term is left) when no non-unit monomial is left.  So
+    ``terms`` maps canonical monomials to nonzero rationals, at least one of
+    them not the unit monomial.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Mono, Rational]):
-        clean: dict[Mono, Rational] = {}
-        for m, c in terms.items():
-            if c != 0:
-                clean[m] = _norm_rational(c)
+    def __new__(cls, terms: Mapping[Mono, Rational]) -> "Scalar":
+        clean = {m: _norm_rational(c) for m, c in terms.items() if c != 0}
+        if not clean or (len(clean) == 1 and UNIT_MONO in clean):
+            return clean.get(UNIT_MONO, 0)
+        self = object.__new__(cls)
         self.terms = clean
+        return self
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild through __new__
+        return (self.terms,)
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
@@ -90,7 +98,7 @@ class Poly:
 
     @classmethod
     def term(cls, coeff: Rational, exps: Mapping[str, int]) -> "Scalar":
-        return _wrap({mono(exps): coeff})
+        return cls({mono(exps): coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -99,11 +107,11 @@ class Poly:
             out = dict(self.terms)
             for m, c in other.terms.items():
                 out[m] = out.get(m, 0) + c
-            return _wrap(out)
+            return Poly(out)
         if isinstance(other, (int, Fraction)):
             out = dict(self.terms)
             out[UNIT_MONO] = out.get(UNIT_MONO, 0) + other
-            return _wrap(out)
+            return Poly(out)
         return NotImplemented
 
     __radd__ = __add__
@@ -125,11 +133,9 @@ class Poly:
                 for m2, c2 in other.terms.items():
                     key = mono_mul(m1, m2)
                     out[key] = out.get(key, 0) + c1 * c2
-            return _wrap(out)
+            return Poly(out)
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return 0
-            return _wrap({m: c * other for m, c in self.terms.items()})
+            return Poly({m: c * other for m, c in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -147,20 +153,12 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            if not self.terms:
-                return other == 0
-            return self.terms == {UNIT_MONO: _norm_rational(other)}
         return NotImplemented
 
     def __hash__(self) -> int:
-        if set(self.terms) <= {UNIT_MONO}:  # equal to the rational it holds
-            return hash(self.terms.get(UNIT_MONO, 0))
         return hash(frozenset(self.terms.items()))
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
         return max(mono_degree(m) for m in self.terms)
 
     def variables(self) -> set[str]:
@@ -178,7 +176,7 @@ class Poly:
                     residual.append((name, e))
             key = tuple(residual)
             out[key] = out.get(key, 0) + value
-        return _wrap(out)
+        return Poly(out)
 
     def sorted_terms(self) -> Iterator[tuple[Mono, Rational]]:
         """Terms in canonical print order (graded lex, highest first)."""
@@ -197,25 +195,9 @@ class Poly:
 Scalar = Union[int, Fraction, Poly]
 
 
-def _wrap(terms: Mapping[Mono, Rational]) -> Scalar:
-    """Build a canonical scalar from raw terms, collapsing constants."""
-    p = Poly(terms)
-    if not p.terms:
-        return 0
-    if len(p.terms) == 1 and UNIT_MONO in p.terms:
-        return p.terms[UNIT_MONO]
-    return p
-
-
 def normalize(s: Scalar) -> Scalar:
-    if type(s) is int:
-        return s
-    if isinstance(s, Poly):
-        # Poly() already made the terms canonical; only a constant collapses.
-        if len(s.terms) > 1 or (s.terms and UNIT_MONO not in s.terms):
-            return s
-        return _wrap(s.terms)
-    return _norm_rational(s)
+    """Collapse an integral Fraction to int; a ``Poly`` is canonical already."""
+    return s if type(s) is int else _norm_rational(s)
 
 def substitute(s: Scalar, assignment: Mapping[str, Rational]) -> Scalar:
     if isinstance(s, Poly):
@@ -325,5 +307,5 @@ def decode_scalar(obj: object) -> Scalar:
                     raise ValueError(f"term {pos}: exponent of {name} must be a positive integer")
             key = mono(exps)
             terms[key] = terms.get(key, 0) + coeff
-        return _wrap(terms)
+        return Poly(terms)
     raise ValueError(f"cannot decode scalar from {type(obj).__name__}")

@@ -152,9 +152,8 @@ def test_witness_search_never_ends_in_a_traceback(tmp_path, small_roots, capsys)
 def test_random_name_collision_exits_2(tmp_path, coordinate_named_param, capsys):
     path = tmp_path / "collision.alg"
     path.write_text(serialize_algebra(coordinate_named_param))
-    for strategy in ("random", "generic", "subset"):
-        argv = ["check", "--algebra", str(path), "--identity", "xyy", "--strategy", strategy]
-        assert run(argv + ["--seed", "1"]) == 2
+    for flags in (["random", "--seed", "1"], ["generic"], ["subset"]):
+        assert run(["check", "--algebra", str(path), "--identity", "xyy", "--strategy", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: name collision with existing parameters")
@@ -276,6 +275,37 @@ def test_structural_check_names_the_first_registry_flag(files, capsys):
     assert (code, captured.out) == (2, "")
     assert captured.err == (
         "error: --strategy applies to registry checks only, not 'right-alt'\n")
+
+
+@pytest.mark.parametrize("command", [["check", "--identity", "xyy"], ["lemmas"]],
+                         ids=["check", "lemmas"])
+@pytest.mark.parametrize("strategy, flag, value", [
+    (None, "--subset-max", "2"), ("random", "--subset-max", "2"),
+    ("generic", "--points", "7"), ("generic", "--seed", "3"), ("generic", "--subset-max", "2"),
+    ("subset", "--points", "7"), ("subset", "--seed", "3"),
+])
+def test_registry_check_refuses_flags_of_another_strategy(tmp_path, capsys, command, strategy,
+                                                          flag, value):
+    # A strategy drops the flags of the others unread, so each is refused,
+    # before the algebra file is opened.  No --strategy means random.
+    chosen = ["--strategy", strategy] if strategy else []
+    code = run([command[0], "--algebra", str(tmp_path / "missing.alg"), *command[1:], *chosen,
+                flag, value])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    owner = "subset" if flag == "--subset-max" else "random"
+    assert captured.err == (
+        f"error: {flag} applies to the {owner} strategy only, not '{strategy or 'random'}'\n")
+
+
+@pytest.mark.parametrize("command", [["check", "--identity", "xyy"], ["lemmas"]],
+                         ids=["check", "lemmas"])
+def test_registry_check_names_the_first_flag_of_another_strategy(files, capsys, command):
+    code = run([command[0], "--algebra", files["mikheev"], *command[1:], "--strategy", "generic",
+                "--seed", "3", "--subset-max", "2", "--points", "7", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: --points applies to the random strategy only, not 'generic'\n"
 
 
 def test_registry_check_defaults(files, capsys):

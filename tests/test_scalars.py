@@ -1,9 +1,11 @@
 """Exact scalar arithmetic: rationals, sparse polynomials, substitution, encoding."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from homalt.scalars import (
     Poly,
@@ -77,6 +79,55 @@ def test_constant_poly_collapses_to_rational():
     assert isinstance((lam + 1) - lam, int)
     half = Poly.term(Fraction(1, 2), {})
     assert isinstance(half, Fraction)
+
+
+def is_canonical(s) -> bool:
+    """The one form of a scalar: an int, a Fraction that is not integral, or
+    a Poly with a non-unit monomial and only such rational coefficients."""
+    if type(s) is int:
+        return True
+    if type(s) is Fraction:
+        return s.denominator > 1
+    return (type(s) is Poly and any(m != () for m in s.terms)
+            and all(c != 0 and is_canonical(c) for c in s.terms.values()))
+
+
+MONOS = st.sampled_from([(), (("x", 1),), (("y", 2),), (("x", 1), ("y", 1))])
+RAW_COEFFS = st.one_of(st.integers(-2, 2), st.integers(-2, 2).map(Fraction),
+                       st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+@given(st.dictionaries(MONOS, RAW_COEFFS, max_size=4))
+@example({(): 3})
+@example({})
+@example({(): Fraction(4, 2), (("x", 1),): 0})
+def test_poly_of_raw_terms_is_canonical(terms):
+    value = Poly(terms)
+    assert is_canonical(value)
+    assert value == sum((Poly.term(c, dict(m)) for m, c in terms.items()), 0)
+    doc = {"poly": [{"coeff": encode_scalar(c), "exps": dict(m)} for m, c in terms.items()]}
+    assert is_canonical(decode_scalar(doc))
+
+
+@given(polys().filter(lambda s: isinstance(s, Poly)),
+       st.one_of(polys(), rationals().map(normalize)), st.integers(0, 3),
+       st.fractions(min_value=-3, max_value=3, max_denominator=3))
+def test_operations_give_canonical_scalars(p, q, n, v):
+    results = [p + q, q + p, p - q, q - p, p * q, q * p, -p, p - p, p**n,
+               substitute(p, {"x": v}), substitute(p, {"x": v, "y": v}),
+               decode_scalar(encode_scalar(p))]
+    assert all(is_canonical(s) for s in results)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle_keep_a_poly(clone):
+    p = lam**2 * xi - Fraction(1, 2) * xi + 3
+    q = clone(p)
+    assert type(q) is Poly
+    assert q == p and hash(q) == hash(p)
+    assert q.terms == p.terms
 
 
 def test_hash_agrees_with_equality():
