@@ -43,7 +43,7 @@ import json
 import re
 from typing import Callable, NamedTuple, Sequence
 
-from .homalgebra import HomAlgebra, MuTable, RowTable
+from .homalgebra import HomAlgebra, MuTable, RowTable, default_basis_names
 from .scalars import Poly, Scalar, decode_scalar, encode_sparse, variables
 
 DIMENSION_CAP = 64
@@ -205,7 +205,7 @@ def parse_document(text: str) -> AlgebraDocument:
                                          "and stripped, without '+', '-' or '*'")
         basis_names = list(names)
     else:
-        basis_names = [f"e{i + 1}" for i in range(dim)]
+        basis_names = default_basis_names(dim)
     params = _decode_params(doc.get("parameters", []), "parameters")
     param_set = set(params)
 
@@ -241,7 +241,7 @@ def serialize_algebra(A: HomAlgebra, basis_names: Sequence[str] | None = None) -
     would not read back."""
     doc = {
         "dimension": A.dim,
-        "basis": list(basis_names) if basis_names is not None else [f"e{i + 1}" for i in range(A.dim)],
+        "basis": list(basis_names) if basis_names is not None else default_basis_names(A.dim),
         "parameters": list(A.params),
         "products": [{"left": i, "right": j, "result": encode_sparse(row)}
                      for (i, j), row in sorted(A.mu.items())],

@@ -72,8 +72,6 @@ class FamilyParams(_Record):
     """Parameter pair for the twisted family, rational or symbolic.
     Degenerate pairs (a parameter zero, or both equal) are allowed."""
 
-    _fields = ("lam", "xi")
-
     def __init__(self, lam: Scalar, xi: Scalar) -> None:
         self.lam = lam
         self.xi = xi

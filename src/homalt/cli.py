@@ -72,12 +72,11 @@ from .homalgebra import (
 from .scalars import encode_sparse, parse_rational
 
 STRUCTURAL_IDS = (*BASIS_LAWS, "morphism")
-# The options of a registry check and a batch, each with the value it takes
-# when not given; a structural check refuses every one of them.
-REGISTRY_DEFAULTS = {"strategy": "random", "points": 50, "seed": 0, "subset_max": 3}
-# The strategy each of the other registry options applies to.
+# The strategy each registry option but ``--strategy`` applies to; a
+# structural check refuses ``--strategy`` and every one of them.
 STRATEGY_OF = {"points": "random", "seed": "random", "subset_max": "subset"}
 POWER_CAP = 1000  # largest ``power --n``: the loop is linear in n
+POINTS_CAP = 10_000  # largest ``--points``: each point is an exact evaluation
 
 
 def _read_text(path: str, option: str) -> str:
@@ -121,18 +120,22 @@ def _load_morphism(path: str, A: HomAlgebra):
 
 
 def _registry_options(args) -> dict:
-    """The registry options of ``args``, those not given at their defaults,
-    as keywords of ``verify`` and ``verify_all``.  An option given beside a
-    strategy it does not apply to is refused, and the random strategy
-    printing JSON must be given its seed."""
-    options = {key: default if getattr(args, key) is None else getattr(args, key)
-               for key, default in REGISTRY_DEFAULTS.items()}
+    """The strategy of ``args`` and the registry options it gives, as
+    keywords of ``verify`` and ``verify_all``, which hold the defaults of
+    the others.  An option given beside a strategy it does not apply to is
+    refused, the random strategy printing JSON must be given its seed, and
+    ``--points`` is at most :data:`POINTS_CAP`."""
+    options = {"strategy": args.strategy or "random"}
     for key, strategy in STRATEGY_OF.items():
-        if getattr(args, key) is not None and options["strategy"] != strategy:
-            raise ValueError(f"--{key.replace('_', '-')} applies to the {strategy} strategy only, "
-                             f"not {options['strategy']!r}")
+        if getattr(args, key) is not None:
+            if options["strategy"] != strategy:
+                raise ValueError(f"--{key.replace('_', '-')} applies to the {strategy} strategy "
+                                 f"only, not {options['strategy']!r}")
+            options[key] = getattr(args, key)
     if args.seed is None and args.format == "json" and options["strategy"] == "random":
         raise ValueError("--seed is required for the random strategy with --format json")
+    if options.get("points", 0) > POINTS_CAP:
+        raise ValueError(f"--points must be at most {POINTS_CAP}")
     return options
 
 
@@ -189,7 +192,7 @@ def _cmd_check(args) -> int:
     if identity not in STRUCTURAL_IDS:
         options = _registry_options(args)
     else:
-        given = [key for key in REGISTRY_DEFAULTS if getattr(args, key) is not None]
+        given = [key for key in ("strategy", *STRATEGY_OF) if getattr(args, key) is not None]
         if given:
             flag = given[0].replace("_", "-")
             raise ValueError(f"--{flag} applies to registry checks only, not {identity!r}")
@@ -289,8 +292,8 @@ def _cmd_noniso(args) -> int:
 
 
 def _add_strategy_flags(sub: argparse.ArgumentParser) -> None:
-    # Defaults are None, so a check can tell a flag given; REGISTRY_DEFAULTS
-    # holds the values they stand for.
+    # Defaults are None, so a check can tell a flag given; ``verify`` holds
+    # the values they stand for.
     sub.add_argument("--strategy", choices=("generic", "subset", "random"),
                      help="strategy of a registry check (default: random); "
                           "structural checks scan the basis")

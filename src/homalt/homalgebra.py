@@ -83,11 +83,16 @@ RANDOM_PASS = "random-pass"
 
 class _Record:
     """Plain record: equality and repr over the attributes named in
-    ``_fields``.  Records compare equal only to records of the same class and
-    are unhashable unless a subclass says otherwise."""
+    ``_fields``, the parameters of the class's ``__init__`` after ``self``.
+    Records compare equal only to records of the same class and are
+    unhashable unless a subclass says otherwise."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -111,7 +116,7 @@ class Element(_Record):
     once, and assigning to an element raises AttributeError.
     """
 
-    __slots__ = _fields = ("coords",)
+    __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[Scalar, ...]) -> None:
         object.__setattr__(self, "coords", coords)
@@ -249,6 +254,11 @@ def identity_rows(dim: int) -> RowTable:
     return {i: ((i, 1),) for i in range(dim)}
 
 
+def default_basis_names(dim: int) -> list[str]:
+    """``e1 .. e<dim>``, the basis names of a document that gives none."""
+    return [f"e{i + 1}" for i in range(dim)]
+
+
 class HomAlgebra(_Record):
     """Hom-algebra with sparse structure constants and twisting map.
 
@@ -257,8 +267,6 @@ class HomAlgebra(_Record):
     table an algebra fills in after construction, only grows, by whole
     replacement.
     """
-
-    _fields = ("dim", "mu", "alpha", "params")
 
     def __init__(self, dim: int, mu: MuTable, alpha: RowsLike, params: Iterable[str] = ()) -> None:
         if dim < 0:
@@ -387,8 +395,6 @@ class Witness(_Record):
     value.  ``element`` is the nonzero element observed there.
     """
 
-    _fields = ("element", "basis", "point", "probe", "pair_index")
-
     def __init__(self, element: Element, basis: tuple[int, ...] | None = None,
                  point: dict[str, Rational] | None = None, probe: int | None = None,
                  pair_index: int | None = None) -> None:
@@ -420,8 +426,6 @@ class CheckReport(_Record):
     points together with the sample size, seed, and a total-degree bound on
     the compared polynomials.
     """
-
-    _fields = ("check", "status", "strategy", "points", "seed", "degree_bound", "witness")
 
     def __init__(self, check: str, status: str, strategy: str, points: int | None = None,
                  seed: int | None = None, degree_bound: int | None = None,

@@ -68,7 +68,6 @@ class IdentityInstance(_Record):
     """
 
     __slots__ = ("tag", "requires", "_evaluate")
-    _fields = __slots__[:-1] + ("evaluate",)
 
     def __init__(self, tag: str, requires: tuple[str, ...],
                  evaluate: Evaluator | None = None) -> None:

@@ -44,8 +44,6 @@ from .scalars import Scalar
 class RightOp(_Record):
     """Linear operator acting on the right, stored as sparse rows."""
 
-    _fields = ("dim", "rows")
-
     def __init__(self, dim: int, rows: RowsLike) -> None:
         self.dim = dim
         self.rows = normalize_rows(dim, rows, "operator")

@@ -241,12 +241,15 @@ def verify(
 
     Precondition violations raise :class:`PreconditionError`; a subset cap
     or a random point count below 1, which would check nothing, raises
-    ValueError.
+    ValueError, and so does a negative seed, which draws the points of its
+    absolute value.
     """
     if strategy == "subset" and subset_max < 1:
         raise ValueError(f"subset_max must be at least 1, got {subset_max}")
     if strategy == "random" and points < 1:
         raise ValueError(f"points must be at least 1, got {points}")
+    if strategy == "random" and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     inst = get_identity(tag)
     if not skip_preconditions:
         _check_preconditions(A, inst, {})
@@ -262,8 +265,6 @@ def verify(
 class BatchResult(_Record):
     """Per-entry outcome of a batch run; exactly one of report/error is set."""
 
-    _fields = ("tag", "report", "error")
-
     def __init__(self, tag: str, report: CheckReport | None = None,
                  error: str | None = None) -> None:
         self.tag = tag
@@ -274,25 +275,17 @@ class BatchResult(_Record):
         return self.report is not None and self.report.passed()
 
 
-def verify_all(
-    A: HomAlgebra,
-    strategy: str = "random",
-    *,
-    seed: int = 0,
-    points: int = 50,
-    subset_max: int = 3,
-) -> list[BatchResult]:
+def verify_all(A: HomAlgebra, strategy: str = "random", **options) -> list[BatchResult]:
     """Run every registry identity, sharing precondition checks across
-    entries and recording per-entry errors without aborting the batch."""
+    entries and recording per-entry errors without aborting the batch;
+    ``options`` are :func:`verify`'s ``seed``, ``points`` and
+    ``subset_max``, with its defaults."""
     known: dict[str, CheckReport] = {}
     results = []
     for inst in registry():
         try:
             _check_preconditions(A, inst, known)
-            report = verify(
-                A, inst.tag, strategy,
-                seed=seed, points=points, subset_max=subset_max, skip_preconditions=True,
-            )
+            report = verify(A, inst.tag, strategy, skip_preconditions=True, **options)
             results.append(BatchResult(inst.tag, report=report))
         except PreconditionError as exc:
             results.append(BatchResult(inst.tag, error=str(exc)))

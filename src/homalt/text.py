@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .homalgebra import Element
+from .homalgebra import Element, default_basis_names
 from .scalars import Mono, Poly, Rational, Scalar, encode_scalar, parse_rational
 
 
@@ -53,11 +53,12 @@ def scalar_str(s: Scalar) -> str:
 
 def element_str(x: Element, names: Sequence[str] | None = None) -> str:
     """Render ``e7 - e8`` style text, parenthesizing polynomial coefficients."""
+    names = default_basis_names(len(x.coords)) if names is None else names
     terms = []
     for i, c in enumerate(x.coords):
         if c == 0:
             continue
-        name = names[i] if names is not None else f"e{i + 1}"
+        name = names[i]
         if not isinstance(c, Poly):
             terms.append(_term(c, name))
         elif len(c.terms) == 1:

@@ -19,7 +19,7 @@ from homalt.homalgebra import (
     identity_rows,
     replay_structural_witness,
 )
-from homalt.cli import run
+from homalt.cli import POINTS_CAP, run
 from homalt.proof_replay import replay_identity_witness
 from homalt.scalars import decode_scalar
 
@@ -321,6 +321,26 @@ def test_registry_check_defaults(files, capsys):
                 "--format", "json"]) == 2
     assert capsys.readouterr().err == (
         "error: --seed is required for the random strategy with --format json\n")
+
+
+@pytest.mark.parametrize("command", [["check", "--identity", "xyy"], ["lemmas"]],
+                         ids=["check", "lemmas"])
+def test_points_are_capped_before_the_file_is_read(tmp_path, capsys, command):
+    # Each point is an exact evaluation, so an uncapped --points may never end.
+    argv = [command[0], "--algebra", str(tmp_path / "missing.alg"), *command[1:], "--seed", "1"]
+    assert run([*argv, "--points", str(POINTS_CAP + 1)]) == 2
+    assert capsys.readouterr() == ("", f"error: --points must be at most {POINTS_CAP}\n")
+    assert run([*argv, "--points", str(POINTS_CAP)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["check", "--identity", "xyy"], ["lemmas"]],
+                         ids=["check", "lemmas"])
+def test_a_negative_seed_exits_2(files, capsys, command):
+    code = run([command[0], "--algebra", files["mikheev"], *command[1:], "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: seed must be nonnegative, got -1\n"
 
 
 def test_lemmas_random_on_family(files, capsys):

@@ -1,5 +1,6 @@
 """Core Hom-algebra model: products, associators, powers, structural checks, twisting."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from homalt.homalgebra import (
     CheckReport,
     Element,
     HomAlgebra,
+    Witness,
+    _Record,
     apply_rows,
     identity_rows,
     is_hom_nilpotent,
@@ -23,7 +26,9 @@ from homalt.homalgebra import (
     yau_twist,
 )
 from homalt.catalog import FamilyParams, mikheev_morphism
+from homalt.identities import IdentityInstance
 from homalt.operators import RightOp, alpha_op, compose
+from homalt.proof_replay import BatchResult
 from homalt.scalars import Poly, degree
 from homalt.text import element_str
 from test_metamorphic import change_basis, generic_arg, unimodular
@@ -522,3 +527,37 @@ def test_twist_associator_relation(mikheev, x, y, z):
     T = yau_twist(mikheev, beta)
     inner = apply_rows(beta, apply_rows(beta, mikheev.hom_associator(x, y, z)))
     assert inner == T.hom_associator(x, y, z)
+
+
+# --- records ---
+
+
+def test_record_fields_are_the_init_parameters():
+    classes = {cls.__qualname__: cls for cls in _Record.__subclasses__()}
+    assert sorted(classes) == ["BatchResult", "CheckReport", "Element", "FamilyParams",
+                               "HomAlgebra", "IdentityInstance", "RightOp", "Witness"]
+    for cls in classes.values():
+        assert cls._fields == tuple(inspect.signature(cls.__init__).parameters)[1:]
+
+
+def test_record_repr_lists_the_fields_in_order():
+    e1 = Element((1,))
+    cases = [
+        (e1, "Element(coords=(1,))"),
+        (HomAlgebra(1, {(0, 0): ((0, 1),)}, identity_rows(1), ("t",)),
+         "HomAlgebra(dim=1, mu={(0, 0): ((0, 1),)}, alpha={0: ((0, 1),)}, params=('t',))"),
+        (Witness(e1, point={"x_1": 2}, pair_index=1),
+         "Witness(element=Element(coords=(1,)), basis=None, point={'x_1': 2}, probe=None, "
+         "pair_index=1)"),
+        (CheckReport("xyy", "random-pass", "random", 50, 0, 4),
+         "CheckReport(check='xyy', status='random-pass', strategy='random', points=50, seed=0, "
+         "degree_bound=4, witness=None)"),
+        (RightOp(1, {0: ((0, 2),)}), "RightOp(dim=1, rows={0: ((0, 2),)})"),
+        (IdentityInstance("eq2", ("multiplicative",), abs),
+         "IdentityInstance(tag='eq2', requires=('multiplicative',), "
+         "evaluate=<built-in function abs>)"),
+        (BatchResult("eq2", error="no"), "BatchResult(tag='eq2', report=None, error='no')"),
+        (FamilyParams(2, 3), "FamilyParams(lam=2, xi=3)"),
+    ]
+    for record, text in cases:
+        assert repr(record) == text

@@ -539,3 +539,27 @@ def test_report_serialization_shape(fam23, plain_twisted):
     assert bad["status"] == "fails"
     assert "witness" in bad
     assert "element" in bad["witness"]
+
+
+@pytest.mark.parametrize("strategy, options", [
+    ("subset", {"subset_max": 1}),
+    ("random", {"seed": 3, "points": 2}),
+])
+def test_verify_all_gives_each_entry_its_verify_report(mikheev, strategy, options):
+    results = verify_all(mikheev, strategy, **options)
+    assert [r.tag for r in results] == EXPECTED_TAGS
+    assert [r.report for r in results] == [verify(mikheev, tag, strategy, **options)
+                                           for tag in EXPECTED_TAGS]
+
+
+def test_verify_all_refuses_a_misspelt_option(mikheev):
+    with pytest.raises(TypeError, match="sede"):
+        verify_all(mikheev, "random", sede=3)
+
+
+def test_a_negative_seed_is_refused(mikheev):
+    # random.Random(-1) draws the points of random.Random(1).
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        verify(mikheev, "xyy", "random", seed=-1)
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        verify_all(mikheev, "random", seed=-1)
