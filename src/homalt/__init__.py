@@ -3,17 +3,16 @@
 The public names below load on first use: ``import homalt`` imports no
 submodule, and ``homalt.verify`` or ``from homalt import verify`` imports
 the module that defines it (PEP 562).  So ``python -m homalt.cli`` loads
-only the modules a command runs.  The identity registry and
+only the modules a command runs.  The identity registry, how an entry is
+checked (preconditions, strategies, witness search and replay) and
 ``PreconditionError``, a ValueError like every refusal of bad input, live
-in :mod:`homalt.identities`, which imports only :mod:`homalt.homalgebra`;
-what each entry says, its evaluator, is in :mod:`homalt.laws`, and how it
-is checked (preconditions, strategies, witness search and replay) in
-:mod:`homalt.proof_replay`, which loads only for registry checks.  The
-operator calculus, :mod:`homalt.operators`, loads only for operator
-entries.  Every basis scan and element test sits in
-:mod:`homalt.homalgebra`, beside the replay of its witnesses; a morphism
-there is a map of one algebra into itself.  Printing and
-parsing elements, which no holding check runs, sits in :mod:`homalt.text`.
+in :mod:`homalt.proof_replay`; what each entry says, its evaluator, is in
+:mod:`homalt.laws`, which loads only for registry checks.  The operator
+calculus, :mod:`homalt.operators`, loads only for operator entries.  Every
+basis scan and element test sits in :mod:`homalt.homalgebra`, beside the
+replay of its witnesses; a morphism there is a map of one algebra into
+itself.  Printing and parsing elements, which no holding check runs, sits
+in :mod:`homalt.text`.
 Algebra and morphism documents are both read and written by
 :mod:`homalt.algfile`.
 """
@@ -36,8 +35,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "FamilyParams", "family_nonisomorphism_condition", "mikheev_algebra", "mikheev_family",
         "mikheev_morphism", "spectrum_certificate",
     ),
-    "proof_replay": ("BatchResult", "verify", "verify_all"),
-    "identities": ("IdentityInstance", "PreconditionError", "registry"),
+    "proof_replay": (
+        "BatchResult", "IdentityInstance", "PreconditionError", "registry", "verify", "verify_all",
+    ),
     "algfile": (
         "AlgebraFormatError", "parse_document", "parse_morphism", "serialize_algebra",
         "serialize_morphism",

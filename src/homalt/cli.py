@@ -34,18 +34,19 @@ one is written to a file by ``mikheev``.  An empty name given to a file
 option, ``--algebra``, ``--morphism`` or ``--out``, is bad input.  A call
 loads only what it runs.
 ``homalt.catalog`` is imported only by ``mikheev`` and ``noniso``, and
-``homalt.proof_replay`` only by ``lemmas`` and by ``check`` on a registry
-tag, which in turn loads the evaluators in ``homalt.laws`` and, only for
-operator entries, the operator calculus in ``homalt.operators``.  The
-structural scans are all in ``homalt.homalgebra``, and the text forms of
-elements (``homalt.text``) load only for the calls that print them; algebra
-and morphism files are both read by ``homalt.algfile``, which every call
-loads.  The ``--identity`` choices come from the registry in
-``homalt.identities``, which only ``check`` and ``--help`` load:
-:func:`build_parser` adds arguments only to the subcommand that the command
-line names.  :func:`main` flushes the output and ends the process with
-``os._exit``, skipping interpreter teardown; :func:`run` returns the exit
-code for in-process callers.
+``homalt.proof_replay``, the registry and its checking, only by ``check``,
+``lemmas`` and ``--help``: ``check`` and ``--help`` list the ``--identity``
+choices from it, and :func:`build_parser` adds arguments only to the
+subcommand that the command line names.  A registry check, by ``check`` on
+a registry tag or by ``lemmas``, in turn loads the evaluators in
+``homalt.laws`` and, only for operator entries, the operator calculus in
+``homalt.operators``.  The structural scans are all in
+``homalt.homalgebra``, and the text forms of elements (``homalt.text``)
+load only for the calls that print them; algebra and morphism files are
+both read by ``homalt.algfile``, which every call loads.  :func:`main`
+flushes the output and ends the process with ``os._exit``, skipping
+interpreter teardown; :func:`run` returns the exit code for in-process
+callers.
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_arguments(check: argparse.ArgumentParser) -> None:
-    from .identities import identity_tags
+    from .proof_replay import identity_tags
 
     check.add_argument("--algebra", metavar="FILE", required=True,
                        help="algebra document to load")

@@ -12,7 +12,7 @@ may involve the named parameters in ``params`` (for symbolically
 parametrized families), and elements may have polynomial coordinates, which
 is how generic (indeterminate-coordinate) elements are represented; the
 registry names those indeterminates
-(:meth:`homalt.identities.IdentityInstance.arguments`).
+(:meth:`homalt.proof_replay.IdentityInstance.arguments`).
 
 The Hom-associator is ``(x, y, z) = (xy) alpha(z) - alpha(x) (yz)``; an
 algebra is right Hom-alternative when ``(x, y, y) = 0`` and left

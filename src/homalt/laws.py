@@ -1,5 +1,5 @@
 """What each registry entry says: the evaluator ``_ev_<tag>`` of every
-entry of :mod:`homalt.identities`, in registry order.
+entry of :mod:`homalt.proof_replay`, in registry order.
 
 Each evaluator takes the algebra ``A`` and one element per argument and
 returns the values of the identity on ``A``, as elements or, for the

@@ -21,7 +21,7 @@ from homalt.homalgebra import (
 )
 from homalt.cli import POINTS_CAP, run
 from homalt.proof_replay import replay_identity_witness
-from homalt.scalars import decode_scalar
+from homalt.scalars import Poly, decode_scalar
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +157,50 @@ def test_random_name_collision_exits_2(tmp_path, coordinate_named_param, capsys)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: name collision with existing parameters")
+
+
+def _clash_document(tmp_path, params: tuple[str, ...]) -> str:
+    """e1 e1 = p e2 for the first parameter p, with a zero twist: every
+    basis law holds, so only a parameter named like an argument coordinate
+    stops an entry."""
+    product = tuple((1, Poly.variable(p)) for p in params[:1])
+    A = HomAlgebra(2, {(0, 0): product}, {}, params=params)
+    path = tmp_path / "clash.alg"
+    path.write_text(serialize_algebra(A))
+    return str(path)
+
+
+def test_lemmas_records_a_name_collision_per_entry(tmp_path, capsys):
+    # a_1 is the first coordinate of argument a: each entry with an argument
+    # a gets an error record, and the six without one run.
+    code = run(["lemmas", "--algebra", _clash_document(tmp_path, ("a_1",)), "--strategy",
+                "random", "--seed", "1", "--points", "2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    records = json.loads(captured.out)
+    assert len(records) == 25
+    errors = [rec for rec in records if rec["status"] == "error"]
+    assert len(errors) == 19
+    assert {rec["error"] for rec in errors} == {"name collision with existing parameters: ['a_1']"}
+    ran = [rec for rec in records if rec["status"] != "error"]
+    assert [rec["id"] for rec in ran] == ["xyy", "linearized", "teichmuller", "xyyz", "moufang",
+                                          "beta2"]
+    assert {rec["status"] for rec in ran} == {"random-pass"}
+
+
+@pytest.mark.parametrize("params", [("a_1",), ("a_1", "x_1", "w_1")], ids=["a", "every-entry"])
+@pytest.mark.parametrize("flags, message", [
+    (["--strategy", "random", "--points", "0"], "points must be at least 1, got 0"),
+    (["--strategy", "random", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["--strategy", "subset", "--subset-max", "0"], "subset_max must be at least 1, got 0"),
+], ids=["points", "seed", "subset-max"])
+def test_lemmas_option_errors_abort_before_name_collisions(tmp_path, capsys, params, flags,
+                                                           message):
+    # With a_1, x_1 and w_1 every entry's arguments collide, so no entry
+    # reaches its strategy: the options are still refused, in one line.
+    code = run(["lemmas", "--algebra", _clash_document(tmp_path, params), *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, text", [

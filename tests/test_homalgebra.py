@@ -26,9 +26,8 @@ from homalt.homalgebra import (
     yau_twist,
 )
 from homalt.catalog import FamilyParams, mikheev_morphism
-from homalt.identities import IdentityInstance
 from homalt.operators import RightOp, alpha_op, compose
-from homalt.proof_replay import BatchResult
+from homalt.proof_replay import BatchResult, IdentityInstance
 from homalt.scalars import Poly, degree
 from homalt.text import element_str
 from test_metamorphic import change_basis, generic_arg, unimodular

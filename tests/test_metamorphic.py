@@ -40,9 +40,8 @@ from homalt.homalgebra import (
     substitute_rows,
     yau_twist,
 )
-from homalt.identities import get_identity, identity_tags
 from homalt.operators import RightOp
-from homalt.proof_replay import replay_identity_witness, verify
+from homalt.proof_replay import get_identity, identity_tags, replay_identity_witness, verify
 from homalt.scalars import Poly
 from homalt.homalgebra import is_left_hom_alternative
 

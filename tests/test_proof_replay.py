@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import homalt.homalgebra
-import homalt.identities
 import homalt.proof_replay
 from homalt.homalgebra import (
     FAILS,
@@ -193,9 +192,9 @@ def test_every_hypothesis_is_a_basis_law():
 def test_left_alt_hypothesis_is_a_table_row(monkeypatch, mikheev):
     # No entry requires left Hom-alternativity, but the law is a row of the
     # table, so an entry that did would be checked by its scan.
-    inst = homalt.identities.IdentityInstance("xyy", ("left-alt",))
-    registry_ = tuple(inst if e.tag == "xyy" else e for e in homalt.identities.REGISTRY)
-    monkeypatch.setattr(homalt.identities, "REGISTRY", registry_)
+    inst = homalt.proof_replay.IdentityInstance("xyy", ("left-alt",))
+    registry_ = tuple(inst if e.tag == "xyy" else e for e in homalt.proof_replay.REGISTRY)
+    monkeypatch.setattr(homalt.proof_replay, "REGISTRY", registry_)
     with pytest.raises(PreconditionError) as exc:
         verify(mikheev, "xyy", strategy="generic")
     assert exc.value.requirement == "left Hom-alternative"
@@ -269,7 +268,7 @@ def _count_work(monkeypatch) -> Counter:
     monkeypatch.setattr(HomAlgebra, "__init__", counted_init)
     monkeypatch.setattr(homalt.homalgebra, "compose_rows", counted_compose)
     substitute = counted("substitute_params", homalt.homalgebra.substitute_params)
-    for module in (homalt.homalgebra, homalt.identities):
+    for module in (homalt.homalgebra, homalt.proof_replay):
         monkeypatch.setattr(module, "substitute_params", substitute)
     return calls
 
@@ -563,3 +562,17 @@ def test_a_negative_seed_is_refused(mikheev):
         verify(mikheev, "xyy", "random", seed=-1)
     with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
         verify_all(mikheev, "random", seed=-1)
+
+
+def test_verify_all_records_name_collisions_and_refuses_options_first():
+    # A zero algebra whose parameters name a coordinate of every entry's
+    # first argument: each entry gets the collision as its error, unless
+    # an option is refused, which aborts the batch before any entry.
+    A = HomAlgebra(1, {}, {}, params=("a_1", "x_1", "w_1"))
+    results = verify_all(A, "generic")
+    assert [r.tag for r in results] == EXPECTED_TAGS
+    assert all(r.report is None and r.error.startswith("name collision") for r in results)
+    with pytest.raises(ValueError, match="^unknown strategy 'bogus'"):
+        verify_all(A, "bogus")
+    with pytest.raises(TypeError, match="sede"):
+        verify_all(A, "random", sede=3)

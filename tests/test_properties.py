@@ -22,8 +22,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homalt.homalgebra import FAILS, HOLDS, RANDOM_PASS, HomAlgebra, is_right_hom_alternative
-from homalt.identities import _coefficients, _Degree, _degree_model
 from homalt.proof_replay import (
+    _coefficients,
+    _Degree,
+    _degree_model,
     registry,
     replay_identity_witness,
     verify,

@@ -6,16 +6,18 @@ for on every call.  These checks run the imports in a child process, where
 ends the process with ``os._exit``; the child runs here check that it
 prints, writes and exits exactly as the in-process ``run()`` does.
 
-Each path loads only its own code: the strategies and the evaluators of
-the registry load only for registry checks, the operator calculus only for
-the operator entries, and the parser adds arguments only to the subcommand
-named.  Imports run one way, ``proof_replay`` -> ``identities`` ->
-``homalgebra``, and the evaluators in ``laws`` import nothing.
+Each path loads only its own code: the registry and its checking, in
+``proof_replay``, load only for ``check``, ``lemmas`` and ``--help``, the
+evaluators in ``laws`` only for registry checks, the operator calculus only
+for the operator entries, and the parser adds arguments only to the
+subcommand named.  ``proof_replay`` imports ``homalgebra`` and
+``scalars`` only, and the evaluators in ``laws`` import nothing.
 """
 
 import ast
 import errno
 import functools
+import importlib
 import json
 import os
 import subprocess
@@ -33,8 +35,6 @@ from homalt.homalgebra import Element, identity_rows
 from homalt.operators import RightOp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# The code a registry check loads on demand.
-ON_DEMAND = {"homalt.proof_replay", "homalt.laws", "homalt.operators"}
 # What no holding registry check runs: the text forms of elements.
 ASIDE = {"homalt.text"}
 _LISTING = "-- sys.modules --"
@@ -147,20 +147,38 @@ def inputs(tmp_path_factory, plain_twisted):
     return root
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "--algebra", "base.alg", "--identity", "right-alt"],
-    ["check", "--algebra", "base.alg", "--identity", "morphism", "--morphism", "id.mor"],
-    ["mikheev", "--out", "loads.alg"],
-    ["power", "--algebra", "base.alg", "--element", "e7 - e8", "--n", "2"],
-    ["--help"],
-    ["twist", "--algebra", "base.alg", "--morphism", "id.mor", "--out", "loads-twist.alg"],
-    ["noniso", "--params", "2", "3", "5", "7"],
-])
-def test_structural_calls_skip_the_registry(inputs, argv):
-    loaded = _cli_modules(argv, inputs)
-    # Only the calls that list the --identity choices load the registry.
-    assert ("homalt.identities" in loaded) == (argv[0] in ("check", "--help"))
-    assert not ON_DEMAND & loaded
+# Every CLI call loads these.
+EVERY_CALL = {"homalt", "homalt.cli", "homalt.scalars", "homalt.homalgebra", "homalt.algfile"}
+# README's Start-up table, a holding call per command of a row: name: (argv,
+# what it loads beside EVERY_CALL).  A structural check and --help list the
+# --identity choices from proof_replay but load no evaluator and no
+# operator code; mikheev, twist, power and noniso load no registry code.
+ALSO_LOADS = {
+    "check-right-alt": (["check", "--algebra", "base.alg", "--identity", "right-alt"],
+                        {"proof_replay"}),
+    "check-multiplicative": (["check", "--algebra", "base.alg", "--identity", "multiplicative"],
+                             {"proof_replay"}),
+    "check-morphism": (["check", "--algebra", "base.alg", "--identity", "morphism",
+                        "--morphism", "id.mor"], {"proof_replay"}),
+    "help": (["--help"], {"proof_replay"}),
+    "twist": (["twist", "--algebra", "base.alg", "--morphism", "id.mor",
+               "--out", "loads-twist.alg"], set()),
+    "power": (["power", "--algebra", "base.alg", "--element", "e7 - e8", "--n", "2"], {"text"}),
+    "check-xyy": (["check", "--algebra", "base.alg", "--identity", "xyy", "--strategy", "generic"],
+                  {"proof_replay", "laws"}),
+    "check-eq1": (["check", "--algebra", "base.alg", "--identity", "eq1", "--strategy", "generic"],
+                  {"proof_replay", "laws", "operators"}),
+    "lemmas": (["lemmas", "--algebra", "base.alg", "--strategy", "generic"],
+               {"proof_replay", "laws", "operators"}),
+    "mikheev": (["mikheev", "--out", "loads.alg"], {"catalog"}),
+    "noniso": (["noniso", "--params", "2", "3", "5", "7"], {"catalog"}),
+}
+
+
+@pytest.mark.parametrize("call", list(ALSO_LOADS))
+def test_each_command_loads_its_row_of_the_table(inputs, call):
+    argv, also = ALSO_LOADS[call]
+    assert _cli_modules(argv, inputs) == EVERY_CALL | {f"homalt.{name}" for name in also}
 
 
 def test_every_structural_check_loads_the_same_code(inputs):
@@ -208,13 +226,6 @@ def test_failing_element_check_loads_no_operator_code(inputs, flags):
     loaded = _cli_modules(_check("plain.alg", "xyy", *flags), inputs, code=1)
     assert {"homalt.proof_replay", "homalt.laws"} <= loaded
     assert "homalt.operators" not in loaded
-
-
-def test_registry_loads_no_strategy_driver():
-    # Imports run one way: proof_replay -> identities -> homalgebra.
-    loaded = _modules_after("import homalt.identities")
-    assert {"homalt.identities", "homalt.homalgebra"} <= loaded
-    assert not ON_DEMAND & loaded
 
 
 @pytest.mark.parametrize("tag", ["xyy", "eq1"])
@@ -397,7 +408,14 @@ def test_identity_choices_follow_the_registry():
 def test_precondition_error_is_one_class():
     assert issubclass(homalt.PreconditionError, ValueError)
     assert homalt.PreconditionError is homalt.proof_replay.PreconditionError
-    assert homalt.PreconditionError is homalt.identities.PreconditionError
+
+
+def test_registry_names_come_from_proof_replay():
+    # The registry is declared beside its checking: no other module holds it.
+    for name in ("IdentityInstance", "PreconditionError", "registry"):
+        assert getattr(homalt, name) is getattr(homalt.proof_replay, name), name
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("homalt.identities")
 
 
 # -- a child prints, writes and exits as run() does ----------------------------------

@@ -18,12 +18,12 @@ from pathlib import Path
 
 import pytest
 
-import homalt.identities
+import homalt.proof_replay
 from homalt import FamilyParams, mikheev_algebra, mikheev_family
 from homalt.algfile import serialize_algebra
 from homalt.homalgebra import FAILS, HOLDS, CheckReport, Element, HomAlgebra
-from homalt.identities import IdentityInstance
 from homalt.proof_replay import (
+    IdentityInstance,
     _find_witness,
     get_identity,
     identity_tags,
@@ -173,8 +173,8 @@ def test_comparison_covers_both_verdicts_and_late_failures(compared):
 def _custom(monkeypatch, tag, evaluate):
     base = get_identity(tag)
     inst = IdentityInstance(base.tag, base.requires, evaluate=evaluate)
-    registry = tuple(inst if e.tag == tag else e for e in homalt.identities.REGISTRY)
-    monkeypatch.setattr(homalt.identities, "REGISTRY", registry)
+    registry = tuple(inst if e.tag == tag else e for e in homalt.proof_replay.REGISTRY)
+    monkeypatch.setattr(homalt.proof_replay, "REGISTRY", registry)
 
 
 @pytest.mark.parametrize("case", ["x-only", "y-only", "constant", "parameter"])
