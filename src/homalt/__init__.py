@@ -3,16 +3,15 @@
 The public names below load on first use: ``import homalt`` imports no
 submodule, and ``homalt.verify`` or ``from homalt import verify`` imports
 the module that defines it (PEP 562).  So ``python -m homalt.cli`` loads
-only the modules a command runs.  The identity registry, how an entry is
-checked (preconditions, strategies, witness search and replay) and
-``PreconditionError``, a ValueError like every refusal of bad input, live
-in :mod:`homalt.proof_replay`; what each entry says, its evaluator, is in
-:mod:`homalt.laws`, which loads only for registry checks.  The operator
-calculus, :mod:`homalt.operators`, loads only for operator entries.  Every
-basis scan and element test sits in :mod:`homalt.homalgebra`, beside the
-replay of its witnesses; a morphism there is a map of one algebra into
-itself.  Printing and parsing elements, which no holding check runs, sits
-in :mod:`homalt.text`.
+only the modules a command runs.  The identity registry, what each entry
+says (its evaluator), how an entry is checked (preconditions, strategies,
+witness search and replay) and ``PreconditionError``, a ValueError like
+every refusal of bad input, live in :mod:`homalt.proof_replay`.  The
+operator calculus, :mod:`homalt.operators`, loads only for operator
+entries.  Every basis scan and element test sits in
+:mod:`homalt.homalgebra`, beside the replay of its witnesses; a morphism
+there is a map of one algebra into itself.  Printing and parsing elements,
+which no holding check runs, sits in :mod:`homalt.text`.
 Algebra and morphism documents are both read and written by
 :mod:`homalt.algfile`.
 """

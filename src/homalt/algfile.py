@@ -199,10 +199,13 @@ def parse_document(text: str) -> AlgebraDocument:
             if name in names[:pos]:
                 raise AlgebraFormatError(f"basis[{pos}]", f"duplicate basis name {name!r}")
             # Element expressions split terms at + and -, a coefficient at *,
-            # and strip names.
+            # strip names, and read 0 as the zero element.
             if name != name.strip() or any(c in name for c in "+-*"):
                 raise AlgebraFormatError(f"basis[{pos}]", f"basis name {name!r} must be nonempty "
                                          "and stripped, without '+', '-' or '*'")
+            if name == "0":
+                raise AlgebraFormatError(f"basis[{pos}]",
+                                         "basis name '0' would read back as the zero element")
         basis_names = list(names)
     else:
         basis_names = default_basis_names(dim)

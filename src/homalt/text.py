@@ -4,7 +4,8 @@ Rendering: :func:`scalar_str` writes a scalar as ``5/6`` or
 ``lambda^2 - xi`` (terms in graded lexicographic order, highest first), and
 :func:`element_str` a vector as ``e7 - e8``, parenthesizing polynomial
 coefficients.  Parsing: :func:`parse_element_expr` reads a linear
-combination of basis names such as ``3/2*e1 + e4``.  An element's JSON
+combination of basis names such as ``3/2*e1 + e4``, or ``0``, the zero
+element as :func:`element_str` writes it.  An element's JSON
 encoding is :func:`homalt.scalars.encode_sparse`.
 
 Only the calls that print a scalar or an element, or read one, import this
@@ -76,13 +77,16 @@ def parse_element_expr(expr: str, basis_names: Sequence[str]) -> Element:
     """Parse a linear combination such as ``e7 - e8`` or ``3/2*e1 + e4``.
 
     Basis vectors are referred to by the given names; coefficients are
-    rationals written ``p`` or ``p/q``.
+    rationals written ``p`` or ``p/q``.  ``0`` is the zero element, the
+    text :func:`element_str` writes for it.
     """
     positions = {name: i for i, name in enumerate(basis_names)}
     coords: list[Scalar] = [0] * len(basis_names)
     rest = expr.strip()
     if not rest:
         raise ValueError("empty element expression")
+    if rest == "0":
+        return Element(tuple(coords))
     matched_to = 0
     for m in _TERM_RE.finditer(rest):
         if m.start() != matched_to:

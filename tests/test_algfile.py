@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from homalt.algfile import (
     DIGIT_CAP,
@@ -18,9 +19,15 @@ from homalt.algfile import (
 )
 from homalt.catalog import FamilyParams, mikheev_morphism
 from homalt.cli import run
-from homalt.homalgebra import Element, HomAlgebra, identity_rows, substitute_params
+from homalt.homalgebra import (
+    Element,
+    HomAlgebra,
+    default_basis_names,
+    identity_rows,
+    substitute_params,
+)
 from homalt.scalars import Poly, encode_sparse as encode_element
-from homalt.text import parse_element_expr
+from homalt.text import element_str, parse_element_expr
 
 
 def test_round_trip_base_algebra(mikheev):
@@ -197,23 +204,47 @@ def test_twist_with_many_shared_parameter_names_is_fast(tmp_path, capsys):
     assert elapsed < SCALE_BUDGET_S, f"twisting with {len(names)} parameters took {elapsed:.1f}s"
 
 
+# Basis names that parse and serialize accept, beside a second name "b".
+ACCEPTED_NAMES = ("e1", "e_1'", "x y", "3/2", "é")
+
+
 def test_basis_names_read_back_in_element_expressions():
     # Parse and serialize accept exactly the names an element expression can
     # refer to, so every witness printed in the basis can be read back.
     square = HomAlgebra(2, {(0, 0): ((1, 1),)}, identity_rows(2))
-    for name in ("e1", "e_1'", "x y", "3/2", "é"):
+    for name in ACCEPTED_NAMES:
         names = parse_document(serialize_algebra(square, [name, "b"])).basis_names
         assert names == [name, "b"]
         assert parse_element_expr(name, names) == Element((1, 0))
         assert parse_element_expr(f"-1/2*{name} + b", names) == Element((Fraction(-1, 2), 1))
-    for name in ("", "x-y", "x+y", "2*x", " x", "x\t"):
+    # An element named 0 would print as 0 and read back as the zero element.
+    for name in ("", "x-y", "x+y", "2*x", " x", "x\t", "0"):
         with pytest.raises(ValueError):
             serialize_algebra(square, [name, "b"])
-    for name in ("x-y", "x+y", "2*x", " x", "x\t"):
+    for name in ("x-y", "x+y", "2*x", " x", "x\t", "0"):
         doc = {"dimension": 2, "basis": [name, "b"], "products": [], "alpha": []}
         with pytest.raises(AlgebraFormatError) as exc:
             parse_document(json.dumps(doc)).algebra
         assert exc.value.where == "basis[0]"
+
+
+@st.composite
+def _named_elements(draw) -> tuple[Element, list[str]]:
+    """A rational element, often zero or with zero coordinates, and basis
+    names for it: the default ones or an accepted name beside "b"."""
+    names = draw(st.one_of(st.integers(1, 4).map(default_basis_names),
+                           st.sampled_from(ACCEPTED_NAMES).map(lambda name: [name, "b"])))
+    coordinate = st.one_of(st.just(0), st.fractions(-5, 5, max_denominator=7))
+    coords = draw(st.lists(coordinate, min_size=len(names), max_size=len(names)))
+    return Element(tuple(coords)), names
+
+
+@given(_named_elements())
+@example((Element((0, 0)), ["3/2", "b"]))
+@example((Element((0,)), ["e1"]))
+def test_element_text_reads_back(named):
+    x, names = named
+    assert parse_element_expr(element_str(x, names), names) == x
 
 
 def test_morphism_round_trip():

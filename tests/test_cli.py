@@ -573,6 +573,17 @@ def test_power_json(files, capsys):
                                                   "exps": {"lambda": 4, "xi": 2}}]}}]}
 
 
+@pytest.mark.parametrize("fmt, out", [("text", "0\n"), ("json", '{\n  "power": []\n}\n')],
+                         ids=["text", "json"])
+def test_power_reads_the_zero_it_prints(files, capsys, fmt, out):
+    # e13 squares to 0, printed as "0"; that text is an element expression.
+    argv = ["power", "--algebra", files["mikheev"], "--n", "2", "--format", fmt]
+    assert run(argv + ["--element", "e13"]) == 0
+    assert capsys.readouterr().out == out
+    assert run(argv + ["--element", " 0 "]) == 0
+    assert capsys.readouterr() == (out, "")
+
+
 def test_power_bad_inputs(files, capsys):
     assert run(["power", "--algebra", files["mikheev"], "--element", "e7 - e8",
                 "--n", "0"]) == 2

@@ -6,12 +6,12 @@ for on every call.  These checks run the imports in a child process, where
 ends the process with ``os._exit``; the child runs here check that it
 prints, writes and exits exactly as the in-process ``run()`` does.
 
-Each path loads only its own code: the registry and its checking, in
-``proof_replay``, load only for ``check``, ``lemmas`` and ``--help``, the
-evaluators in ``laws`` only for registry checks, the operator calculus only
-for the operator entries, and the parser adds arguments only to the
-subcommand named.  ``proof_replay`` imports ``homalgebra`` and
-``scalars`` only, and the evaluators in ``laws`` import nothing.
+Each path loads only its own code: the registry, its evaluators and its
+checking, in ``proof_replay``, load only for ``check``, ``lemmas`` and
+``--help``, the operator calculus only for the operator entries, and the
+parser adds arguments only to the subcommand named.  ``proof_replay``
+imports ``homalgebra`` and ``scalars`` only, and its evaluators reach the
+algebra only through its operations.
 """
 
 import ast
@@ -27,7 +27,6 @@ from pathlib import Path
 import pytest
 
 import homalt
-import homalt.laws
 import homalt.proof_replay
 from homalt.algfile import parse_document, serialize_algebra, serialize_morphism
 from homalt.cli import _SUBCOMMANDS, STRUCTURAL_IDS, build_parser, run
@@ -151,8 +150,8 @@ def inputs(tmp_path_factory, plain_twisted):
 EVERY_CALL = {"homalt", "homalt.cli", "homalt.scalars", "homalt.homalgebra", "homalt.algfile"}
 # README's Start-up table, a holding call per command of a row: name: (argv,
 # what it loads beside EVERY_CALL).  A structural check and --help list the
-# --identity choices from proof_replay but load no evaluator and no
-# operator code; mikheev, twist, power and noniso load no registry code.
+# --identity choices from proof_replay but load no operator code; mikheev,
+# twist, power and noniso load no registry code.
 ALSO_LOADS = {
     "check-right-alt": (["check", "--algebra", "base.alg", "--identity", "right-alt"],
                         {"proof_replay"}),
@@ -165,11 +164,11 @@ ALSO_LOADS = {
                "--out", "loads-twist.alg"], set()),
     "power": (["power", "--algebra", "base.alg", "--element", "e7 - e8", "--n", "2"], {"text"}),
     "check-xyy": (["check", "--algebra", "base.alg", "--identity", "xyy", "--strategy", "generic"],
-                  {"proof_replay", "laws"}),
+                  {"proof_replay"}),
     "check-eq1": (["check", "--algebra", "base.alg", "--identity", "eq1", "--strategy", "generic"],
-                  {"proof_replay", "laws", "operators"}),
+                  {"proof_replay", "operators"}),
     "lemmas": (["lemmas", "--algebra", "base.alg", "--strategy", "generic"],
-               {"proof_replay", "laws", "operators"}),
+               {"proof_replay", "operators"}),
     "mikheev": (["mikheev", "--out", "loads.alg"], {"catalog"}),
     "noniso": (["noniso", "--params", "2", "3", "5", "7"], {"catalog"}),
 }
@@ -202,7 +201,7 @@ def _check(algebra: str, tag: str, *flags: str) -> list[str]:
 @pytest.mark.parametrize("tag", ["xyy", "moufang", "theorem"])
 def test_holding_element_check_loads_no_operator_code(inputs, tag):
     loaded = _cli_modules(_check("base.alg", tag, "--strategy", "generic"), inputs)
-    assert {"homalt.proof_replay", "homalt.laws"} <= loaded
+    assert "homalt.proof_replay" in loaded
     assert "homalt.operators" not in loaded
     assert not ASIDE & loaded
 
@@ -224,7 +223,7 @@ def test_failing_element_check_loads_no_operator_code(inputs, flags):
     # xyy fails on the identity-twist algebra: exit 1.  The witness search
     # evaluates the entry at points, on elements only.
     loaded = _cli_modules(_check("plain.alg", "xyy", *flags), inputs, code=1)
-    assert {"homalt.proof_replay", "homalt.laws"} <= loaded
+    assert "homalt.proof_replay" in loaded
     assert "homalt.operators" not in loaded
 
 
@@ -245,7 +244,7 @@ def test_replaying_a_point_witness_in_a_fresh_interpreter(inputs, plain_twisted,
         "assert not replay_identity_witness(A, report).is_zero()"
     )
     loaded = _modules_after(statement, inputs)
-    assert {"homalt.proof_replay", "homalt.laws"} <= loaded
+    assert "homalt.proof_replay" in loaded
 
 
 # Each entry's argument names, its evaluator's parameters after ``A``.  A
@@ -283,11 +282,11 @@ ARGUMENT_NAMES = {
 def test_rows_and_evaluators_are_one_to_one():
     entries = homalt.proof_replay.registry()
     tags = [inst.tag for inst in entries]
-    evaluators = [name for name in vars(homalt.laws) if name.startswith("_ev_")]
+    evaluators = [name for name in vars(homalt.proof_replay) if name.startswith("_ev_")]
     assert evaluators == [f"_ev_{tag}" for tag in tags]
     assert tags == list(ARGUMENT_NAMES)
     for inst in entries:
-        assert inst.evaluate is getattr(homalt.laws, f"_ev_{inst.tag}")
+        assert inst.evaluate is getattr(homalt.proof_replay, f"_ev_{inst.tag}")
         assert inst.evaluate.__doc__, inst.tag
         assert inst.var_names == ARGUMENT_NAMES[inst.tag], inst.tag
 
@@ -306,14 +305,15 @@ def _imports(module: str) -> list[tuple[ast.AST, list[ast.AST]]]:
     return found
 
 
-# The operations of A that ``laws`` lists, by the half of it that may call them.
+# The operations of A that proof_replay's docstring lists, by the half of
+# the evaluators that may call them.
 ELEMENT_OPS = {"mul", "twist_apply", "shift", "hom_associator", "commutator", "hom_power"}
 OPERATOR_OPS = {"right_mul_op", "alpha_op", "compose", "op_sup", "op_sub"}
 
 
 def _operations_of_a(name: str, functions: dict[str, ast.FunctionDef]) -> set[str]:
-    """The attributes of ``A`` that the ``laws`` function ``name`` reads,
-    with those of the ``laws`` helpers it calls."""
+    """The attributes of ``A`` that the function ``name`` reads, with those
+    of the functions in ``functions`` that it calls."""
     ops, seen, todo = set(), {name}, [name]
     while todo:
         for node in ast.walk(functions[todo.pop()]):
@@ -326,15 +326,22 @@ def _operations_of_a(name: str, functions: dict[str, ast.FunctionDef]) -> set[st
     return ops
 
 
-@pytest.mark.parametrize("half", ["element_laws", "operator_laws"])
-def test_laws_import_nothing(half, mikheev):
+@pytest.mark.parametrize("half", ["element", "operator"])
+def test_evaluators_reach_a_through_its_operations(half, mikheev):
     # An evaluator reaches A through A's operations alone: an element
     # entry's through those on elements, so it never needs the operator
     # calculus, and an operator entry's through the operator calculus too.
-    assert _imports("laws") == []
-    tree = ast.parse((SRC / "homalt" / "laws.py").read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    kind = Element if half == "element_laws" else RightOp
+    # The evaluators and their helpers are read from proof_replay's source;
+    # of that module's names they use only each other.
+    tree = ast.parse((SRC / "homalt" / "proof_replay.py").read_text())
+    helpers = {"_mikheev_chain", "_d_term", "_e_term"}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and (node.name.startswith("_ev_") or node.name in helpers)}
+    assert len(functions) == len(homalt.proof_replay.registry()) + len(helpers)
+    module_names = set(vars(homalt.proof_replay)) - set(functions)
+    for name, node in functions.items():
+        assert not {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & module_names, name
+    kind = Element if half == "element" else RightOp
     x = mikheev.basis_element(0)
     tags = [inst.tag for inst in homalt.proof_replay.registry()
             if type(inst.evaluate(mikheev, *[x] * inst.arity)[0]) is kind]
