@@ -10,10 +10,9 @@ every refusal of bad input, live in :mod:`homalt.proof_replay`.  The
 operator calculus, :mod:`homalt.operators`, loads only for operator
 entries.  Every basis scan and element test sits in
 :mod:`homalt.homalgebra`, beside the replay of its witnesses; a morphism
-there is a map of one algebra into itself.  Printing and parsing elements,
-which no holding check runs, sits in :mod:`homalt.text`.
-Algebra and morphism documents are both read and written by
-:mod:`homalt.algfile`.
+there is a map of one algebra into itself.  Every text homalt reads or
+writes, algebra and morphism documents and the text forms of scalars and
+elements, is read and written by :mod:`homalt.algfile`.
 """
 
 import importlib
@@ -26,7 +25,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "is_left_hom_alternative", "is_morphism", "is_multiplicative", "is_right_hom_alternative",
         "is_weak_morphism", "smallest_alpha_exponent", "substitute_params", "yau_twist",
     ),
-    "text": ("element_str", "parse_element_expr", "scalar_str"),
     "operators": (
         "RightOp", "alpha_op", "apply", "compose", "op_sub", "op_sup", "right_mul_op",
     ),
@@ -38,8 +36,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "BatchResult", "IdentityInstance", "PreconditionError", "registry", "verify", "verify_all",
     ),
     "algfile": (
-        "AlgebraFormatError", "parse_document", "parse_morphism", "serialize_algebra",
-        "serialize_morphism",
+        "AlgebraFormatError", "element_str", "parse_document", "parse_element_expr",
+        "parse_morphism", "scalar_str", "serialize_algebra", "serialize_morphism",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -40,12 +40,12 @@ the ``--identity`` choices from it, and :func:`build_parser` adds arguments
 only to the subcommand that the command line names.  A registry check, by
 ``check`` on a registry tag or by ``lemmas``, in turn loads the operator
 calculus in ``homalt.operators``, only for operator entries.  The
-structural scans are all in ``homalt.homalgebra``, and the text forms of
-elements (``homalt.text``) load only for the calls that print them;
-algebra and morphism files are both read by ``homalt.algfile``, which
-every call loads.  :func:`main` flushes the output and ends the process
-with ``os._exit``, skipping interpreter teardown; :func:`run` returns the
-exit code for in-process callers.
+structural scans are all in ``homalt.homalgebra``, each run through
+:func:`homalt.homalgebra.scan_basis_law`.  Algebra and morphism files,
+``--element`` and printed elements are all read or written by
+``homalt.algfile``, which every call loads.  :func:`main` flushes the
+output and ends the process with ``os._exit``, skipping interpreter
+teardown; :func:`run` returns the exit code for in-process callers.
 """
 
 from __future__ import annotations
@@ -58,17 +58,16 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .algfile import parse_document, parse_morphism, serialize_algebra
-from .homalgebra import (
-    BASIS_LAWS,
-    CheckReport,
-    HomAlgebra,
-    is_left_hom_alternative,
-    is_morphism,
-    is_multiplicative,
-    is_right_hom_alternative,
-    yau_twist,
+from .algfile import (
+    element_str,
+    parse_document,
+    parse_element_expr,
+    parse_morphism,
+    serialize_algebra,
 )
+from .homalgebra import BASIS_LAWS, CheckReport, HomAlgebra, is_morphism, scan_basis_law, yau_twist
+# Unused here: bench/tests reads it as an alias of the scan that the tracer patches.
+from .homalgebra import is_right_hom_alternative  # noqa: F401
 from .scalars import encode_sparse, parse_rational
 
 STRUCTURAL_IDS = (*BASIS_LAWS, "morphism")
@@ -168,8 +167,6 @@ def _print_reports(reports: list[dict], fmt: str, names: list[str]) -> None:
 def _report_record(report: CheckReport, names: list[str]) -> dict:
     rec = report.to_dict()
     if report.witness is not None:
-        from .text import element_str
-
         rec["witness"]["pretty"] = element_str(report.witness.element, names)
     return rec
 
@@ -201,9 +198,7 @@ def _cmd_check(args) -> int:
     if identity == "morphism":
         report = is_morphism(A, _load_morphism(args.morphism, A)[0])
     elif identity in BASIS_LAWS:
-        # The scan by its name in this module, looked up when it runs, so a
-        # scan patched here is the one called.
-        report = globals()[BASIS_LAWS[identity][1]](A)
+        report = scan_basis_law(A, identity)
     else:
         from .proof_replay import verify
 
@@ -264,8 +259,6 @@ def _cmd_mikheev(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    from .text import element_str, parse_element_expr
-
     doc = _load_algebra(args.algebra)
     if args.n < 1:
         raise ValueError("--n must be at least 1")

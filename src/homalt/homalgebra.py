@@ -45,12 +45,14 @@ The three basis laws, right and left Hom-alternativity and
 multiplicativity, are named once, in :data:`BASIS_LAWS`: a law's check id
 is also its key as a hypothesis of a registry entry, and the table gives
 the phrase a violated hypothesis is reported with and the name of the
-law's scan.
+law's scan, which :func:`scan_basis_law` looks up and runs.
 
 The paper's corollary adds conditions on single elements, tested here
 beside the Hom-power loop they share: :func:`is_hom_nilpotent` and
 :func:`smallest_alpha_exponent` (the least twist that kills
-``(a, a, b)^4``).  The text forms of elements live in :mod:`homalt.text`.
+``(a, a, b)^4``).  The text forms of elements and the default basis names
+live in :mod:`homalt.algfile`, which imports this module, so ``str()`` of
+an element imports it when called.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class Element(_Record):
         return Element(tuple(substitute(c, assignment) for c in self.coords))
 
     def __str__(self) -> str:
-        from .text import element_str
+        from .algfile import element_str
 
         return element_str(self)
 
@@ -252,11 +254,6 @@ def substitute_rows(
 
 def identity_rows(dim: int) -> RowTable:
     return {i: ((i, 1),) for i in range(dim)}
-
-
-def default_basis_names(dim: int) -> list[str]:
-    """``e1 .. e<dim>``, the basis names of a document that gives none."""
-    return [f"e{i + 1}" for i in range(dim)]
 
 
 class HomAlgebra(_Record):
@@ -555,12 +552,19 @@ def is_left_hom_alternative(A: HomAlgebra) -> CheckReport:
 # The basis laws of A, by check id, which is also the key of the law as a
 # hypothesis in an entry's ``requires``: the phrase a PreconditionError
 # completes ("algebra is not ...") and the name of the law's scan, which
-# each caller looks up among its own module-level names when it runs.
+# :func:`scan_basis_law` runs.
 BASIS_LAWS = {
     "right-alt": ("right Hom-alternative", "is_right_hom_alternative"),
     "left-alt": ("left Hom-alternative", "is_left_hom_alternative"),
     "multiplicative": ("multiplicative", "is_multiplicative"),
 }
+
+
+def scan_basis_law(A: HomAlgebra, law: str) -> CheckReport:
+    """The report of the scan of the basis law ``law`` (a key of
+    :data:`BASIS_LAWS`) on ``A``.  The scan is looked up by its name in
+    this module when it runs, so a scan patched here is the one called."""
+    return globals()[BASIS_LAWS[law][1]](A)
 
 
 def is_weak_morphism(A: HomAlgebra, f: RowsLike) -> CheckReport:

@@ -95,9 +95,8 @@ from .homalgebra import (
     Witness,
     _element,
     _Record,
-    is_left_hom_alternative,
-    is_multiplicative,
-    is_right_hom_alternative,
+    is_right_hom_alternative,  # noqa: F401  unused: an alias bench/tests reads
+    scan_basis_law,
     substitute_params,
 )
 from .scalars import Poly, Rational, degree, substitute, variables as scalar_variables
@@ -650,16 +649,13 @@ def _check_preconditions(
     known: dict[str, CheckReport],
 ) -> None:
     """Raise :class:`PreconditionError` at the first hypothesis of ``inst``
-    that ``A`` fails; ``known`` caches each law's report by its id.  Each
-    law's scan is called by its name in this module, looked up when it
-    runs, so a scan patched here is the one called."""
+    that ``A`` fails; ``known`` caches each law's report by its id."""
     for law in inst.requires:
-        requirement, scan = BASIS_LAWS[law]
         report = known.get(law)
         if report is None:
-            report = known[law] = globals()[scan](A)
+            report = known[law] = scan_basis_law(A, law)
         if not report.passed():
-            raise PreconditionError(inst.tag, requirement, report)
+            raise PreconditionError(inst.tag, BASIS_LAWS[law][0], report)
 
 
 def _check_options(strategy: str, options: Mapping[str, int]) -> None:

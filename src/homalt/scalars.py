@@ -17,7 +17,10 @@ coefficient, and every operation builds its result that way.  Mixed
 arithmetic works through the usual operators, so code elsewhere can write
 ``x * y + z`` without caring which branch of the union each value is in.
 Everything here is immutable by convention and uses exact arithmetic only;
-no floats appear anywhere.
+no floats appear anywhere.  The scalar text encoding of documents is
+defined here; the form ``str()`` prints, such as ``lambda^2 - xi``, is
+:func:`homalt.algfile.scalar_str`, imported when it is called, since
+:mod:`homalt.algfile` imports this module.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ class Poly:
             yield m, self.terms[m]
 
     def __str__(self) -> str:
-        from .text import scalar_str
+        from .algfile import scalar_str
 
         return scalar_str(self)
 

@@ -12,22 +12,18 @@ from homalt.algfile import (
     DIGIT_CAP,
     EXPONENT_CAP,
     AlgebraFormatError,
+    default_basis_names,
+    element_str,
     parse_document,
+    parse_element_expr,
     parse_morphism,
     serialize_algebra,
     serialize_morphism,
 )
 from homalt.catalog import FamilyParams, mikheev_morphism
 from homalt.cli import run
-from homalt.homalgebra import (
-    Element,
-    HomAlgebra,
-    default_basis_names,
-    identity_rows,
-    substitute_params,
-)
+from homalt.homalgebra import Element, HomAlgebra, identity_rows, substitute_params
 from homalt.scalars import Poly, encode_sparse as encode_element
-from homalt.text import element_str, parse_element_expr
 
 
 def test_round_trip_base_algebra(mikheev):
@@ -228,12 +224,38 @@ def test_basis_names_read_back_in_element_expressions():
         assert exc.value.where == "basis[0]"
 
 
+def test_basis_name_without_utf8_is_refused():
+    # A lone surrogate, such as the JSON escape \udc80, is a str but has no
+    # UTF-8 form, so no printed witness or element could carry it.
+    square = HomAlgebra(2, {(0, 0): ((1, 1),)}, identity_rows(2))
+    for names, pos in ((["\udc80", "b"], 0), (["a", "x\ud800y"], 1)):
+        doc = {"dimension": 2, "basis": names, "products": [], "alpha": []}
+        with pytest.raises(AlgebraFormatError) as exc:
+            parse_document(json.dumps(doc))
+        assert exc.value.where == f"basis[{pos}]"
+        assert exc.value.problem == f"basis name {names[pos]!r} does not encode as UTF-8"
+        with pytest.raises(AlgebraFormatError, match="does not encode as UTF-8"):
+            serialize_algebra(square, names)
+
+
+def _accepted(names: list[str]) -> bool:
+    """Does :func:`parse_document` accept ``names`` as a basis?"""
+    doc = {"dimension": len(names), "basis": names, "products": [], "alpha": []}
+    try:
+        parse_document(json.dumps(doc))
+    except AlgebraFormatError:
+        return False
+    return True
+
+
 @st.composite
 def _named_elements(draw) -> tuple[Element, list[str]]:
     """A rational element, often zero or with zero coordinates, and basis
-    names for it: the default ones or an accepted name beside "b"."""
+    names for it: the default ones or any list of names, surrogates among
+    the characters drawn, that :func:`parse_document` accepts."""
+    name = st.text(st.characters(exclude_categories=()), min_size=1)
     names = draw(st.one_of(st.integers(1, 4).map(default_basis_names),
-                           st.sampled_from(ACCEPTED_NAMES).map(lambda name: [name, "b"])))
+                           st.lists(name, min_size=1, max_size=4).filter(_accepted)))
     coordinate = st.one_of(st.just(0), st.fractions(-5, 5, max_denominator=7))
     coords = draw(st.lists(coordinate, min_size=len(names), max_size=len(names)))
     return Element(tuple(coords)), names

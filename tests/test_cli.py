@@ -530,6 +530,27 @@ def test_element_text_decoded_by_the_locale_is_kept(tmp_path, mikheev, monkeypat
     assert capsys.readouterr() == expected
 
 
+def test_basis_name_without_utf8_is_bad_input(tmp_path, mikheev, monkeypatch, capsys):
+    # The JSON escape \udc80 reads as a lone surrogate, which has no UTF-8
+    # form: the document is refused before anything is printed, under the C
+    # locale and under a strict UTF-8 stdout alike.
+    doc = json.loads(serialize_algebra(mikheev))
+    doc["basis"][0] = "\udc80"
+    (tmp_path / "base.alg").write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["check", "--algebra", "base.alg", "--identity", "left-alt"]
+    error = "error: basis[0]: basis name '\\udc80' does not encode as UTF-8\n"
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", error)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for env in ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                {"PYTHONIOENCODING": "utf-8:strict"}):
+        proc = subprocess.run([sys.executable, "-m", "homalt.cli", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", error.encode()), env
+
+
 def test_twist_rejects_non_morphism(files, tmp_path, capsys):
     bad = tmp_path / "bad.mor"
     bad.write_text(json.dumps({

@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homalt.homalgebra
+from homalt.algfile import element_str
 from homalt.homalgebra import (
+    BASIS_LAWS,
     FAILS,
     CheckReport,
     Element,
@@ -22,6 +25,7 @@ from homalt.homalgebra import (
     is_right_hom_alternative,
     is_weak_morphism,
     replay_structural_witness,
+    scan_basis_law,
     substitute_params,
     yau_twist,
 )
@@ -29,7 +33,6 @@ from homalt.catalog import FamilyParams, mikheev_morphism
 from homalt.operators import RightOp, alpha_op, compose
 from homalt.proof_replay import BatchResult, IdentityInstance
 from homalt.scalars import Poly, degree
-from homalt.text import element_str
 from test_metamorphic import change_basis, generic_arg, unimodular
 
 lam = Poly.variable("lambda")
@@ -265,6 +268,17 @@ def test_plain_twisted_product_is_not_right_alternative(plain_twisted):
     assert left_side == e[9].scale(lam**3 * xi**2)
     assert right_side == e[9].scale(lam**4 * xi)
     assert left_side != right_side
+
+
+def test_scan_basis_law_runs_the_scan_the_table_names(mikheev, monkeypatch):
+    # The scan is looked up in homalgebra when it runs, so the one patched
+    # there is the one that check and the precondition checks call.
+    for law, (_, name) in BASIS_LAWS.items():
+        report = scan_basis_law(mikheev, law)
+        assert report.check == law
+        assert report == getattr(homalt.homalgebra, name)(mikheev)
+    monkeypatch.setattr(homalt.homalgebra, "is_multiplicative", lambda A: "patched")
+    assert scan_basis_law(mikheev, "multiplicative") == "patched"
 
 
 def test_dim_zero_algebra_holds_vacuously():

@@ -208,16 +208,17 @@ ONE_SCAN_EACH = Counter({"is_multiplicative": 1, "is_right_hom_alternative": 1})
 
 
 def _count_scans(monkeypatch) -> Counter:
-    """Count the calls of every structural scan ``proof_replay`` imports."""
+    """Count the calls of every basis-law scan, patched in ``homalgebra``,
+    where ``scan_basis_law`` looks each one up."""
     calls: Counter = Counter()
-    for name in [n for n in vars(homalt.proof_replay) if n.startswith("is_")]:
-        scan = getattr(homalt.proof_replay, name)
+    for _, name in homalt.homalgebra.BASIS_LAWS.values():
+        scan = getattr(homalt.homalgebra, name)
 
         def counted(*args, _scan=scan, _name=name, **kwargs):
             calls[_name] += 1
             return _scan(*args, **kwargs)
 
-        monkeypatch.setattr(homalt.proof_replay, name, counted)
+        monkeypatch.setattr(homalt.homalgebra, name, counted)
     return calls
 
 

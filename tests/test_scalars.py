@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from homalt.algfile import scalar_str
 from homalt.scalars import (
     Poly,
     _norm_rational,
@@ -18,7 +19,6 @@ from homalt.scalars import (
     substitute,
     variables,
 )
-from homalt.text import scalar_str
 
 lam = Poly.variable("lambda")
 xi = Poly.variable("xi")

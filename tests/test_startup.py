@@ -34,8 +34,6 @@ from homalt.homalgebra import Element, identity_rows
 from homalt.operators import RightOp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# What no holding registry check runs: the text forms of elements.
-ASIDE = {"homalt.text"}
 _LISTING = "-- sys.modules --"
 
 
@@ -69,9 +67,9 @@ def test_submodules_stay_reachable_as_attributes():
 
 
 def test_listing_includes_modules_loaded_through_the_package():
-    # The package's __getattr__ loads ``homalt.text`` with
+    # The package's __getattr__ loads ``homalt.operators`` with
     # importlib.import_module: ``-X importtime`` shows no line for it.
-    assert "homalt.text" in _modules_after("import homalt\nhomalt.text")
+    assert "homalt.operators" in _modules_after("import homalt\nhomalt.operators")
 
 
 def test_public_names_are_pinned():
@@ -151,7 +149,8 @@ EVERY_CALL = {"homalt", "homalt.cli", "homalt.scalars", "homalt.homalgebra", "ho
 # README's Start-up table, a holding call per command of a row: name: (argv,
 # what it loads beside EVERY_CALL).  A structural check and --help list the
 # --identity choices from proof_replay but load no operator code; mikheev,
-# twist, power and noniso load no registry code.
+# twist, power and noniso load no registry code, and power reads and prints
+# its element through algfile, which every call loads.
 ALSO_LOADS = {
     "check-right-alt": (["check", "--algebra", "base.alg", "--identity", "right-alt"],
                         {"proof_replay"}),
@@ -162,7 +161,7 @@ ALSO_LOADS = {
     "help": (["--help"], {"proof_replay"}),
     "twist": (["twist", "--algebra", "base.alg", "--morphism", "id.mor",
                "--out", "loads-twist.alg"], set()),
-    "power": (["power", "--algebra", "base.alg", "--element", "e7 - e8", "--n", "2"], {"text"}),
+    "power": (["power", "--algebra", "base.alg", "--element", "e7 - e8", "--n", "2"], set()),
     "check-xyy": (["check", "--algebra", "base.alg", "--identity", "xyy", "--strategy", "generic"],
                   {"proof_replay"}),
     "check-eq1": (["check", "--algebra", "base.alg", "--identity", "eq1", "--strategy", "generic"],
@@ -181,9 +180,10 @@ def test_each_command_loads_its_row_of_the_table(inputs, call):
 
 
 def test_every_structural_check_loads_the_same_code(inputs):
-    # Each basis scan sits in homalgebra beside the others.  A failing check
-    # prints its witness through the text forms, so the left-alt check, which
-    # fails on base.alg, is set beside right-alt failing on plain.alg.
+    # Each basis scan sits in homalgebra beside the others, and a failing
+    # check prints its witness through algfile, which every call loads: the
+    # left-alt check, which fails on base.alg, and right-alt failing on
+    # plain.alg load what a holding check loads.
     def loads(algebra, identity, *flags, code=0):
         return _cli_modules(["check", "--algebra", algebra, "--identity", identity, *flags],
                             inputs, code=code)
@@ -191,7 +191,7 @@ def test_every_structural_check_loads_the_same_code(inputs):
     holding = loads("base.alg", "right-alt")
     assert loads("base.alg", "morphism", "--morphism", "id.mor") == holding
     failing = loads("plain.alg", "right-alt", code=1)
-    assert loads("base.alg", "left-alt", code=1) == failing == holding | {"homalt.text"}
+    assert loads("base.alg", "left-alt", code=1) == failing == holding
 
 
 def _check(algebra: str, tag: str, *flags: str) -> list[str]:
@@ -203,7 +203,6 @@ def test_holding_element_check_loads_no_operator_code(inputs, tag):
     loaded = _cli_modules(_check("base.alg", tag, "--strategy", "generic"), inputs)
     assert "homalt.proof_replay" in loaded
     assert "homalt.operators" not in loaded
-    assert not ASIDE & loaded
 
 
 @pytest.mark.parametrize("tag", ["eq1", "eq5"])
@@ -415,6 +414,16 @@ def test_identity_choices_follow_the_registry():
 def test_precondition_error_is_one_class():
     assert issubclass(homalt.PreconditionError, ValueError)
     assert homalt.PreconditionError is homalt.proof_replay.PreconditionError
+
+
+def test_text_forms_come_from_algfile():
+    # Every text homalt reads or writes has one module: no other holds the
+    # element grammar or the default basis names.
+    for name in ("element_str", "parse_element_expr", "scalar_str"):
+        assert getattr(homalt, name) is getattr(homalt.algfile, name), name
+    assert not hasattr(homalt.homalgebra, "default_basis_names")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("homalt.text")
 
 
 def test_registry_names_come_from_proof_replay():
