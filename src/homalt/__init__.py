@@ -33,7 +33,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "mikheev_morphism", "spectrum_certificate",
     ),
     "proof_replay": (
-        "BatchResult", "IdentityInstance", "PreconditionError", "registry", "verify", "verify_all",
+        "BatchResult", "IdentityInstance", "PreconditionError", "REGISTRY", "verify", "verify_all",
     ),
     "algfile": (
         "AlgebraFormatError", "element_str", "parse_document", "parse_element_expr",

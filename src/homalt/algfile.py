@@ -27,13 +27,13 @@ twist (one row codec serves both)::
 Indices are 0-based; omitted product pairs and rows are zero.
 Coefficients use the scalar text encoding from :mod:`homalt.scalars` and may
 only mention declared parameters.  Parsing reports the offending field path
-on malformed input.  Basis names that element expressions cannot refer to
-or that have no UTF-8 form are refused, so every element printed in a
-basis reads back; dimensions above 64, polynomial exponents above 1000
-and numbers of more than 4300 digits are refused, to keep basis sweeps,
-polynomial arithmetic and parsing tractable.  The parsers hold
-every rule of the format: each writer emits a canonical, byte-stable text
-and returns it only once the matching parser reads it back, so every
+on malformed input.  Basis names that element expressions cannot refer to or
+that have no UTF-8 form are refused, so every element with rational
+coordinates printed in a basis reads back; dimensions above 64, polynomial
+exponents above 1000 and numbers of more than 4300 digits are refused, to
+keep basis sweeps, polynomial arithmetic and parsing tractable.  The parsers
+hold every rule of the format: each writer emits a canonical, byte-stable
+text and returns it only once the matching parser reads it back, so every
 document written reads back, parse and serialize are mutually inverse on
 canonical documents, and a writer refuses with the parser's own message.
 

@@ -259,11 +259,11 @@ def _cmd_mikheev(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    doc = _load_algebra(args.algebra)
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     if args.n > POWER_CAP:
         raise ValueError(f"--n must be at most {POWER_CAP}")
+    doc = _load_algebra(args.algebra)
     # argparse drops the attached value of ``--element=--`` and stores [].
     expr = _utf8_argument(args.element) if isinstance(args.element, str) else "--"
     x = parse_element_expr(expr, doc.basis_names)
@@ -396,9 +396,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+def run(argv: Sequence[str]) -> int:
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)

@@ -297,11 +297,6 @@ REGISTRY: tuple[IdentityInstance, ...] = (
 )
 
 
-def registry() -> tuple[IdentityInstance, ...]:
-    """All verifiable identities in a stable order."""
-    return REGISTRY
-
-
 def identity_tags() -> list[str]:
     return [inst.tag for inst in REGISTRY]
 
@@ -728,7 +723,7 @@ def verify_all(A: HomAlgebra, strategy: str = "random", **options) -> list[Batch
     _check_options(strategy, options)
     known: dict[str, CheckReport] = {}
     results = []
-    for inst in registry():
+    for inst in REGISTRY:
         try:
             _check_preconditions(A, inst, known)
             inst.arguments(A)

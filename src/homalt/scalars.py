@@ -43,13 +43,6 @@ def _norm_rational(value: Rational) -> Rational:
     return value
 
 
-def mono(exps: Mapping[str, int]) -> Mono:
-    """Canonical monomial from a name -> exponent map (zero exponents dropped)."""
-    for name, e in exps.items():
-        if e < 0:
-            raise ValueError(f"negative exponent for {name!r}")
-    return tuple(sorted((n, e) for n, e in exps.items() if e > 0))
-
 def mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b
@@ -98,10 +91,6 @@ class Poly:
         if not name.isidentifier():
             raise ValueError(f"variable name {name!r} is not an identifier")
         return cls({((name, 1),): 1})
-
-    @classmethod
-    def term(cls, coeff: Rational, exps: Mapping[str, int]) -> "Scalar":
-        return cls({mono(exps): coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -308,7 +297,7 @@ def decode_scalar(obj: object) -> Scalar:
                     raise ValueError(f"term {pos}: bad variable name {name!r}")
                 if not isinstance(e, int) or isinstance(e, bool) or e < 1:
                     raise ValueError(f"term {pos}: exponent of {name} must be a positive integer")
-            key = mono(exps)
+            key = tuple(sorted(exps.items()))
             terms[key] = terms.get(key, 0) + coeff
         return Poly(terms)
     raise ValueError(f"cannot decode scalar from {type(obj).__name__}")

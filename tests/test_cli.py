@@ -646,6 +646,15 @@ def test_power_exponent_is_capped(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "e1"
 
 
+@pytest.mark.parametrize("n, bound", [("0", "at least 1"), ("1001", "at most 1000")])
+def test_power_refuses_bad_n_before_reading_the_file(tmp_path, capsys, n, bound):
+    # Like every registry flag rule, the --n bounds are refused before the
+    # algebra file is opened.
+    code = run(["power", "--algebra", str(tmp_path / "missing.alg"), "--element", "e1",
+                "--n", n])
+    assert (code, *capsys.readouterr()) == (2, "", f"error: --n must be {bound}\n")
+
+
 # --- exact values of any size ---
 
 # Python refuses int-to-str conversions past 4300 digits by default.

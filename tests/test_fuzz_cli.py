@@ -2,7 +2,7 @@
 
 Malformed algebra documents (wrong JSON shapes and field types, indices out
 of range, bad coefficients, parameter and basis names) and element
-expressions go through ``run()`` for ``check``, ``lemmas`` and ``power``.
+expressions go through ``run`` for ``check``, ``lemmas`` and ``power``.
 Dimensions stay at most 3 and polynomial exponents small, so a well-formed
 draw is cheap to verify; the example counts keep the file to a few seconds.
 """
@@ -100,7 +100,7 @@ FUZZ = settings(max_examples=50, deadline=None,
 
 
 def _run(argv: list[str], text: str) -> tuple[int, str]:
-    """Exit code and stderr of ``run()`` on an algebra file holding ``text``."""
+    """Exit code and stderr of ``run`` on an algebra file holding ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.alg"
         path.write_text(text)

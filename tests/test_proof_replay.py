@@ -22,10 +22,10 @@ from homalt.homalgebra import (
 from homalt.catalog import FamilyParams, mikheev_family, mikheev_morphism
 from homalt.operators import RightOp, alpha_op, apply, compose, op_sup, right_mul_op
 from homalt.proof_replay import (
+    REGISTRY,
     PreconditionError,
     get_identity,
     identity_tags,
-    registry,
     replay_identity_witness,
     verify,
     verify_all,
@@ -43,12 +43,12 @@ EXPECTED_TAGS = [
 
 def test_registry_tags_and_order():
     assert identity_tags() == EXPECTED_TAGS
-    assert len(registry()) == 25
+    assert len(REGISTRY) == 25
     assert len(set(identity_tags())) == 25
 
 
 def test_registry_arities():
-    arity = {inst.tag: inst.arity for inst in registry()}
+    arity = {inst.tag: inst.arity for inst in REGISTRY}
     assert arity["teichmuller"] == 4
     assert arity["xyy"] == 2
     assert arity["linearized"] == 3
@@ -69,7 +69,7 @@ def test_registry_kinds(mikheev):
     # An entry's kind is what its evaluator returns on the base algebra.
     x = mikheev.basis_element(0)
     kind = {}
-    for inst in registry():
+    for inst in REGISTRY:
         types = {type(value) for value in inst.evaluate(mikheev, *[x] * inst.arity)}
         (kind[inst.tag],) = types
     assert {tag for tag, t in kind.items() if t is Element} == {
@@ -185,7 +185,7 @@ def test_verify_all_records_precondition_errors(plain_twisted):
 
 
 def test_every_hypothesis_is_a_basis_law():
-    laws = {law for inst in registry() for law in inst.requires}
+    laws = {law for inst in REGISTRY for law in inst.requires}
     assert laws <= set(homalt.homalgebra.BASIS_LAWS)
 
 
@@ -515,7 +515,7 @@ RATIONAL_DEGREE_BOUNDS = {
 def test_degree_bound_reporting(mikheev, fam23, fam_sym):
     fam = mikheev_family(FamilyParams.rational(Fraction(7, 3), Fraction(-5, 2)))
     for A in (mikheev, fam23, fam):
-        bounds = {inst.tag: inst.degree_bound(A) for inst in registry()}
+        bounds = {inst.tag: inst.degree_bound(A) for inst in REGISTRY}
         assert bounds == RATIONAL_DEGREE_BOUNDS
     report = verify(mikheev, "theorem", strategy="random", seed=0, points=2)
     assert report.degree_bound == 12

@@ -23,10 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from homalt.homalgebra import FAILS, HOLDS, RANDOM_PASS, HomAlgebra, is_right_hom_alternative
 from homalt.proof_replay import (
+    REGISTRY,
     _coefficients,
     _Degree,
     _degree_model,
-    registry,
     replay_identity_witness,
     verify,
 )
@@ -45,12 +45,12 @@ def _assert_degrees_within_bound(A, inst):
         assert observed <= bound, (inst.tag, observed, bound)
 
 
-@pytest.mark.parametrize("inst", registry(), ids=lambda inst: inst.tag)
+@pytest.mark.parametrize("inst", REGISTRY, ids=lambda inst: inst.tag)
 def test_degree_bound_on_symbolic_family(fam_sym, inst):
     _assert_degrees_within_bound(fam_sym, inst)
 
 
-@pytest.mark.parametrize("inst", registry(), ids=lambda inst: inst.tag)
+@pytest.mark.parametrize("inst", REGISTRY, ids=lambda inst: inst.tag)
 def test_degree_bound_on_seeded_poly_algebras(inst):
     # The Poly-coefficient algebras of test_subset.py; the long chains at
     # dimension at most 2, where their generic evaluation does not swell.
@@ -65,7 +65,7 @@ def test_degree_bound_on_seeded_poly_algebras(inst):
         _assert_degrees_within_bound(A, inst)
 
 
-@pytest.mark.parametrize("inst", registry(), ids=lambda inst: inst.tag)
+@pytest.mark.parametrize("inst", REGISTRY, ids=lambda inst: inst.tag)
 def test_degree_bound_on_seeded_rational_algebras(inst):
     # The int and fraction algebras of test_subset.py.  With rational
     # constants the bound is the degree in the argument coordinates, and
@@ -76,7 +76,7 @@ def test_degree_bound_on_seeded_rational_algebras(inst):
             _assert_degrees_within_bound(subset_algebra(seed, kind), inst)
 
 
-@pytest.mark.parametrize("inst", registry(), ids=lambda inst: inst.tag)
+@pytest.mark.parametrize("inst", REGISTRY, ids=lambda inst: inst.tag)
 def test_degree_model_stays_in_its_ring(fam_sym, inst):
     # degree_bound runs the evaluator on _Degree scalars; an operation
     # outside their ring fails here, not in a random run.
@@ -127,7 +127,7 @@ def verdicts(inputs):
 
 
 def test_agreement_covers_the_registry():
-    assert sorted(AGREEMENT_TAGS + LONG_TAGS) == sorted(inst.tag for inst in registry())
+    assert sorted(AGREEMENT_TAGS + LONG_TAGS) == sorted(inst.tag for inst in REGISTRY)
 
 
 def test_inputs_cover_both_verdicts(verdicts):

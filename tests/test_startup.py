@@ -4,7 +4,7 @@ A CLI call runs in a fresh interpreter, so every module it imports is paid
 for on every call.  These checks run the imports in a child process, where
 ``sys.modules`` starts empty of homalt.  ``homalt.cli.main`` flushes and
 ends the process with ``os._exit``; the child runs here check that it
-prints, writes and exits exactly as the in-process ``run()`` does.
+prints, writes and exits exactly as the in-process ``run`` does.
 
 Each path loads only its own code: the registry, its evaluators and its
 checking, in ``proof_replay``, load only for ``check``, ``lemmas`` and
@@ -77,12 +77,12 @@ def test_public_names_are_pinned():
     # list, never as a side effect.
     assert homalt.__all__ == [
         "AlgebraFormatError", "BatchResult", "CheckReport", "Element", "FamilyParams",
-        "HomAlgebra", "IdentityInstance", "Poly", "PreconditionError", "Rational", "RightOp",
-        "Scalar", "Witness", "alpha_op", "apply", "compose", "element_str",
+        "HomAlgebra", "IdentityInstance", "Poly", "PreconditionError", "REGISTRY", "Rational",
+        "RightOp", "Scalar", "Witness", "alpha_op", "apply", "compose", "element_str",
         "family_nonisomorphism_condition", "is_hom_nilpotent", "is_left_hom_alternative",
         "is_morphism", "is_multiplicative", "is_right_hom_alternative", "is_weak_morphism",
         "mikheev_algebra", "mikheev_family", "mikheev_morphism", "op_sub", "op_sup",
-        "parse_document", "parse_element_expr", "parse_morphism", "registry", "right_mul_op",
+        "parse_document", "parse_element_expr", "parse_morphism", "right_mul_op",
         "scalar_str", "serialize_algebra", "serialize_morphism", "smallest_alpha_exponent",
         "spectrum_certificate", "substitute_params", "verify", "verify_all", "yau_twist",
         "__version__",
@@ -279,7 +279,7 @@ ARGUMENT_NAMES = {
 
 
 def test_rows_and_evaluators_are_one_to_one():
-    entries = homalt.proof_replay.registry()
+    entries = homalt.proof_replay.REGISTRY
     tags = [inst.tag for inst in entries]
     evaluators = [name for name in vars(homalt.proof_replay) if name.startswith("_ev_")]
     assert evaluators == [f"_ev_{tag}" for tag in tags]
@@ -336,13 +336,13 @@ def test_evaluators_reach_a_through_its_operations(half, mikheev):
     helpers = {"_mikheev_chain", "_d_term", "_e_term"}
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
                  and (node.name.startswith("_ev_") or node.name in helpers)}
-    assert len(functions) == len(homalt.proof_replay.registry()) + len(helpers)
+    assert len(functions) == len(homalt.proof_replay.REGISTRY) + len(helpers)
     module_names = set(vars(homalt.proof_replay)) - set(functions)
     for name, node in functions.items():
         assert not {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & module_names, name
     kind = Element if half == "element" else RightOp
     x = mikheev.basis_element(0)
-    tags = [inst.tag for inst in homalt.proof_replay.registry()
+    tags = [inst.tag for inst in homalt.proof_replay.REGISTRY
             if type(inst.evaluate(mikheev, *[x] * inst.arity)[0]) is kind]
     assert tags
     for tag in tags:
@@ -428,13 +428,13 @@ def test_text_forms_come_from_algfile():
 
 def test_registry_names_come_from_proof_replay():
     # The registry is declared beside its checking: no other module holds it.
-    for name in ("IdentityInstance", "PreconditionError", "registry"):
+    for name in ("IdentityInstance", "PreconditionError", "REGISTRY"):
         assert getattr(homalt, name) is getattr(homalt.proof_replay, name), name
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("homalt.identities")
 
 
-# -- a child prints, writes and exits as run() does ----------------------------------
+# -- a child prints, writes and exits as run does ------------------------------------
 
 
 # name: (argv, exit code); {base}, {plain} and {id} are files of ``inputs``.
